@@ -294,7 +294,8 @@ def _detect_incremental(args: argparse.Namespace, zonedb, whois):
     folds exactly the day batches past the journaled watermark and
     reconstructs the batch-identical result. ``--since-watermark``
     auto-resumes the standing run (run ID read from its journal) and
-    commits the dataset-side consumer watermark after each durable day.
+    commits the dataset-side consumer watermark once the drain is
+    durable.
     """
     from repro.detection.incremental import IncrementalDetectionEngine
     from repro.runner import RunFailed, run_incremental_detection
@@ -451,8 +452,9 @@ def cmd_advance(args: argparse.Namespace) -> int:
     run's durable watermark are folded in — the result is bit-identical
     to re-running ``riskybiz detect`` from scratch, without re-reading
     history. The run ID is read from the journal, so no ``--resume``
-    bookkeeping is needed; the dataset's per-consumer watermark is
-    committed after every durably folded day.
+    bookkeeping is needed. Each invocation writes one engine checkpoint
+    for everything it folded, and commits the dataset's per-consumer
+    watermark after that checkpoint is journaled.
     """
     from repro.detection.incremental import IncrementalDetectionEngine
     from repro.runner import JournalCorruption, RunFailed, run_incremental_detection
@@ -929,7 +931,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--since-watermark", action="store_true",
         help="with --incremental: auto-resume the standing run at its "
              "durable watermark (run ID read from the journal) and "
-             "commit the dataset-side consumer watermark per folded day",
+             "commit the dataset-side consumer watermark once the drain "
+             "is checkpointed",
     )
     detect.set_defaults(func=cmd_detect)
 

@@ -117,18 +117,14 @@ class SubstringCounter:
         #: Bumped on every mutation; lets consumers memoize selections.
         self.revision = 0
 
-    @property
-    def total(self) -> int:
-        """Number of names (with multiplicity) folded in."""
-        return sum(self.names.values())
-
     def add(self, name: str) -> None:
         """Fold one name occurrence into the counts."""
         lowered = name.lower()
         self.revision += 1
         self.names[lowered] += 1
-        for substring in _substrings_of(lowered, self.min_length, self.max_length):
-            self.counts[substring] += 1
+        self.counts.update(
+            _substrings_of(lowered, self.min_length, self.max_length)
+        )
 
     def discard(self, name: str) -> None:
         """Remove one name occurrence; unknown names raise ``KeyError``."""
@@ -160,14 +156,6 @@ class SubstringCounter:
             top=top,
             containment_slack=containment_slack,
         )
-
-    def state_key(self) -> dict[str, Any]:
-        """A digestible value view of the multiset (for memoization)."""
-        return {
-            "min_length": self.min_length,
-            "max_length": self.max_length,
-            "names": sorted(self.names.elements()),
-        }
 
 
 def mine_substrings(

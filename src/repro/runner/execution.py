@@ -748,7 +748,7 @@ def _restore_engine(
     is the source of truth and the journal is cross-checked against it:
 
     * checkpoint ahead of the journal (crash in the append window) —
-      journal the day the checkpoint proves folded (``reconciled``);
+      journal the drain the checkpoint proves folded (``reconciled``);
     * checkpoint behind the journal, unreadable, or missing while the
       journal claims days, or hashing differently from what the journal
       recorded for the same day — the durable artifact is gone or
@@ -759,15 +759,9 @@ def _restore_engine(
     The engine is only mutated once the checkpoint has fully verified,
     so every reset path leaves it fresh.
     """
-    reset_after = -1
-    for record in journal.events("engine-reset"):
-        reset_after = record.seq
-    journaled_day: int | None = None
-    journaled_sha: str | None = None
-    for record in journal.events("day-advanced"):
-        if record.seq > reset_after:
-            journaled_day = int(record.payload["day"])
-            journaled_sha = record.payload.get("checkpoint_sha256")
+    drain = journal.last_drain
+    journaled: dict[str, Any] = {} if drain is None else drain.payload
+    journaled_day = journaled.get("day")
     if not path.exists():
         if journaled_day is not None:
             journal.append("engine-reset", reason="checkpoint-missing")
@@ -775,31 +769,35 @@ def _restore_engine(
         return None
     try:
         data = path.read_bytes()
-        watermark = load_engine_state(data)["watermarks"].get(ENGINE_WATERMARK)
+        state = load_engine_state(data)
     except Exception:
         quarantine(path)
         journal.append("engine-reset", reason="checkpoint-unreadable")
         _note_engine_reset("checkpoint-unreadable")
         return None
+    watermark = state["watermarks"].get(ENGINE_WATERMARK)
+    sha256 = hashlib.sha256(data).hexdigest()
     if journaled_day is not None:
         if watermark is None or watermark < journaled_day:
             quarantine(path)
             journal.append("engine-reset", reason="checkpoint-behind-journal")
             _note_engine_reset("checkpoint-behind-journal")
             return None
-        if watermark == journaled_day and file_sha256(path) != journaled_sha:
+        if watermark == journaled_day and sha256 != journaled.get(
+            "checkpoint_sha256"
+        ):
             quarantine(path)
             journal.append("engine-reset", reason="checkpoint-mismatch")
             _note_engine_reset("checkpoint-mismatch")
             return None
     elif watermark is None:
         return None
-    engine.restore(zonedb, data)
+    engine.restore(zonedb, state)
     if journaled_day is None or watermark > journaled_day:
         journal.append(
             "day-advanced",
             day=watermark,
-            checkpoint_sha256=file_sha256(path),
+            checkpoint_sha256=sha256,
             reconciled=True,
         )
     return watermark
@@ -825,14 +823,16 @@ def run_incremental_detection(
     Instead of re-running the batch pipeline, an
     :class:`~repro.detection.incremental.IncrementalDetectionEngine`
     folds every recorded day batch past its watermark into standing
-    state, journaled per day::
+    state, then makes the whole drain durable at once::
 
-        fold day  →  atomic engine checkpoint  →  journal day-advanced
+        fold each new day  →  atomic engine checkpoint
+                           →  journal day-advanced  →  commit watermark
 
-    so a crash anywhere resumes at the last durable day, never earlier
-    (and never refolds a day twice). The run directory holds one
-    engine checkpoint (``checkpoints/engine-state.pkl``) that always
-    describes the journal's newest ``day-advanced`` record — the same
+    so a crash mid-drain resumes at the previous durable drain and
+    refolds the lost days (folding is deterministic, so the refold is
+    bit-identical). The run directory holds one engine checkpoint
+    (``checkpoints/engine-state.pkl``) that always describes the
+    journal's newest ``day-advanced`` record — the same
     checkpoint-ahead reconciliation the batch runner uses.
 
     Unlike a batch run, an incremental run is durable *across*
@@ -840,7 +840,8 @@ def run_incremental_detection(
     dataset grows and exactly the new days are folded. ``until`` caps
     the horizon without entering the run fingerprint, so one standing
     run can advance day by day. With ``consumer`` set, the source
-    store's per-consumer watermark is committed after each durable day.
+    store's per-consumer watermark is committed after each durable
+    drain.
 
     The produced result is bit-identical (same result digest) to a
     fresh batch run over the same history — that invariant is what the
@@ -969,34 +970,31 @@ def _execute_incremental(
             if resumed
             else None
         )
-        days = 0
+        batches = DeltaView(zonedb, since=engine.watermark, until=until).batches()
+        days = len(batches)
         deltas = 0
-        # The source-side watermark is shared by consumer *name*, so a
-        # fresh run directory refolding already-consumed days must not
-        # drag it backwards — only ever advance it.
-        source_mark = (
-            zonedb.watermark(consumer) if consumer is not None else None
-        )
-        view = DeltaView(zonedb, since=engine.watermark, until=until)
-        for batch_day, events in view.batches():
-            applied = engine.advance(batch_day, events)
+        for batch_day, events in batches:
+            deltas += engine.advance(batch_day, events)
             _boundary(chaos, "worker", f"day:{batch_day}")
-            atomic_write_bytes(checkpoint_path, dump_engine_state(engine))
-            _boundary(chaos, "supervisor", f"day-advanced:{batch_day}")
+        if batches:
+            watermark = batches[-1][0]
+            data = dump_engine_state(engine)
+            atomic_write_bytes(checkpoint_path, data)
+            _boundary(chaos, "supervisor", f"day-advanced:{watermark}")
             journal.append(
                 "day-advanced",
-                day=batch_day,
-                deltas_applied=applied,
-                checkpoint_sha256=file_sha256(checkpoint_path),
+                day=watermark,
+                deltas_applied=deltas,
+                checkpoint_sha256=hashlib.sha256(data).hexdigest(),
             )
-            if consumer is not None and (
-                source_mark is None or batch_day > source_mark
-            ):
-                zonedb.commit_watermark(consumer, batch_day)
-                source_mark = batch_day
-            days += 1
-            deltas += applied
-        if days == 0:
+            # The source-side watermark is shared by consumer *name*, so
+            # a fresh run directory refolding already-consumed days must
+            # not drag it backwards — only ever advance it.
+            if consumer is not None:
+                source_mark = zonedb.watermark(consumer)
+                if source_mark is None or watermark > source_mark:
+                    zonedb.commit_watermark(consumer, watermark)
+        else:
             complete = journal.run_complete
             if (
                 complete is not None

@@ -234,3 +234,17 @@ class RunJournal:
     def run_complete(self) -> JournalRecord | None:
         """The run-complete event, if the run durably finished."""
         return self.last("run-complete")
+
+    @property
+    def last_drain(self) -> JournalRecord | None:
+        """The newest ``day-advanced`` event after the last ``engine-reset``.
+
+        An incremental run's engine checkpoint must be the one this
+        event hashed; None when no drain is durable since a reset.
+        """
+        for record in reversed(self.records):
+            if record.type == "engine-reset":
+                return None
+            if record.type == "day-advanced":
+                return record
+        return None

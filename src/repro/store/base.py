@@ -249,11 +249,13 @@ class DelegationStore(Protocol):
     def record_delta(self, event: "DeltaEvent", batch_day: int) -> None:
         """Record a delta without applying it (bulk dataset copying)."""
 
-    def deltas_since(self, day: int | None) -> list[tuple[int, "DeltaEvent"]]:
-        """Recorded (batch_day, event) pairs with ``batch_day > day``.
+    def deltas_since(
+        self, day: int | None, until: int | None = None
+    ) -> list[tuple[int, "DeltaEvent"]]:
+        """Recorded (batch_day, event) pairs with ``day < batch_day <= until``.
 
-        ``None`` means "everything". Pairs come back in the order they
-        were recorded; batch days are non-decreasing.
+        ``None`` leaves that side of the window open. Pairs come back in
+        the order they were recorded; batch days are non-decreasing.
         """
 
     # -- metadata / lifecycle ----------------------------------------------

@@ -109,12 +109,6 @@ class DatasetView:
         """Digest of the scenario this dataset was produced from."""
         return self.zonedb.store.get_meta(SCENARIO_DIGEST_KEY)
 
-    def delta_view(
-        self, *, since: int | None = None, until: int | None = None
-    ) -> "DeltaView":
-        """The windowed delta stream of this view's dataset."""
-        return DeltaView(self.zonedb, since=since, until=until)
-
 
 @dataclass(frozen=True)
 class DeltaView:
@@ -133,10 +127,7 @@ class DeltaView:
 
     def deltas(self) -> list[tuple[int, DeltaEvent]]:
         """The raw (batch_day, event) pairs inside the window."""
-        deltas = self.zonedb.store.deltas_since(self.since)
-        if self.until is not None:
-            deltas = [(d, event) for d, event in deltas if d <= self.until]
-        return deltas
+        return self.zonedb.store.deltas_since(self.since, self.until)
 
     def batches(self) -> list[tuple[int, list[DeltaEvent]]]:
         """Per-day event batches inside the window, in day order."""
@@ -146,9 +137,6 @@ class DeltaView:
         """The final batch day inside the window, if any."""
         deltas = self.deltas()
         return deltas[-1][0] if deltas else None
-
-    def __len__(self) -> int:
-        return len(self.deltas())
 
 
 def manifest_path(dataset_path: str | Path) -> Path:

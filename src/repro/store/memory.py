@@ -146,10 +146,20 @@ class MemoryDelegationStore:
     def record_delta(self, event: "DeltaEvent", batch_day: int) -> None:
         self._deltas.append((batch_day, event))
 
-    def deltas_since(self, day: int | None) -> list[tuple[int, "DeltaEvent"]]:
-        if day is None:
+    def deltas_since(
+        self, day: int | None, until: int | None = None
+    ) -> list[tuple[int, "DeltaEvent"]]:
+        if day is None and until is None:
             return list(self._deltas)
-        return [(d, event) for d, event in self._deltas if d > day]
+        # Filter the stored pairs rather than rebuilding them: a fresh
+        # tuple per delta triggers cyclic-GC passes over the caller's
+        # whole heap, which costs far more than the copy itself.
+        return [
+            pair
+            for pair in self._deltas
+            if (day is None or pair[0] > day)
+            and (until is None or pair[0] <= until)
+        ]
 
     # -- metadata / lifecycle ----------------------------------------------
 

@@ -317,17 +317,23 @@ class SqliteDelegationStore:
             (batch_day, event.kind, event.day, event.name, event.ns),
         )
 
-    def deltas_since(self, day: int | None) -> list[tuple[int, DeltaEvent]]:
-        if day is None:
-            rows = self._conn.execute(
-                "SELECT batch_day, kind, day, name, ns FROM deltas ORDER BY seq"
-            )
-        else:
-            rows = self._conn.execute(
-                "SELECT batch_day, kind, day, name, ns FROM deltas "
-                "WHERE batch_day > ? ORDER BY seq",
-                (day,),
-            )
+    def deltas_since(
+        self, day: int | None, until: int | None = None
+    ) -> list[tuple[int, DeltaEvent]]:
+        clauses: list[str] = []
+        params: list[int] = []
+        if day is not None:
+            clauses.append("batch_day > ?")
+            params.append(day)
+        if until is not None:
+            clauses.append("batch_day <= ?")
+            params.append(until)
+        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        rows = self._conn.execute(
+            f"SELECT batch_day, kind, day, name, ns FROM deltas{where} "
+            "ORDER BY seq",
+            params,
+        )
         return [
             (int(batch_day), DeltaEvent(kind=kind, day=d, name=name, ns=ns))
             for batch_day, kind, d, name, ns in rows

@@ -19,6 +19,7 @@ import json
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.store.atomic import (
     IntegrityError,
@@ -27,6 +28,9 @@ from repro.store.atomic import (
     file_sha256,
     verify_checked_json,
 )
+
+if TYPE_CHECKING:
+    from repro.runner.journal import RunJournal
 
 #: Issue kinds, for tests and tooling (values double as report labels).
 MISSING = "missing"
@@ -212,15 +216,52 @@ def verify_artifact_dir(root: str | Path) -> list[Issue]:
 # -- run directories ---------------------------------------------------------
 
 
+def _verify_engine_checkpoint(journal: "RunJournal", path: Path) -> list[Issue]:
+    """Check an incremental run's engine checkpoint against its last drain."""
+    from repro.detection.incremental import load_engine_state
+
+    drain = journal.last_drain
+    if drain is None:
+        return []
+    if not path.exists():
+        return [
+            Issue(
+                MISSING,
+                str(path),
+                f"day {drain.payload.get('day')} journaled but the engine "
+                "checkpoint is missing",
+            )
+        ]
+    data = path.read_bytes()
+    actual = hashlib.sha256(data).hexdigest()
+    recorded = drain.payload.get("checkpoint_sha256")
+    if recorded is not None and actual != recorded:
+        return [
+            Issue(
+                HASH_MISMATCH,
+                str(path),
+                f"bytes hash {actual[:12]}…, journal says {str(recorded)[:12]}…",
+            )
+        ]
+    try:
+        load_engine_state(data)
+    except Exception as error:
+        return [Issue(CORRUPT, str(path), f"unreadable engine checkpoint: {error}")]
+    return []
+
+
 def verify_run_dir(run_dir: str | Path) -> list[Issue]:
-    """Verify a supervised run directory: journal, checkpoints, result.
+    """Verify a run directory: journal, checkpoints, result.
 
     Replays the journal (reporting corruption rather than raising),
     recomputes every checkpoint SHA-256 the journal recorded for a
-    completed shard, and — when the run durably completed — verifies
-    the merged result's bytes and manifest.
+    completed shard or for the incremental engine's newest drain, and
+    — when the run durably completed — verifies the merged result's
+    bytes and manifest.
     """
     from repro.runner.execution import (
+        CHECKPOINT_DIR_NAME,
+        ENGINE_CHECKPOINT_NAME,
         JOURNAL_NAME,
         RESULT_MANIFEST_NAME,
         RESULT_NAME,
@@ -237,7 +278,10 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     except JournalCorruption as error:
         return [Issue(CORRUPT, str(journal_path), str(error))]
 
-    checkpoint_dir = directory / "checkpoints"
+    checkpoint_dir = directory / CHECKPOINT_DIR_NAME
+    issues.extend(
+        _verify_engine_checkpoint(journal, checkpoint_dir / ENGINE_CHECKPOINT_NAME)
+    )
     for index, payload in sorted(journal.completed_shards().items()):
         recorded = payload.get("checkpoint_sha256")
         matches = sorted(checkpoint_dir.glob(f"shard-{index:04d}-of-*.pkl"))

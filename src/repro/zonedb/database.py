@@ -488,9 +488,11 @@ class ZoneDatabase:
 
     _WATERMARK_PREFIX = "watermark:"
 
-    def deltas_since(self, day: int | None) -> list[tuple[int, DeltaEvent]]:
-        """Recorded (batch_day, event) pairs with ``batch_day > day``."""
-        return self.store.deltas_since(day)
+    def deltas_since(
+        self, day: int | None, until: int | None = None
+    ) -> list[tuple[int, DeltaEvent]]:
+        """Recorded (batch_day, event) pairs with ``day < batch_day <= until``."""
+        return self.store.deltas_since(day, until)
 
     def watermark(self, consumer: str) -> int | None:
         """The last batch day ``consumer`` committed against this store."""

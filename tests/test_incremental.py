@@ -10,6 +10,8 @@ with its crash-recovery paths.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.detection.incremental import (
@@ -21,7 +23,11 @@ from repro.detection.incremental import (
     new_engine_state,
 )
 from repro.detection.pipeline import DetectionPipeline
+from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
 from repro.runner.execution import (
+    CHECKPOINT_DIR_NAME,
+    ENGINE_CHECKPOINT_NAME,
+    JOURNAL_NAME,
     result_digest,
     run_incremental_detection,
 )
@@ -136,7 +142,7 @@ class TestSerialization:
     def test_dump_restore_round_trip_matches(self, world, batch_digest):
         data = dump_engine_state(_drained_engine(world))
         fresh = IncrementalDetectionEngine(world.whois)
-        watermark = fresh.restore(world.zonedb, data)
+        watermark = fresh.restore(world.zonedb, load_engine_state(data))
         assert watermark == DeltaView(world.zonedb).last_batch_day()
         assert fresh.watermark == watermark
         assert result_digest(fresh.result()) == batch_digest
@@ -154,11 +160,9 @@ class TestSerialization:
         engine = IncrementalDetectionEngine(whois)
         engine.advance_from(zonedb)
         with pytest.raises(ValueError, match="fresh engine"):
-            engine.restore(zonedb, dump_engine_state(engine))
+            engine.restore(zonedb, load_engine_state(dump_engine_state(engine)))
 
     def test_load_rejects_foreign_payloads(self):
-        import pickle
-
         with pytest.raises(ValueError, match="not an engine state"):
             load_engine_state(pickle.dumps({"format": "something-else/1"}))
 
@@ -169,7 +173,7 @@ class TestSerialization:
         for batch_day, events in batches[:-2]:
             partial.advance(batch_day, events)
         fresh = IncrementalDetectionEngine(whois)
-        fresh.restore(zonedb, dump_engine_state(partial))
+        fresh.restore(zonedb, load_engine_state(dump_engine_state(partial)))
         fresh.advance_from(zonedb)
         batch = DetectionPipeline(zonedb, whois).run()
         assert result_digest(fresh.result()) == result_digest(batch)
@@ -243,15 +247,82 @@ class TestIncrementalRunner:
             )
 
     def _journaled_resets(self, run_dir):
-        journal = RunJournal.open(run_dir / "journal.jsonl")
+        journal = RunJournal.open(run_dir / JOURNAL_NAME)
         return [r.payload["reason"] for r in journal.events("engine-reset")]
+
+    def test_drain_journals_one_day_advanced(self, world, tmp_path):
+        outcome = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=tmp_path / "run"
+        )
+        journal = RunJournal.open(tmp_path / "run" / JOURNAL_NAME)
+        records = list(journal.events("day-advanced"))
+        assert len(records) == 1
+        assert records[0].payload["day"] == outcome.watermark
+        assert records[0].payload["deltas_applied"] == outcome.deltas_applied
+        assert outcome.days_advanced == len(DeltaView(world.zonedb).batches())
+
+    def test_kill_mid_drain_keeps_previous_drain_durable(
+        self, world, batch_digest, tmp_path
+    ):
+        view = DeltaView(world.zonedb)
+        midpoint = view.batches()[len(view.batches()) // 2][0]
+        run_dir = tmp_path / "run"
+        consumer = "kill-mid-drain"
+        first = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir, until=midpoint,
+            consumer=consumer,
+        )
+        journal_path = run_dir / JOURNAL_NAME
+        checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
+        journal_before = journal_path.read_bytes()
+        checkpoint_before = checkpoint.read_bytes()
+        # Kill at the first day: boundary of the next drain.
+        monkey = ChaosMonkey(
+            ProcessChaosConfig(kill_worker_rate=1.0, max_kills=1)
+        )
+        with pytest.raises(ChaosKill) as killed:
+            run_incremental_detection(
+                world.zonedb, world.whois, run_dir=run_dir,
+                resume=first.run_id, consumer=consumer, chaos=monkey,
+            )
+        assert killed.value.label.startswith("day:")
+        assert journal_path.read_bytes() == journal_before
+        assert checkpoint.read_bytes() == checkpoint_before
+        assert world.zonedb.watermark(consumer) == midpoint
+        resumed = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir,
+            resume=first.run_id, consumer=consumer,
+        )
+        assert resumed.restored_watermark == midpoint
+        assert resumed.result_digest == batch_digest
+        assert world.zonedb.watermark(consumer) == resumed.watermark
+
+    def test_v1_checkpoint_resets_and_refolds(self, world, tmp_path):
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir
+        )
+        # A checkpoint in the previous format: derived counts included.
+        checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
+        payload = pickle.loads(checkpoint.read_bytes())
+        counter = load_engine_state(checkpoint.read_bytes())["mine_counter"]
+        payload["format"] = "riskybiz-engine-state/1"
+        payload["mine_counts"] = sorted(counter.counts.items())
+        checkpoint.write_bytes(pickle.dumps(payload))
+        again = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id
+        )
+        assert self._journaled_resets(run_dir) == ["checkpoint-unreadable"]
+        assert again.restored_watermark is None
+        assert again.days_advanced == first.days_advanced
+        assert again.result_digest == first.result_digest
 
     def test_corrupt_checkpoint_resets_and_refolds(self, world, tmp_path):
         run_dir = tmp_path / "run"
         first = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir
         )
-        checkpoint = run_dir / "checkpoints" / "engine-state.pkl"
+        checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
         checkpoint.write_bytes(b"garbage")
         again = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id
@@ -266,7 +337,7 @@ class TestIncrementalRunner:
         first = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir
         )
-        (run_dir / "checkpoints" / "engine-state.pkl").unlink()
+        (run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME).unlink()
         again = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id
         )
@@ -280,7 +351,7 @@ class TestIncrementalRunner:
         first = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir, until=midpoint
         )
-        checkpoint = run_dir / "checkpoints" / "engine-state.pkl"
+        checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
         stale = dump_engine_state(_drained_engine_until(world, view.batches()[0][0]))
         checkpoint.write_bytes(stale)
         again = run_incremental_detection(

@@ -12,7 +12,9 @@ engine's core invariant from every angle:
   referee);
 * under a seeded chaos monkey killing the journaled incremental runner
   at arbitrary fold/append boundaries (including torn journal writes),
-  resume-at-watermark still converges to the exact batch digest.
+  resume-at-watermark still converges to the exact batch digest;
+* a checkpoint stores only the miner's names, and loading it recounts
+  exactly the substring counts the engine was standing on.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.detection.incremental import IncrementalDetectionEngine
+from repro.detection.incremental import (
+    IncrementalDetectionEngine,
+    dump_engine_state,
+    load_engine_state,
+)
 from repro.detection.pipeline import DetectionPipeline
 from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
 from repro.runner.execution import result_digest, run_incremental_detection
@@ -110,6 +116,19 @@ def test_every_stream_prefix_is_batch_identical(history, cut):
             replica.apply_delta(event)
     batch = DetectionPipeline(replica, whois).run()
     assert result_digest(engine.result()) == result_digest(batch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(history=_histories)
+def test_loaded_checkpoint_recounts_standing_substrings(history):
+    zonedb = _build(history)
+    engine = _engine(WhoisArchive(), "memory")
+    for batch_day, events in DeltaView(zonedb).batches():
+        engine.advance(batch_day, events)
+        standing = engine.state["mine_counter"]
+        loaded = load_engine_state(dump_engine_state(engine))["mine_counter"]
+        assert loaded.names == standing.names, batch_day
+        assert loaded.counts == standing.counts, batch_day
 
 
 @settings(max_examples=10, deadline=None)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.store.base import DOMAIN, GLUE, DelegationStore
+from repro.store.changelog import GLUE_ADD, DeltaEvent
 from repro.store.memory import MemoryDelegationStore
 from repro.store.sqlite import SqliteDelegationStore
 from repro.zonedb.database import IngestPolicy, ZoneDatabase
@@ -185,6 +186,45 @@ class TestMeta:
         store.set_meta("k", "v1")
         store.set_meta("k", "v2")
         assert store.get_meta("k") == "v2"
+
+
+class TestDeltaWindow:
+    """``deltas_since(since, until)`` returns ``since < batch_day <= until``."""
+
+    BATCH_DAYS = (1, 1, 2, 3, 3, 5)
+
+    def _recorded(self, store):
+        for index, batch_day in enumerate(self.BATCH_DAYS):
+            event = DeltaEvent(GLUE_ADD, batch_day, f"ns{index}.x.com")
+            store.record_delta(event, batch_day)
+
+    def _days(self, store, since, until=None):
+        return [day for day, _ in store.deltas_since(since, until)]
+
+    def test_open_window_is_the_whole_stream(self, store):
+        self._recorded(store)
+        pairs = store.deltas_since(None)
+        assert [day for day, _ in pairs] == list(self.BATCH_DAYS)
+        assert [event.name for _, event in pairs] == [
+            f"ns{index}.x.com" for index in range(len(self.BATCH_DAYS))
+        ]
+
+    def test_since_edge_is_exclusive(self, store):
+        self._recorded(store)
+        assert self._days(store, 1) == [2, 3, 3, 5]
+        assert self._days(store, 5) == []
+
+    def test_until_edge_is_inclusive(self, store):
+        self._recorded(store)
+        assert self._days(store, None, 3) == [1, 1, 2, 3, 3]
+        assert self._days(store, None, 0) == []
+
+    def test_both_edges(self, store):
+        self._recorded(store)
+        assert self._days(store, 1, 3) == [2, 3, 3]
+        assert self._days(store, 2, 3) == [3, 3]
+        assert self._days(store, 3, 3) == []
+        assert self._days(store, 3, 4) == []
 
 
 class TestBackendEquivalence:

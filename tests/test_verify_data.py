@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 import shutil
 
 import pytest
 
+from repro.runner.execution import (
+    CHECKPOINT_DIR_NAME,
+    ENGINE_CHECKPOINT_NAME,
+    JOURNAL_NAME,
+)
+from repro.runner.journal import RunJournal
 from repro.store.atomic import verify_checked_json, write_checked_json
 from repro.store.verify import (
     CHECKSUM_MISMATCH,
@@ -156,19 +164,19 @@ class TestVerifyRunDir:
         assert kinds(verify_run_dir(tmp_path)) == [MISSING]
 
     def test_corrupt_journal(self, run_copy):
-        journal = run_copy / "journal.jsonl"
+        journal = run_copy / JOURNAL_NAME
         lines = journal.read_text().splitlines()
         lines[1] = lines[1].replace('"', "'", 2)
         journal.write_text("\n".join(lines) + "\n")
         assert kinds(verify_run_dir(run_copy)) == [CORRUPT]
 
     def test_corrupted_checkpoint(self, run_copy):
-        checkpoint = sorted((run_copy / "checkpoints").glob("*.pkl"))[0]
+        checkpoint = sorted((run_copy / CHECKPOINT_DIR_NAME).glob("*.pkl"))[0]
         checkpoint.write_bytes(checkpoint.read_bytes()[:-1] + b"\x00")
         assert HASH_MISMATCH in kinds(verify_run_dir(run_copy))
 
     def test_missing_checkpoint(self, run_copy):
-        for checkpoint in (run_copy / "checkpoints").glob("*.pkl"):
+        for checkpoint in (run_copy / CHECKPOINT_DIR_NAME).glob("*.pkl"):
             checkpoint.unlink()
         assert MISSING in kinds(verify_run_dir(run_copy))
 
@@ -183,6 +191,53 @@ class TestVerifyRunDir:
         body["result_digest"] = "0" * 64
         write_checked_json(manifest_file, body)
         assert INCONSISTENT in kinds(verify_run_dir(run_copy))
+
+
+@pytest.fixture
+def advanced_run(dataset_copy, tmp_path):
+    """A standing incremental run directory left by ``riskybiz advance``."""
+    from repro.cli import main
+
+    directory = tmp_path / "advanced"
+    assert main([
+        "advance", "--dataset", str(dataset_copy), "--run-dir", str(directory),
+    ]) == 0
+    return directory
+
+
+class TestVerifyIncrementalRunDir:
+    def _checkpoint(self, run_dir):
+        return run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
+
+    def test_clean_advance_verifies(self, advanced_run):
+        assert verify_run_dir(advanced_run) == []
+
+    def test_flipped_checkpoint_byte_exits_one(self, advanced_run, capsys):
+        from repro.cli import main
+
+        checkpoint = self._checkpoint(advanced_run)
+        data = bytearray(checkpoint.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        checkpoint.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["verify-data", "--run-dir", str(advanced_run)]) == 1
+        assert HASH_MISMATCH in capsys.readouterr().out
+
+    def test_missing_engine_checkpoint(self, advanced_run):
+        self._checkpoint(advanced_run).unlink()
+        assert kinds(verify_run_dir(advanced_run)) == [MISSING]
+
+    def test_unloadable_engine_checkpoint(self, tmp_path):
+        data = pickle.dumps({"format": "riskybiz-engine-state/1"})
+        checkpoint = self._checkpoint(tmp_path)
+        checkpoint.parent.mkdir()
+        checkpoint.write_bytes(data)
+        journal = RunJournal.create(tmp_path / JOURNAL_NAME, "run-verify")
+        journal.append(
+            "day-advanced", day=3,
+            checkpoint_sha256=hashlib.sha256(data).hexdigest(),
+        )
+        assert kinds(verify_run_dir(tmp_path)) == [CORRUPT]
 
 
 class TestRendering:
