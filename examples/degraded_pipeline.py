@@ -14,8 +14,9 @@ views of *the same* world:
    fault layer's own RNG streams;
 3. ingest the degraded stream with gap-bridging enabled and show the
    per-ingest reports and coverage annotations;
-4. run detection on the degraded view, checkpointing every stage, and
-   score it against the simulator's ground-truth rename log;
+4. run detection on the degraded view in a journaled run directory
+   (one checkpoint, rewritten after every stage), score it against the
+   simulator's ground-truth rename log, and resume the run;
 5. sweep fault rates 0% -> 20% and print the precision/recall curve.
 
 Run:  python examples/degraded_pipeline.py
@@ -27,11 +28,11 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.report import render_coverage
-from repro.detection.pipeline import DetectionPipeline
 from repro.ecosystem.config import default_scenario
 from repro.ecosystem.world import World
 from repro.experiment.degradation import render_sweep, run_degradation_sweep
 from repro.faults import FaultConfig, degrade_world
+from repro.runner import run_supervised_detection
 
 
 def main() -> None:
@@ -61,12 +62,17 @@ def main() -> None:
     )
     print(f"  snapshot coverage: {degraded.snapshot_coverage:.1%}")
 
-    # -- detect on the degraded view, with stage checkpointing ----------
+    # -- detect on the degraded view, in a journaled run directory -----
     with tempfile.TemporaryDirectory() as tmp:
-        checkpoint = Path(tmp) / "pipeline.pkl"
-        pipeline = DetectionPipeline(degraded.zonedb, degraded.whois)
-        result = pipeline.run(checkpoint_path=checkpoint)
-        print("\nDetection on the degraded view (checkpointed per stage):")
+        run_dir = Path(tmp) / "run"
+        run = run_supervised_detection(
+            degraded.zonedb, degraded.whois, run_dir=run_dir
+        )
+        result = run.result
+        print(
+            f"\nDetection on the degraded view (run {run.run_id}, "
+            "checkpointed per stage):"
+        )
         print(render_coverage(result))
 
         detected = {s.name for s in result.sacrificial}
@@ -79,13 +85,14 @@ def main() -> None:
             f"against ground truth."
         )
 
-        # A second run resumes from the checkpoint: every stage is
-        # already done, so it only reassembles the result.
-        resumed = DetectionPipeline(degraded.zonedb, degraded.whois).run(
-            checkpoint_path=checkpoint
+        # Resuming the finished run replays its journaled, hash-checked
+        # result without running a stage; a killed run would instead
+        # continue after its last journaled stage.
+        resumed = run_supervised_detection(
+            degraded.zonedb, degraded.whois, run_dir=run_dir, resume=run.run_id
         )
-        same = {s.name for s in resumed.sacrificial} == detected
-        print(f"  resume from checkpoint reproduces the final set: {same}")
+        same = resumed.result_digest == run.result_digest
+        print(f"  resuming the run reproduces its result digest: {same}")
 
     # -- the full degradation sweep -------------------------------------
     print("\nSweeping fault rates (reusing the pristine world)...")

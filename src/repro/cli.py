@@ -13,9 +13,10 @@ actually run:
     or a simulated one) and print the funnel and idiom tables. With
     ``--dataset FILE`` it instead opens the SQLite dataset a previous
     ``simulate`` run wrote — no in-process world object is shared
-    between the two commands. ``--shards N`` runs the per-nameserver
-    stages sharded; ``--cache-dir DIR`` caches the pipeline result
-    content-addressed by scenario digest + options.
+    between the two commands. ``--cache-dir DIR`` caches the pipeline
+    result content-addressed by scenario digest + options;
+    ``--run-dir DIR`` journals and checkpoints every stage so a killed
+    run resumes with ``--resume RUN_ID``.
 
 ``riskybiz report``
     Regenerate every table and figure of the paper in one run.
@@ -25,9 +26,10 @@ actually run:
     observations.
 
 ``riskybiz lint``
-    Run the two-layer static analysis: determinism rules over the
-    Python tree and RFC 5731/5732 referential-integrity rules over
-    scenario/world JSON. Exits non-zero on any non-baselined error.
+    Run the four static-analysis engines: per-file determinism rules
+    over the Python tree, RFC 5731/5732 referential-integrity rules over
+    scenario/world JSON, the whole-program flow pass, and the typestate
+    protocol checks. Exits non-zero on any non-baselined error.
 
 ``riskybiz verify-data``
     Recompute every recorded SHA-256 over a dataset, artifact cache,
@@ -235,31 +237,21 @@ def _detect_zonedb(args: argparse.Namespace):
 def _detect_supervised(args: argparse.Namespace, zonedb, whois):
     """Run detection under the supervised, journaled runner.
 
-    Used when ``--run-dir`` is given: every stage/shard completion is
+    Used when ``--run-dir`` is given: every stage completion is
     journaled so ``--resume <run-id>`` restarts exactly the work that
     did not durably complete. Returns the pipeline result, or None on a
     runner error (already reported).
     """
-    from repro.runner import RunFailed, SupervisorPolicy, run_supervised_detection
+    from repro.runner import RunFailed, run_supervised_detection
 
-    if args.workers > 0 and not args.dataset:
-        print(
-            "error: --workers requires --dataset (workers reopen it)",
-            file=sys.stderr,
-        )
-        return None
     try:
         supervised = run_supervised_detection(
             zonedb,
             whois,
             run_dir=args.run_dir,
-            shards=args.shards,
             mine_patterns=args.mine_patterns,
             options={"gap_bridge": args.gap_bridge, "strict": args.strict},
-            policy=SupervisorPolicy(workers=args.workers),
             resume=args.resume,
-            dataset_path=args.dataset,
-            whois_path=args.whois,
             trace=args.trace,
             profile=args.profile,
         )
@@ -267,10 +259,8 @@ def _detect_supervised(args: argparse.Namespace, zonedb, whois):
         print(f"error: {error}", file=sys.stderr)
         return None
     verb = "Resumed" if supervised.resumed else "Completed"
-    retried = sum(1 for o in supervised.outcomes.values() if o.retried)
     print(
-        f"{verb} supervised run {supervised.run_id} "
-        f"({args.shards} shard(s), {retried} retried); journal at "
+        f"{verb} supervised run {supervised.run_id}; journal at "
         f"{supervised.journal_path}",
         file=sys.stderr,
     )
@@ -354,21 +344,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.since_watermark and not args.incremental:
         print("error: --since-watermark requires --incremental", file=sys.stderr)
         return 2
-    if args.incremental:
-        if not args.run_dir:
-            print(
-                "error: --incremental requires --run-dir (the standing "
-                "engine state lives there)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.shards != 1 or args.workers > 0:
-            print(
-                "error: --incremental folds deltas in one process; drop "
-                "--shards/--workers",
-                file=sys.stderr,
-            )
-            return 2
+    if args.incremental and not args.run_dir:
+        print(
+            "error: --incremental requires --run-dir (the standing "
+            "engine state lives there)",
+            file=sys.stderr,
+        )
+        return 2
     zonedb = _detect_zonedb(args)
     if zonedb is None:
         return 1
@@ -386,16 +368,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
         if result is None:
             return 1
         return _render_detect(args, result, zonedb, whois)
-    pipeline = DetectionPipeline(
-        zonedb, whois, mine_patterns=args.mine_patterns, shards=args.shards
-    )
+    pipeline = DetectionPipeline(zonedb, whois, mine_patterns=args.mine_patterns)
     cache = _artifact_cache(args)
     dataset_digest = zonedb.store.get_meta("scenario_digest")
     if cache is not None and dataset_digest is not None:
         from repro.store.artifacts import ArtifactKey
 
-        # Shard count is deliberately not part of the key: sharded and
-        # unsharded runs produce bit-identical results.
         key = ArtifactKey.build(
             "pipeline",
             dataset_digest,
@@ -405,9 +383,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 "strict": args.strict,
             },
         )
-        result = cache.get_or_create(
-            key, lambda: pipeline.run(checkpoint_path=args.checkpoint)
-        )
+        result = cache.get_or_create(key, pipeline.run)
         stats = cache.stats()
         print(
             f"Artifact cache: {stats['hits']} hit(s), "
@@ -416,7 +392,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     else:
-        result = pipeline.run(checkpoint_path=args.checkpoint)
+        result = pipeline.run()
     return _render_detect(args, result, zonedb, whois)
 
 
@@ -557,7 +533,6 @@ def cmd_chaos_smoke(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         backend=args.backend,
-        shards=args.shards,
         chaos_seed=args.chaos_seed,
         max_kills=args.kills,
         trace=args.trace,
@@ -880,16 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail on degraded input instead of skipping and counting it",
     )
     detect.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run the per-nameserver stages over N deterministic shards "
-             "(default: 1, unsharded)",
-    )
-    detect.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="checkpoint pipeline stages to PATH and resume from it "
-             "(a file when unsharded, a directory with --shards > 1)",
-    )
-    detect.add_argument(
         "--cache-dir", metavar="DIR",
         help="cache the pipeline result content-addressed under DIR "
              "(keyed by the dataset's scenario digest + options)",
@@ -897,18 +862,12 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--run-dir", metavar="DIR",
         help="execute under the supervised runner, journaling every "
-             "stage/shard completion (and the result) under DIR",
+             "stage completion (and the result) under DIR",
     )
     detect.add_argument(
         "--resume", metavar="RUN_ID",
         help="resume the journaled run RUN_ID in --run-dir, re-executing "
              "only work that did not durably complete",
-    )
-    detect.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run shards across N supervised worker processes with "
-             "heartbeats and crash retry (default: 0, inline; needs "
-             "--dataset)",
     )
     detect.add_argument(
         "--trace", action="store_true",
@@ -1105,10 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--backend", choices=("memory", "sqlite"), default="sqlite",
         help="store backend the trial runs against (default: sqlite)",
-    )
-    chaos.add_argument(
-        "--shards", type=int, default=4,
-        help="detection shards for the supervised runs (default: 4)",
     )
     chaos.add_argument(
         "--chaos-seed", type=int, default=0,

@@ -40,7 +40,8 @@ def build_candidate_set(
 
     Candidates are returned in (first_seen, name) order so downstream
     stages are deterministic. Pass ``nameservers`` to restrict the scan
-    to a subset (e.g. one shard of the population).
+    to a subset (the incremental engine re-checks one dirty nameserver
+    at a time).
     """
     analyzer = analyzer or ResolvabilityAnalyzer(zonedb)
     candidates: list[CandidateNameserver] = []

@@ -80,15 +80,13 @@ from repro.store.changelog import (
     TLD_COVER,
     DeltaEvent,
 )
-from repro.store.dataset import DatasetView, DeltaView
+from repro.store.dataset import DeltaView
 from repro.store.memory import MemoryDelegationStore
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
 
 if TYPE_CHECKING:
     from pathlib import Path
-
-    from repro.store.dataset import DatasetView as _DatasetView  # noqa: F401
 
 #: Format tag carried by serialized engine state.
 ENGINE_STATE_FORMAT = "riskybiz-engine-state/2"
@@ -230,8 +228,8 @@ class AdvanceNotes:
 class IncrementalStage:
     """One detection stage, runnable batch-wise or delta-wise.
 
-    ``run_batch`` is the stage body the batch pipeline executes (the old
-    ``_stage_*`` methods); ``advance`` folds one day batch into the
+    ``run_batch`` is the stage body the batch pipeline executes over the
+    whole of ``context.zonedb``; ``advance`` folds one day batch into the
     stage's standing keys in the engine state. Each stage carries its
     own watermark in ``state["watermarks"]``, committed through
     :func:`commit_watermark` after a successful advance.
@@ -242,9 +240,7 @@ class IncrementalStage:
     def init_state(self, state: dict[str, Any]) -> None:
         """Install this stage's standing keys into a fresh engine state."""
 
-    def run_batch(
-        self, context: StageContext, view: DatasetView, state: dict[str, Any]
-    ) -> None:
+    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
         raise NotImplementedError
 
     def advance(
@@ -273,14 +269,10 @@ class CandidatesStage(IncrementalStage):
     def init_state(self, state: dict[str, Any]) -> None:
         state["candidates"] = {}
 
-    def run_batch(
-        self, context: StageContext, view: DatasetView, state: dict[str, Any]
-    ) -> None:
+    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
         funnel = state["funnel"]
-        funnel.total_nameservers = view.nameserver_count()
-        candidates = build_candidate_set(
-            view.zonedb, context.analyzer, nameservers=view.nameservers()
-        )
+        funnel.total_nameservers = context.zonedb.nameserver_count()
+        candidates = build_candidate_set(context.zonedb, context.analyzer)
         funnel.candidates = len(candidates)
         state["candidates"] = candidates
 
@@ -312,9 +304,7 @@ class MineStage(IncrementalStage):
     def init_state(self, state: dict[str, Any]) -> None:
         state["mine_counter"] = SubstringCounter()
 
-    def run_batch(
-        self, context: StageContext, view: DatasetView, state: dict[str, Any]
-    ) -> None:
+    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
         mined: list[Any] = []
         if context.mine_patterns:
             mined = mine_substrings_cached(
@@ -343,9 +333,7 @@ class TestFilterStage(IncrementalStage):
     def init_state(self, state: dict[str, Any]) -> None:
         state["test_removed"] = set()
 
-    def run_batch(
-        self, context: StageContext, view: DatasetView, state: dict[str, Any]
-    ) -> None:
+    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
         candidates, test_removed = context.test_filter.partition(
             state["candidates"]
         )
@@ -371,11 +359,9 @@ class PatternSweepStage(IncrementalStage):
     def init_state(self, state: dict[str, Any]) -> None:
         state["pattern"] = {}
 
-    def run_batch(
-        self, context: StageContext, view: DatasetView, state: dict[str, Any]
-    ) -> None:
+    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
         sacrificial: dict[str, SacrificialNameserver] = {}
-        for name in view.nameservers():
+        for name in context.zonedb.all_nameservers():
             if context.test_filter.is_test_nameserver(name):
                 continue
             for classifier in context.classifiers:
@@ -415,9 +401,7 @@ class SingleRepoStage(IncrementalStage):
     def init_state(self, state: dict[str, Any]) -> None:
         state["single_repo"] = set()
 
-    def run_batch(
-        self, context: StageContext, view: DatasetView, state: dict[str, Any]
-    ) -> None:
+    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
         remaining = [
             c for c in state["candidates"] if c.name not in state["sacrificial"]
         ]
@@ -449,9 +433,7 @@ class MatchStage(IncrementalStage):
         state["match_results"] = {}
         state["match_entries"] = {}
 
-    def run_batch(
-        self, context: StageContext, view: DatasetView, state: dict[str, Any]
-    ) -> None:
+    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
         funnel = state["funnel"]
         sacrificial = state["sacrificial"]
         matches, _unmatched = context.matcher.match_all(state["remaining"])
@@ -649,7 +631,7 @@ class IncrementalDetectionEngine:
 
     def advance_from(
         self,
-        source: "ZoneDatabase | DatasetView",
+        source: ZoneDatabase,
         *,
         until: int | None = None,
         consumer: str | None = None,
@@ -661,13 +643,12 @@ class IncrementalDetectionEngine:
         each fully-folded day, so a later run (or another process)
         resumes exactly where this one durably stopped.
         """
-        zonedb = source.zonedb if isinstance(source, DatasetView) else source
-        view = DeltaView(zonedb, since=self.watermark, until=until)
+        view = DeltaView(source, since=self.watermark, until=until)
         days = 0
         for batch_day, events in view.batches():
             self.advance(batch_day, events)
             if consumer is not None:
-                zonedb.commit_watermark(consumer, batch_day)
+                source.commit_watermark(consumer, batch_day)
             days += 1
         return days
 
@@ -743,9 +724,7 @@ class IncrementalDetectionEngine:
 
     # -- serialization / resume ----------------------------------------------
 
-    def restore(
-        self, source: "ZoneDatabase | DatasetView", state: dict[str, Any]
-    ) -> int | None:
+    def restore(self, source: ZoneDatabase, state: dict[str, Any]) -> int | None:
         """Adopt a loaded state, rebuilding the private store by replay.
 
         Only valid on a fresh engine; ``state`` comes from
@@ -759,11 +738,8 @@ class IncrementalDetectionEngine:
             raise ValueError("restore requires a fresh engine")
         watermark = state["watermarks"].get(ENGINE_WATERMARK)
         if watermark is not None:
-            zonedb = (
-                source.zonedb if isinstance(source, DatasetView) else source
-            )
             with obs.span("delta.apply", day=watermark, restore=True):
-                for _batch_day, event in zonedb.deltas_since(None, watermark):
+                for _batch_day, event in source.deltas_since(None, watermark):
                     self._replay(event)
         self.state = state
         return watermark
@@ -776,7 +752,7 @@ def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
     dicts to key-sorted) so equal states produce identical bytes
     regardless of fold order or process hash seed — engine checkpoints
     are content-addressed by these bytes, exactly like the batch
-    pipeline's stage checkpoints. The miner's substring counts are a
+    pipeline's stage checkpoint. The miner's substring counts are a
     pure function of its name multiset, so only the names are stored.
     """
     state = engine.state

@@ -23,22 +23,22 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dnscore.psl import PublicSuffixList
 from repro.detection.candidates import CandidateNameserver
 from repro.detection.idioms import IdiomClassifier
 from repro.detection.matching import MatchResult
 from repro.detection.repository_check import RepositoryMap
-from repro.detection.substrings import SubstringPattern, mine_substrings_cached
+from repro.detection.substrings import SubstringPattern
 from repro.detection.testns import TestNameserverFilter
 from repro.obs import profiling
 from repro.obs import runtime as obs
-from repro.store.atomic import atomic_write_bytes
-from repro.store.dataset import DatasetView, ShardSpec
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
+
+if TYPE_CHECKING:
+    from repro.detection.incremental import StageContext
 
 #: Minimum substring support for the §3.2.2 mining stage.
 MINE_MIN_SUPPORT = 4
@@ -57,8 +57,8 @@ _STAGE_FUNNEL_FIELDS = {
 
 def _run_stage_observed(
     name: str,
-    stage: "Callable[[DatasetView, dict[str, Any]], None]",
-    view: "DatasetView",
+    stage: "Callable[[StageContext, dict[str, Any]], None]",
+    context: "StageContext",
     state: dict[str, Any],
 ) -> None:
     """Run one stage under a span, a duration histogram, and profiling.
@@ -71,7 +71,7 @@ def _run_stage_observed(
     with obs.span(name) as span, obs.timed(
         f"pipeline.stage.{name}.duration_s"
     ), profiling.profile_stage(name):
-        stage(view, state)
+        stage(context, state)
         counts = {
             field_name: getattr(state["funnel"], field_name)
             for field_name in _STAGE_FUNNEL_FIELDS.get(name, ())
@@ -83,7 +83,7 @@ def _run_stage_observed(
 
 
 def dump_pipeline_state(state: dict[str, Any]) -> bytes:
-    """Serialize a checkpointable stage/shard state deterministically.
+    """Serialize a checkpointable stage state deterministically.
 
     The ``done`` set is normalized to a sorted list before pickling so
     equal states produce identical bytes regardless of process hash
@@ -228,13 +228,13 @@ class PipelineResult:
 class DetectionPipeline:
     """Configurable end-to-end runner for the §3 methodology.
 
-    With ``shards > 1`` the per-nameserver stages run once per
-    deterministic :class:`~repro.store.dataset.ShardSpec` (assignment by
-    ``stable_hash``), each over its own :class:`DatasetView`, and a merge
-    step reassembles a :class:`PipelineResult` bit-identical to the
-    unsharded run. Because candidate names *are* nameserver names, every
-    stage partitions cleanly along the shard boundary; only substring
-    mining needs the merged candidate set and runs after the merge.
+    :meth:`run` is one in-process pass over :attr:`STAGES`: each stage's
+    body is the ``run_batch`` of its
+    :class:`~repro.detection.incremental.IncrementalStage` operator, so
+    the batch and incremental schedules share one code path. Durable,
+    resumable runs go through
+    :func:`~repro.runner.execution.run_supervised_detection`, which
+    checkpoints the stage state from the ``after_stage`` hook.
     """
 
     def __init__(
@@ -247,17 +247,12 @@ class DetectionPipeline:
         test_filter: TestNameserverFilter | None = None,
         repo_map: RepositoryMap | None = None,
         mine_patterns: bool = True,
-        shards: int = 1,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         # Imported here, not at module top: the incremental module builds
         # on this module's result types, so the dependency runs one way
         # at import time and closes into a pair only at construction.
         from repro.detection.incremental import StageContext, build_stages
 
-        self.zonedb = zonedb
-        self.whois = whois
         self.context = StageContext.build(
             zonedb,
             whois,
@@ -267,37 +262,11 @@ class DetectionPipeline:
             repo_map=repo_map,
             mine_patterns=mine_patterns,
         )
-        self.psl = self.context.psl
-        self.classifiers = self.context.classifiers
-        self.test_filter = self.context.test_filter
-        self.repo_filter = self.context.repo_filter
-        self.matcher = self.context.matcher
-        self.analyzer = self.context.analyzer
-        self.mine_patterns = mine_patterns
-        self.shards = shards
         #: Stage operators by name; batch runs execute their
         #: ``run_batch`` bodies, the incremental engine their ``advance``.
         self.ops = {stage.name: stage for stage in build_stages()}
-        #: The whole-dataset view (shard views are derived from it).
-        self.view = DatasetView(zonedb, whois)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _was_registered_before(self, registered_domain: str, day: int) -> bool:
-        """Collision check: did the domain exist before the rename?"""
-        return self.context.was_registered_before(registered_domain, day)
-
-    def _classify_pattern(
-        self, name: str, classifier: IdiomClassifier
-    ) -> SacrificialNameserver:
-        return self.context.classify_pattern(name, classifier)
-
-    def _classify_match(self, match: MatchResult) -> SacrificialNameserver | None:
-        return self.context.classify_match(match)
-
-    # -- the run -----------------------------------------------------------------
-
-    #: Ordered checkpointable stages of one run.
+    #: Ordered stages of one run (the checkpoint and span names).
     STAGES = (
         "candidates",
         "mine",
@@ -307,203 +276,34 @@ class DetectionPipeline:
         "match",
     )
 
-    def run(self, *, checkpoint_path: str | Path | None = None) -> PipelineResult:
-        """Execute every stage and return the final classified set.
-
-        Unsharded (``shards == 1``): with a ``checkpoint_path`` file,
-        intermediate state is pickled after each stage (atomically: temp
-        file + rename); a re-run against the same inputs resumes after
-        the last completed stage, so a killed pipeline finishes from
-        where it stopped and produces an identical result.
-
-        Sharded (``shards > 1``): ``checkpoint_path`` names a directory
-        holding one checkpoint per completed shard; a re-run skips
-        finished shards and recomputes only the missing ones before
-        merging.
-        """
-        if self.shards == 1:
-            return self._run_single(checkpoint_path)
-        checkpoint_dir = Path(checkpoint_path) if checkpoint_path is not None else None
-        shard_states = [
-            self._run_shard(shard, checkpoint_dir=checkpoint_dir)
-            for shard in ShardSpec.partition(self.shards)
-        ]
-        return self.merge_shard_states(shard_states)
-
-    def _run_single(self, checkpoint_path: str | Path | None) -> PipelineResult:
-        state = self._load_checkpoint(checkpoint_path)
-        stages = {
-            "candidates": self._stage_candidates,
-            "mine": self._stage_mine,
-            "test-filter": self._stage_test_filter,
-            "pattern-sweep": self._stage_pattern_sweep,
-            "single-repo": self._stage_single_repo,
-            "match": self._stage_match,
-        }
-        for name in self.STAGES:
-            if name in state["done"]:
-                continue
-            _run_stage_observed(name, stages[name], self.view, state)
-            state["done"].add(name)
-            self._save_checkpoint(checkpoint_path, state)
-        return self._finalize(state)
-
-    def shard_checkpoint_path(self, root: str | Path, shard: ShardSpec) -> Path:
-        """Checkpoint file for one shard under a checkpoint directory."""
-        return Path(root) / f"shard-{shard.index:04d}-of-{shard.count:04d}.pkl"
-
-    #: Per-shard stages, in execution order (mining runs post-merge).
-    SHARD_STAGES = (
-        "candidates",
-        "test-filter",
-        "pattern-sweep",
-        "single-repo",
-        "match",
-    )
-
-    def new_shard_state(self) -> dict[str, Any]:
-        """A fresh, empty shard state (nothing done yet)."""
+    @staticmethod
+    def new_state() -> dict[str, Any]:
+        """A fresh stage state (nothing done yet)."""
         return {"done": set(), "funnel": PipelineFunnel()}
 
-    def run_shard_stages(
+    def run(
         self,
-        shard: ShardSpec,
-        state: dict[str, Any],
+        state: dict[str, Any] | None = None,
         *,
         after_stage: "Callable[[str, dict[str, Any]], None] | None" = None,
-    ) -> dict[str, Any]:
-        """Run every not-yet-done per-nameserver stage for one shard.
+    ) -> PipelineResult:
+        """Execute every stage not yet in ``state["done"]``; return the result.
 
-        ``state`` may come from :meth:`new_shard_state` or a checkpoint
-        written mid-shard; stages in ``state["done"]`` are skipped, so
-        execution resumes exactly where durable progress stopped.
+        ``state`` defaults to :meth:`new_state`; a state restored from a
+        checkpoint resumes after its last completed stage.
         ``after_stage(name, state)`` runs after each stage completes —
         the supervised runner checkpoints (and chaos-kills) there.
         """
-        view = DatasetView(self.zonedb, self.whois, shard)
-        stages = {
-            "candidates": self._stage_candidates,
-            "test-filter": self._stage_test_filter,
-            "pattern-sweep": self._stage_pattern_sweep,
-            "single-repo": self._stage_single_repo,
-            "match": self._stage_match,
-        }
-        for name in self.SHARD_STAGES:
+        if state is None:
+            state = self.new_state()
+        for name in self.STAGES:
             if name in state["done"]:
                 continue
-            _run_stage_observed(name, stages[name], view, state)
-            if name == "candidates":
-                # Mining needs cross-shard support counts, so it runs
-                # post-merge; keep the pre-test-filter candidate list
-                # the miner consumes.
-                state["stage1"] = list(state["candidates"])
+            _run_stage_observed(name, self.ops[name].run_batch, self.context, state)
             state["done"].add(name)
             if after_stage is not None:
                 after_stage(name, state)
-        return state
-
-    def _run_shard(
-        self, shard: ShardSpec, *, checkpoint_dir: Path | None = None
-    ) -> dict[str, Any]:
-        """Run every per-nameserver stage for one shard (restartable)."""
-        path: Path | None = None
-        if checkpoint_dir is not None:
-            path = self.shard_checkpoint_path(checkpoint_dir, shard)
-            if path.exists():
-                return load_pipeline_state(path.read_bytes())
-        state = self.run_shard_stages(shard, self.new_shard_state())
-        if path is not None:
-            self._save_checkpoint(path, state)
-        return state
-
-    def merge_shard_states(
-        self, shard_states: list[dict[str, Any]]
-    ) -> PipelineResult:
-        """Reassemble shard states into the unsharded run's exact result.
-
-        Funnel counts sum (shards partition the nameserver population);
-        every merged list is re-sorted by the same key that orders it in
-        the unsharded run, and names land in exactly one shard, so the
-        union of the per-shard classified sets is disjoint.
-        """
-        funnel = PipelineFunnel()
-        for state in shard_states:
-            shard_funnel = state["funnel"]
-            funnel.total_nameservers += shard_funnel.total_nameservers
-            funnel.candidates += shard_funnel.candidates
-            funnel.test_removed += shard_funnel.test_removed
-            funnel.pattern_classified += shard_funnel.pattern_classified
-            funnel.single_repo_removed += shard_funnel.single_repo_removed
-            funnel.history_matched += shard_funnel.history_matched
-            funnel.match_classified += shard_funnel.match_classified
-        stage1 = sorted(
-            (c for state in shard_states for c in state["stage1"]),
-            key=lambda c: (c.first_seen, c.name),
-        )
-        mined: list[SubstringPattern] = []
-        if self.mine_patterns:
-            mined = mine_substrings_cached(
-                (c.name for c in stage1), min_support=MINE_MIN_SUPPORT
-            )
-        candidates = sorted(
-            (c for state in shard_states for c in state["candidates"]),
-            key=lambda c: (c.first_seen, c.name),
-        )
-        sacrificial: dict[str, SacrificialNameserver] = {}
-        for state in shard_states:
-            sacrificial.update(state["sacrificial"])
-        matches = sorted(
-            (m for state in shard_states for m in state["matches"]),
-            key=lambda m: (m.first_seen, m.candidate),
-        )
-        merged: dict[str, Any] = {
-            "funnel": funnel,
-            "candidates": candidates,
-            "mined": mined,
-            "sacrificial": sacrificial,
-            "matches": matches,
-        }
-        return self._finalize(merged)
-
-    def _load_checkpoint(self, path: str | Path | None) -> dict[str, Any]:
-        if path is not None and Path(path).exists():
-            return load_pipeline_state(Path(path).read_bytes())
-        return self.new_shard_state()
-
-    def _save_checkpoint(self, path: str | Path | None, state: dict[str, Any]) -> None:
-        if path is None:
-            return
-        atomic_write_bytes(Path(path), dump_pipeline_state(state))
-
-    # The stage bodies live on the IncrementalStage operators (see
-    # repro.detection.incremental) — one code path for both schedules;
-    # these methods keep the stage names the checkpoints and tests know.
-
-    # Stage 1: unresolvable-at-first-reference candidates.
-    def _stage_candidates(self, view: DatasetView, state: dict[str, Any]) -> None:
-        self.ops["candidates"].run_batch(self.context, view, state)
-
-    # Stage 2: pattern discovery (for the record; confirmation is
-    # encoded in the classifier list, as manual confirmation was in the
-    # paper).
-    def _stage_mine(self, view: DatasetView, state: dict[str, Any]) -> None:
-        self.ops["mine"].run_batch(self.context, view, state)
-
-    # Stage 3: drop registry test nameservers.
-    def _stage_test_filter(self, view: DatasetView, state: dict[str, Any]) -> None:
-        self.ops["test-filter"].run_batch(self.context, view, state)
-
-    # Stage 4: confirmed-pattern sweep over the view's population.
-    def _stage_pattern_sweep(self, view: DatasetView, state: dict[str, Any]) -> None:
-        self.ops["pattern-sweep"].run_batch(self.context, view, state)
-
-    # Stage 5: single-repository filter on the remaining candidates.
-    def _stage_single_repo(self, view: DatasetView, state: dict[str, Any]) -> None:
-        self.ops["single-repo"].run_batch(self.context, view, state)
-
-    # Stage 6: original-nameserver matching and classification.
-    def _stage_match(self, view: DatasetView, state: dict[str, Any]) -> None:
-        self.ops["match"].run_batch(self.context, view, state)
+        return self._finalize(state)
 
     def _finalize(self, state: dict[str, Any]) -> PipelineResult:
         funnel = state["funnel"]
@@ -517,5 +317,7 @@ class DetectionPipeline:
             mined_patterns=state["mined"],
             matches=state["matches"],
             candidates=state["candidates"],
-            coverage=CoverageAnnotations.from_reports(self.zonedb.ingest_reports),
+            coverage=CoverageAnnotations.from_reports(
+                self.context.zonedb.ingest_reports
+            ),
         )

@@ -87,7 +87,6 @@ def _evaluate_rate(
     rate: float,
     *,
     every: int,
-    checkpoint_dir: Path | None,
 ) -> SweepPoint:
     """Run the pipeline against one degraded view and score it."""
     if rate <= 0:
@@ -104,10 +103,7 @@ def _evaluate_rate(
         snapshots_dropped = len(degraded.snapshot_log.dropped)
         snapshot_coverage = degraded.snapshot_coverage
         whois_dropped = len(degraded.whois_log.domains_dropped)
-    checkpoint = (
-        checkpoint_dir / f"pipeline-{rate:.4f}.pkl" if checkpoint_dir else None
-    )
-    result = DetectionPipeline(zonedb, whois).run(checkpoint_path=checkpoint)
+    result = DetectionPipeline(zonedb, whois).run()
     detected = {s.name for s in result.sacrificial}
     true_positives = len(detected & truth)
     return SweepPoint(
@@ -139,9 +135,9 @@ def run_degradation_sweep(
     ``every`` is the snapshot sampling interval (days) used when
     reconstructing the degraded zone archives. With a
     ``checkpoint_dir``, each completed rate's :class:`SweepPoint` is
-    persisted (atomically) and reloaded on re-run, and the pipeline
-    itself checkpoints per stage — killing the sweep at any point and
-    restarting yields the identical report.
+    persisted (atomically) and reloaded on re-run — killing the sweep at
+    any point and restarting recomputes only the unfinished rates and
+    yields the identical report.
     """
     if world_result is None:
         from repro.ecosystem.world import run_default_world
@@ -158,9 +154,7 @@ def run_degradation_sweep(
             with open(point_path, "rb") as handle:
                 point = pickle.load(handle)
         else:
-            point = _evaluate_rate(
-                world_result, truth, rate, every=every, checkpoint_dir=directory
-            )
+            point = _evaluate_rate(world_result, truth, rate, every=every)
             if point_path is not None:
                 atomic_write_bytes(point_path, pickle.dumps(point))
         report.points.append(point)

@@ -20,9 +20,9 @@ exactly that degradation, reproducibly:
   world's pristine observables into the degraded data sets a real
   measurement team would have collected;
 * :class:`~repro.faults.process.ChaosMonkey` — the *execution*-plane
-  injectors: killing shard workers at stage boundaries, killing the
-  supervisor at journal-append boundaries, and tearing journal writes
-  mid-record, all within a seeded kill budget.
+  injectors: killing a run at stage boundaries and at journal-append
+  boundaries, and tearing journal writes mid-record, all within a
+  seeded kill budget.
 
 Every injector draws from its own named RNG stream derived from
 ``FaultConfig.seed``, so enabling one fault class never perturbs

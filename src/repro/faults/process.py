@@ -2,23 +2,19 @@
 
 Where :mod:`repro.faults.injectors` degrades the *observational* data
 plane (what a measurement team collects), this module degrades the
-*execution* plane: the processes running the pipeline. Three fault
+*execution* plane: the process running the pipeline. Three fault
 classes, each on its own named RNG stream (seeded-stream conventions
 from :mod:`repro.faults.rng`):
 
-* ``chaos.worker`` — kill a shard worker at a stage boundary;
-* ``chaos.supervisor`` — kill the supervisor at a journal-append
-  boundary;
+* ``chaos.worker`` — kill the run at a stage (or day) boundary, before
+  its checkpoint write;
+* ``chaos.supervisor`` — kill the run at a journal-append boundary;
 * ``chaos.torn`` — cut a journal append short mid-record (a torn
   write), then die.
 
-In-process execution simulates a SIGKILL by raising
-:class:`ChaosKill` — a ``BaseException`` so no ordinary error handler
-can absorb it, mirroring how a real kill skips ``except Exception``
-blocks entirely. Real worker processes call :meth:`ChaosMonkey.exit_if`
-instead, which ``os._exit``\\ s with :data:`KILL_EXIT_CODE` (what the
-kernel reports for SIGKILL) so the supervisor's crash-retry path is
-exercised for real.
+A kill is simulated by raising :class:`ChaosKill` — a ``BaseException``
+so no ordinary error handler can absorb it, mirroring how a real
+SIGKILL skips ``except Exception`` blocks entirely.
 
 A monkey's kill budget (``max_kills``) makes chaos runs terminate: once
 spent, every boundary passes and the run completes.
@@ -26,7 +22,6 @@ spent, every boundary passes and the run completes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.faults.rng import stream_rng
@@ -55,9 +50,9 @@ class ProcessChaosConfig:
 
     #: Seed for the chaos RNG streams (independent of world/fault seeds).
     seed: int = 0
-    #: Per-boundary probability of killing a shard worker.
+    #: Per-boundary probability of a kill at a stage (or day) boundary.
     kill_worker_rate: float = 0.0
-    #: Per-append probability of killing the supervisor.
+    #: Per-append probability of a kill before a journal append.
     kill_supervisor_rate: float = 0.0
     #: Per-append probability of a torn (truncated) journal write.
     torn_write_rate: float = 0.0
@@ -105,7 +100,7 @@ class ChaosMonkey:
         obs.trace_event("chaos.kill", site=site, label=label)
 
     def worker_boundary(self, label: str) -> None:
-        """Maybe kill (raise) at a worker stage boundary."""
+        """Maybe kill (raise) at a stage (or day) boundary."""
         if not self.config.kill_worker_rate or not self._budget_left():
             return
         if self._worker_rng.random() < self.config.kill_worker_rate:
@@ -113,7 +108,7 @@ class ChaosMonkey:
             raise ChaosKill("worker", label)
 
     def supervisor_boundary(self, label: str) -> None:
-        """Maybe kill (raise) at a supervisor journal boundary."""
+        """Maybe kill (raise) at a journal-append boundary."""
         if not self.config.kill_supervisor_rate or not self._budget_left():
             return
         if self._supervisor_rng.random() < self.config.kill_supervisor_rate:
@@ -135,14 +130,3 @@ class ChaosMonkey:
         if len(data) < 2:
             return 0
         return 1 + self._torn_rng.randrange(len(data) - 1)
-
-    def exit_if(self, label: str) -> None:
-        """Real-process variant: ``os._exit(137)`` instead of raising.
-
-        For worker processes only — the parent observes a genuine crash
-        (no cleanup, no exception) and must retry the shard.
-        """
-        try:
-            self.worker_boundary(label)
-        except ChaosKill:  # pragma: no cover - exercised in worker subprocesses
-            os._exit(KILL_EXIT_CODE)

@@ -67,10 +67,7 @@ class LintConfig:
     project_paths: tuple[str, ...] = ("src",)
     #: Worker-process entry points, as ``module:qualname`` specs. DET010
     #: polices everything reachable from these through the call graph.
-    worker_entry_points: tuple[str, ...] = (
-        "repro.runner.execution:_shard_worker",
-        "repro.lint.runner:_lint_shard_worker",
-    )
+    worker_entry_points: tuple[str, ...] = ("repro.lint.runner:_lint_worker",)
     #: Paths (prefix match) exempt from DET010: the modules that *are*
     #: the process-global state, with their own fork-safety discipline.
     worker_safe_modules: tuple[str, ...] = ("src/repro/obs",)
@@ -100,13 +97,12 @@ class LintConfig:
     #: outside the reconcile functions below is a DET015 finding.
     journal_reconcile_events: tuple[str, ...] = (
         "engine-reset",
-        "shard-reset",
+        "pipeline-reset",
     )
     #: The functions (``module:qualname`` specs) sanctioned to append
     #: reconcile events: the resume/verify paths that own recovery.
     journal_reconcile_functions: tuple[str, ...] = (
         "repro.runner.execution:_load_partial_state",
-        "repro.runner.execution:_verified_completed_shards",
         "repro.runner.execution:_restore_engine",
     )
     #: Paths where DET016 polices manual temp-file dances. Wider than

@@ -12,7 +12,7 @@ functions live in config, not code:
   and a closed :class:`~repro.obs.tracer.Tracer` must not record
   anything further.
 * **DET015** — journal discipline: a closed journal must not be used,
-  and the reconcile events (``engine-reset``/``shard-reset``) may only
+  and the reconcile events (``engine-reset``/``pipeline-reset``) may only
   be appended from the sanctioned reconcile functions.
 * **DET016** — the temp→fsync→``os.replace`` atomic-write protocol:
   renaming a dirty temp publishes a possibly-torn file; writing the
@@ -218,7 +218,7 @@ class _JournalLifecycle(_HandleLifecycle):
     def scan(self, cfg: CFG, ctx: TypestateContext) -> list[Diagnostic]:
         """Reconcile window: reset events only from sanctioned functions.
 
-        ``engine-reset``/``shard-reset`` journal records rewrite resume
+        ``engine-reset``/``pipeline-reset`` journal records rewrite resume
         history; appending them anywhere but the reconcile helpers
         forges a recovery that never happened.
         """

@@ -11,14 +11,13 @@ deselected are skipped entirely. Findings are filtered by
 code is 1 exactly when a non-baselined ERROR remains.
 
 With ``jobs > 1`` the per-file engines fan out across a process pool
-driven by the same :class:`~repro.runner.supervisor.RunSupervisor`
-that shards detection runs: files are split into contiguous shards of
-the sorted file list, each worker lints its shard, heartbeats per
-file, and writes its findings to a spill file the parent merges after
-a verified clean exit. Findings are sorted before reporting, so inline
-and parallel runs emit byte-identical output. Wall time per file and
-per run lands in the ``lint.file`` / ``lint.run`` histograms of the
-process-global metrics registry.
+driven by :class:`~repro.runner.supervisor.RunSupervisor`: files are
+split into contiguous shards of the sorted file list, each worker
+lints its shard, heartbeats per file, and writes its findings to a
+spill file the parent merges after a verified clean exit. Findings are
+sorted before reporting, so inline and parallel runs emit byte-identical
+output. Wall time per file and per run lands in the ``lint.file`` /
+``lint.run`` histograms of the process-global metrics registry.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def _covers_project_roots(
 # -- parallel execution ------------------------------------------------------
 
 
-def _lint_shard_worker(
+def _lint_worker(
     index: int,
     shard_files: list[tuple[str, str]],
     config: LintConfig,
@@ -208,7 +207,7 @@ def _run_parallel(
             import multiprocessing
 
             process = multiprocessing.get_context().Process(
-                target=_lint_shard_worker,
+                target=_lint_worker,
                 args=(
                     index, shards[index], cfg, engines,
                     out_paths[index], heartbeats,

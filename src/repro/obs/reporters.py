@@ -2,33 +2,16 @@
 
 Mirrors the lint reporter split (:mod:`repro.lint.reporters`): a text
 renderer for humans and a JSON renderer with stable key order for CI.
-Also provides the small :class:`TextReporter` sink that ``store/bench``
-routes its progress lines through instead of raw ``print`` calls.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from typing import Any, TextIO
+from typing import Any
 
 from repro.obs.tracer import TraceRecord, canonical_spans, trace_content_digest
 
 REPORT_FORMAT = "riskybiz-trace-report/1"
-
-
-class TextReporter:
-    """Line-oriented progress sink (defaults to stderr).
-
-    Exists so ad-hoc ``print(..., file=sys.stderr)`` reporting funnels
-    through one seam — tests capture it by passing their own stream.
-    """
-
-    def __init__(self, stream: TextIO | None = None) -> None:
-        self._stream = stream if stream is not None else sys.stderr
-
-    def line(self, text: str) -> None:
-        print(text, file=self._stream)
 
 
 def _duration_ms(record: TraceRecord) -> float | None:

@@ -9,13 +9,13 @@ active* tracer, and exposes no-op-safe helpers:
 * :func:`metrics` / :func:`counter` / :func:`gauge` / :func:`histogram`
   — always live; instruments are cheap enough to update unconditionally.
 * :func:`observing` — context manager installing a tracer for the
-  duration of a run (the supervisor enters it; nested runs restore the
+  duration of a run (the runner enters it; nested runs restore the
   previous tracer on exit).
 * :func:`span` / :func:`trace_event` — emit through the active tracer,
   or do nothing when tracing is off. ``span()`` always yields a span
   object (a null one when off) so call sites never branch.
 
-Worker processes in the process-pool backend never install a tracer —
+Worker processes (``riskybiz lint --jobs``) never install a tracer —
 the trace file has the same single-writer rule as the run journal, and
 worker lifecycle is recorded by the supervisor on their behalf. Because
 a forked worker inherits this module's globals (including an open

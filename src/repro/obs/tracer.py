@@ -6,13 +6,13 @@ per line::
 
     {"checksum": "<sha256 of the content body>", "seq": 3,
      "run_id": "run-…", "type": "span-end",
-     "payload": {"span_id": "…", "path": "run/shard-0/candidates", …},
+     "payload": {"span_id": "…", "path": "run/candidates", …},
      "telemetry": {"duration_ms": 12.4}}
 
 Determinism contract:
 
 * **Span IDs are derived, not drawn**: a span's ID is a stable digest
-  of the run ID plus the span's path (``run/shard-0/candidates``), so
+  of the run ID plus the span's path (``run/candidates``), so
   the same logical work gets the same ID in every session — an
   uninterrupted run and a kill-and-resume run agree on every ID.
 * **Content vs telemetry**: the per-record checksum covers ``seq``,
@@ -170,7 +170,7 @@ class Tracer:
     """Single-writer tracer for one run directory.
 
     Exactly one process writes a given trace file at a time (the
-    supervisor, mirroring the journal's single-writer rule); worker
+    runner, mirroring the journal's single-writer rule); worker
     processes report through heartbeats instead. Appends flush per
     record but do not fsync — a trace is telemetry, not a durability
     artifact, and its recovery path tolerates any torn tail.

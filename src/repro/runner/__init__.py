@@ -5,18 +5,19 @@ multi-stage job over years of zone snapshots. This package supervises
 it:
 
 * :mod:`repro.runner.journal` — :class:`~repro.runner.journal.RunJournal`,
-  an append-only, per-record-checksummed JSONL log of every stage and
-  shard boundary a run durably completed, tolerant of torn tail writes;
+  an append-only, per-record-checksummed JSONL log of every boundary a
+  run durably completed, tolerant of torn tail writes;
 * :mod:`repro.runner.supervisor` —
   :class:`~repro.runner.supervisor.RunSupervisor`, which executes shard
-  tasks inline or across a pool of worker processes with heartbeats,
-  hang detection, and retry-with-exponential-backoff on crash;
-* :mod:`repro.runner.execution` — the supervised detection run:
-  journaled shard execution, checkpoint digests, and
-  ``riskybiz detect --resume <run-id>`` semantics — plus the
-  incremental run (``riskybiz advance``), which folds per-day delta
-  batches into a journaled standing engine instead of re-running the
-  batch pipeline;
+  tasks across a pool of worker processes with heartbeats, hang
+  detection, and retry-with-exponential-backoff on crash (the engine
+  behind ``riskybiz lint --jobs``);
+* :mod:`repro.runner.execution` — the supervised detection run: one
+  in-process pass whose stage state is checkpointed and journaled after
+  every stage, with ``riskybiz detect --resume <run-id>`` semantics —
+  plus the incremental run (``riskybiz advance``), which folds per-day
+  delta batches into a journaled standing engine instead of re-running
+  the batch pipeline;
 * :mod:`repro.runner.chaos_harness` — the seeded kill-and-resume
   harness proving a run killed at randomized boundaries and resumed is
   bit-identical to an uninterrupted one.

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any
 from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
 from repro.runner.execution import run_supervised_detection
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import SupervisorPolicy
 
 if TYPE_CHECKING:
     from repro.whois.archive import WhoisArchive
@@ -37,7 +36,6 @@ class ChaosTrialReport:
     """Everything one kill-and-resume trial observed."""
 
     backend: str
-    shards: int
     kills: int
     kill_sites: list[tuple[str, str]]
     resumes: int
@@ -118,7 +116,6 @@ def run_kill_resume_trial(
     scale: float = 0.1,
     seed: int = 2021,
     backend: str = "memory",
-    shards: int = 4,
     chaos_seed: int = 0,
     max_kills: int = 5,
     kill_worker_rate: float = 0.35,
@@ -138,15 +135,12 @@ def run_kill_resume_trial(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     zonedb, whois, dataset_path = _build_inputs(scale, seed, backend, workdir)
-    policy = SupervisorPolicy(workers=0, seed=chaos_seed)
 
     baseline = run_supervised_detection(
         zonedb,
         whois,
         run_dir=workdir / "baseline",
-        shards=shards,
         mine_patterns=mine_patterns,
-        policy=policy,
         trace=trace,
     )
 
@@ -171,9 +165,7 @@ def run_kill_resume_trial(
                 zonedb,
                 whois,
                 run_dir=chaos_dir,
-                shards=shards,
                 mine_patterns=mine_patterns,
-                policy=policy,
                 chaos=monkey,
                 resume=resume_id,
                 trace=trace,
@@ -199,7 +191,6 @@ def run_kill_resume_trial(
         chaos_trace = trace_content_digest(read_trace(chaos_dir / TRACE_NAME))
     return ChaosTrialReport(
         backend=backend,
-        shards=shards,
         kills=monkey.kills,
         kill_sites=list(monkey.kill_sites),
         resumes=resumes,

@@ -1,13 +1,13 @@
 """Supervised detection runs: journaled, checkpointed, resumable.
 
-This module ties the supervisor and the journal to the detection
-pipeline. One *supervised run* lives in a run directory::
+This module ties the journal to the detection pipeline. One *supervised
+run* lives in a run directory::
 
-    <run_dir>/journal.jsonl                    append-only run journal
-    <run_dir>/checkpoints/shard-NNNN-of-NNNN.pkl   per-shard state
-    <run_dir>/result.pkl + result.json         merged result + manifest
+    <run_dir>/journal.jsonl                     append-only run journal
+    <run_dir>/checkpoints/pipeline-state.pkl    the stage state
+    <run_dir>/result.pkl + result.json          result + manifest
 
-Durability protocol, per shard stage::
+Durability protocol, per stage::
 
     run stage  →  atomic checkpoint write  →  journal stage-complete
 
@@ -21,11 +21,11 @@ so every crash window converges on resume:
 * a torn journal append — the fragment fails verification and is
   dropped on reopen, identical to the previous window.
 
-Checkpoints and the merged result are content-verified on resume: a
-file whose SHA-256 does not match what the journal recorded is
-quarantined and its work recomputed — the journal never lies about
-what durably exists. Run IDs are deterministic digests of the run's
-inputs, so ``--resume`` can also detect an input switcheroo.
+The checkpoint and the result are content-verified on resume: a file
+whose SHA-256 does not match what the journal recorded is quarantined
+and its work recomputed — the journal never lies about what durably
+exists. Run IDs are deterministic digests of the run's inputs, so
+``--resume`` can also detect an input switcheroo.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.detection.incremental import (
     ENGINE_WATERMARK,
@@ -53,21 +54,15 @@ from repro.obs import profiling
 from repro.obs import runtime as obs
 from repro.obs.tracer import Tracer
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import (
-    RunFailed,
-    RunSupervisor,
-    ShardOutcome,
-    SupervisorPolicy,
-)
+from repro.runner.supervisor import RunFailed
 from repro.store.artifacts import content_digest
 from repro.store.atomic import (
     atomic_write_bytes,
-    file_sha256,
     load_checked_json,
     quarantine,
     write_checked_json,
 )
-from repro.store.dataset import SCENARIO_DIGEST_KEY, DeltaView, ShardSpec
+from repro.store.dataset import SCENARIO_DIGEST_KEY, DeltaView
 
 if TYPE_CHECKING:
     from repro.faults.process import ChaosMonkey
@@ -84,6 +79,7 @@ RESULT_MANIFEST_NAME = "result.json"
 CHECKPOINT_DIR_NAME = "checkpoints"
 TRACE_NAME = "trace.jsonl"
 METRICS_NAME = "metrics.json"
+PIPELINE_CHECKPOINT_NAME = "pipeline-state.pkl"
 ENGINE_CHECKPOINT_NAME = "engine-state.pkl"
 ENGINE_STORE_NAME = "engine-store.sqlite"
 
@@ -123,7 +119,7 @@ def result_digest(result: PipelineResult) -> str:
 
 
 def state_digest(state: dict[str, Any]) -> str:
-    """Semantic digest of one shard's checkpointable state.
+    """Semantic digest of a batch run's checkpointable stage state.
 
     Journaled at every stage boundary; like :func:`result_fingerprint`
     it digests field values, not pickle bytes, so digests agree between
@@ -133,12 +129,14 @@ def state_digest(state: dict[str, Any]) -> str:
         "done": sorted(state.get("done", ())),
         "funnel": asdict(state["funnel"]),
     }
-    for key in ("candidates", "stage1", "remaining"):
+    for key in ("candidates", "remaining"):
         if key in state:
             fingerprint[key] = [
                 [c.name, c.first_seen, list(c.referencing_domains)]
                 for c in state[key]
             ]
+    if "mined" in state:
+        fingerprint["mined"] = [[p.substring, p.support] for p in state["mined"]]
     if "sacrificial" in state:
         fingerprint["sacrificial"] = {
             name: asdict(entry) for name, entry in state["sacrificial"].items()
@@ -158,9 +156,6 @@ class SupervisedResult:
     run_dir: Path
     journal_path: Path
     resumed: bool = False
-    #: Per-shard execution outcomes (empty when replayed from a
-    #: durably-complete journal without re-executing anything).
-    outcomes: dict[int, ShardOutcome] = field(default_factory=dict)
 
 
 def _boundary(chaos: "ChaosMonkey | None", site: str, label: str) -> None:
@@ -173,107 +168,77 @@ def _boundary(chaos: "ChaosMonkey | None", site: str, label: str) -> None:
         chaos.supervisor_boundary(label)
 
 
-def _note_shard_reset(index: int, reason: str) -> None:
-    """Mirror a journaled shard-reset into metrics and the trace."""
-    obs.counter("runner.shard_resets").inc()
-    obs.trace_event("runner.shard-reset", shard=index, reason=reason)
+def _note_pipeline_reset(reason: str) -> None:
+    """Mirror a journaled pipeline-reset into metrics and the trace."""
+    obs.counter("runner.pipeline_resets").inc()
+    obs.trace_event("runner.pipeline-reset", reason=reason)
 
 
-def _load_partial_state(
-    journal: RunJournal,
-    pipeline: DetectionPipeline,
-    shard: ShardSpec,
-    path: Path,
-) -> dict[str, Any]:
-    """The resumable state for an unfinished shard, reconciled.
+def _load_partial_state(journal: RunJournal, path: Path) -> dict[str, Any]:
+    """The resumable stage state of an unfinished batch run, reconciled.
 
     Source of truth is the checkpoint file (it is written before the
     journal entry); the journal is cross-checked against it:
 
     * checkpoint ahead of journal — journal the proven stages
       (``reconciled``) and continue from the checkpoint;
-    * checkpoint behind the journal, unreadable, or missing while the
-      journal claims progress — the durable artifact is gone or lying;
-      quarantine it, journal a ``shard-reset``, start the shard over.
+    * checkpoint behind the journal, unreadable, missing while the
+      journal claims progress, or hashing differently from what the
+      journal recorded for the same stage — the durable artifact is
+      gone or lying; quarantine it, journal a ``pipeline-reset``, and
+      start over (stages are deterministic, so redoing is always safe).
     """
-    journaled = set(journal.completed_stages(shard.index))
+    journaled = journal.completed_stages()
+    stages = {str(record.payload["stage"]) for record in journaled}
     if not path.exists():
         if journaled:
-            journal.append(
-                "shard-reset", shard=shard.index, reason="checkpoint-missing"
-            )
-            _note_shard_reset(shard.index, "checkpoint-missing")
-        return pipeline.new_shard_state()
+            journal.append("pipeline-reset", reason="checkpoint-missing")
+            _note_pipeline_reset("checkpoint-missing")
+        return DetectionPipeline.new_state()
     try:
-        state = load_pipeline_state(path.read_bytes())
-        done = set(state["done"])
+        data = path.read_bytes()
+        state = load_pipeline_state(data)
     except Exception:
         quarantine(path)
-        journal.append(
-            "shard-reset", shard=shard.index, reason="checkpoint-unreadable"
-        )
-        _note_shard_reset(shard.index, "checkpoint-unreadable")
-        return pipeline.new_shard_state()
-    if not journaled <= done:
+        journal.append("pipeline-reset", reason="checkpoint-unreadable")
+        _note_pipeline_reset("checkpoint-unreadable")
+        return DetectionPipeline.new_state()
+    done = state["done"]
+    sha256 = hashlib.sha256(data).hexdigest()
+    reason = None
+    if not stages <= done:
+        reason = "checkpoint-behind-journal"
+    elif (
+        journaled
+        and done == stages
+        and sha256 != journaled[-1].payload.get("checkpoint_sha256")
+    ):
+        reason = "checkpoint-mismatch"
+    if reason is not None:
         quarantine(path)
-        journal.append(
-            "shard-reset", shard=shard.index, reason="checkpoint-behind-journal"
-        )
-        _note_shard_reset(shard.index, "checkpoint-behind-journal")
-        return pipeline.new_shard_state()
-    for stage in pipeline.SHARD_STAGES:
-        if stage in done and stage not in journaled:
+        journal.append("pipeline-reset", reason=reason)
+        _note_pipeline_reset(reason)
+        return DetectionPipeline.new_state()
+    for stage in DetectionPipeline.STAGES:
+        if stage in done and stage not in stages:
             journal.append(
                 "stage-complete",
-                shard=shard.index,
                 stage=stage,
                 state_digest=state_digest(state),
-                checkpoint_sha256=file_sha256(path),
+                checkpoint_sha256=sha256,
                 reconciled=True,
             )
     return state
 
 
-def _verified_completed_shards(
-    journal: RunJournal,
-    pipeline: DetectionPipeline,
-    checkpoint_dir: Path,
-    shards: int,
-) -> set[int]:
-    """Journal-complete shards whose checkpoints verify on disk.
-
-    A shard-complete record whose checkpoint is missing or hashes wrong
-    is demoted: the file is quarantined, a ``shard-reset`` journaled,
-    and the shard re-executed (stages are deterministic, so redoing is
-    always safe).
-    """
-    verified: set[int] = set()
-    for index, payload in journal.completed_shards().items():
-        if not 0 <= index < shards:
-            continue
-        path = pipeline.shard_checkpoint_path(
-            checkpoint_dir, ShardSpec(index, shards)
-        )
-        if path.exists() and file_sha256(path) == payload.get("checkpoint_sha256"):
-            verified.add(index)
-            continue
-        if path.exists():
-            quarantine(path)
-        journal.append(
-            "shard-reset", shard=index, reason="completed-checkpoint-mismatch"
-        )
-        _note_shard_reset(index, "completed-checkpoint-mismatch")
-    return verified
-
-
 def _load_completed_result(
     run_dir: Path, payload: dict[str, Any]
 ) -> PipelineResult | None:
-    """The durably-journaled merged result, verified, or None.
+    """The durably-journaled result, verified, or None.
 
     None means the result artifact was missing or failed verification;
-    the corrupt files are quarantined and the caller re-merges from the
-    (independently verified) shard checkpoints.
+    the corrupt files are quarantined and the caller rebuilds the
+    result from its (independently verified) checkpoint.
     """
     result_path = run_dir / RESULT_NAME
     manifest_path = run_dir / RESULT_MANIFEST_NAME
@@ -315,77 +280,6 @@ def _write_result_manifest(
     return manifest
 
 
-# -- worker-process entry point ---------------------------------------------
-
-
-def _shard_worker(
-    index: int,
-    shards: int,
-    dataset_path: str,
-    whois_path: str | None,
-    checkpoint_dir: str,
-    mine_patterns: bool,
-    heartbeats: Any,
-    chaos_seed: int | None,
-    kill_rate: float,
-) -> None:
-    """One shard, in its own process: open data, resume, checkpoint.
-
-    Module-level so it pickles under any multiprocessing start method.
-    The worker never touches the journal — the journal has exactly one
-    writer, the supervisor, which records the completion only after
-    verifying the checkpoint this worker left behind.
-
-    Chaos (when ``chaos_seed`` is not None) uses a per-shard seed and
-    ``os._exit(137)`` at stage boundaries, so the supervisor sees a
-    genuine SIGKILL-style crash; the supervisor only arms it on a
-    shard's first attempt, so retries always make progress.
-    """
-    from repro.store.dataset import open_dataset
-    from repro.whois.archive import WhoisArchive
-
-    # A forked worker inherits the supervisor's open tracer; the trace
-    # has one writer (the supervisor), so drop the inherited handle.
-    obs.detach()
-
-    monkey = None
-    if chaos_seed is not None and kill_rate > 0:
-        from repro.faults.process import ChaosMonkey, ProcessChaosConfig
-        from repro.faults.rng import stable_hash
-
-        monkey = ChaosMonkey(
-            ProcessChaosConfig(
-                seed=stable_hash(f"{chaos_seed}:worker:{index}"),
-                kill_worker_rate=kill_rate,
-                max_kills=1,
-            )
-        )
-    zonedb = open_dataset(dataset_path)
-    whois = WhoisArchive.load(whois_path) if whois_path else WhoisArchive()
-    pipeline = DetectionPipeline(
-        zonedb, whois, mine_patterns=mine_patterns, shards=shards
-    )
-    shard = ShardSpec(index, shards)
-    path = pipeline.shard_checkpoint_path(Path(checkpoint_dir), shard)
-    state = pipeline.new_shard_state()
-    if path.exists():
-        try:
-            state = load_pipeline_state(path.read_bytes())
-        except Exception:
-            state = pipeline.new_shard_state()
-
-    def after_stage(stage: str, st: dict[str, Any]) -> None:
-        if monkey is not None:
-            monkey.exit_if(f"shard-{index}:{stage}")
-        atomic_write_bytes(path, dump_pipeline_state(st))
-        heartbeats.put((index, stage))
-
-    pipeline.run_shard_stages(shard, state, after_stage=after_stage)
-
-
-# -- the supervised run ------------------------------------------------------
-
-
 def _write_metrics_snapshot(run_dir: Path) -> Path:
     """Write the global metrics registry as ``metrics.json`` (atomic)."""
     snapshot = obs.metrics().snapshot()
@@ -397,59 +291,50 @@ def _write_metrics_snapshot(run_dir: Path) -> Path:
     return path
 
 
-def run_supervised_detection(
-    zonedb: "ZoneDatabase",
-    whois: "WhoisArchive",
-    *,
+# -- the run directory -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _OpenRun:
+    """A run directory whose journal is open and whose inputs checked out."""
+
+    run_id: str
+    run_dir: Path
+    journal: RunJournal
+    journal_path: Path
+    checkpoint_dir: Path
+    resumed: bool
+    tracer: Tracer | None
+
+
+@contextmanager
+def _open_run(
     run_dir: str | Path,
-    shards: int = 1,
-    mine_patterns: bool = True,
-    options: dict[str, Any] | None = None,
-    policy: SupervisorPolicy | None = None,
-    chaos: "ChaosMonkey | None" = None,
-    resume: str | None = None,
-    dataset_path: str | Path | None = None,
-    whois_path: str | Path | None = None,
-    trace: bool = False,
-    profile: bool = False,
-) -> SupervisedResult:
-    """Run the detection pipeline under supervision, journaled in ``run_dir``.
+    zonedb: "ZoneDatabase",
+    *,
+    inputs: dict[str, Any],
+    resume: str | None,
+    chaos: "ChaosMonkey | None",
+    trace: bool,
+    profile: bool,
+) -> Iterator[_OpenRun]:
+    """Create or reopen a run directory's journal, with telemetry on.
 
-    Fresh run: ``run_dir`` must hold no journal; one is created under a
-    deterministic run ID. Resume: pass ``resume=<run-id>`` (from the
-    journal, or ``riskybiz detect``'s output); the journal is replayed
-    and exactly the work that did not durably complete is re-executed —
-    finishing a run twice returns the recorded result without running
-    anything.
-
-    ``policy.workers == 0`` executes shards inline (the deterministic
-    mode the chaos harness drives); ``workers > 0`` fans out worker
-    processes under the :class:`RunSupervisor` liveness loop, which
-    requires ``dataset_path`` so workers can reopen the data themselves.
-
-    ``chaos`` arms the execution-plane fault injectors at every stage,
-    journal-append, and merge boundary (see :mod:`repro.faults.process`).
-
-    ``trace`` emits a span/event trace to ``<run_dir>/trace.jsonl`` and a
-    metrics snapshot to ``<run_dir>/metrics.json`` (deterministic span
-    IDs; wall durations confined to telemetry-only fields — see
-    :mod:`repro.obs.tracer`). ``profile`` additionally records per-stage
-    durations and ``tracemalloc`` peaks into the metrics snapshot.
+    ``inputs`` are the run's options: with the dataset's scenario digest
+    they fingerprint the run ID, and they are journaled once as the
+    ``run-config`` record. A fresh run needs a directory without a
+    journal; a resume needs ``resume`` to name the journal's run ID and
+    the inputs to fingerprint to it — anything else raises
+    :class:`~repro.runner.supervisor.RunFailed`. Tracing and profiling
+    stay installed for the body of the ``with`` block.
     """
-    policy = policy or SupervisorPolicy()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     journal_path = run_dir / JOURNAL_NAME
     checkpoint_dir = run_dir / CHECKPOINT_DIR_NAME
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    options = dict(options or {})
     run_id = compute_run_id(
-        {
-            "scenario_digest": zonedb.store.get_meta(SCENARIO_DIGEST_KEY),
-            "shards": shards,
-            "mine_patterns": mine_patterns,
-            "options": options,
-        }
+        {"scenario_digest": zonedb.store.get_meta(SCENARIO_DIGEST_KEY), **inputs}
     )
 
     resumed = journal_path.exists()
@@ -476,13 +361,7 @@ def run_supervised_detection(
     if chaos is not None:
         journal.torn_writer = chaos.torn_write
     if journal.last("run-config") is None:
-        journal.append(
-            "run-config",
-            shards=shards,
-            mine_patterns=mine_patterns,
-            options=options,
-            workers=policy.workers,
-        )
+        journal.append("run-config", **inputs)
 
     tracer = (
         Tracer.open_or_create(run_dir / TRACE_NAME, run_id) if trace else None
@@ -495,20 +374,12 @@ def run_supervised_detection(
         profiling.enable()
     try:
         with obs.observing(tracer):
-            return _execute_supervised(
-                zonedb=zonedb,
-                whois=whois,
-                journal=journal,
+            yield _OpenRun(
+                run_id=run_id,
                 run_dir=run_dir,
+                journal=journal,
                 journal_path=journal_path,
                 checkpoint_dir=checkpoint_dir,
-                run_id=run_id,
-                shards=shards,
-                mine_patterns=mine_patterns,
-                policy=policy,
-                chaos=chaos,
-                dataset_path=dataset_path,
-                whois_path=whois_path,
                 resumed=resumed,
                 tracer=tracer,
             )
@@ -519,191 +390,127 @@ def run_supervised_detection(
             tracer.close()
 
 
-def _execute_supervised(
-    *,
+# -- the supervised run ------------------------------------------------------
+
+
+def run_supervised_detection(
     zonedb: "ZoneDatabase",
     whois: "WhoisArchive",
-    journal: RunJournal,
-    run_dir: Path,
-    journal_path: Path,
-    checkpoint_dir: Path,
-    run_id: str,
-    shards: int,
+    *,
+    run_dir: str | Path,
+    mine_patterns: bool = True,
+    options: dict[str, Any] | None = None,
+    chaos: "ChaosMonkey | None" = None,
+    resume: str | None = None,
+    trace: bool = False,
+    profile: bool = False,
+) -> SupervisedResult:
+    """Run the detection pipeline journaled in ``run_dir``, resumably.
+
+    Fresh run: ``run_dir`` must hold no journal; one is created under a
+    deterministic run ID. Resume: pass ``resume=<run-id>`` (from the
+    journal, or ``riskybiz detect``'s output); the journal is replayed
+    and exactly the stages that did not durably complete are re-executed
+    — finishing a run twice returns the recorded result without running
+    anything. A stage that raises propagates: the stages are
+    deterministic, so retrying in place would only repeat the failure.
+
+    ``chaos`` arms the execution-plane fault injectors at every stage
+    and journal-append boundary (see :mod:`repro.faults.process`).
+
+    ``trace`` emits a span/event trace to ``<run_dir>/trace.jsonl`` and a
+    metrics snapshot to ``<run_dir>/metrics.json`` (deterministic span
+    IDs; wall durations confined to telemetry-only fields — see
+    :mod:`repro.obs.tracer`). ``profile`` additionally records per-stage
+    durations and ``tracemalloc`` peaks into the metrics snapshot.
+    """
+    inputs = {"mine_patterns": mine_patterns, "options": dict(options or {})}
+    with _open_run(
+        run_dir,
+        zonedb,
+        inputs=inputs,
+        resume=resume,
+        chaos=chaos,
+        trace=trace,
+        profile=profile,
+    ) as run:
+        return _execute_supervised(
+            run, zonedb, whois, mine_patterns=mine_patterns, chaos=chaos
+        )
+
+
+def _execute_supervised(
+    run: _OpenRun,
+    zonedb: "ZoneDatabase",
+    whois: "WhoisArchive",
+    *,
     mine_patterns: bool,
-    policy: SupervisorPolicy,
     chaos: "ChaosMonkey | None",
-    dataset_path: str | Path | None,
-    whois_path: str | Path | None,
-    resumed: bool,
-    tracer: Tracer | None,
 ) -> SupervisedResult:
     """The journal-driven execution body of :func:`run_supervised_detection`.
 
-    Runs with the caller's tracer (possibly None) installed as the
-    active one; every span and event below no-ops when tracing is off.
-    The outermost ``run`` span closes only when the run completes, so a
-    kill anywhere inside leaves a start-without-end — the same shape the
+    Runs with the run's tracer (possibly None) installed as the active
+    one; every span and event below no-ops when tracing is off. The
+    outermost ``run`` span closes only when the run completes, so a kill
+    anywhere inside leaves a start-without-end — the same shape the
     journal's crash windows have.
     """
-    with obs.span("run", shards=shards) as run_span:
+    journal = run.journal
+    with obs.span("run") as run_span:
         complete_record = journal.run_complete
         if complete_record is not None:
-            replayed = _load_completed_result(run_dir, complete_record.payload)
+            replayed = _load_completed_result(run.run_dir, complete_record.payload)
             if replayed is not None:
-                run_span.set(
-                    result_digest=str(complete_record.payload["result_digest"])
-                )
-                if tracer is not None:
-                    _write_metrics_snapshot(run_dir)
+                digest = str(complete_record.payload["result_digest"])
+                run_span.set(result_digest=digest)
+                if run.tracer is not None:
+                    _write_metrics_snapshot(run.run_dir)
                 return SupervisedResult(
-                    run_id=run_id,
+                    run_id=run.run_id,
                     result=replayed,
-                    result_digest=str(
-                        complete_record.payload["result_digest"]
-                    ),
-                    run_dir=run_dir,
-                    journal_path=journal_path,
+                    result_digest=digest,
+                    run_dir=run.run_dir,
+                    journal_path=run.journal_path,
                     resumed=True,
                 )
 
-        pipeline = DetectionPipeline(
-            zonedb, whois, mine_patterns=mine_patterns, shards=shards
-        )
-        done = _verified_completed_shards(
-            journal, pipeline, checkpoint_dir, shards
-        )
-        todo = [index for index in range(shards) if index not in done]
-        supervisor = RunSupervisor(policy)
-        outcomes: dict[int, ShardOutcome] = {}
+        path = run.checkpoint_dir / PIPELINE_CHECKPOINT_NAME
+        state = _load_partial_state(journal, path)
 
-        def on_complete(index: int) -> None:
-            shard = ShardSpec(index, shards)
-            path = pipeline.shard_checkpoint_path(checkpoint_dir, shard)
-            state = load_pipeline_state(path.read_bytes())
-            _boundary(chaos, "supervisor", f"shard-complete:{index}")
+        def after_stage(stage: str, st: dict[str, Any]) -> None:
+            _boundary(chaos, "worker", f"stage:{stage}")
+            data = dump_pipeline_state(st)
+            atomic_write_bytes(path, data)
+            _boundary(chaos, "supervisor", f"stage-complete:{stage}")
             journal.append(
-                "shard-complete",
-                shard=index,
-                state_digest=state_digest(state),
-                checkpoint_sha256=file_sha256(path),
+                "stage-complete",
+                stage=stage,
+                state_digest=state_digest(st),
+                checkpoint_sha256=hashlib.sha256(data).hexdigest(),
             )
-            obs.counter("runner.shards_completed").inc()
 
-        if todo:
-            if policy.workers == 0:
-
-                def execute(index: int) -> None:
-                    shard = ShardSpec(index, shards)
-                    path = pipeline.shard_checkpoint_path(
-                        checkpoint_dir, shard
-                    )
-                    with obs.span(f"shard-{index}", shard=index) as shard_span:
-                        state = _load_partial_state(
-                            journal, pipeline, shard, path
-                        )
-                        _boundary(chaos, "supervisor", f"shard-start:{index}")
-                        journal.append(
-                            "shard-start",
-                            shard=index,
-                            resumed_stages=sorted(state["done"]),
-                        )
-
-                        def after_stage(stage: str, st: dict[str, Any]) -> None:
-                            _boundary(chaos, "worker", f"shard-{index}:{stage}")
-                            atomic_write_bytes(path, dump_pipeline_state(st))
-                            _boundary(
-                                chaos,
-                                "supervisor",
-                                f"stage-complete:{index}:{stage}",
-                            )
-                            journal.append(
-                                "stage-complete",
-                                shard=index,
-                                stage=stage,
-                                state_digest=state_digest(st),
-                                checkpoint_sha256=file_sha256(path),
-                            )
-
-                        pipeline.run_shard_stages(
-                            shard, state, after_stage=after_stage
-                        )
-                        shard_span.set(stages=sorted(state["done"]))
-
-                outcomes = supervisor.run_inline(
-                    todo, execute, on_complete=on_complete
-                )
-            else:
-                if dataset_path is None:
-                    raise RunFailed(
-                        "process-pool execution needs dataset_path so workers "
-                        "can reopen the dataset"
-                    )
-                chaos_seed = chaos.config.seed if chaos is not None else None
-                kill_rate = (
-                    chaos.config.kill_worker_rate if chaos is not None else 0.0
-                )
-
-                def spawn(index: int, attempt: int, heartbeats: Any) -> Any:
-                    import multiprocessing
-
-                    journal.append("shard-start", shard=index, attempt=attempt)
-                    obs.trace_event(
-                        "supervisor.spawn", shard=index, attempt=attempt
-                    )
-                    process = multiprocessing.get_context().Process(
-                        target=_shard_worker,
-                        args=(
-                            index,
-                            shards,
-                            str(dataset_path),
-                            str(whois_path) if whois_path else None,
-                            str(checkpoint_dir),
-                            mine_patterns,
-                            heartbeats,
-                            chaos_seed if attempt == 1 else None,
-                            kill_rate,
-                        ),
-                    )
-                    process.start()
-                    return process
-
-                outcomes = supervisor.run_processes(
-                    todo, spawn, on_complete=on_complete
-                )
-
-        _boundary(chaos, "supervisor", "merge-start")
-        journal.append("merge-start", shards=shards)
-        with obs.span("merge", shards=shards):
-            states = [
-                load_pipeline_state(
-                    pipeline.shard_checkpoint_path(
-                        checkpoint_dir, ShardSpec(index, shards)
-                    ).read_bytes()
-                )
-                for index in range(shards)
-            ]
-            result = pipeline.merge_shard_states(states)
+        pipeline = DetectionPipeline(zonedb, whois, mine_patterns=mine_patterns)
+        result = pipeline.run(state, after_stage=after_stage)
         data = pickle.dumps(result)
-        atomic_write_bytes(run_dir / RESULT_NAME, data)
-        manifest = _write_result_manifest(run_dir, run_id, data, result)
+        atomic_write_bytes(run.run_dir / RESULT_NAME, data)
+        manifest = _write_result_manifest(run.run_dir, run.run_id, data, result)
         _boundary(chaos, "supervisor", "run-complete")
         journal.append(
             "run-complete",
-            run_id=run_id,
+            run_id=run.run_id,
             result_sha256=manifest["result_sha256"],
             result_digest=manifest["result_digest"],
         )
         run_span.set(result_digest=str(manifest["result_digest"]))
-        if tracer is not None:
-            _write_metrics_snapshot(run_dir)
+        if run.tracer is not None:
+            _write_metrics_snapshot(run.run_dir)
         return SupervisedResult(
-            run_id=run_id,
+            run_id=run.run_id,
             result=result,
             result_digest=str(manifest["result_digest"]),
-            run_dir=run_dir,
-            journal_path=journal_path,
-            resumed=resumed,
-            outcomes=outcomes,
+            run_dir=run.run_dir,
+            journal_path=run.journal_path,
+            resumed=run.resumed,
         )
 
 
@@ -847,112 +654,54 @@ def run_incremental_detection(
     fresh batch run over the same history — that invariant is what the
     ``incremental-equivalence`` CI job asserts on both backends.
     """
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    journal_path = run_dir / JOURNAL_NAME
-    checkpoint_dir = run_dir / CHECKPOINT_DIR_NAME
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_path = checkpoint_dir / ENGINE_CHECKPOINT_NAME
-    options = dict(options or {})
-    run_id = compute_run_id(
-        {
-            "scenario_digest": zonedb.store.get_meta(SCENARIO_DIGEST_KEY),
-            "mode": "incremental",
-            "backend": backend,
-            "mine_patterns": mine_patterns,
-            "options": options,
-        }
-    )
-
-    resumed = journal_path.exists()
-    if resumed:
-        if resume is None:
-            raise RunFailed(
-                f"{run_dir} already holds a journal; pass resume=<run-id> "
-                "(or point at a fresh run directory)"
-            )
-        journal = RunJournal.open(journal_path)
-        if journal.run_id != resume:
-            raise RunFailed(
-                f"journal belongs to {journal.run_id}, not {resume}"
-            )
-        if journal.run_id != run_id:
-            raise RunFailed(
-                f"run inputs changed: journal is {journal.run_id}, these "
-                f"inputs fingerprint to {run_id}"
-            )
-    else:
-        if resume is not None:
-            raise RunFailed(f"nothing to resume in {run_dir}")
-        journal = RunJournal.create(journal_path, run_id)
-    if chaos is not None:
-        journal.torn_writer = chaos.torn_write
-    if journal.last("run-config") is None:
-        journal.append(
-            "run-config",
-            mode="incremental",
+    inputs = {
+        "mode": "incremental",
+        "backend": backend,
+        "mine_patterns": mine_patterns,
+        "options": dict(options or {}),
+    }
+    with _open_run(
+        run_dir,
+        zonedb,
+        inputs=inputs,
+        resume=resume,
+        chaos=chaos,
+        trace=trace,
+        profile=profile,
+    ) as run:
+        return _execute_incremental(
+            run,
+            zonedb,
+            whois,
+            until=until,
             backend=backend,
             mine_patterns=mine_patterns,
-            options=options,
+            chaos=chaos,
+            consumer=consumer,
         )
-
-    tracer = (
-        Tracer.open_or_create(run_dir / TRACE_NAME, run_id) if trace else None
-    )
-    if trace or profile:
-        obs.reset_metrics()
-    if profile:
-        profiling.enable()
-    try:
-        with obs.observing(tracer):
-            return _execute_incremental(
-                zonedb=zonedb,
-                whois=whois,
-                journal=journal,
-                run_dir=run_dir,
-                journal_path=journal_path,
-                checkpoint_path=checkpoint_path,
-                run_id=run_id,
-                until=until,
-                backend=backend,
-                mine_patterns=mine_patterns,
-                chaos=chaos,
-                consumer=consumer,
-                resumed=resumed,
-                tracer=tracer,
-            )
-    finally:
-        if profile:
-            profiling.disable()
-        if tracer is not None:
-            tracer.close()
 
 
 def _execute_incremental(
-    *,
+    run: _OpenRun,
     zonedb: "ZoneDatabase",
     whois: "WhoisArchive",
-    journal: RunJournal,
-    run_dir: Path,
-    journal_path: Path,
-    checkpoint_path: Path,
-    run_id: str,
+    *,
     until: int | None,
     backend: str,
     mine_patterns: bool,
     chaos: "ChaosMonkey | None",
     consumer: str | None,
-    resumed: bool,
-    tracer: Tracer | None,
 ) -> IncrementalRunResult:
     """The journal-driven drain loop of :func:`run_incremental_detection`."""
+    journal = run.journal
+    engine_path = run.checkpoint_dir / ENGINE_CHECKPOINT_NAME
     with obs.span("run", mode="incremental") as run_span:
         store_path: Path | None = None
         if backend == "sqlite":
             # The private store is rebuilt by deterministic replay; only
             # the engine-state checkpoint is a durable artifact. A stale
             # store from an earlier invocation must not be replayed into.
-            store_path = run_dir / ENGINE_STORE_NAME
+            store_path = run.run_dir / ENGINE_STORE_NAME
             for leftover in (
                 store_path,
                 store_path.with_name(store_path.name + "-wal"),
@@ -966,8 +715,8 @@ def _execute_incremental(
             mine_patterns=mine_patterns,
         )
         restored = (
-            _restore_engine(journal, engine, zonedb, checkpoint_path)
-            if resumed
+            _restore_engine(journal, engine, zonedb, engine_path)
+            if run.resumed
             else None
         )
         batches = DeltaView(zonedb, since=engine.watermark, until=until).batches()
@@ -979,7 +728,7 @@ def _execute_incremental(
         if batches:
             watermark = batches[-1][0]
             data = dump_engine_state(engine)
-            atomic_write_bytes(checkpoint_path, data)
+            atomic_write_bytes(engine_path, data)
             _boundary(chaos, "supervisor", f"day-advanced:{watermark}")
             journal.append(
                 "day-advanced",
@@ -1000,30 +749,30 @@ def _execute_incremental(
                 complete is not None
                 and complete.payload.get("watermark") == engine.watermark
             ):
-                replayed = _load_completed_result(run_dir, complete.payload)
+                replayed = _load_completed_result(run.run_dir, complete.payload)
                 if replayed is not None:
                     digest = str(complete.payload["result_digest"])
                     run_span.set(result_digest=digest, days=0)
-                    if tracer is not None:
-                        _write_metrics_snapshot(run_dir)
+                    if run.tracer is not None:
+                        _write_metrics_snapshot(run.run_dir)
                     return IncrementalRunResult(
-                        run_id=run_id,
+                        run_id=run.run_id,
                         result=replayed,
                         result_digest=digest,
-                        run_dir=run_dir,
-                        journal_path=journal_path,
+                        run_dir=run.run_dir,
+                        journal_path=run.journal_path,
                         watermark=engine.watermark,
                         resumed=True,
                         restored_watermark=restored,
                     )
         result = engine.result()
         data = pickle.dumps(result)
-        atomic_write_bytes(run_dir / RESULT_NAME, data)
-        manifest = _write_result_manifest(run_dir, run_id, data, result)
+        atomic_write_bytes(run.run_dir / RESULT_NAME, data)
+        manifest = _write_result_manifest(run.run_dir, run.run_id, data, result)
         _boundary(chaos, "supervisor", "run-complete")
         journal.append(
             "run-complete",
-            run_id=run_id,
+            run_id=run.run_id,
             watermark=engine.watermark,
             days_advanced=days,
             result_sha256=manifest["result_sha256"],
@@ -1032,17 +781,17 @@ def _execute_incremental(
         run_span.set(
             result_digest=str(manifest["result_digest"]), days=days
         )
-        if tracer is not None:
-            _write_metrics_snapshot(run_dir)
+        if run.tracer is not None:
+            _write_metrics_snapshot(run.run_dir)
         return IncrementalRunResult(
-            run_id=run_id,
+            run_id=run.run_id,
             result=result,
             result_digest=str(manifest["result_digest"]),
-            run_dir=run_dir,
-            journal_path=journal_path,
+            run_dir=run.run_dir,
+            journal_path=run.journal_path,
             watermark=engine.watermark,
             days_advanced=days,
             deltas_applied=deltas,
-            resumed=resumed,
+            resumed=run.resumed,
             restored_watermark=restored,
         )

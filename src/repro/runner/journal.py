@@ -1,12 +1,11 @@
 """The durable run journal: append-only, checksummed JSONL.
 
 One journal records one run's progress as a sequence of events —
-``run-start``, ``shard-start``, ``shard-complete`` (with the completed
-checkpoint's digests), ``merge-start``, ``run-complete`` — each on its
-own line:
+``run-start``, ``run-config``, ``stage-complete`` (with the stage
+checkpoint's digests), ``run-complete`` — each on its own line:
 
     {"checksum": "<sha256 of the rest>", "payload": {...},
-     "run_id": "run-…", "seq": 3, "type": "shard-complete"}
+     "run_id": "run-…", "seq": 3, "type": "stage-complete"}
 
 Appends are durable (write → flush → fsync) and every record carries a
 SHA-256 over its own canonical body, so on reopen the journal can tell
@@ -215,19 +214,19 @@ class RunJournal:
                 return record
         return None
 
-    def completed_shards(self) -> dict[int, dict[str, Any]]:
-        """Shard index → completion payload, for every durable shard."""
-        done: dict[int, dict[str, Any]] = {}
-        for record in self.events("shard-complete"):
-            done[int(record.payload["shard"])] = record.payload
-        return done
+    def completed_stages(self) -> list[JournalRecord]:
+        """The ``stage-complete`` events after the last ``pipeline-reset``.
 
-    def completed_stages(self, shard: int) -> list[str]:
-        """Stages journaled durable for ``shard``, in completion order."""
-        stages: list[str] = []
-        for record in self.events("stage-complete"):
-            if int(record.payload["shard"]) == shard:
-                stages.append(str(record.payload["stage"]))
+        In completion order; a batch run's checkpoint must be the one
+        the newest of them hashed. Empty when no stage is durable since
+        a reset.
+        """
+        stages: list[JournalRecord] = []
+        for record in self.records:
+            if record.type == "pipeline-reset":
+                stages = []
+            elif record.type == "stage-complete":
+                stages.append(record)
         return stages
 
     @property

@@ -1,9 +1,8 @@
-"""RunSupervisor: shard execution with heartbeats, timeouts, retries.
+"""RunSupervisor: worker processes with heartbeats, timeouts, retries.
 
-The supervisor owns the *liveness* half of crash safety (the journal
-owns durability). It executes shard tasks either inline — sequentially
-in this process, the mode the chaos harness drives deterministically —
-or across a pool of worker processes, each of which:
+The supervisor owns the *liveness* half of crash safety. It executes
+shard tasks (``riskybiz lint --jobs`` splits files into shards) across
+a pool of worker processes, each of which:
 
 * sends a heartbeat on a shared queue at every stage boundary;
 * is declared *hung* when no heartbeat arrives within the policy's
@@ -14,11 +13,9 @@ or across a pool of worker processes, each of which:
   stream per the :mod:`repro.faults.rng` conventions), up to the
   policy's retry budget, after which :class:`RunFailed` is raised.
 
-The supervisor never interprets shard *results* — workers persist
-their own checkpoints durably; the caller journals completions after
-verifying them. That split means a worker that dies after its
-checkpoint rename but before exiting cleanly costs only a redundant
-re-run, never a corrupt dataset.
+The supervisor never interprets shard *results*: workers persist their
+own output and the caller collects it after a clean exit, so a worker
+that dies before exiting cleanly costs only a redundant re-run.
 
 Timeouts use the monotonic duration clock via :mod:`repro.obs.clock`
 — a duration source, not a wall clock, so it is exempt from lint rule
@@ -41,14 +38,15 @@ from repro.obs import clock, runtime
 
 
 class RunFailed(Exception):
-    """A shard exhausted its retry budget (or could not be scheduled)."""
+    """A run could not proceed: a refused run directory or resume, or a
+    worker shard that exhausted its retry budget."""
 
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Retry, backoff, and liveness knobs for one supervised run."""
 
-    #: Worker processes to run concurrently (0 = inline execution).
+    #: Worker processes to run concurrently (``run_processes`` needs >= 1).
     workers: int = 0
     #: Re-attempts per shard after the first try.
     max_retries: int = 2
@@ -103,56 +101,6 @@ class RunSupervisor:
     def __init__(self, policy: SupervisorPolicy | None = None) -> None:
         self.policy = policy or SupervisorPolicy()
         self._jitter_rng = stream_rng(self.policy.seed, "supervisor.backoff")
-
-    # -- inline mode ---------------------------------------------------------
-
-    def run_inline(
-        self,
-        indices: list[int],
-        execute: Callable[[int], None],
-        *,
-        on_complete: Callable[[int], None] | None = None,
-    ) -> dict[int, ShardOutcome]:
-        """Run shards sequentially in-process, retrying on ``Exception``.
-
-        ``BaseException`` (including a simulated
-        :class:`~repro.faults.process.ChaosKill`) propagates untouched:
-        a killed process does not get to retry itself.
-        """
-        outcomes: dict[int, ShardOutcome] = {}
-        for index in indices:
-            outcome = ShardOutcome(index=index)
-            outcomes[index] = outcome
-            while True:
-                outcome.attempts += 1
-                try:
-                    execute(index)
-                except Exception as error:
-                    reason = f"{type(error).__name__}: {error}"
-                    outcome.crashes.append(reason)
-                    runtime.counter("supervisor.crashes").inc()
-                    if outcome.attempts > self.policy.max_retries:
-                        raise RunFailed(
-                            f"shard {index} failed after "
-                            f"{outcome.attempts} attempt(s): {error}"
-                        ) from error
-                    runtime.counter("supervisor.retries").inc()
-                    runtime.trace_event(
-                        "supervisor.retry",
-                        shard=index,
-                        attempt=outcome.attempts + 1,
-                        reason=reason,
-                    )
-                    time.sleep(
-                        self.policy.backoff_for(
-                            outcome.attempts, self._jitter_rng.random()
-                        )
-                    )
-                    continue
-                break
-            if on_complete is not None:
-                on_complete(index)
-        return outcomes
 
     # -- process-pool mode ---------------------------------------------------
 

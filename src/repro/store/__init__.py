@@ -21,17 +21,15 @@ Layering (see ``docs/ARCHITECTURE.md``)::
   log (``riskybiz-changelog/1``) with per-consumer watermarks that the
   incremental detection engine consumes;
 * :mod:`repro.store.dataset` — dataset files + manifests, and the
-  :class:`~repro.store.dataset.DatasetView`/:class:`~repro.store.dataset.ShardSpec`
-  pair the sharded detection pipeline consumes;
+  :class:`~repro.store.dataset.DeltaView` the incremental detection
+  engine consumes;
 * :mod:`repro.store.artifacts` — the content-addressed artifact cache
   (digest-keyed, disk-persisted, bounded in-memory LRU);
 * :mod:`repro.store.atomic` — crash-safe writes (temp → fsync →
   rename) and checksummed JSON manifests; every manifest, checkpoint,
   and journal write routes through it (lint rule ``DET008``);
 * :mod:`repro.store.verify` — the read-only integrity walker behind
-  ``riskybiz verify-data``;
-* :mod:`repro.store.bench` — the store/pipeline benchmark harness that
-  writes ``BENCH_store.json``.
+  ``riskybiz verify-data``.
 """
 
 from repro.store.artifacts import (
@@ -63,9 +61,7 @@ from repro.store.changelog import (
 )
 from repro.store.dataset import (
     DATASET_FORMAT,
-    DatasetView,
     DeltaView,
-    ShardSpec,
     load_manifest,
     open_dataset,
     rebuild_manifest,
@@ -88,7 +84,6 @@ __all__ = [
     "ChangelogCorruption",
     "DATASET_FORMAT",
     "DELTA_KINDS",
-    "DatasetView",
     "DelegationRecord",
     "DelegationStore",
     "DeltaEvent",
@@ -98,7 +93,6 @@ __all__ = [
     "group_batches",
     "MemoryDelegationStore",
     "PresenceHistory",
-    "ShardSpec",
     "SqliteDelegationStore",
     "atomic_write_bytes",
     "atomic_write_json",

@@ -1,4 +1,4 @@
-"""On-disk datasets, their manifests, and sharded views over them.
+"""On-disk datasets, their manifests, and windowed delta views.
 
 A *dataset* is one SQLite delegation store plus a JSON manifest sidecar
 that records the scenario digest it was produced from — so a later
@@ -6,18 +6,16 @@ that records the scenario digest it was produced from — so a later
 it thinks it is (and ``riskybiz lint`` can flag manifests that lost
 their digest).
 
-A :class:`DatasetView` is what the detection pipeline's stages consume:
-a zone database + WHOIS archive scoped to one :class:`ShardSpec` — a
-deterministic per-nameserver partition assigned via
-:func:`~repro.faults.rng.stable_hash`, so shard membership is stable
-across processes and runs.
+A :class:`DeltaView` is what the incremental detection engine consumes:
+a dataset's recorded delta stream, windowed by batch day and grouped
+into per-day batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.store.atomic import (
     file_sha256,
@@ -29,7 +27,6 @@ from repro.store.changelog import DeltaEvent, group_batches
 from repro.store.sqlite import SqliteDelegationStore
 
 if TYPE_CHECKING:
-    from repro.whois.archive import WhoisArchive
     from repro.zonedb.database import IngestPolicy, ZoneDatabase
 
 #: Format tag carried by dataset manifest sidecars.
@@ -37,77 +34,6 @@ DATASET_FORMAT = "riskybiz-dataset/1"
 
 #: Store metadata key holding the producing scenario's digest.
 SCENARIO_DIGEST_KEY = "scenario_digest"
-
-
-@dataclass(frozen=True, slots=True)
-class ShardSpec:
-    """One deterministic nameserver shard out of ``count``.
-
-    Assignment is ``stable_hash(ns) % count == index``: process-stable,
-    backend-independent, and a true partition (every nameserver belongs
-    to exactly one shard).
-    """
-
-    index: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"shard count must be >= 1, got {self.count}")
-        if not 0 <= self.index < self.count:
-            raise ValueError(
-                f"shard index {self.index} outside [0, {self.count})"
-            )
-
-    def owns(self, ns: str) -> bool:
-        """True if ``ns`` belongs to this shard."""
-        # Imported lazily: repro.faults pulls in the resolver stack, which
-        # itself imports the zonedb façade built on this package.
-        from repro.faults.rng import stable_hash
-
-        return stable_hash(ns) % self.count == self.index
-
-    @classmethod
-    def partition(cls, count: int) -> tuple["ShardSpec", ...]:
-        """All shards of a ``count``-way partition, in index order."""
-        if count < 1:
-            raise ValueError(f"shard count must be >= 1, got {count}")
-        return tuple(cls(index, count) for index in range(count))
-
-
-@dataclass(frozen=True)
-class DatasetView:
-    """The slice of a dataset one pipeline stage run consumes.
-
-    With ``shard is None`` the view is the whole dataset; otherwise
-    nameserver iteration (and the population count) is restricted to the
-    shard. Domain-side and WHOIS lookups are never shard-filtered: a
-    shard owns *nameservers*, but classifying one may require the full
-    delegation history of any domain that referenced it.
-    """
-
-    zonedb: "ZoneDatabase"
-    whois: "WhoisArchive"
-    shard: ShardSpec | None = None
-
-    def nameservers(self) -> Iterator[str]:
-        """Nameservers in this view, in the backend's iteration order."""
-        if self.shard is None:
-            yield from self.zonedb.all_nameservers()
-            return
-        for ns in self.zonedb.all_nameservers():
-            if self.shard.owns(ns):
-                yield ns
-
-    def nameserver_count(self) -> int:
-        """Number of nameservers in this view (shard population)."""
-        if self.shard is None:
-            return self.zonedb.nameserver_count()
-        return sum(1 for _ in self.nameservers())
-
-    def scenario_digest(self) -> str | None:
-        """Digest of the scenario this dataset was produced from."""
-        return self.zonedb.store.get_meta(SCENARIO_DIGEST_KEY)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Walks the three kinds of durable state the tool chain writes — datasets
 (SQLite file + checksummed manifest), artifact caches (pickles +
-checksummed manifests), and run directories (journal + checkpoints +
-merged result) — recomputing every recorded SHA-256 and reporting what
+checksummed manifests), and run directories (journal + checkpoint +
+result) — recomputing every recorded SHA-256 and reporting what
 does not verify. Verification is read-only: nothing is quarantined or
 rewritten here (the loaders do that lazily); this module only *reports*,
 so it is safe to run against live data.
@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.store.atomic import (
     IntegrityError,
@@ -30,7 +29,7 @@ from repro.store.atomic import (
 )
 
 if TYPE_CHECKING:
-    from repro.runner.journal import RunJournal
+    from repro.runner.journal import JournalRecord
 
 #: Issue kinds, for tests and tooling (values double as report labels).
 MISSING = "missing"
@@ -216,25 +215,31 @@ def verify_artifact_dir(root: str | Path) -> list[Issue]:
 # -- run directories ---------------------------------------------------------
 
 
-def _verify_engine_checkpoint(journal: "RunJournal", path: Path) -> list[Issue]:
-    """Check an incremental run's engine checkpoint against its last drain."""
-    from repro.detection.incremental import load_engine_state
+def _verify_checkpoint(
+    path: Path,
+    record: "JournalRecord | None",
+    load: "Callable[[bytes], object]",
+) -> list[Issue]:
+    """Check one checkpoint against the journal record that hashed it.
 
-    drain = journal.last_drain
-    if drain is None:
+    ``record`` is the newest record describing the checkpoint (None:
+    nothing durable to check); ``load`` is the loader that must accept
+    the bytes.
+    """
+    if record is None:
         return []
     if not path.exists():
         return [
             Issue(
                 MISSING,
                 str(path),
-                f"day {drain.payload.get('day')} journaled but the engine "
+                f"{record.type} record {record.seq} journaled but the "
                 "checkpoint is missing",
             )
         ]
     data = path.read_bytes()
     actual = hashlib.sha256(data).hexdigest()
-    recorded = drain.payload.get("checkpoint_sha256")
+    recorded = record.payload.get("checkpoint_sha256")
     if recorded is not None and actual != recorded:
         return [
             Issue(
@@ -244,9 +249,9 @@ def _verify_engine_checkpoint(journal: "RunJournal", path: Path) -> list[Issue]:
             )
         ]
     try:
-        load_engine_state(data)
+        load(data)
     except Exception as error:
-        return [Issue(CORRUPT, str(path), f"unreadable engine checkpoint: {error}")]
+        return [Issue(CORRUPT, str(path), f"unreadable checkpoint: {error}")]
     return []
 
 
@@ -254,15 +259,19 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     """Verify a run directory: journal, checkpoints, result.
 
     Replays the journal (reporting corruption rather than raising),
-    recomputes every checkpoint SHA-256 the journal recorded for a
-    completed shard or for the incremental engine's newest drain, and
-    — when the run durably completed — verifies the merged result's
-    bytes and manifest.
+    recomputes the SHA-256 the journal recorded for each checkpoint —
+    a batch run's stage state against its newest ``stage-complete``, an
+    incremental run's engine against its newest drain, both counted
+    from the last reset — and, when the run durably completed, verifies
+    the result's bytes and manifest.
     """
+    from repro.detection.incremental import load_engine_state
+    from repro.detection.pipeline import load_pipeline_state
     from repro.runner.execution import (
         CHECKPOINT_DIR_NAME,
         ENGINE_CHECKPOINT_NAME,
         JOURNAL_NAME,
+        PIPELINE_CHECKPOINT_NAME,
         RESULT_MANIFEST_NAME,
         RESULT_NAME,
     )
@@ -279,39 +288,21 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
         return [Issue(CORRUPT, str(journal_path), str(error))]
 
     checkpoint_dir = directory / CHECKPOINT_DIR_NAME
+    stages = journal.completed_stages()
     issues.extend(
-        _verify_engine_checkpoint(journal, checkpoint_dir / ENGINE_CHECKPOINT_NAME)
+        _verify_checkpoint(
+            checkpoint_dir / PIPELINE_CHECKPOINT_NAME,
+            stages[-1] if stages else None,
+            load_pipeline_state,
+        )
     )
-    for index, payload in sorted(journal.completed_shards().items()):
-        recorded = payload.get("checkpoint_sha256")
-        matches = sorted(checkpoint_dir.glob(f"shard-{index:04d}-of-*.pkl"))
-        if not matches:
-            issues.append(
-                Issue(
-                    MISSING,
-                    str(checkpoint_dir),
-                    f"shard {index} journaled complete but has no checkpoint",
-                )
-            )
-            continue
-        for path in matches:
-            actual = file_sha256(path)
-            if recorded is not None and actual != recorded:
-                issues.append(
-                    Issue(
-                        HASH_MISMATCH,
-                        str(path),
-                        f"bytes hash {actual[:12]}…, journal says "
-                        f"{str(recorded)[:12]}…",
-                    )
-                )
-            else:
-                try:
-                    pickle.loads(path.read_bytes())
-                except Exception as error:
-                    issues.append(
-                        Issue(CORRUPT, str(path), f"unreadable checkpoint: {error}")
-                    )
+    issues.extend(
+        _verify_checkpoint(
+            checkpoint_dir / ENGINE_CHECKPOINT_NAME,
+            journal.last_drain,
+            load_engine_state,
+        )
+    )
 
     complete = journal.run_complete
     if complete is not None:

@@ -124,13 +124,12 @@ class TestSimulateDetectRoundTrip:
         self, simulated, tmp_path, capsys
     ):
         """detect over the simulate-written SQLite dataset, no shared
-        in-process world: sharded run, pipeline artifact cached."""
+        in-process world: one unsharded pass, pipeline artifact cached."""
         cache_dir = tmp_path / "cache"
         argv = [
             "detect",
             "--dataset", str(simulated / "dataset.sqlite"),
             "--whois", str(simulated / "whois.jsonl"),
-            "--shards", "3",
             "--cache-dir", str(cache_dir),
         ]
         assert main(argv) == 0
@@ -144,6 +143,32 @@ class TestSimulateDetectRoundTrip:
         # identical report.
         assert main(argv) == 0
         assert capsys.readouterr().out == captured.out
+
+
+class TestDetectRunDir:
+    def test_resume_over_another_dataset_is_refused(
+        self, tiny_bundle, tmp_path, capsys
+    ):
+        """A run directory fingerprints its inputs: resuming it over a
+        different dataset fails loudly instead of reusing its result."""
+        from repro.runner.execution import JOURNAL_NAME
+        from repro.runner.journal import RunJournal
+        from repro.store.dataset import write_dataset
+
+        first, second = tmp_path / "first.sqlite", tmp_path / "second.sqlite"
+        write_dataset(tiny_bundle.world.zonedb, first, scenario_digest="aa" * 32)
+        write_dataset(tiny_bundle.world.zonedb, second, scenario_digest="bb" * 32)
+        run_dir = tmp_path / "run"
+        assert main([
+            "detect", "--dataset", str(first), "--run-dir", str(run_dir),
+        ]) == 0
+        run_id = RunJournal.open(run_dir / JOURNAL_NAME).run_id
+        capsys.readouterr()
+        assert main([
+            "detect", "--dataset", str(second), "--run-dir", str(run_dir),
+            "--resume", run_id,
+        ]) == 1
+        assert "run inputs changed" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

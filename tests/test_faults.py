@@ -2,8 +2,7 @@
 
 Covers the FaultConfig/RetryPolicy value types (including the scenario
 JSON round-trip), the three injectors, the resolver's retry/timeout
-semantics against flaky servers, and the detection pipeline's
-stage-checkpoint resume.
+semantics against flaky servers, and gap-bridging ingestion.
 """
 
 from __future__ import annotations
@@ -465,29 +464,3 @@ class TestIngestGapBridging:
             db.ingest_snapshot(
                 self._snapshot(0, {"a.biz": ["ns1..host.com"]})
             )
-
-
-class TestPipelineCheckpoint:
-    def test_kill_and_resume_yields_identical_result(self, tiny_bundle, tmp_path):
-        from repro.detection.pipeline import DetectionPipeline
-
-        zonedb = tiny_bundle.world.zonedb
-        whois = tiny_bundle.world.whois
-        baseline = DetectionPipeline(zonedb, whois).run()
-
-        checkpoint = tmp_path / "pipeline.pkl"
-        killed = DetectionPipeline(zonedb, whois)
-
-        def boom(view, state):
-            raise RuntimeError("killed mid-run")
-
-        killed._stage_single_repo = boom
-        with pytest.raises(RuntimeError):
-            killed.run(checkpoint_path=checkpoint)
-        assert checkpoint.exists()
-
-        resumed = DetectionPipeline(zonedb, whois).run(checkpoint_path=checkpoint)
-        assert [s.name for s in resumed.sacrificial] == [
-            s.name for s in baseline.sacrificial
-        ]
-        assert resumed.funnel == baseline.funnel

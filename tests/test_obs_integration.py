@@ -7,19 +7,16 @@ The telemetry plane's contract with the determinism story:
 * a traced run emits ``trace.jsonl`` and ``metrics.json`` that validate
   against the telemetry schemas;
 * a kill-and-resume chaos trial converges on the same canonical trace
-  content as the uninterrupted baseline;
-* in the process-pool backend, every ``supervisor.retry`` trace event
-  matches a journaled ``shard-start`` re-attempt one-for-one.
+  content as the uninterrupted baseline.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.faults.process import ChaosMonkey, ProcessChaosConfig
+from repro.detection.pipeline import DetectionPipeline
 from repro.obs.schema import validate_metrics_file, validate_trace_file
 from repro.obs.tracer import canonical_spans, read_trace, trace_content_digest
 from repro.runner.chaos_harness import run_kill_resume_trial
@@ -28,12 +25,9 @@ from repro.runner.execution import (
     TRACE_NAME,
     run_supervised_detection,
 )
-from repro.runner.journal import RunJournal
-from repro.runner.supervisor import SupervisorPolicy
 
 SCALE = 0.06
 SEED = 2021
-SHARDS = 2
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +41,12 @@ def world():
 class TestTracingIsContentNeutral:
     def test_trace_on_off_bit_identical(self, world, tmp_path):
         plain = run_supervised_detection(
-            world.zonedb, world.whois, run_dir=tmp_path / "plain", shards=SHARDS
+            world.zonedb, world.whois, run_dir=tmp_path / "plain"
         )
         traced = run_supervised_detection(
             world.zonedb,
             world.whois,
             run_dir=tmp_path / "traced",
-            shards=SHARDS,
             trace=True,
         )
         assert traced.result_digest == plain.result_digest
@@ -67,7 +60,6 @@ class TestTracingIsContentNeutral:
             world.zonedb,
             world.whois,
             run_dir=tmp_path / "run",
-            shards=SHARDS,
             trace=True,
             profile=True,
         )
@@ -78,15 +70,13 @@ class TestTracingIsContentNeutral:
 
         records = read_trace(trace_path)
         paths = [span["path"] for span in canonical_spans(records)]
-        assert "run" in paths and "run/merge" in paths
-        for shard in range(SHARDS):
-            assert f"run/shard-{shard}/candidates" in paths
-            assert f"run/shard-{shard}/match" in paths
+        assert "run" in paths
+        for stage in DetectionPipeline.STAGES:
+            assert f"run/{stage}" in paths
 
         document = json.loads(metrics_path.read_text(encoding="utf-8"))
         counters = document["counters"]
-        assert counters["runner.shards_completed"] == SHARDS
-        assert counters["pipeline.stage_runs.candidates"] == SHARDS
+        assert counters["pipeline.stage_runs.candidates"] == 1
         assert any(
             name.startswith("pipeline.stage.") for name in document["histograms"]
         )
@@ -101,7 +91,6 @@ class TestTracingIsContentNeutral:
                 world.zonedb,
                 world.whois,
                 run_dir=tmp_path / name,
-                shards=SHARDS,
                 trace=True,
             )
         first = read_trace(tmp_path / "first" / TRACE_NAME)
@@ -116,7 +105,6 @@ class TestChaosTraceConvergence:
             scale=SCALE,
             seed=SEED,
             backend="memory",
-            shards=3,
             chaos_seed=7,
             max_kills=4,
             trace=True,
@@ -129,65 +117,3 @@ class TestChaosTraceConvergence:
             report.chaos_trace_digest,
         )
         assert report.passed, report.verify_issues
-
-
-class TestProcessPoolRetryEvents:
-    def test_journal_and_trace_agree_on_retries(self, world, tmp_path):
-        """Satellite check: every supervisor.retry event is journaled.
-
-        With a kill-everything worker chaos config, each shard's first
-        attempt dies and is respawned; the journal records the respawn
-        as a ``shard-start`` with ``attempt > 1`` and the trace records
-        a ``supervisor.retry`` event — the two must match pairwise.
-        """
-        from repro.ecosystem.config import default_scenario
-        from repro.store.artifacts import scenario_digest
-        from repro.store.dataset import open_dataset, write_dataset
-        from repro.whois.archive import WhoisArchive
-
-        config = default_scenario(SEED).scaled(SCALE)
-        dataset_path = write_dataset(
-            world.zonedb,
-            tmp_path / "dataset.sqlite",
-            scenario_digest=scenario_digest(config),
-        )
-        whois_path = tmp_path / "whois.jsonl"
-        world.whois.dump(whois_path)
-
-        run_dir = tmp_path / "run"
-        supervised = run_supervised_detection(
-            open_dataset(dataset_path),
-            WhoisArchive.load(whois_path),
-            run_dir=run_dir,
-            shards=SHARDS,
-            policy=SupervisorPolicy(
-                workers=2, max_retries=2, backoff_base_s=0.01,
-                heartbeat_timeout_s=60.0, poll_interval_s=0.01,
-            ),
-            chaos=ChaosMonkey(ProcessChaosConfig(seed=3, kill_worker_rate=1.0)),
-            dataset_path=dataset_path,
-            whois_path=whois_path,
-            trace=True,
-        )
-        assert all(o.retried for o in supervised.outcomes.values())
-
-        journal = RunJournal.open(run_dir / "journal.jsonl")
-        journaled_retries = sorted(
-            (int(r.payload["shard"]), int(r.payload["attempt"]))
-            for r in journal.records
-            if r.type == "shard-start" and int(r.payload.get("attempt", 1)) > 1
-        )
-        assert journaled_retries  # chaos actually killed something
-
-        records = read_trace(run_dir / TRACE_NAME)
-        traced_retries = sorted(
-            (int(r.payload["shard"]), int(r.payload["attempt"]))
-            for r in records
-            if r.type == "event" and r.payload["name"] == "supervisor.retry"
-        )
-        assert traced_retries == journaled_retries
-        spawns = [
-            r for r in records
-            if r.type == "event" and r.payload["name"] == "supervisor.spawn"
-        ]
-        assert len(spawns) == SHARDS + len(journaled_retries)

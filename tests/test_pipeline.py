@@ -98,6 +98,26 @@ class TestFunnel:
         assert all(isinstance(count, int) for _label, count in rows)
 
 
+class TestReopenedDataset:
+    def test_reopened_sqlite_dataset_matches(self, tiny_bundle, tmp_path):
+        """simulate → write dataset → reopen → detect: identical result."""
+        from repro.runner.execution import result_fingerprint
+        from repro.store.artifacts import scenario_digest
+        from repro.store.dataset import open_dataset, write_dataset
+
+        world = tiny_bundle.world
+        path = tmp_path / "dataset.sqlite"
+        write_dataset(
+            world.zonedb, path, scenario_digest=scenario_digest(world.config)
+        )
+        reopened = DetectionPipeline(
+            open_dataset(path), world.whois, mine_patterns=False
+        ).run()
+        assert result_fingerprint(reopened) == result_fingerprint(
+            tiny_bundle.pipeline
+        )
+
+
 class TestPatternMining:
     def test_miner_discovers_known_idioms(self, tiny_bundle):
         result = DetectionPipeline(

@@ -50,14 +50,16 @@ class TestReplay:
             "run-start", "shard-start", "shard-complete",
         ]
 
-    def test_completed_shards_and_stages(self, journal):
-        journal.append("stage-complete", shard=0, stage="candidates")
-        journal.append("stage-complete", shard=0, stage="test-filter")
-        journal.append("stage-complete", shard=1, stage="candidates")
-        journal.append("shard-complete", shard=0, checkpoint_sha256="aa")
-        assert list(journal.completed_shards()) == [0]
-        assert journal.completed_stages(0) == ["candidates", "test-filter"]
-        assert journal.completed_stages(1) == ["candidates"]
+    def test_completed_stages_since_last_reset(self, journal):
+        journal.append("stage-complete", stage="candidates")
+        journal.append("pipeline-reset", reason="checkpoint-missing")
+        journal.append("stage-complete", stage="candidates")
+        journal.append("stage-complete", stage="mine")
+        stages = journal.completed_stages()
+        assert [r.payload["stage"] for r in stages] == ["candidates", "mine"]
+        assert [r.seq for r in stages] == [3, 4]
+        journal.append("pipeline-reset", reason="checkpoint-unreadable")
+        assert journal.completed_stages() == []
 
     def test_run_complete_property(self, journal):
         assert journal.run_complete is None

@@ -1,35 +1,29 @@
 """Kill-anywhere + resume = bit-identical, on both store backends.
 
 The exhaustive test enumerates every chaos boundary a supervised run
-crosses (worker stage boundaries, supervisor journal appends, torn
-journal writes) and kills the run at each one in turn; every resumed
-run must reproduce the uninterrupted result digest exactly and leave a
-run directory that verifies clean. The randomized trials drive the
+crosses (stage boundaries, journal appends, torn journal writes) and
+kills the run at each one in turn; every resumed run must reproduce the
+uninterrupted result digest exactly and leave a run directory that
+verifies clean. The randomized trials drive the
 same claim through the seeded harness with a full kill budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
-from repro.faults.process import (
-    KILL_EXIT_CODE,
-    ChaosKill,
-    ChaosMonkey,
-    ProcessChaosConfig,
-)
+from repro.detection.pipeline import DetectionPipeline
+from repro.faults.process import ChaosKill
 from repro.runner.chaos_harness import BACKENDS, run_kill_resume_trial
 from repro.runner.execution import run_supervised_detection
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import RunFailed, SupervisorPolicy
+from repro.runner.supervisor import RunFailed
 from repro.store.verify import verify_run_dir
 
 SCALE = 0.06
 SEED = 2021
-SHARDS = 2
 
 
 class BoundaryKiller:
@@ -43,11 +37,13 @@ class BoundaryKiller:
     def __init__(self, nth: int | None = None) -> None:
         self.nth = nth
         self.crossed = 0
+        self.sites: set[str] = set()
         self.killed_at: tuple[str, str] | None = None
 
     def _cross(self, site: str, label: str) -> bool:
         index = self.crossed
         self.crossed += 1
+        self.sites.add(site)
         if self.nth is not None and self.killed_at is None and index == self.nth:
             self.killed_at = (site, label)
             return True
@@ -72,8 +68,6 @@ class Inputs:
     backend: str
     zonedb: object
     whois: object
-    dataset_path: Path | None
-    whois_path: Path | None
 
 
 @pytest.fixture(scope="module")
@@ -101,18 +95,14 @@ def sqlite_inputs(world, tmp_path_factory):
     whois_path = root / "whois.jsonl"
     world.whois.dump(whois_path)
     return Inputs(
-        "sqlite",
-        open_dataset(dataset_path),
-        WhoisArchive.load(whois_path),
-        dataset_path,
-        whois_path,
+        "sqlite", open_dataset(dataset_path), WhoisArchive.load(whois_path)
     )
 
 
 @pytest.fixture(scope="module", params=list(BACKENDS))
 def inputs(request, world, sqlite_inputs):
     if request.param == "memory":
-        return Inputs("memory", world.zonedb, world.whois, None, None)
+        return Inputs("memory", world.zonedb, world.whois)
     return sqlite_inputs
 
 
@@ -120,7 +110,7 @@ def inputs(request, world, sqlite_inputs):
 def baseline(inputs, tmp_path_factory):
     run_dir = tmp_path_factory.mktemp(f"baseline-{inputs.backend}")
     return run_supervised_detection(
-        inputs.zonedb, inputs.whois, run_dir=run_dir / "run", shards=SHARDS
+        inputs.zonedb, inputs.whois, run_dir=run_dir / "run"
     )
 
 
@@ -133,12 +123,12 @@ class TestKillAnywhere:
             inputs.zonedb,
             inputs.whois,
             run_dir=tmp_path / "probe",
-            shards=SHARDS,
             chaos=probe,
         )
         total = probe.crossed
         # Sanity: the sweep actually covers stage, append, and torn sites.
-        assert total > 3 * SHARDS
+        assert probe.sites == {"worker", "supervisor", "torn"}
+        assert total > 3 * len(DetectionPipeline.STAGES)
 
         for nth in range(total):
             killer = BoundaryKiller(nth=nth)
@@ -148,7 +138,6 @@ class TestKillAnywhere:
                     inputs.zonedb,
                     inputs.whois,
                     run_dir=run_dir,
-                    shards=SHARDS,
                     chaos=killer,
                 )
             assert killer.killed_at is not None
@@ -157,7 +146,6 @@ class TestKillAnywhere:
                 inputs.zonedb,
                 inputs.whois,
                 run_dir=run_dir,
-                shards=SHARDS,
                 resume=run_id,
             )
             assert resumed.result_digest == baseline.result_digest, (
@@ -176,7 +164,6 @@ class TestRandomizedTrials:
             scale=SCALE,
             seed=SEED,
             backend=backend,
-            shards=3,
             chaos_seed=7,
             max_kills=5,
         )
@@ -186,79 +173,74 @@ class TestRandomizedTrials:
         assert report.passed, report.verify_issues
 
 
-class TestProcessPoolChaos:
-    def test_real_crashes_retry_to_bit_identical(self, sqlite_inputs, tmp_path):
-        inline = run_supervised_detection(
-            sqlite_inputs.zonedb,
-            sqlite_inputs.whois,
-            run_dir=tmp_path / "inline",
-            shards=2,
-        )
-        monkey = ChaosMonkey(
-            ProcessChaosConfig(seed=3, kill_worker_rate=1.0)
-        )
-        policy = SupervisorPolicy(
-            workers=2, max_retries=2, backoff_base_s=0.01,
-            heartbeat_timeout_s=60.0, poll_interval_s=0.01,
-        )
-        supervised = run_supervised_detection(
-            sqlite_inputs.zonedb,
-            sqlite_inputs.whois,
-            run_dir=tmp_path / "procs",
-            shards=2,
-            policy=policy,
-            chaos=monkey,
-            dataset_path=sqlite_inputs.dataset_path,
-            whois_path=sqlite_inputs.whois_path,
-        )
-        assert supervised.result_digest == inline.result_digest
-        assert all(o.attempts == 2 for o in supervised.outcomes.values())
-        assert all(
-            o.crashes == [f"exit code {KILL_EXIT_CODE}"]
-            for o in supervised.outcomes.values()
-        )
-        assert not [str(issue) for issue in verify_run_dir(tmp_path / "procs")]
-
-
 class TestResumeSemantics:
     def _run(self, inputs, run_dir, **kwargs):
         return run_supervised_detection(
-            inputs.zonedb, inputs.whois, run_dir=run_dir, shards=SHARDS, **kwargs
+            inputs.zonedb, inputs.whois, run_dir=run_dir, **kwargs
         )
 
     def test_completed_run_replays_without_reexecution(self, world, tmp_path):
-        inputs = Inputs("memory", world.zonedb, world.whois, None, None)
+        inputs = Inputs("memory", world.zonedb, world.whois)
         first = self._run(inputs, tmp_path / "run")
+        journaled = len(RunJournal.open(first.journal_path).records)
         replay = self._run(inputs, tmp_path / "run", resume=first.run_id)
         assert replay.resumed
-        assert replay.outcomes == {}
+        assert len(RunJournal.open(first.journal_path).records) == journaled
         assert replay.result_digest == first.result_digest
 
     def test_existing_journal_requires_resume(self, world, tmp_path):
-        inputs = Inputs("memory", world.zonedb, world.whois, None, None)
+        inputs = Inputs("memory", world.zonedb, world.whois)
         self._run(inputs, tmp_path / "run")
         with pytest.raises(RunFailed, match="already holds a journal"):
             self._run(inputs, tmp_path / "run")
 
     def test_resume_rejects_wrong_run_id(self, world, tmp_path):
-        inputs = Inputs("memory", world.zonedb, world.whois, None, None)
+        inputs = Inputs("memory", world.zonedb, world.whois)
         self._run(inputs, tmp_path / "run")
         with pytest.raises(RunFailed, match="belongs to"):
             self._run(inputs, tmp_path / "run", resume="run-bogus")
 
     def test_resume_without_journal_fails(self, world, tmp_path):
-        inputs = Inputs("memory", world.zonedb, world.whois, None, None)
+        inputs = Inputs("memory", world.zonedb, world.whois)
         with pytest.raises(RunFailed, match="nothing to resume"):
             self._run(inputs, tmp_path / "run", resume="run-bogus")
 
+    def test_checkpoint_the_journal_did_not_hash_is_reset(self, world, tmp_path):
+        """A checkpoint that still loads but is not the one the newest
+        stage-complete hashed is quarantined, and the stages rerun."""
+        from repro.detection.pipeline import (
+            dump_pipeline_state,
+            load_pipeline_state,
+        )
+        from repro.runner.execution import (
+            CHECKPOINT_DIR_NAME,
+            PIPELINE_CHECKPOINT_NAME,
+            RESULT_NAME,
+        )
+
+        inputs = Inputs("memory", world.zonedb, world.whois)
+        first = self._run(inputs, tmp_path / "run")
+        checkpoint = (
+            tmp_path / "run" / CHECKPOINT_DIR_NAME / PIPELINE_CHECKPOINT_NAME
+        )
+        state = load_pipeline_state(checkpoint.read_bytes())
+        state["funnel"].candidates += 1
+        checkpoint.write_bytes(dump_pipeline_state(state))
+        (tmp_path / "run" / RESULT_NAME).unlink()
+
+        resumed = self._run(inputs, tmp_path / "run", resume=first.run_id)
+        assert resumed.result_digest == first.result_digest
+        resets = list(RunJournal.open(first.journal_path).events("pipeline-reset"))
+        assert [r.payload["reason"] for r in resets] == ["checkpoint-mismatch"]
+
     def test_resume_detects_changed_inputs(self, world, tmp_path):
-        inputs = Inputs("memory", world.zonedb, world.whois, None, None)
+        inputs = Inputs("memory", world.zonedb, world.whois)
         first = self._run(inputs, tmp_path / "run")
         with pytest.raises(RunFailed, match="run inputs changed"):
             run_supervised_detection(
                 inputs.zonedb,
                 inputs.whois,
                 run_dir=tmp_path / "run",
-                shards=SHARDS + 1,
+                mine_patterns=False,
                 resume=first.run_id,
             )

@@ -1,4 +1,4 @@
-"""RunSupervisor: retries, backoff, kill propagation, real process crashes."""
+"""RunSupervisor: retries, backoff, real process crashes, chaos streams."""
 
 from __future__ import annotations
 
@@ -36,50 +36,6 @@ class TestPolicy:
         policy = SupervisorPolicy(backoff_base_s=0.1)
         assert policy.backoff_for(1, 0.0) == pytest.approx(0.05)
         assert policy.backoff_for(1, 0.999) == pytest.approx(0.15, abs=0.001)
-
-
-class TestInline:
-    def test_runs_every_shard_in_order(self):
-        seen: list[int] = []
-        outcomes = RunSupervisor(FAST).run_inline([2, 0, 1], seen.append)
-        assert seen == [2, 0, 1]
-        assert all(o.attempts == 1 for o in outcomes.values())
-
-    def test_retries_exceptions_until_success(self):
-        failures = {0: 2}
-
-        def execute(index: int) -> None:
-            if failures.get(index, 0) > 0:
-                failures[index] -= 1
-                raise RuntimeError("transient")
-
-        outcomes = RunSupervisor(FAST).run_inline([0, 1], execute)
-        assert outcomes[0].attempts == 3
-        assert outcomes[0].retried
-        assert outcomes[1].attempts == 1
-
-    def test_exhausted_budget_raises_run_failed(self):
-        def execute(index: int) -> None:
-            raise RuntimeError("permanent")
-
-        with pytest.raises(RunFailed):
-            RunSupervisor(FAST).run_inline([0], execute)
-
-    def test_chaos_kill_is_not_absorbed(self):
-        """A simulated SIGKILL must never be treated as a retryable error."""
-
-        def execute(index: int) -> None:
-            raise ChaosKill("worker", "shard-0:candidates")
-
-        with pytest.raises(ChaosKill):
-            RunSupervisor(FAST).run_inline([0], execute)
-
-    def test_on_complete_called_per_success(self):
-        completed: list[int] = []
-        RunSupervisor(FAST).run_inline(
-            [0, 1], lambda index: None, on_complete=completed.append
-        )
-        assert completed == [0, 1]
 
 
 def _worker_ok(index: int, attempt: int, heartbeats) -> None:

@@ -9,10 +9,12 @@ import shutil
 
 import pytest
 
+from repro.faults.process import ChaosKill
 from repro.runner.execution import (
     CHECKPOINT_DIR_NAME,
     ENGINE_CHECKPOINT_NAME,
     JOURNAL_NAME,
+    PIPELINE_CHECKPOINT_NAME,
 )
 from repro.runner.journal import RunJournal
 from repro.store.atomic import verify_checked_json, write_checked_json
@@ -141,10 +143,7 @@ def run_dir(tmp_path_factory, tiny_bundle):
 
     directory = tmp_path_factory.mktemp("verify-run") / "run"
     run_supervised_detection(
-        tiny_bundle.world.zonedb,
-        tiny_bundle.world.whois,
-        run_dir=directory,
-        shards=2,
+        tiny_bundle.world.zonedb, tiny_bundle.world.whois, run_dir=directory
     )
     return directory
 
@@ -191,6 +190,83 @@ class TestVerifyRunDir:
         body["result_digest"] = "0" * 64
         write_checked_json(manifest_file, body)
         assert INCONSISTENT in kinds(verify_run_dir(run_copy))
+
+
+class _KillAt:
+    """Duck-typed chaos monkey that dies at one stage boundary."""
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+
+    def worker_boundary(self, label: str) -> None:
+        if label == self.label:
+            raise ChaosKill("worker", label)
+
+    def supervisor_boundary(self, label: str) -> None:
+        pass
+
+    def torn_write(self, data: bytes) -> None:
+        return None
+
+
+@pytest.fixture
+def killed_run(tiny_bundle, tmp_path):
+    """A batch run killed right after journaling its pattern-sweep stage."""
+    from repro.runner.execution import run_supervised_detection
+
+    directory = tmp_path / "killed"
+    with pytest.raises(ChaosKill):
+        run_supervised_detection(
+            tiny_bundle.world.zonedb,
+            tiny_bundle.world.whois,
+            run_dir=directory,
+            mine_patterns=False,
+            chaos=_KillAt("stage:single-repo"),
+        )
+    return directory
+
+
+class TestVerifyUnfinishedBatchRun:
+    def _checkpoint(self, run_dir):
+        return run_dir / CHECKPOINT_DIR_NAME / PIPELINE_CHECKPOINT_NAME
+
+    def test_killed_run_verifies(self, killed_run):
+        stages = RunJournal.open(killed_run / JOURNAL_NAME).completed_stages()
+        assert stages[-1].payload["stage"] == "pattern-sweep"
+        assert verify_run_dir(killed_run) == []
+
+    def test_flipped_checkpoint_byte_exits_one(self, killed_run, capsys):
+        from repro.cli import main
+
+        checkpoint = self._checkpoint(killed_run)
+        data = bytearray(checkpoint.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        checkpoint.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["verify-data", "--run-dir", str(killed_run)]) == 1
+        assert HASH_MISMATCH in capsys.readouterr().out
+
+    def test_missing_checkpoint(self, killed_run):
+        self._checkpoint(killed_run).unlink()
+        assert kinds(verify_run_dir(killed_run)) == [MISSING]
+
+    def test_unloadable_checkpoint(self, tmp_path):
+        data = b"not a pickle"
+        checkpoint = self._checkpoint(tmp_path)
+        checkpoint.parent.mkdir()
+        checkpoint.write_bytes(data)
+        journal = RunJournal.create(tmp_path / JOURNAL_NAME, "run-verify")
+        journal.append(
+            "stage-complete", stage="candidates",
+            checkpoint_sha256=hashlib.sha256(data).hexdigest(),
+        )
+        assert kinds(verify_run_dir(tmp_path)) == [CORRUPT]
+
+    def test_reset_leaves_nothing_to_check(self, killed_run):
+        self._checkpoint(killed_run).unlink()
+        journal = RunJournal.open(killed_run / JOURNAL_NAME)
+        journal.append("pipeline-reset", reason="checkpoint-missing")
+        assert verify_run_dir(killed_run) == []
 
 
 @pytest.fixture
