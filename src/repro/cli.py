@@ -923,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     advance.add_argument(
         "--mine-patterns", action="store_true",
-        help="also maintain the substring pattern miner's standing counts",
+        help="also maintain the substring pattern miner's standing name multiset",
     )
     advance.set_defaults(func=cmd_advance)
 

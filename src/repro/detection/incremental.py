@@ -63,11 +63,7 @@ from repro.detection.pipeline import (
 )
 from repro.detection.repository_check import RepositoryMap, SingleRepositoryFilter
 from repro.detection.resolvability import ResolvabilityAnalyzer
-from repro.detection.substrings import (
-    SubstringCounter,
-    _select_patterns,
-    mine_substrings_cached,
-)
+from repro.detection.substrings import SubstringCounter, mine_substrings_cached
 from repro.detection.testns import TestNameserverFilter
 from repro.obs import runtime as obs
 from repro.store.changelog import (
@@ -674,20 +670,15 @@ class IncrementalDetectionEngine:
         mined: list[Any] = []
         if self.context.mine_patterns:
             counter: SubstringCounter = state["mine_counter"]
-            # Selection is a pure function of the counts; memoize on the
-            # counter revision so days without candidate churn (the
-            # common case) skip the full re-selection. The memo is
-            # per-instance scratch, deliberately left out of
+            # Selection is a pure function of the name multiset; memoize
+            # on the counter revision so days without candidate churn
+            # (the common case) skip the count and the selection. The
+            # memo is per-instance scratch, deliberately left out of
             # dump_engine_state.
             if self._mine_memo is None or self._mine_memo[0] != counter.revision:
                 self._mine_memo = (
                     counter.revision,
-                    _select_patterns(
-                        counter.counts,
-                        min_support=MINE_MIN_SUPPORT,
-                        top=50,
-                        containment_slack=0.9,
-                    ),
+                    counter.select(min_support=MINE_MIN_SUPPORT),
                 )
             mined = list(self._mine_memo[1])
         kept = [c for c in everyone if c.name not in state["test_removed"]]
@@ -752,8 +743,8 @@ def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
     dicts to key-sorted) so equal states produce identical bytes
     regardless of fold order or process hash seed — engine checkpoints
     are content-addressed by these bytes, exactly like the batch
-    pipeline's stage checkpoint. The miner's substring counts are a
-    pure function of its name multiset, so only the names are stored.
+    pipeline's stage checkpoint. The miner's state is its name
+    multiset; substring supports are counted when patterns are selected.
     """
     state = engine.state
     counter: SubstringCounter = state["mine_counter"]
@@ -781,7 +772,7 @@ def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
 
 
 def load_engine_state(data: bytes) -> dict[str, Any]:
-    """Inverse of :func:`dump_engine_state`; recounts the miner's substrings."""
+    """Inverse of :func:`dump_engine_state`."""
     payload: dict[str, Any] = pickle.loads(data)
     if payload.get("format") != ENGINE_STATE_FORMAT:
         raise ValueError(
@@ -789,9 +780,7 @@ def load_engine_state(data: bytes) -> dict[str, Any]:
         )
     min_length, max_length = payload["mine_lengths"]
     counter = SubstringCounter(min_length=min_length, max_length=max_length)
-    for name, occurrences in payload["mine_names"]:
-        for _ in range(occurrences):
-            counter.add(name)
+    counter.names.update(dict(payload["mine_names"]))
     return {
         "watermarks": dict(payload["watermarks"]),
         "candidates": dict(payload["candidates"]),

@@ -6,18 +6,24 @@ candidates, and read the renaming idioms off the top of the output
 (PLEASEDROPTHISHOST, DROPTHISHOST, the sink domains, the EMT- test
 pattern, ...). This module is that tool.
 
-The miner counts every substring within a length window across the input
-names (each name contributes each distinct substring once), keeps those
-above a support threshold, and suppresses non-maximal substrings: a
-substring contained in a longer surviving pattern with (nearly) the same
-support adds no information and is dropped.
+A substring's support is the number of input names containing it (each
+name counts a substring once). The miner keeps substrings within a
+length window whose support reaches a threshold, and suppresses
+non-maximal ones: a substring contained in a longer surviving pattern
+with (nearly) the same support adds no information and is dropped.
 
-Counting and selection are split so the incremental engine can maintain
-a standing :class:`SubstringCounter` — day-over-day candidate churn
-adjusts per-name counts in place instead of re-scanning the full
-candidate set — while the batch miner builds the same counter in one
-pass. Selection is a pure function of the counts, so both schedules
-produce identical patterns for identical name multisets.
+Support can only shrink as a substring grows, so the miner counts level
+by level (:func:`frequent_substrings`): every shortest window first,
+then a window one character longer only where both of its shorter
+windows (its prefix and its suffix) reached the threshold. Only
+substrings that can still be frequent are ever counted, and each
+counted support is exact.
+
+The incremental engine keeps a standing :class:`SubstringCounter` — the
+candidate name multiset, adjusted in place by day-over-day churn — and
+the batch miner builds the same counter in one pass. Selection counts
+that multiset, so both schedules produce identical patterns for
+identical name multisets.
 """
 
 from __future__ import annotations
@@ -42,23 +48,53 @@ class SubstringPattern:
         return f"{self.substring!r} x{self.support}"
 
 
-def _substrings_of(name: str, min_len: int, max_len: int) -> set[str]:
-    found: set[str] = set()
-    n = len(name)
-    for length in range(min_len, min(max_len, n) + 1):
-        for start in range(n - length + 1):
-            found.add(name[start:start + length])
-    return found
+def frequent_substrings(
+    names: dict[str, int],
+    *,
+    min_length: int,
+    max_length: int,
+    min_support: int,
+) -> dict[str, int]:
+    """Support of every substring of ``names`` that reaches ``min_support``.
+
+    ``names`` maps each name to its number of occurrences. Counting is
+    level-wise: each level counts windows one character longer than the
+    last, and a name's window enters a level only if both of its
+    windows on the previous level were frequent, so the count holds
+    only substrings that can still reach ``min_support``.
+    """
+    supports: dict[str, int] = {}
+    # Per name, the start offsets of its windows still counted.
+    live = {name: range(len(name) - min_length + 1) for name in names}
+    length = min_length
+    while live and length <= max_length:
+        level: dict[str, int] = {}
+        for name, starts in live.items():
+            occurrences = names[name]
+            for window in dict.fromkeys(name[i:i + length] for i in starts):
+                level[window] = level.get(window, 0) + occurrences
+        frequent = {w: c for w, c in level.items() if c >= min_support}
+        supports.update(frequent)
+        grown: dict[str, list[int]] = {}
+        for name, starts in live.items():
+            kept = [i for i in starts if name[i:i + length] in frequent]
+            # A longer window at i needs the windows at i and i + 1.
+            extend = [i for i, j in zip(kept, kept[1:]) if j == i + 1]
+            if extend:
+                grown[name] = extend
+        live = grown
+        length += 1
+    return supports
 
 
 def _select_patterns(
-    counts: "Counter[str]",
+    counts: dict[str, int],
     *,
     min_support: int,
     top: int,
     containment_slack: float,
 ) -> list[SubstringPattern]:
-    """Pure pattern selection over a substring-support counter.
+    """Pure pattern selection over substring supports.
 
     Keeps substrings above ``min_support``, ordered by (support,
     length), with non-maximal substrings removed: a pattern is dropped
@@ -92,16 +128,17 @@ def _select_patterns(
 
 
 class SubstringCounter:
-    """Standing substring-support counts over a mutable name multiset.
+    """The standing name multiset substring mining selects from.
 
     The incremental miner's operator state: :meth:`add` and
-    :meth:`discard` adjust counts by one name's substring set, so a
-    day's candidate churn costs O(changed names), not O(all names).
-    The counter is a pure fold — any add/discard sequence reaching the
-    same multiset yields the same counts the batch scan produces.
+    :meth:`discard` adjust one name's occurrence count, so a day's
+    candidate churn costs O(changed names). :meth:`select` counts the
+    current multiset level by level (:func:`frequent_substrings`), so
+    any add/discard sequence reaching the same multiset selects the
+    patterns the batch miner does.
     """
 
-    __slots__ = ("min_length", "max_length", "counts", "names", "revision")
+    __slots__ = ("min_length", "max_length", "names", "revision")
 
     def __init__(
         self,
@@ -111,20 +148,15 @@ class SubstringCounter:
     ) -> None:
         self.min_length = min_length
         self.max_length = max_length
-        self.counts: Counter[str] = Counter()
         #: The name multiset folded in so far (lower-cased).
         self.names: Counter[str] = Counter()
         #: Bumped on every mutation; lets consumers memoize selections.
         self.revision = 0
 
     def add(self, name: str) -> None:
-        """Fold one name occurrence into the counts."""
-        lowered = name.lower()
+        """Fold one name occurrence into the multiset."""
         self.revision += 1
-        self.names[lowered] += 1
-        self.counts.update(
-            _substrings_of(lowered, self.min_length, self.max_length)
-        )
+        self.names[name.lower()] += 1
 
     def discard(self, name: str) -> None:
         """Remove one name occurrence; unknown names raise ``KeyError``."""
@@ -135,12 +167,6 @@ class SubstringCounter:
         self.names[lowered] -= 1
         if self.names[lowered] == 0:
             del self.names[lowered]
-        for substring in _substrings_of(lowered, self.min_length, self.max_length):
-            remaining = self.counts[substring] - 1
-            if remaining <= 0:
-                del self.counts[substring]
-            else:
-                self.counts[substring] = remaining
 
     def select(
         self,
@@ -150,8 +176,14 @@ class SubstringCounter:
         containment_slack: float = 0.9,
     ) -> list[SubstringPattern]:
         """The mined patterns for the current multiset."""
+        supports = frequent_substrings(
+            self.names,
+            min_length=self.min_length,
+            max_length=self.max_length,
+            min_support=min_support,
+        )
         return _select_patterns(
-            self.counts,
+            supports,
             min_support=min_support,
             top=top,
             containment_slack=containment_slack,

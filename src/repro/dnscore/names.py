@@ -13,12 +13,16 @@ letter-digit-hyphen (LDH) violations in the wild; zone files tolerate them.
 We therefore validate *structure* strictly (label/name lengths, hyphen
 placement) but allow underscores when ``strict`` is off, mirroring how zone
 file pipelines such as DZDB ingest real data.
+
+Most names reaching :class:`Name` are already canonical text produced by
+an earlier :class:`Name`, so such text is accepted after one whole-name
+pattern match and a length check; anything else takes the per-label path,
+which canonicalizes it and names the first rule it breaks.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Iterable
 
 from repro.dnscore.errors import NameError_
@@ -28,6 +32,13 @@ MAX_NAME_LENGTH = 253
 
 _LDH_LABEL = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
 _LAX_LABEL = re.compile(r"^[a-z0-9_]([a-z0-9_-]*[a-z0-9_])?$")
+
+# Canonical text: labels matching the patterns above, at most 63 octets
+# each (the bounded middle run), joined by single dots.
+_LDH_CANONICAL = r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?"
+_LAX_CANONICAL = r"[a-z0-9_](?:[a-z0-9_-]{0,61}[a-z0-9_])?"
+_LDH_NAME = re.compile(rf"{_LDH_CANONICAL}(?:\.{_LDH_CANONICAL})*")
+_LAX_NAME = re.compile(rf"{_LAX_CANONICAL}(?:\.{_LAX_CANONICAL})*")
 
 
 class Name:
@@ -46,6 +57,14 @@ class Name:
     __slots__ = ("_labels", "_text")
 
     def __init__(self, name: str | "Name", *, strict: bool = False) -> None:
+        if (
+            type(name) is str
+            and len(name) <= MAX_NAME_LENGTH
+            and (_LDH_NAME if strict else _LAX_NAME).fullmatch(name)
+        ):
+            self._labels = tuple(name.split("."))
+            self._text = name
+            return
         if isinstance(name, Name):
             self._labels = name._labels
             self._text = name._text
@@ -145,16 +164,6 @@ class Name:
 
     def __len__(self) -> int:
         return len(self._labels)
-
-
-@lru_cache(maxsize=65536)
-def normalize(name: str) -> str:
-    """Normalize a raw name string to canonical text form.
-
-    A cached convenience for hot paths in the zone database that handle
-    millions of names; equivalent to ``Name(name).text``.
-    """
-    return Name(name).text
 
 
 def is_valid(name: str, *, strict: bool = False) -> bool:

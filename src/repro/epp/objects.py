@@ -76,16 +76,9 @@ class DomainObject:
             or DomainStatus.SERVER_DELETE_PROHIBITED in self.statuses
         )
 
-    def delegates_to(self, host_name: str) -> bool:
-        """True if this domain's NS set includes ``host_name``."""
-        return Name(host_name).text in self.nameservers
-
     def replace_nameserver(self, old: str, new: str) -> None:
-        """Swap one NS target for another, preserving order."""
-        old_text, new_text = Name(old).text, Name(new).text
-        self.nameservers = [
-            new_text if ns == old_text else ns for ns in self.nameservers
-        ]
+        """Swap one NS target for another (canonical text), preserving order."""
+        self.nameservers = [new if ns == old else ns for ns in self.nameservers]
 
 
 @dataclass
@@ -118,12 +111,12 @@ class HostObject:
         return bool(self.linked_domains)
 
     def link(self, domain: str) -> None:
-        """Record that ``domain`` delegates to this host."""
-        self.linked_domains.add(Name(domain).text)
+        """Record that ``domain`` (canonical text) delegates to this host."""
+        self.linked_domains.add(domain)
         self.statuses.add(HostStatus.LINKED)
 
     def unlink(self, domain: str) -> None:
-        """Record that ``domain`` no longer delegates to this host."""
-        self.linked_domains.discard(Name(domain).text)
+        """Record that ``domain`` (canonical text) no longer delegates here."""
+        self.linked_domains.discard(domain)
         if not self.linked_domains:
             self.statuses.discard(HostStatus.LINKED)

@@ -88,28 +88,35 @@ class EppRepository:
             self._audit_hook(day, operation, details)
 
     # -- queries -------------------------------------------------------------
+    #
+    # Objects are keyed by canonical text, so a hit on the name as given
+    # proves it canonical; only a miss canonicalizes (and validates) it.
 
     def domain(self, name: str) -> DomainObject:
         """Fetch a domain object; raises 2303 if absent."""
-        obj = self._domains.get(Name(name).text)
+        obj = self._domains.get(name)
         if obj is None:
-            raise EppError(ResultCode.OBJECT_DOES_NOT_EXIST, f"domain {name}")
+            obj = self._domains.get(Name(name).text)
+            if obj is None:
+                raise EppError(ResultCode.OBJECT_DOES_NOT_EXIST, f"domain {name}")
         return obj
 
     def host(self, name: str) -> HostObject:
         """Fetch a host object; raises 2303 if absent."""
-        obj = self._hosts.get(Name(name).text)
+        obj = self._hosts.get(name)
         if obj is None:
-            raise EppError(ResultCode.OBJECT_DOES_NOT_EXIST, f"host {name}")
+            obj = self._hosts.get(Name(name).text)
+            if obj is None:
+                raise EppError(ResultCode.OBJECT_DOES_NOT_EXIST, f"host {name}")
         return obj
 
     def domain_exists(self, name: str) -> bool:
         """Availability check (EPP <check>)."""
-        return Name(name).text in self._domains
+        return name in self._domains or Name(name).text in self._domains
 
     def host_exists(self, name: str) -> bool:
         """Host object existence check."""
-        return Name(name).text in self._hosts
+        return name in self._hosts or Name(name).text in self._hosts
 
     def subordinate_hosts(self, domain: str) -> frozenset[str]:
         """Host objects whose superordinate is ``domain``."""
@@ -140,14 +147,15 @@ class EppRepository:
         Every nameserver must already exist as a host object in this
         repository (the host-object model used by gTLD registries).
         """
-        text = Name(name).text
-        tld = Name(text).tld
-        if tld not in self.tlds:
+        parsed = Name(name)
+        text = parsed.text
+        if parsed.tld not in self.tlds:
             raise EppError(
                 ResultCode.PARAMETER_VALUE_POLICY_ERROR,
-                f"{text}: repository {self.operator} is not authoritative for .{tld}",
+                f"{text}: repository {self.operator} is not authoritative "
+                f"for .{parsed.tld}",
             )
-        if len(Name(text).labels) != 2:
+        if len(parsed.labels) != 2:
             raise EppError(
                 ResultCode.PARAMETER_VALUE_POLICY_ERROR,
                 f"{text}: only second-level registrations are accepted",

@@ -14,12 +14,19 @@ hosts, ``"domain"`` for in-zone domain presence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from repro.simtime import Interval
-
-if TYPE_CHECKING:
-    from repro.store.changelog import DeltaEvent
+from repro.store.changelog import (
+    DELEGATION_ADD,
+    DELEGATION_REMOVE,
+    DOMAIN_APPEAR,
+    DOMAIN_EXPIRE,
+    GLUE_ADD,
+    GLUE_REMOVE,
+    TLD_COVER,
+    DeltaEvent,
+)
 
 #: Presence-history kinds every backend must support.
 GLUE = "glue"
@@ -127,23 +134,21 @@ def dispatch_delta(store: "DelegationStore", event: "DeltaEvent") -> None:
     bit-for-bit. ``tld-cover`` events carry no store mutation (coverage
     is façade metadata) and fall through.
     """
-    from repro.store import changelog as cl
-
-    if event.kind == cl.DELEGATION_ADD:
+    if event.kind == DELEGATION_ADD:
         assert event.ns is not None
         store.open_pair(event.name, event.ns, event.day)
-    elif event.kind == cl.DELEGATION_REMOVE:
+    elif event.kind == DELEGATION_REMOVE:
         assert event.ns is not None
         store.close_pair(event.name, event.ns, event.day)
-    elif event.kind == cl.GLUE_ADD:
+    elif event.kind == GLUE_ADD:
         store.open_presence(GLUE, event.name, event.day)
-    elif event.kind == cl.GLUE_REMOVE:
+    elif event.kind == GLUE_REMOVE:
         store.close_presence(GLUE, event.name, event.day)
-    elif event.kind == cl.DOMAIN_APPEAR:
+    elif event.kind == DOMAIN_APPEAR:
         store.open_presence(DOMAIN, event.name, event.day)
-    elif event.kind == cl.DOMAIN_EXPIRE:
+    elif event.kind == DOMAIN_EXPIRE:
         store.close_presence(DOMAIN, event.name, event.day)
-    elif event.kind != cl.TLD_COVER:
+    elif event.kind != TLD_COVER:
         raise ValueError(f"unknown delta kind {event.kind!r}")
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dnscore.errors import NameError_
 from repro.epp.errors import EppError, ResultCode
 from repro.epp.objects import DomainStatus
 from repro.epp.repository import EppRepository
@@ -46,6 +47,29 @@ class TestNamespace:
     def test_rejects_non_tld_namespace(self):
         with pytest.raises(ValueError):
             EppRepository("x", ["co.uk"])
+
+
+class TestLookup:
+    """Canonical input hits directly; any other spelling is canonicalized."""
+
+    def test_other_spellings_found(self, populated):
+        assert populated.domain("FOO.com.").name == "foo.com"
+        assert populated.host(" NS1.Foo.COM ").name == "ns1.foo.com"
+        assert populated.domain_exists("Bar.Com")
+        assert populated.host_exists("ns2.FOO.com.")
+
+    def test_absent_names_not_found(self, populated):
+        assert not populated.domain_exists("Baz.com")
+        assert not populated.host_exists("ns3.foo.com")
+        with pytest.raises(EppError) as err:
+            populated.host("NS3.foo.com")
+        assert code_of(err) is ResultCode.OBJECT_DOES_NOT_EXIST
+
+    def test_invalid_names_still_rejected(self, populated):
+        with pytest.raises(NameError_):
+            populated.domain_exists("foo..com")
+        with pytest.raises(NameError_):
+            populated.domain("-foo.com")
 
 
 class TestDomainCreate:

@@ -11,6 +11,7 @@ with its crash-recovery paths.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.runner.supervisor import RunFailed
 from repro.store.dataset import DeltaView
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
+from tests.substring_oracle import naive_substring_counts
 
 SCALE = 0.05
 SEED = 2021
@@ -305,9 +307,12 @@ class TestIncrementalRunner:
         # A checkpoint in the previous format: derived counts included.
         checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
         payload = pickle.loads(checkpoint.read_bytes())
-        counter = load_engine_state(checkpoint.read_bytes())["mine_counter"]
+        min_length, max_length = payload["mine_lengths"]
+        names = Counter(dict(payload["mine_names"])).elements()
         payload["format"] = "riskybiz-engine-state/1"
-        payload["mine_counts"] = sorted(counter.counts.items())
+        payload["mine_counts"] = sorted(
+            naive_substring_counts(names, min_length, max_length).items()
+        )
         checkpoint.write_bytes(pickle.dumps(payload))
         again = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id

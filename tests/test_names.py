@@ -1,14 +1,18 @@
 """Unit and property tests for domain-name handling."""
 
+import re
+import string
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dnscore.errors import NameError_
 from repro.dnscore.names import (
+    MAX_LABEL_LENGTH,
+    MAX_NAME_LENGTH,
     Name,
     common_suffix_depth,
     is_valid,
-    normalize,
     sorted_names,
 )
 
@@ -149,10 +153,68 @@ class TestEqualityAndOrdering:
         assert "example.com" in repr(Name("example.com"))
 
 
-class TestNormalizeCache:
-    def test_normalize_matches_name(self):
-        assert normalize("FOO.Com") == "foo.com"
+_REFERENCE_LDH = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
+_REFERENCE_LAX = re.compile(r"^[a-z0-9_]([a-z0-9_-]*[a-z0-9_])?$")
 
-    @given(name_strategy)
-    def test_normalize_agrees_with_name(self, raw):
-        assert normalize(raw) == Name(raw).text
+
+def _reference_parse(raw: str, strict: bool) -> tuple[str, tuple[str, ...]]:
+    """The per-label path: canonicalize, then check every label."""
+    text = raw.strip().rstrip(".").lower()
+    if not text:
+        raise NameError_("empty domain name")
+    if len(text) > MAX_NAME_LENGTH:
+        raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets: {text[:64]}...")
+    labels = tuple(text.split("."))
+    pattern = _REFERENCE_LDH if strict else _REFERENCE_LAX
+    for label in labels:
+        if not label:
+            raise NameError_(f"empty label in name: {text!r}")
+        if len(label) > MAX_LABEL_LENGTH:
+            raise NameError_(f"label exceeds {MAX_LABEL_LENGTH} octets: {label!r}")
+        if not pattern.match(label):
+            raise NameError_(f"invalid label {label!r} in name {text!r}")
+    return text, labels
+
+
+_any_text = st.text(
+    alphabet=string.ascii_letters + string.digits + "_.- ", max_size=300
+)
+# Labels near the 63-octet limit, joined into names near the 253-octet one.
+_long_label = st.builds(
+    lambda char, count: char * count,
+    st.sampled_from("aZ0_-"),
+    st.integers(min_value=58, max_value=66),
+)
+_short_label = st.text(alphabet="abz09_-A", min_size=0, max_size=8)
+_dotted = st.lists(
+    st.one_of(_short_label, _long_label), min_size=1, max_size=6
+).map(".".join)
+
+
+class TestCanonicalFastPath:
+    """Canonical text skips the per-label scan; nothing else may change."""
+
+    @settings(max_examples=500)
+    @given(raw=st.one_of(_any_text, _dotted, name_strategy), strict=st.booleans())
+    def test_agrees_with_per_label_path(self, raw, strict):
+        try:
+            expected = _reference_parse(raw, strict)
+        except NameError_ as exc:
+            with pytest.raises(NameError_) as caught:
+                Name(raw, strict=strict)
+            assert str(caught.value) == str(exc)
+        else:
+            name = Name(raw, strict=strict)
+            assert (name.text, name.labels) == expected
+
+    def test_longest_canonical_name_is_accepted(self):
+        raw = ".".join(["a" * 63] * 3 + ["b" * 61])
+        assert len(raw) == MAX_NAME_LENGTH
+        assert Name(raw).labels == ("a" * 63,) * 3 + ("b" * 61,)
+
+    def test_one_octet_over_is_refused(self):
+        with pytest.raises(NameError_, match="exceeds 253 octets"):
+            Name(".".join(["a" * 63] * 3 + ["b" * 62]))
+
+    def test_trailing_newline_is_stripped(self):
+        assert Name("example.com\n").text == "example.com"
