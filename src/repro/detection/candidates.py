@@ -41,19 +41,25 @@ def build_candidate_set(
     Candidates are returned in (first_seen, name) order so downstream
     stages are deterministic. Pass ``nameservers`` to restrict the scan
     to a subset (the incremental engine re-checks one dirty nameserver
-    at a time).
+    at a time). Each name's records are read once — in one pass over
+    the store for a full scan — and give both its first reference and
+    the domains delegating to it then.
     """
     analyzer = analyzer or ResolvabilityAnalyzer(zonedb)
-    candidates: list[CandidateNameserver] = []
     if nameservers is None:
-        nameservers = zonedb.all_nameservers()
-    for ns in nameservers:
-        verdict = analyzer.unresolvable_at_first_reference(ns)
-        if not verdict:
-            continue  # resolvable, never referenced, or unassessable
-        first_seen = zonedb.first_seen(ns)
-        assert first_seen is not None  # guaranteed by the verdict
-        referencing = tuple(sorted(zonedb.domains_of_ns(ns, first_seen)))
+        scanned = zonedb.iter_ns_records()
+    else:
+        scanned = ((ns, zonedb.ns_records(ns)) for ns in nameservers)
+    candidates: list[CandidateNameserver] = []
+    for ns, records in scanned:
+        if not records:
+            continue  # never referenced
+        first_seen = min(record.start for record in records)
+        if analyzer.is_resolvable(ns, first_seen) is not False:
+            continue  # resolvable then, or unassessable
+        referencing = tuple(
+            sorted({r.domain for r in records if r.active_on(first_seen)})
+        )
         candidates.append(
             CandidateNameserver(
                 name=ns, first_seen=first_seen, referencing_domains=referencing

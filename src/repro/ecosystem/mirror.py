@@ -35,7 +35,9 @@ class ZoneMirror:
         self.database = database
         self.ledger = ledger
         self._glue_hosts: set[str] = set()
-        for tld in repository.tlds:
+        # Sorted: each cover is a recorded delta, and a frozenset's
+        # order would follow the interpreter's hash seed.
+        for tld in sorted(repository.tlds):
             database.cover(tld)
 
     def __call__(self, day: int, operation: str, details: dict) -> None:

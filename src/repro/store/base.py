@@ -96,13 +96,6 @@ class PresenceHistory:
                 self._closed.setdefault(key, []).append(Interval(start, day))
             # zero-length presence (opened and closed the same day) vanishes
 
-    def add(self, key: str, start: int, end: int | None) -> None:
-        """Bulk-load one interval verbatim (dataset copying)."""
-        if end is None:
-            self._open[key] = start
-        else:
-            self._closed.setdefault(key, []).append(Interval(start, end))
-
     def is_open(self, key: str) -> bool:
         """True if ``key`` has an interval still open."""
         return key in self._open
@@ -177,9 +170,6 @@ class DelegationStore(Protocol):
         is not open is a no-op.
         """
 
-    def add_record(self, domain: str, ns: str, start: int, end: int | None) -> None:
-        """Bulk-load one interval verbatim (dataset copying)."""
-
     def current_nameservers(self, domain: str) -> frozenset[str]:
         """NS names with an open interval for ``domain`` right now."""
 
@@ -207,6 +197,19 @@ class DelegationStore(Protocol):
     def domain_records(self, domain: str) -> list[DelegationRecord]:
         """All interval records for ``domain``."""
 
+    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        """``(ns, ns_records(ns))`` for every nameserver, in
+        ``all_nameservers()`` order, from one pass over the pairs.
+
+        The whole-table read behind the candidate scan and the data-set
+        statistics: one ordered scan instead of a query per name. Do not
+        write to the store while a pass is open.
+        """
+
+    def iter_domain_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        """``(domain, domain_records(domain))`` for every domain, in
+        ``all_domains()`` order, from one pass over the pairs."""
+
     def domains_in_tld(self, tld: str) -> list[str]:
         """Ever-seen domains whose TLD is ``tld`` (one partition)."""
 
@@ -220,9 +223,6 @@ class DelegationStore(Protocol):
 
     def close_presence(self, kind: str, key: str, day: int) -> None:
         """Close presence of ``key`` on ``day`` (same-day opens vanish)."""
-
-    def add_presence(self, kind: str, key: str, start: int, end: int | None) -> None:
-        """Bulk-load one presence interval verbatim (dataset copying)."""
 
     def presence_contains(self, kind: str, key: str, day: int) -> bool:
         """True if ``key`` was present on ``day``."""
@@ -252,7 +252,8 @@ class DelegationStore(Protocol):
         """
 
     def record_delta(self, event: "DeltaEvent", batch_day: int) -> None:
-        """Record a delta without applying it (bulk dataset copying)."""
+        """Record a delta without applying it (the recording half of
+        :meth:`apply_delta`)."""
 
     def deltas_since(
         self, day: int | None, until: int | None = None

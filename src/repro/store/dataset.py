@@ -13,18 +13,21 @@ into per-day batches.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.store.atomic import (
+    TMP_SUFFIX,
     file_sha256,
+    fsync_directory,
     load_checked_json,
     write_checked_json,
 )
 from repro.store.base import DOMAIN, GLUE
 from repro.store.changelog import DeltaEvent, group_batches
-from repro.store.sqlite import SqliteDelegationStore
+from repro.store.sqlite import SqliteDelegationStore, write_tables
 
 if TYPE_CHECKING:
     from repro.zonedb.database import IngestPolicy, ZoneDatabase
@@ -71,6 +74,14 @@ def manifest_path(dataset_path: str | Path) -> Path:
     return path.with_name(path.name + ".manifest.json")
 
 
+def _wal_sidecars(path: Path) -> tuple[Path, Path]:
+    """The ``-wal``/``-shm`` files SQLite keeps beside a WAL database."""
+    return (
+        path.with_name(path.name + "-wal"),
+        path.with_name(path.name + "-shm"),
+    )
+
+
 def write_dataset(
     zonedb: "ZoneDatabase",
     path: str | Path,
@@ -79,53 +90,74 @@ def write_dataset(
 ) -> Path:
     """Persist a zone database as an on-disk SQLite dataset.
 
-    Copies every delegation interval and presence history into a fresh
-    SQLite store at ``path``, carries the façade state (covered TLDs,
-    horizon, ingest reports) across, stamps the producing scenario's
-    digest, and writes the manifest sidecar. Returns ``path``.
+    Streams every delegation interval, presence history and recorded
+    delta into a new SQLite file, a table at a time, carries the façade
+    state (covered TLDs, horizon, ingest reports) across, stamps the
+    producing scenario's digest, and writes the manifest sidecar.
+    Returns ``path``.
+
+    The file is built beside ``path`` under a temporary name and
+    published with the atomic-write protocol (fsync, ``os.replace``,
+    fsync the directory), so a writer killed mid-load leaves the
+    previous dataset whole; the next write removes its leftover.
     """
     target_path = Path(path)
     target_path.parent.mkdir(parents=True, exist_ok=True)
-    if target_path.exists():
-        target_path.unlink()
+    temp = target_path.with_name(target_path.name + TMP_SUFFIX)
+    for leftover in (temp, *_wal_sidecars(temp)):
+        leftover.unlink(missing_ok=True)
     source = zonedb.store
-    target = SqliteDelegationStore(target_path)
-    for domain in source.all_domains():
-        for record in source.domain_records(domain):
-            target.add_record(record.domain, record.ns, record.start, record.end)
-    for kind in (GLUE, DOMAIN):
-        for key in source.presence_keys(kind):
-            for interval in source.presence_intervals(kind, key):
-                target.add_presence(kind, key, interval.start, interval.end)
-    # Carry the delta stream across so incremental consumers can replay
-    # the dataset's history (record-only: the intervals are copied above).
-    delta_count = 0
-    for batch_day, event in source.deltas_since(None):
-        target.record_delta(event, batch_day)
-        delta_count += 1
     # The façade's flush() serializes its state into its own store's
-    # metadata; route that serialization into the target store.
+    # metadata; the dataset carries that serialization across.
     zonedb.flush()
+    meta: list[tuple[str, str]] = []
     facade_meta = source.get_meta(zonedb._META_KEY)
     if facade_meta is not None:
-        target.set_meta(zonedb._META_KEY, facade_meta)
+        meta.append((zonedb._META_KEY, facade_meta))
     if scenario_digest is not None:
-        target.set_meta(SCENARIO_DIGEST_KEY, scenario_digest)
+        meta.append((SCENARIO_DIGEST_KEY, scenario_digest))
+    rows = write_tables(
+        temp,
+        pairs=(
+            record.as_tuple()
+            for _, records in source.iter_domain_records()
+            for record in records
+        ),
+        presence=(
+            (kind, key, interval.start, interval.end)
+            for kind in (GLUE, DOMAIN)
+            for key in source.presence_keys(kind)
+            for interval in source.presence_intervals(kind, key)
+        ),
+        # The delta stream lets incremental consumers replay the
+        # dataset's history (record-only: the intervals are above).
+        deltas=(
+            (batch_day, event.kind, event.day, event.name, event.ns)
+            for batch_day, event in source.deltas_since(None)
+        ),
+        meta=meta,
+    )
+    with open(temp, "rb") as handle:
+        os.fsync(handle.fileno())
+    # Nothing of the previous dataset may outlive the replace: its
+    # manifest would vouch for the wrong bytes, and a stale WAL would be
+    # replayed into the new file on its first open.
+    for stale in (manifest_path(target_path), *_wal_sidecars(target_path)):
+        stale.unlink(missing_ok=True)
+    os.replace(temp, target_path)
+    fsync_directory(target_path.parent)
     manifest = {
         "format": DATASET_FORMAT,
-        "backend": target.backend_name,
+        "backend": SqliteDelegationStore.backend_name,
         "dataset": target_path.name,
         "scenario_digest": scenario_digest,
         "domains": zonedb.domain_count(),
         "nameservers": zonedb.nameserver_count(),
         "horizon": zonedb.horizon,
         "tlds": sorted(zonedb.covered_tlds),
-        "deltas": delta_count,
+        "deltas": rows["deltas"],
+        "dataset_sha256": file_sha256(target_path),
     }
-    target.close()
-    # Hash after close: the WAL is truncated into the main file, so the
-    # digest covers the complete, self-contained dataset bytes.
-    manifest["dataset_sha256"] = file_sha256(target_path)
     write_checked_json(manifest_path(target_path), manifest)
     return target_path
 
@@ -154,7 +186,7 @@ def rebuild_manifest(dataset_path: str | Path) -> dict[str, Any]:
             "nameservers": zonedb.nameserver_count(),
             "horizon": zonedb.horizon,
             "tlds": sorted(zonedb.covered_tlds),
-            "deltas": len(store.deltas_since(None)),
+            "deltas": store.delta_count(),
         }
     finally:
         store.close()

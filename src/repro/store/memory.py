@@ -71,14 +71,6 @@ class MemoryDelegationStore:
             return
         record.end = day
 
-    def add_record(self, domain: str, ns: str, start: int, end: int | None) -> None:
-        record = DelegationRecord(domain, ns, start, end)
-        self._domain_recs.setdefault(domain, []).append(record)
-        self._ns_recs.setdefault(ns, []).append(record)
-        if end is None:
-            self._open[(domain, ns)] = record
-            self._current.setdefault(domain, set()).add(ns)
-
     def current_nameservers(self, domain: str) -> frozenset[str]:
         return frozenset(self._current.get(domain, ()))
 
@@ -107,6 +99,14 @@ class MemoryDelegationStore:
     def domain_records(self, domain: str) -> list[DelegationRecord]:
         return list(self._domain_recs.get(domain, ()))
 
+    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        for ns, records in self._ns_recs.items():
+            yield ns, list(records)
+
+    def iter_domain_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        for domain, records in self._domain_recs.items():
+            yield domain, list(records)
+
     def domains_in_tld(self, tld: str) -> list[str]:
         suffix = "." + tld
         return [domain for domain in self._domain_recs if domain.endswith(suffix)]
@@ -121,9 +121,6 @@ class MemoryDelegationStore:
 
     def close_presence(self, kind: str, key: str, day: int) -> None:
         self._presence[kind].close(key, day)
-
-    def add_presence(self, kind: str, key: str, start: int, end: int | None) -> None:
-        self._presence[kind].add(key, start, end)
 
     def presence_contains(self, kind: str, key: str, day: int) -> bool:
         return self._presence[kind].is_present(key, day)

@@ -6,9 +6,12 @@ Schema (one file per dataset)::
     pairs(domain TEXT, ns TEXT, start INTEGER, end INTEGER)   -- end NULL = open
     presence(kind TEXT, key TEXT, start INTEGER, end INTEGER)
 
-Open intervals and current NS sets are cached in memory (rebuilt from
-the file on open) so the write path does not pay a SELECT per change;
-writes run in batched transactions committed by :meth:`flush`/:meth:`close`.
+Open intervals and current NS sets are cached in memory, scanned from
+the file on the first call that needs them (a read-only open pays
+nothing), so the write path does not pay a SELECT per change; writes
+run in batched transactions committed by :meth:`flush`/:meth:`close`.
+Whole tables move in one statement each: the record passes read one
+ordered scan of ``pairs``, and :func:`write_tables` loads a new dataset.
 
 Query iteration orders are sorted (SQLite has no useful insertion
 order), which is safe because every pipeline output that order could
@@ -25,8 +28,11 @@ self-contained, checksummable file. In-memory stores keep
 from __future__ import annotations
 
 import sqlite3
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.obs import clock
 from repro.obs import runtime as obs
@@ -34,7 +40,7 @@ from repro.simtime import Interval
 from repro.store.base import DelegationRecord, dispatch_delta
 from repro.store.changelog import DeltaEvent
 
-_SCHEMA = """
+_TABLES = """
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS pairs (
     id INTEGER PRIMARY KEY,
@@ -43,8 +49,6 @@ CREATE TABLE IF NOT EXISTS pairs (
     start INTEGER NOT NULL,
     end INTEGER
 );
-CREATE INDEX IF NOT EXISTS pairs_domain ON pairs (domain);
-CREATE INDEX IF NOT EXISTS pairs_ns ON pairs (ns);
 CREATE TABLE IF NOT EXISTS presence (
     id INTEGER PRIMARY KEY,
     kind TEXT NOT NULL,
@@ -52,7 +56,6 @@ CREATE TABLE IF NOT EXISTS presence (
     start INTEGER NOT NULL,
     end INTEGER
 );
-CREATE INDEX IF NOT EXISTS presence_key ON presence (kind, key);
 CREATE TABLE IF NOT EXISTS deltas (
     seq INTEGER PRIMARY KEY,
     batch_day INTEGER NOT NULL,
@@ -61,8 +64,25 @@ CREATE TABLE IF NOT EXISTS deltas (
     name TEXT NOT NULL,
     ns TEXT
 );
-CREATE INDEX IF NOT EXISTS deltas_batch ON deltas (batch_day);
 """
+
+_INDEXES = (
+    "CREATE INDEX IF NOT EXISTS pairs_domain ON pairs (domain)",
+    "CREATE INDEX IF NOT EXISTS pairs_ns ON pairs (ns)",
+    "CREATE INDEX IF NOT EXISTS presence_key ON presence (kind, key)",
+    "CREATE INDEX IF NOT EXISTS deltas_batch ON deltas (batch_day)",
+)
+
+_SCHEMA = _TABLES + "".join(f"{index};\n" for index in _INDEXES)
+
+#: One INSERT per table, in the column order :func:`write_tables` takes.
+_INSERTS = {
+    "pairs": "INSERT INTO pairs (domain, ns, start, end) VALUES (?, ?, ?, ?)",
+    "presence": "INSERT INTO presence (kind, key, start, end) VALUES (?, ?, ?, ?)",
+    "deltas": "INSERT INTO deltas (batch_day, kind, day, name, ns) "
+    "VALUES (?, ?, ?, ?, ?)",
+    "meta": "INSERT INTO meta (key, value) VALUES (?, ?)",
+}
 
 #: Commit at most this many buffered writes per transaction.
 _TXN_BATCH = 50_000
@@ -89,31 +109,48 @@ class SqliteDelegationStore:
         self._conn.executescript(_SCHEMA)
         self._in_txn = False
         self._txn_writes = 0
-        #: (domain, ns) -> rowid of the open pair row.
-        self._open_rows: dict[tuple[str, str], tuple[int, int]] = {}
-        self._current: dict[str, set[str]] = {}
-        #: (kind, key) -> (rowid, start) of the open presence row.
-        self._open_presence: dict[tuple[str, str], tuple[int, int]] = {}
         # Instruments are cached as attributes: the write path runs per
         # delegation change and must not pay a registry lookup each time.
         self._write_timer = obs.histogram("sqlite.write.duration_s")
         self._commit_timer = obs.histogram("sqlite.txn_commit.duration_s")
         self._query_timer = obs.histogram("sqlite.ns_records.duration_s")
+        self._pass_timer = obs.histogram("sqlite.record_pass.duration_s")
         self._write_count = obs.counter("sqlite.writes")
         self._commit_count = obs.counter("sqlite.commits")
         self._query_count = obs.counter("sqlite.ns_records_queries")
-        self._rebuild_open_caches()
+        self._pass_count = obs.counter("sqlite.record_passes")
 
-    def _rebuild_open_caches(self) -> None:
+    # -- write caches, scanned on first use --------------------------------
+
+    @cached_property
+    def _open_pairs(
+        self,
+    ) -> tuple[dict[tuple[str, str], tuple[int, int]], dict[str, set[str]]]:
+        """(domain, ns) -> (rowid, start) of each open pair row, and each
+        domain's current NS set, both in row order.
+
+        Built together on the first call that needs either, before that
+        call changes anything, so the current-domain order matches a
+        store that never closed.
+        """
+        open_rows: dict[tuple[str, str], tuple[int, int]] = {}
+        current: dict[str, set[str]] = {}
         for rowid, domain, ns, start in self._conn.execute(
             "SELECT id, domain, ns, start FROM pairs WHERE end IS NULL"
         ):
-            self._open_rows[(domain, ns)] = (rowid, start)
-            self._current.setdefault(domain, set()).add(ns)
-        for rowid, kind, key, start in self._conn.execute(
-            "SELECT id, kind, key, start FROM presence WHERE end IS NULL"
-        ):
-            self._open_presence[(kind, key)] = (rowid, start)
+            open_rows[(domain, ns)] = (rowid, start)
+            current.setdefault(domain, set()).add(ns)
+        return open_rows, current
+
+    @cached_property
+    def _open_presence(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """(kind, key) -> (rowid, start) of each open presence row."""
+        return {
+            (kind, key): (rowid, start)
+            for rowid, kind, key, start in self._conn.execute(
+                "SELECT id, kind, key, start FROM presence WHERE end IS NULL"
+            )
+        }
 
     # -- transaction batching ----------------------------------------------
 
@@ -142,45 +179,39 @@ class SqliteDelegationStore:
     # -- pair intervals ----------------------------------------------------
 
     def open_pair(self, domain: str, ns: str, day: int) -> None:
+        open_rows, current = self._open_pairs
         cursor = self._write(
             "INSERT INTO pairs (domain, ns, start, end) VALUES (?, ?, ?, NULL)",
             (domain, ns, day),
         )
-        self._open_rows[(domain, ns)] = (cursor.lastrowid or 0, day)
-        self._current.setdefault(domain, set()).add(ns)
+        open_rows[(domain, ns)] = (cursor.lastrowid or 0, day)
+        current.setdefault(domain, set()).add(ns)
 
     def close_pair(self, domain: str, ns: str, day: int) -> None:
-        entry = self._open_rows.pop((domain, ns), None)
+        open_rows, current = self._open_pairs
+        entry = open_rows.pop((domain, ns), None)
         if entry is None:
             return
         rowid, start = entry
-        current = self._current.get(domain)
-        if current is not None:
-            current.discard(ns)
-            if not current:
-                del self._current[domain]
+        remaining = current.get(domain)
+        if remaining is not None:
+            remaining.discard(ns)
+            if not remaining:
+                del current[domain]
         if day <= start:
             # Same-day add/remove: invisible at daily granularity.
             self._write("DELETE FROM pairs WHERE id = ?", (rowid,))
             return
         self._write("UPDATE pairs SET end = ? WHERE id = ?", (day, rowid))
 
-    def add_record(self, domain: str, ns: str, start: int, end: int | None) -> None:
-        cursor = self._write(
-            "INSERT INTO pairs (domain, ns, start, end) VALUES (?, ?, ?, ?)",
-            (domain, ns, start, end),
-        )
-        if end is None:
-            self._open_rows[(domain, ns)] = (cursor.lastrowid or 0, start)
-            self._current.setdefault(domain, set()).add(ns)
-
     def current_nameservers(self, domain: str) -> frozenset[str]:
-        return frozenset(self._current.get(domain, ()))
+        return frozenset(self._open_pairs[1].get(domain, ()))
 
     def current_domains(self, suffix: str | None = None) -> list[str]:
+        current = self._open_pairs[1]
         if suffix is None:
-            return list(self._current)
-        return [domain for domain in self._current if domain.endswith(suffix)]
+            return list(current)
+        return [domain for domain in current if domain.endswith(suffix)]
 
     # -- pair queries ------------------------------------------------------
 
@@ -230,6 +261,41 @@ class SqliteDelegationStore:
             )
         ]
 
+    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        return self._record_pass(
+            "SELECT domain, ns, start, end FROM pairs "
+            "ORDER BY ns, start, domain, id",
+            itemgetter(1),
+        )
+
+    def iter_domain_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        return self._record_pass(
+            "SELECT domain, ns, start, end FROM pairs "
+            "ORDER BY domain, start, ns, id",
+            itemgetter(0),
+        )
+
+    def _record_pass(
+        self, sql: str, key: Callable[[tuple], str]
+    ) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        """Group one ordered scan of ``pairs`` into per-name record lists.
+
+        The rows stream from the cursor; only the current group is held.
+        The duration histogram times the pass itself, not its consumer.
+        """
+        self._pass_count.inc()
+        busy = 0.0
+        try:
+            mark = clock.perf_counter()
+            for name, rows in groupby(self._conn.execute(sql), key=key):
+                records = [DelegationRecord(*row) for row in rows]
+                busy += clock.perf_counter() - mark
+                yield name, records
+                mark = clock.perf_counter()
+            busy += clock.perf_counter() - mark
+        finally:
+            self._pass_timer.observe(busy)
+
     def domains_in_tld(self, tld: str) -> list[str]:
         suffix = "." + tld
         return [
@@ -268,14 +334,6 @@ class SqliteDelegationStore:
             return
         self._write("UPDATE presence SET end = ? WHERE id = ?", (day, rowid))
 
-    def add_presence(self, kind: str, key: str, start: int, end: int | None) -> None:
-        cursor = self._write(
-            "INSERT INTO presence (kind, key, start, end) VALUES (?, ?, ?, ?)",
-            (kind, key, start, end),
-        )
-        if end is None:
-            self._open_presence[(kind, key)] = (cursor.lastrowid or 0, start)
-
     def presence_contains(self, kind: str, key: str, day: int) -> bool:
         row = self._conn.execute(
             "SELECT 1 FROM presence WHERE kind = ? AND key = ? AND start <= ? "
@@ -312,10 +370,14 @@ class SqliteDelegationStore:
 
     def record_delta(self, event: DeltaEvent, batch_day: int) -> None:
         self._write(
-            "INSERT INTO deltas (batch_day, kind, day, name, ns) "
-            "VALUES (?, ?, ?, ?, ?)",
+            _INSERTS["deltas"],
             (batch_day, event.kind, event.day, event.name, event.ns),
         )
+
+    def delta_count(self) -> int:
+        """Number of recorded deltas (counted, not materialised)."""
+        row = self._conn.execute("SELECT COUNT(*) FROM deltas").fetchone()
+        return int(row[0])
 
     def deltas_since(
         self, day: int | None, until: int | None = None
@@ -371,3 +433,54 @@ class SqliteDelegationStore:
             # sidecars, so the dataset is a single checksummable file.
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         self._conn.close()
+
+
+def write_tables(
+    path: str | Path,
+    *,
+    pairs: Iterable[tuple[str, str, int, int | None]],
+    presence: Iterable[tuple[str, str, int, int | None]],
+    deltas: Iterable[tuple[int, str, int, str, str | None]],
+    meta: Iterable[tuple[str, str]],
+) -> dict[str, int]:
+    """Load a new dataset file a table at a time; returns rows per table.
+
+    Each table streams in through one ``executemany`` inside one
+    transaction, and the indexes are built once the rows are in. The
+    load keeps no rollback journal and does not sync: the file is a
+    private temporary that a killed writer never publishes, and the
+    caller fsyncs it once it is closed. It ends in WAL mode, the mode
+    :class:`SqliteDelegationStore` opens it in, so a later open leaves
+    its bytes alone.
+    """
+    write_timer = obs.histogram("sqlite.write.duration_s")
+    write_count = obs.counter("sqlite.writes")
+    conn = sqlite3.connect(str(path), isolation_level=None)
+    try:
+        conn.execute("PRAGMA journal_mode=OFF")
+        conn.execute("PRAGMA synchronous=OFF")
+        conn.executescript(_TABLES)
+        conn.execute("BEGIN")
+        counts: dict[str, int] = {}
+        for table, rows in (
+            ("pairs", pairs),
+            ("presence", presence),
+            ("deltas", deltas),
+            ("meta", meta),
+        ):
+            started = clock.perf_counter()
+            counts[table] = conn.executemany(_INSERTS[table], rows).rowcount
+            write_count.inc(counts[table])
+            write_timer.observe(clock.perf_counter() - started)
+        for sql in _INDEXES:
+            conn.execute(sql)
+        started = clock.perf_counter()
+        conn.execute("COMMIT")
+        obs.counter("sqlite.commits").inc()
+        obs.histogram("sqlite.txn_commit.duration_s").observe(
+            clock.perf_counter() - started
+        )
+        conn.execute("PRAGMA journal_mode=WAL")
+    finally:
+        conn.close()
+    return counts

@@ -72,7 +72,7 @@ def verify_dataset(dataset_path: str | Path) -> list[Issue]:
     Checks, in order: manifest presence and content checksum, the
     recorded ``dataset_sha256`` against the file's actual bytes,
     SQLite's own ``PRAGMA integrity_check``, and the manifest's
-    domain/nameserver counts against the store's.
+    domain, nameserver and delta counts against the store's.
     """
     from repro.store.dataset import manifest_path
     from repro.store.sqlite import SqliteDelegationStore
@@ -111,6 +111,7 @@ def verify_dataset(dataset_path: str | Path) -> list[Issue]:
             counts = {
                 "domains": store.domain_count(),
                 "nameservers": store.nameserver_count(),
+                "deltas": store.delta_count(),
             }
             for key, actual_count in counts.items():
                 recorded_count = manifest.get(key)

@@ -524,6 +524,10 @@ class ZoneDatabase:
         """All (domain, ns) interval records for ``ns``."""
         return self.store.ns_records(Name(ns).text)
 
+    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        """Each nameserver with all its records, from one pass over the store."""
+        return self.store.iter_ns_records()
+
     def first_seen(self, ns: str) -> int | None:
         """The day ``ns`` was first referenced by any domain."""
         records = self.store.ns_records(Name(ns).text)
@@ -558,6 +562,10 @@ class ZoneDatabase:
     def domain_records(self, domain: str) -> list[DelegationRecord]:
         """All (domain, ns) interval records for ``domain``."""
         return self.store.domain_records(Name(domain).text)
+
+    def iter_domain_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        """Each domain with all its records, from one pass over the store."""
+        return self.store.iter_domain_records()
 
     def nameservers_of(self, domain: str, day: int) -> frozenset[str]:
         """The NS set of ``domain`` on ``day``."""

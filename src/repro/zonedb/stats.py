@@ -51,21 +51,21 @@ class DatasetStats:
 
 
 def dataset_stats(zonedb: ZoneDatabase) -> DatasetStats:
-    """Compute the overview for one database."""
+    """Compute the overview for one database, in one pass over its
+    domains and one over its nameservers."""
     per_tld: Counter[str] = Counter()
     delegation_records = 0
     multi_ns = 0
     total_domains = 0
-    for domain in zonedb.all_domains():
+    for domain, records in zonedb.iter_domain_records():
         total_domains += 1
         per_tld[Name(domain).tld] += 1
-        records = zonedb.domain_records(domain)
         delegation_records += len(records)
         if len({record.ns for record in records}) > 1:
             multi_ns += 1
     ns_loads = sorted(
-        len({record.domain for record in zonedb.ns_records(ns)})
-        for ns in zonedb.all_nameservers()
+        len({record.domain for record in records})
+        for _, records in zonedb.iter_ns_records()
     )
     median = float(ns_loads[len(ns_loads) // 2]) if ns_loads else 0.0
     return DatasetStats(

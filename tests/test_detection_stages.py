@@ -86,10 +86,16 @@ class TestCandidateSet:
         assert "ns1.hoster.com" not in names
 
     def test_candidate_carries_witnesses(self, db):
-        candidate = next(
+        # Delegating later does not make a domain a witness of the first
+        # reference.
+        db.set_delegation(120, "late.com", ["ns1.hosterx7k2q.biz"])
+        scanned = [
             c for c in build_candidate_set(db)
             if c.name == "ns1.hosterx7k2q.biz"
-        )
+        ]
+        rechecked = build_candidate_set(db, nameservers=["ns1.hosterx7k2q.biz"])
+        assert scanned == rechecked
+        candidate = rechecked[0]
         assert candidate.first_seen == 100
         assert candidate.referencing_domains == ("victim.com",)
         assert candidate.reference_count == 1

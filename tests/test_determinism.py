@@ -3,7 +3,8 @@
 Two claims are pinned down here:
 
 1. Running the same scenario twice produces byte-identical observables
-   (zone archives, WHOIS dumps, interval histories).
+   (zone archives, WHOIS dumps, interval histories, dataset files), in
+   one interpreter or in two with different hash seeds.
 2. Fault injection operates strictly on the world's *outputs*, drawing
    from its own named RNG streams — so enabling faults (or changing one
    fault class's rate) never perturbs the base world, and never
@@ -13,9 +14,15 @@ Two claims are pinned down here:
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.ecosystem.config import default_scenario
 from repro.ecosystem.world import World
@@ -53,6 +60,34 @@ def _fingerprint(result) -> str:
         snapshot = result.zonedb.snapshot_at(result.config.end_day - 1, tld)
         digest.update(snapshot.to_zone().to_text().encode("ascii"))
     return digest.hexdigest()
+
+
+#: Simulates the scenario at ``argv[2]`` and writes its dataset to ``argv[1]``.
+_WRITE_DATASET = """
+import sys
+from repro.ecosystem.config import default_scenario
+from repro.ecosystem.world import World
+from repro.store.dataset import write_dataset
+
+world = World(default_scenario(2021).scaled(float(sys.argv[2]))).run()
+write_dataset(world.zonedb, sys.argv[1])
+"""
+
+
+def test_dataset_bytes_ignore_the_hash_seed(tmp_path):
+    """Nothing that reaches a dataset may iterate a set or frozenset."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    written = []
+    for hash_seed in ("1", "2"):
+        path = tmp_path / f"hashseed-{hash_seed}" / "dataset.sqlite"
+        subprocess.run(
+            [sys.executable, "-c", _WRITE_DATASET, str(path), str(SCALE)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+            check=True,
+        )
+        manifest = path.with_name(path.name + ".manifest.json")
+        written.append((path.read_bytes(), manifest.read_bytes()))
+    assert written[0] == written[1]
 
 
 @pytest.fixture(scope="module")

@@ -100,22 +100,25 @@ class TestFunnel:
 
 class TestReopenedDataset:
     def test_reopened_sqlite_dataset_matches(self, tiny_bundle, tmp_path):
-        """simulate → write dataset → reopen → detect: identical result."""
+        """simulate → write dataset → reopen → detect: identical result,
+        and the dataset's bytes still match its manifest afterwards."""
         from repro.runner.execution import result_fingerprint
         from repro.store.artifacts import scenario_digest
         from repro.store.dataset import open_dataset, write_dataset
+        from repro.store.verify import verify_dataset
 
         world = tiny_bundle.world
         path = tmp_path / "dataset.sqlite"
         write_dataset(
             world.zonedb, path, scenario_digest=scenario_digest(world.config)
         )
-        reopened = DetectionPipeline(
-            open_dataset(path), world.whois, mine_patterns=False
-        ).run()
+        zonedb = open_dataset(path)
+        reopened = DetectionPipeline(zonedb, world.whois, mine_patterns=False).run()
+        zonedb.close()
         assert result_fingerprint(reopened) == result_fingerprint(
             tiny_bundle.pipeline
         )
+        assert verify_dataset(path) == []
 
 
 class TestPatternMining:

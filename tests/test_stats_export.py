@@ -1,12 +1,46 @@
 """Tests for data-set statistics and CSV exports."""
 
 import csv
+from collections import Counter
 
 import pytest
 
 from repro.analysis.export import export_all
+from repro.dnscore.names import Name
+from repro.store.dataset import open_dataset, write_dataset
 from repro.zonedb.database import ZoneDatabase
-from repro.zonedb.stats import dataset_stats
+from repro.zonedb.stats import DatasetStats, dataset_stats
+
+
+def per_key_stats(zonedb):
+    """The oracle: ``dataset_stats`` as one query per domain and nameserver."""
+    per_tld: Counter[str] = Counter()
+    delegation_records = 0
+    multi_ns = 0
+    total_domains = 0
+    for domain in zonedb.all_domains():
+        total_domains += 1
+        per_tld[Name(domain).tld] += 1
+        records = zonedb.domain_records(domain)
+        delegation_records += len(records)
+        if len({record.ns for record in records}) > 1:
+            multi_ns += 1
+    ns_loads = sorted(
+        len({record.domain for record in zonedb.ns_records(ns)})
+        for ns in zonedb.all_nameservers()
+    )
+    median = float(ns_loads[len(ns_loads) // 2]) if ns_loads else 0.0
+    return DatasetStats(
+        covered_tlds=tuple(sorted(zonedb.covered_tlds)),
+        total_domains=total_domains,
+        total_nameservers=zonedb.nameserver_count(),
+        observation_days=zonedb.horizon,
+        domains_per_tld=dict(per_tld),
+        delegation_records=delegation_records,
+        median_domains_per_ns=median,
+        max_domains_per_ns=ns_loads[-1] if ns_loads else 0,
+        multi_ns_domain_fraction=(multi_ns / total_domains) if total_domains else 0.0,
+    )
 
 
 class TestDatasetStats:
@@ -51,6 +85,25 @@ class TestDatasetStats:
         stats = dataset_stats(tiny_bundle.world.zonedb)
         assert stats.total_domains > 500
         assert stats.domains_per_tld.get("com", 0) > stats.domains_per_tld.get("us", 0)
+
+
+class TestDatasetStatsOracle:
+    @pytest.fixture(params=["memory", "sqlite"])
+    def world_db(self, request, tiny_bundle, tmp_path):
+        if request.param == "memory":
+            yield tiny_bundle.world.zonedb
+            return
+        dataset = write_dataset(tiny_bundle.world.zonedb, tmp_path / "ds.sqlite")
+        database = open_dataset(dataset)
+        yield database
+        database.close()
+
+    def test_passes_equal_the_per_key_loop(self, world_db):
+        stats, oracle = dataset_stats(world_db), per_key_stats(world_db)
+        assert stats == oracle
+        # Row order breaks count ties by first-seen TLD order.
+        assert list(stats.domains_per_tld) == list(oracle.domains_per_tld)
+        assert stats.rows() == oracle.rows()
 
 
 class TestExports:

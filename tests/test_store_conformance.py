@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import runtime as obs
 from repro.store.base import DOMAIN, GLUE, DelegationStore
 from repro.store.changelog import GLUE_ADD, DeltaEvent
+from repro.store.dataset import manifest_path, open_dataset, write_dataset
 from repro.store.memory import MemoryDelegationStore
 from repro.store.sqlite import SqliteDelegationStore
+from repro.store.verify import verify_dataset
 from repro.zonedb.database import IngestPolicy, ZoneDatabase
 from repro.zonedb.snapshot import ZoneSnapshot
 
@@ -78,15 +81,6 @@ class TestPairIntervals:
         store.close_pair("ghost.biz", "ns1.x.com", 5)
         assert store.domain_records("ghost.biz") == []
 
-    def test_add_record_bulk_copy(self, store):
-        store.add_record("a.biz", "ns1.x.com", 0, 5)
-        store.add_record("a.biz", "ns2.x.com", 2, None)
-        assert store.current_nameservers("a.biz") == {"ns2.x.com"}
-        spans = {
-            r.ns: (r.start, r.end) for r in store.domain_records("a.biz")
-        }
-        assert spans == {"ns1.x.com": (0, 5), "ns2.x.com": (2, None)}
-
     def test_current_domains_suffix_filter(self, store):
         store.open_pair("a.biz", "ns1.x.com", 0)
         store.open_pair("b.com", "ns1.x.com", 0)
@@ -131,6 +125,68 @@ class TestEnumeration:
         assert store.nameserver_count() == 2
 
 
+def _tuples(records):
+    return [record.as_tuple() for record in records]
+
+
+class TestRecordPasses:
+    """One ordered pass yields exactly what the per-name queries return."""
+
+    def _populate(self, store):
+        store.open_pair("c.biz", "ns1.x.com", 0)
+        store.open_pair("b.biz", "ns2.x.com", 0)
+        store.open_pair("a.biz", "ns2.x.com", 0)
+        store.open_pair("a.biz", "ns1.x.com", 1)
+        store.close_pair("a.biz", "ns2.x.com", 2)
+        store.open_pair("flash.biz", "ns3.x.com", 3)
+        store.close_pair("flash.biz", "ns3.x.com", 3)  # annihilated
+        store.open_pair("a.biz", "ns2.x.com", 4)
+
+    def _per_name(self, store):
+        return (
+            [(ns, _tuples(store.ns_records(ns))) for ns in store.all_nameservers()],
+            [(d, _tuples(store.domain_records(d))) for d in store.all_domains()],
+        )
+
+    def _passes(self, store):
+        return (
+            [(ns, _tuples(records)) for ns, records in store.iter_ns_records()],
+            [(d, _tuples(records)) for d, records in store.iter_domain_records()],
+        )
+
+    def test_empty_store(self, store):
+        assert list(store.iter_ns_records()) == []
+        assert list(store.iter_domain_records()) == []
+
+    def test_passes_match_per_name_queries(self, store):
+        self._populate(store)
+        by_ns, by_domain = self._passes(store)
+        assert (by_ns, by_domain) == self._per_name(store)
+        assert [ns for ns, _ in by_ns] == list(store.all_nameservers())
+        assert "ns3.x.com" not in dict(by_ns)
+        assert "flash.biz" not in dict(by_domain)
+
+    def test_passes_after_reopen(self, tmp_path):
+        path = tmp_path / "passes.sqlite"
+        store = SqliteDelegationStore(path)
+        self._populate(store)
+        before = self._per_name(store)
+        store.close()
+        reopened = SqliteDelegationStore(path)
+        assert self._passes(reopened) == self._per_name(reopened) == before
+        reopened.close()
+
+    def test_pass_counts_as_a_pass_not_a_point_query(self, tmp_path):
+        store = SqliteDelegationStore(tmp_path / "metrics.sqlite")
+        self._populate(store)
+        passes = obs.counter("sqlite.record_passes")
+        queries = obs.counter("sqlite.ns_records_queries")
+        before = (passes.value, queries.value)
+        assert len(list(store.iter_ns_records())) == 2
+        assert (passes.value, queries.value) == (before[0] + 1, before[1])
+        store.close()
+
+
 class TestPartitions:
     def test_domains_in_tld(self, store):
         store.open_pair("a.biz", "ns1.x.com", 0)
@@ -172,12 +228,6 @@ class TestPresence:
         for key in ("c.biz", "a.biz", "b.biz"):
             store.open_presence(DOMAIN, key, 0)
         assert list(store.presence_keys(DOMAIN)) == ["a.biz", "b.biz", "c.biz"]
-
-    def test_add_presence_bulk_copy(self, store):
-        store.add_presence(GLUE, "ns1.a.biz", 2, 8)
-        store.add_presence(GLUE, "ns1.a.biz", 10, None)
-        spans = store.presence_intervals(GLUE, "ns1.a.biz")
-        assert [(s.start, s.end) for s in spans] == [(2, 8), (10, None)]
 
 
 class TestMeta:
@@ -274,6 +324,79 @@ class TestBackendEquivalence:
         assert self._fingerprint(memory_db) == self._fingerprint(sqlite_db)
 
 
+class TestBulkLoad:
+    """``write_dataset`` loads a table at a time; nothing may change."""
+
+    def test_reopens_equal_to_source(self, tiny_bundle, tmp_path):
+        source_db = tiny_bundle.world.zonedb
+        source = source_db.store
+        path = write_dataset(source_db, tmp_path / "dataset.sqlite")
+        reopened = SqliteDelegationStore(path)
+        try:
+            assert set(reopened.all_nameservers()) == set(source.all_nameservers())
+            assert set(reopened.all_domains()) == set(source.all_domains())
+            # SQLite lists a name's records by (start, other name); the
+            # memory store by opening order. The two agree once sorted.
+            for ns in source.all_nameservers():
+                expected = sorted(
+                    _tuples(source.ns_records(ns)), key=lambda t: (t[2], t[0])
+                )
+                assert _tuples(reopened.ns_records(ns)) == expected, ns
+            for domain in source.all_domains():
+                expected = sorted(
+                    _tuples(source.domain_records(domain)),
+                    key=lambda t: (t[2], t[1]),
+                )
+                assert _tuples(reopened.domain_records(domain)) == expected
+            for kind in (GLUE, DOMAIN):
+                keys = list(source.presence_keys(kind))
+                assert list(reopened.presence_keys(kind)) == keys
+                for key in keys:
+                    assert reopened.presence_intervals(
+                        kind, key
+                    ) == source.presence_intervals(kind, key), (kind, key)
+            assert reopened.deltas_since(None) == source.deltas_since(None)
+            assert reopened.delta_count() == len(source.deltas_since(None))
+            facade = ZoneDatabase(store=reopened)
+            assert facade.covered_tlds == source_db.covered_tlds
+            assert facade.horizon == source_db.horizon
+        finally:
+            reopened.close()
+
+
+    def test_write_dying_mid_load_keeps_the_old_dataset(
+        self, tiny_bundle, tmp_path, monkeypatch
+    ):
+        source_db = tiny_bundle.world.zonedb
+        path = write_dataset(source_db, tmp_path / "dataset.sqlite")
+        old = (path.read_bytes(), manifest_path(path).read_bytes())
+        all_deltas = source_db.deltas_since(None)
+
+        class Killed(Exception):
+            pass
+
+        def dying(since, until=None):
+            yield from all_deltas[:500]
+            raise Killed
+
+        monkeypatch.setattr(source_db.store, "deltas_since", dying)
+        with pytest.raises(Killed):
+            write_dataset(source_db, path)
+        monkeypatch.undo()
+        assert (path.read_bytes(), manifest_path(path).read_bytes()) == old
+        reopened = open_dataset(path)
+        assert reopened.deltas_since(None) == all_deltas
+        assert reopened.domain_count() == source_db.domain_count()
+        reopened.close()
+        assert verify_dataset(path) == []
+        # The next write clears what the dead writer left behind.
+        leftover = path.with_name(path.name + ".tmp")
+        assert leftover.exists()
+        write_dataset(source_db, path)
+        assert not leftover.exists()
+        assert verify_dataset(path) == []
+
+
 class TestSqlitePersistence:
     def test_state_survives_reopen(self, tmp_path):
         path = tmp_path / "persist.sqlite"
@@ -289,3 +412,52 @@ class TestSqlitePersistence:
         assert reopened.horizon == 10
         assert reopened.nameservers_of("a.biz", 5) == {"ns1.x.com"}
         assert reopened.glue_present("ns1.a.biz", 0)
+
+    def test_first_write_after_reopen_closes_old_intervals(self, tmp_path):
+        """The write caches are built on first use; they must still see
+        the intervals a previous process left open."""
+
+        def history(db):
+            db.set_delegation(0, "a.biz", ["ns1.x.com", "ns2.x.com"])
+            db.set_delegation(0, "b.biz", ["ns1.x.com"])
+            db.set_glue(0, "ns1.a.biz")
+            db.advance(10)
+
+        def first_writes(db):
+            db.set_delegation(10, "a.biz", ["ns3.x.com"])
+            db.remove_glue(12, "ns1.a.biz")
+
+        def state(db):
+            store = db.store
+            return (
+                [_tuples(store.domain_records(d)) for d in ("a.biz", "b.biz")],
+                store.current_domains(),
+                store.current_nameservers("a.biz"),
+                store.presence_intervals(GLUE, "ns1.a.biz"),
+                store.presence_open(GLUE, "ns1.a.biz"),
+            )
+
+        path = tmp_path / "reopen.sqlite"
+        db = ZoneDatabase(["biz"], store=SqliteDelegationStore(path))
+        history(db)
+        db.close()
+        reopened = ZoneDatabase(store=SqliteDelegationStore(path))
+        first_writes(reopened)
+        never_closed = ZoneDatabase(
+            ["biz"], store=SqliteDelegationStore(tmp_path / "reference.sqlite")
+        )
+        history(never_closed)
+        first_writes(never_closed)
+        assert state(reopened) == state(never_closed)
+        records, current, a_biz, glue, glue_open = state(reopened)
+        assert records[0] == [
+            ("a.biz", "ns1.x.com", 0, 10),
+            ("a.biz", "ns2.x.com", 0, 10),
+            ("a.biz", "ns3.x.com", 10, None),
+        ]
+        assert current == ["b.biz", "a.biz"]
+        assert a_biz == {"ns3.x.com"}
+        assert [(iv.start, iv.end) for iv in glue] == [(0, 12)]
+        assert not glue_open
+        reopened.close()
+        never_closed.close()

@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import shutil
+import sqlite3
 
 import pytest
 
@@ -17,7 +18,11 @@ from repro.runner.execution import (
     PIPELINE_CHECKPOINT_NAME,
 )
 from repro.runner.journal import RunJournal
-from repro.store.atomic import verify_checked_json, write_checked_json
+from repro.store.atomic import (
+    file_sha256,
+    verify_checked_json,
+    write_checked_json,
+)
 from repro.store.verify import (
     CHECKSUM_MISMATCH,
     CORRUPT,
@@ -354,6 +359,30 @@ class TestVerifyDataCli:
         sidecar.write_text(sidecar.read_text().replace('"domains"', '"dom"'))
         assert main(["verify-data", "--dataset", str(dataset_copy)]) == 1
         assert CHECKSUM_MISMATCH in capsys.readouterr().out
+
+    def test_dropped_delta_rows_exit_one(self, dataset_copy, capsys):
+        """A load that lost rows is caught even under a matching hash."""
+        from repro.cli import main
+        from repro.store.dataset import manifest_path
+
+        connection = sqlite3.connect(dataset_copy)
+        with connection:
+            connection.execute(
+                "DELETE FROM deltas WHERE seq > (SELECT MAX(seq) - 3 FROM deltas)"
+            )
+        connection.close()
+        sidecar = manifest_path(dataset_copy)
+        body = verify_checked_json(sidecar)
+        body["dataset_sha256"] = file_sha256(dataset_copy)
+        write_checked_json(sidecar, body)
+        issues = verify_dataset(dataset_copy)
+        assert kinds(issues) == [INCONSISTENT]
+        assert issues[0].detail == (
+            f"deltas: store has {body['deltas'] - 3}, manifest says "
+            f"{body['deltas']}"
+        )
+        assert main(["verify-data", "--dataset", str(dataset_copy)]) == 1
+        assert "deltas" in capsys.readouterr().out
 
     def test_json_format(self, dataset_copy, capsys):
         from repro.cli import main
