@@ -15,7 +15,7 @@ views of *the same* world:
 3. ingest the degraded stream with gap-bridging enabled and show the
    per-ingest reports and coverage annotations;
 4. run detection on the degraded view in a journaled run directory
-   (one checkpoint, rewritten after every stage), score it against the
+   (one engine checkpoint for the whole fold), score it against the
    simulator's ground-truth rename log, and resume the run;
 5. sweep fault rates 0% -> 20% and print the precision/recall curve.
 
@@ -32,7 +32,7 @@ from repro.ecosystem.config import default_scenario
 from repro.ecosystem.world import World
 from repro.experiment.degradation import render_sweep, run_degradation_sweep
 from repro.faults import FaultConfig, degrade_world
-from repro.runner import run_supervised_detection
+from repro.runner import run_incremental_detection
 
 
 def main() -> None:
@@ -65,13 +65,13 @@ def main() -> None:
     # -- detect on the degraded view, in a journaled run directory -----
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = Path(tmp) / "run"
-        run = run_supervised_detection(
+        run = run_incremental_detection(
             degraded.zonedb, degraded.whois, run_dir=run_dir
         )
         result = run.result
         print(
             f"\nDetection on the degraded view (run {run.run_id}, "
-            "checkpointed per stage):"
+            f"checkpointed at watermark {run.watermark}):"
         )
         print(render_coverage(result))
 
@@ -86,9 +86,9 @@ def main() -> None:
         )
 
         # Resuming the finished run replays its journaled, hash-checked
-        # result without running a stage; a killed run would instead
-        # continue after its last journaled stage.
-        resumed = run_supervised_detection(
+        # result without folding anything; a killed run would instead
+        # restore its last durable checkpoint, or refold from scratch.
+        resumed = run_incremental_detection(
             degraded.zonedb, degraded.whois, run_dir=run_dir, resume=run.run_id
         )
         same = resumed.result_digest == run.result_digest

@@ -15,8 +15,8 @@ actually run:
     ``simulate`` run wrote — no in-process world object is shared
     between the two commands. ``--cache-dir DIR`` caches the pipeline
     result content-addressed by scenario digest + options;
-    ``--run-dir DIR`` journals and checkpoints every stage so a killed
-    run resumes with ``--resume RUN_ID``.
+    ``--run-dir DIR`` journals the run and checkpoints its engine so a
+    killed run resumes with ``--resume RUN_ID``.
 
 ``riskybiz report``
     Regenerate every table and figure of the paper in one run.
@@ -44,7 +44,7 @@ actually run:
     must converge too.
 
 ``riskybiz trace``
-    Inspect the telemetry a supervised ``detect --trace`` run wrote:
+    Inspect the telemetry a journaled ``detect --trace`` run wrote:
     the span timeline, a per-stage summary table, and the metrics
     snapshot, as text or JSON. ``--validate`` schema-checks the
     ``trace.jsonl``/``metrics.json`` pair instead (CI's telemetry
@@ -234,18 +234,18 @@ def _detect_zonedb(args: argparse.Namespace):
         return None
 
 
-def _detect_supervised(args: argparse.Namespace, zonedb, whois):
-    """Run detection under the supervised, journaled runner.
+def _detect_run(args: argparse.Namespace, zonedb, whois):
+    """Run detection journaled in ``--run-dir``.
 
-    Used when ``--run-dir`` is given: every stage completion is
-    journaled so ``--resume <run-id>`` restarts exactly the work that
-    did not durably complete. Returns the pipeline result, or None on a
+    A fresh run folds the whole data set once and checkpoints the
+    engine; ``--resume <run-id>`` restarts exactly the work that did
+    not durably complete. Returns the pipeline result, or None on a
     runner error (already reported).
     """
-    from repro.runner import RunFailed, run_supervised_detection
+    from repro.runner import RunFailed, run_incremental_detection
 
     try:
-        supervised = run_supervised_detection(
+        outcome = run_incremental_detection(
             zonedb,
             whois,
             run_dir=args.run_dir,
@@ -258,10 +258,10 @@ def _detect_supervised(args: argparse.Namespace, zonedb, whois):
     except RunFailed as error:
         print(f"error: {error}", file=sys.stderr)
         return None
-    verb = "Resumed" if supervised.resumed else "Completed"
+    verb = "Resumed" if outcome.resumed else "Completed"
     print(
-        f"{verb} supervised run {supervised.run_id}; journal at "
-        f"{supervised.journal_path}",
+        f"{verb} run {outcome.run_id} at watermark {outcome.watermark}; "
+        f"journal at {outcome.journal_path}",
         file=sys.stderr,
     )
     if args.trace:
@@ -274,55 +274,6 @@ def _detect_supervised(args: argparse.Namespace, zonedb, whois):
             f"--run-dir {run_dir}`)",
             file=sys.stderr,
         )
-    return supervised.result
-
-
-def _detect_incremental(args: argparse.Namespace, zonedb, whois):
-    """Run detection by folding recorded day deltas into a standing engine.
-
-    The engine's durable state lives in ``--run-dir``; each invocation
-    folds exactly the day batches past the journaled watermark and
-    reconstructs the batch-identical result. ``--since-watermark``
-    auto-resumes the standing run (run ID read from its journal) and
-    commits the dataset-side consumer watermark once the drain is
-    durable.
-    """
-    from repro.detection.incremental import IncrementalDetectionEngine
-    from repro.runner import RunFailed, run_incremental_detection
-
-    resume = args.resume
-    consumer = None
-    if args.since_watermark:
-        from repro.runner.execution import JOURNAL_NAME
-        from repro.runner.journal import RunJournal
-
-        journal_path = Path(args.run_dir) / JOURNAL_NAME
-        if resume is None and journal_path.exists():
-            resume = RunJournal.open(journal_path).run_id
-        consumer = IncrementalDetectionEngine.CONSUMER
-    try:
-        outcome = run_incremental_detection(
-            zonedb,
-            whois,
-            run_dir=args.run_dir,
-            mine_patterns=args.mine_patterns,
-            options={"gap_bridge": args.gap_bridge, "strict": args.strict},
-            resume=resume,
-            consumer=consumer,
-            trace=args.trace,
-            profile=args.profile,
-        )
-    except RunFailed as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None
-    verb = "Resumed" if outcome.resumed else "Started"
-    print(
-        f"{verb} incremental run {outcome.run_id}: advanced "
-        f"{outcome.days_advanced} day(s) ({outcome.deltas_applied} "
-        f"delta(s)), watermark {outcome.watermark}; journal at "
-        f"{outcome.journal_path}",
-        file=sys.stderr,
-    )
     return outcome.result
 
 
@@ -341,16 +292,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.since_watermark and not args.incremental:
-        print("error: --since-watermark requires --incremental", file=sys.stderr)
-        return 2
-    if args.incremental and not args.run_dir:
-        print(
-            "error: --incremental requires --run-dir (the standing "
-            "engine state lives there)",
-            file=sys.stderr,
-        )
-        return 2
     zonedb = _detect_zonedb(args)
     if zonedb is None:
         return 1
@@ -358,13 +299,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         print("error: data set contains no delegations", file=sys.stderr)
         return 1
     whois = WhoisArchive.load(args.whois) if args.whois else WhoisArchive()
-    if args.incremental:
-        result = _detect_incremental(args, zonedb, whois)
-        if result is None:
-            return 1
-        return _render_detect(args, result, zonedb, whois)
     if args.run_dir:
-        result = _detect_supervised(args, zonedb, whois)
+        result = _detect_run(args, zonedb, whois)
         if result is None:
             return 1
         return _render_detect(args, result, zonedb, whois)
@@ -429,10 +365,8 @@ def cmd_advance(args: argparse.Namespace) -> int:
     to re-running ``riskybiz detect`` from scratch, without re-reading
     history. The run ID is read from the journal, so no ``--resume``
     bookkeeping is needed. Each invocation writes one engine checkpoint
-    for everything it folded, and commits the dataset's per-consumer
-    watermark after that checkpoint is journaled.
+    for everything it folded; the dataset is opened read-only.
     """
-    from repro.detection.incremental import IncrementalDetectionEngine
     from repro.runner import JournalCorruption, RunFailed, run_incremental_detection
     from repro.runner.execution import JOURNAL_NAME
     from repro.runner.journal import RunJournal
@@ -457,10 +391,8 @@ def cmd_advance(args: argparse.Namespace) -> int:
             whois,
             run_dir=run_dir,
             until=args.until,
-            backend=args.engine_backend,
             mine_patterns=args.mine_patterns,
             resume=resume,
-            consumer=IncrementalDetectionEngine.CONSUMER,
         )
     except (RunFailed, JournalCorruption) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -556,7 +488,7 @@ def cmd_chaos_smoke(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Inspect or validate the telemetry of a supervised run directory."""
+    """Inspect or validate the telemetry of a journaled run directory."""
     import json
 
     from repro.obs.reporters import render_trace_json, render_trace_text
@@ -861,8 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--run-dir", metavar="DIR",
-        help="execute under the supervised runner, journaling every "
-             "stage completion (and the result) under DIR",
+        help="execute as a journaled run: one engine checkpoint and the "
+             "result are written under DIR",
     )
     detect.add_argument(
         "--resume", metavar="RUN_ID",
@@ -879,19 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="also record per-stage wall time and tracemalloc peaks "
              "into the metrics snapshot (needs --run-dir; adds overhead)",
-    )
-    detect.add_argument(
-        "--incremental", action="store_true",
-        help="fold the dataset's recorded day deltas into a standing "
-             "engine journaled in --run-dir instead of re-running the "
-             "batch pipeline (result is bit-identical)",
-    )
-    detect.add_argument(
-        "--since-watermark", action="store_true",
-        help="with --incremental: auto-resume the standing run at its "
-             "durable watermark (run ID read from the journal) and "
-             "commit the dataset-side consumer watermark once the drain "
-             "is checkpointed",
     )
     detect.set_defaults(func=cmd_detect)
 
@@ -915,11 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--until", type=int, metavar="DAY",
         help="fold only batches recorded up to DAY (default: drain the "
              "whole stream)",
-    )
-    advance.add_argument(
-        "--engine-backend", choices=("memory", "sqlite"), default="memory",
-        help="delegation store backend for the engine's private replay "
-             "store (default: memory)",
     )
     advance.add_argument(
         "--mine-patterns", action="store_true",
@@ -1043,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--run-dir", metavar="DIR",
-        help="supervised run directory to verify (journal, checkpoints, "
+        help="run directory to verify (journal, checkpoint, "
              "result)",
     )
     verify.add_argument(
@@ -1086,11 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace",
-        help="inspect the trace/metrics a supervised --trace run wrote",
+        help="inspect the trace/metrics a journaled --trace run wrote",
     )
     trace.add_argument(
         "--run-dir", required=True, metavar="DIR",
-        help="supervised run directory holding trace.jsonl/metrics.json",
+        help="run directory holding trace.jsonl/metrics.json",
     )
     trace.add_argument(
         "--format", choices=("text", "json"), default="text",

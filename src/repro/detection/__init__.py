@@ -16,8 +16,9 @@ Identifies sacrificial nameservers from longitudinal zone data alone:
    registered-domain substring test — :mod:`repro.detection.matching`.
 7. **Idiom classification and registrar attribution** —
    :mod:`repro.detection.idioms`, :mod:`repro.detection.pipeline`.
-8. **Incremental engine** — the same stages as watermarked streaming
-   operators over the recorded delta log, with batch-identical results —
+8. **Detection engine** — the stages as watermarked operators over
+   standing state, folded over a whole database at once or over the
+   recorded delta log a day at a time, with identical results —
    :mod:`repro.detection.incremental`.
 
 The pipeline consumes only the observable data sets (zone database and
@@ -47,7 +48,6 @@ from repro.detection.substrings import (
     SubstringCounter,
     SubstringPattern,
     mine_substrings,
-    mine_substrings_cached,
 )
 from repro.detection.testns import TestNameserverFilter
 
@@ -75,6 +75,5 @@ __all__ = [
     "SubstringCounter",
     "SubstringPattern",
     "mine_substrings",
-    "mine_substrings_cached",
     "TestNameserverFilter",
 ]

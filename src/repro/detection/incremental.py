@@ -1,21 +1,30 @@
-"""Incremental detection: streaming stage operators over the delta log.
+"""Detection's six stages as operators over standing state.
 
-The batch :class:`~repro.detection.pipeline.DetectionPipeline` recomputes
-every stage from scratch on each run. This module decomposes those
-stages into :class:`IncrementalStage` operators — each with explicit,
-serializable standing state and a per-stage watermark — and folds one
-day's recorded :class:`~repro.store.changelog.DeltaEvent` batch into
-that state via :class:`IncrementalDetectionEngine`.
+Each §3.2 stage is an :class:`IncrementalStage` with one body: it
+re-evaluates a set of *dirty* nameservers against a zone database and
+updates the stage's standing keys in the engine state.
+:class:`IncrementalDetectionEngine` runs those bodies on two schedules:
 
-The contract is *batch-identical daily updates*: after advancing through
-batch day N, :meth:`IncrementalDetectionEngine.result` is bit-identical
-(same :func:`~repro.runner.execution.result_fingerprint`) to a fresh
-batch run over a zone database rebuilt through day N. Two properties
-make this cheap to guarantee:
+* **a fold of everything at once** (:meth:`IncrementalDetectionEngine.fold`)
+  — a fresh engine marks every nameserver of a source database dirty
+  and evaluates the source directly: no private store, no replay. This
+  is the batch :class:`~repro.detection.pipeline.DetectionPipeline` and
+  the first invocation of a run;
+* **day by day** (:meth:`IncrementalDetectionEngine.advance`) — the
+  engine replays one recorded day batch of
+  :class:`~repro.store.changelog.DeltaEvent` into its own zone
+  database and re-evaluates only the nameservers the batch can have
+  touched.
 
-* the engine owns its **own** zone database, grown by replaying the
-  delta stream through the exact store primitives that produced it —
-  so per-day evaluation always sees the day-N store, bit for bit;
+The contract is that both agree: after advancing through batch day N,
+:meth:`IncrementalDetectionEngine.result` is bit-identical (same
+:func:`~repro.runner.execution.result_fingerprint`) to a fold of a zone
+database holding the history through day N, and the dumped states are
+equal. Two properties make this hold:
+
+* the engine's own zone database is grown by replaying the delta
+  stream through the exact store primitives that produced it — so
+  per-day evaluation always sees the day-N store, bit for bit;
 * every stage verdict for a nameserver is a pure function of store
   state reachable from that nameserver, so one conservative *dirty set*
   per day batch (derived below) bounds what must be re-evaluated.
@@ -34,15 +43,14 @@ Dirty-set derivation, per event kind:
   (coverage flips resolvability verdicts from unknown to assessable).
 
 Shared evaluator logic (collision checks, pattern/match classification)
-lives in :class:`StageContext`, which both the batch pipeline and the
-engine consume — one code path, two schedules.
+lives in :class:`StageContext`.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.dnscore.names import Name
 from repro.dnscore.psl import PublicSuffixList, default_psl
@@ -63,8 +71,9 @@ from repro.detection.pipeline import (
 )
 from repro.detection.repository_check import RepositoryMap, SingleRepositoryFilter
 from repro.detection.resolvability import ResolvabilityAnalyzer
-from repro.detection.substrings import SubstringCounter, mine_substrings_cached
+from repro.detection.substrings import SubstringCounter
 from repro.detection.testns import TestNameserverFilter
+from repro.obs import profiling
 from repro.obs import runtime as obs
 from repro.store.changelog import (
     DELEGATION_ADD,
@@ -77,12 +86,8 @@ from repro.store.changelog import (
     DeltaEvent,
 )
 from repro.store.dataset import DeltaView
-from repro.store.memory import MemoryDelegationStore
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
-
-if TYPE_CHECKING:
-    from pathlib import Path
 
 #: Format tag carried by serialized engine state.
 ENGINE_STATE_FORMAT = "riskybiz-engine-state/2"
@@ -112,12 +117,8 @@ def commit_watermark(state: dict[str, Any], stage: str, day: int) -> None:
 
 @dataclass(frozen=True)
 class StageContext:
-    """Everything a stage evaluator needs, batch or incremental.
-
-    The classification helpers used to live on ``DetectionPipeline``;
-    they moved here so the incremental engine evaluates dirty
-    nameservers through exactly the code the batch stages run.
-    """
+    """Everything a stage evaluator needs: the zone database it reads,
+    WHOIS, and the configured classifiers and filters."""
 
     zonedb: ZoneDatabase
     whois: WhoisArchive
@@ -162,10 +163,9 @@ class StageContext:
         return self.zonedb.domain_present(registered_domain, max(0, day - 1))
 
     def classify_pattern(
-        self, name: str, classifier: IdiomClassifier
+        self, name: str, classifier: IdiomClassifier, first_seen: int
     ) -> SacrificialNameserver:
         """A sacrificial-nameserver entry for one pattern classifier hit."""
-        first_seen = self.zonedb.first_seen(name) or 0
         registered = self.psl.registered_domain(name)
         collision = False
         if classifier.klass is IdiomClass.RANDOM and registered is not None:
@@ -209,35 +209,35 @@ class AdvanceNotes:
     """Per-batch scratchpad threaded through the stage operators.
 
     ``dirty`` is the conservative re-evaluation set for the batch;
-    the candidates operator records which verdicts appeared/disappeared
-    so downstream operators (miner, test filter) adjust incrementally
-    instead of re-deriving the change themselves.
+    ``everything`` says it is every nameserver in the database (a
+    direct fold). The candidates operator records which verdicts
+    appeared/disappeared so downstream operators (miner, test filter)
+    adjust incrementally instead of re-deriving the change themselves.
     """
 
     batch_day: int
-    events: tuple[DeltaEvent, ...]
     dirty: tuple[str, ...]
+    everything: bool = False
     candidates_added: list[str] = field(default_factory=list)
     candidates_removed: list[str] = field(default_factory=list)
 
 
 class IncrementalStage:
-    """One detection stage, runnable batch-wise or delta-wise.
+    """One detection stage: standing keys plus one evaluation body.
 
-    ``run_batch`` is the stage body the batch pipeline executes over the
-    whole of ``context.zonedb``; ``advance`` folds one day batch into the
+    ``advance`` re-evaluates the batch's dirty nameservers into the
     stage's standing keys in the engine state. Each stage carries its
     own watermark in ``state["watermarks"]``, committed through
-    :func:`commit_watermark` after a successful advance.
+    :func:`commit_watermark` after a successful advance. ``funnel``
+    names the funnel fields the stage reports and the standing key
+    whose size each one is.
     """
 
     name = ""
+    funnel: tuple[tuple[str, str], ...] = ()
 
     def init_state(self, state: dict[str, Any]) -> None:
         """Install this stage's standing keys into a fresh engine state."""
-
-    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
-        raise NotImplementedError
 
     def advance(
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
@@ -261,26 +261,25 @@ class CandidatesStage(IncrementalStage):
     """§3.2.1: unresolvable-at-first-reference candidate verdicts."""
 
     name = "candidates"
+    funnel = (("candidates", "candidates"),)
 
     def init_state(self, state: dict[str, Any]) -> None:
         state["candidates"] = {}
 
-    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
-        funnel = state["funnel"]
-        funnel.total_nameservers = context.zonedb.nameserver_count()
-        candidates = build_candidate_set(context.zonedb, context.analyzer)
-        funnel.candidates = len(candidates)
-        state["candidates"] = candidates
-
     def _advance(
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
     ) -> None:
+        # One ordered pass over the store when everything is dirty;
+        # otherwise each dirty name's records are fetched once.
+        fresh = build_candidate_set(
+            context.zonedb,
+            context.analyzer,
+            nameservers=None if notes.everything else notes.dirty,
+        )
+        found = {candidate.name: candidate for candidate in fresh}
         verdicts: dict[str, CandidateNameserver] = state["candidates"]
         for ns in notes.dirty:
-            fresh = build_candidate_set(
-                context.zonedb, context.analyzer, nameservers=[ns]
-            )
-            new = fresh[0] if fresh else None
+            new = found.get(ns)
             old = verdicts.get(ns)
             if new is None:
                 if old is not None:
@@ -293,21 +292,12 @@ class CandidatesStage(IncrementalStage):
 
 
 class MineStage(IncrementalStage):
-    """§3.2.2: frequent-substring mining over the candidate names."""
+    """§3.2.2: the candidate name multiset substring mining selects from."""
 
     name = "mine"
 
     def init_state(self, state: dict[str, Any]) -> None:
         state["mine_counter"] = SubstringCounter()
-
-    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
-        mined: list[Any] = []
-        if context.mine_patterns:
-            mined = mine_substrings_cached(
-                (c.name for c in state["candidates"]),
-                min_support=MINE_MIN_SUPPORT,
-            )
-        state["mined"] = mined
 
     def _advance(
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
@@ -325,16 +315,10 @@ class TestFilterStage(IncrementalStage):
     """§3.2.2: drop registry test nameservers from the candidate set."""
 
     name = "test-filter"
+    funnel = (("test_removed", "test_removed"),)
 
     def init_state(self, state: dict[str, Any]) -> None:
         state["test_removed"] = set()
-
-    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
-        candidates, test_removed = context.test_filter.partition(
-            state["candidates"]
-        )
-        state["funnel"].test_removed = len(test_removed)
-        state["candidates"] = candidates
 
     def _advance(
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
@@ -351,69 +335,55 @@ class PatternSweepStage(IncrementalStage):
     """§3.2.2: confirmed-pattern sweep over the nameserver population."""
 
     name = "pattern-sweep"
+    funnel = (("pattern_classified", "pattern"),)
 
     def init_state(self, state: dict[str, Any]) -> None:
         state["pattern"] = {}
-
-    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
-        sacrificial: dict[str, SacrificialNameserver] = {}
-        for name in context.zonedb.all_nameservers():
-            if context.test_filter.is_test_nameserver(name):
-                continue
-            for classifier in context.classifiers:
-                if classifier.matches_name(name):
-                    sacrificial[name] = context.classify_pattern(name, classifier)
-                    break
-        state["funnel"].pattern_classified = len(sacrificial)
-        state["sacrificial"] = sacrificial
 
     def _advance(
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
     ) -> None:
         entries: dict[str, SacrificialNameserver] = state["pattern"]
         for ns in notes.dirty:
-            if (
-                context.zonedb.first_seen(ns) is None
-                or context.test_filter.is_test_nameserver(ns)
-            ):
-                entries.pop(ns, None)
-                continue
             entry: SacrificialNameserver | None = None
-            for classifier in context.classifiers:
-                if classifier.matches_name(ns):
-                    entry = context.classify_pattern(ns, classifier)
-                    break
+            if not context.test_filter.is_test_nameserver(ns):
+                for classifier in context.classifiers:
+                    if classifier.matches_name(ns):
+                        # None once every record of ``ns`` is gone.
+                        first_seen = context.zonedb.first_seen(ns)
+                        if first_seen is not None:
+                            entry = context.classify_pattern(
+                                ns, classifier, first_seen
+                            )
+                        break
             if entry is None:
                 entries.pop(ns, None)
             else:
                 entries[ns] = entry
 
 
+def _survivor(state: dict[str, Any], ns: str) -> CandidateNameserver | None:
+    """``ns``'s candidate, if the test filter and pattern sweep kept it."""
+    if ns in state["test_removed"] or ns in state["pattern"]:
+        return None
+    return state["candidates"].get(ns)
+
+
 class SingleRepoStage(IncrementalStage):
     """§3.2.3: the single-repository property filter."""
 
     name = "single-repo"
+    funnel = (("single_repo_removed", "single_repo"),)
 
     def init_state(self, state: dict[str, Any]) -> None:
         state["single_repo"] = set()
 
-    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
-        remaining = [
-            c for c in state["candidates"] if c.name not in state["sacrificial"]
-        ]
-        remaining, eliminated = context.repo_filter.partition(remaining)
-        state["funnel"].single_repo_removed = len(eliminated)
-        state["remaining"] = remaining
-
     def _advance(
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
     ) -> None:
-        # The verdict is a pure predicate of (candidate, zonedb), so it
-        # is evaluated for every dirty candidate regardless of pattern
-        # membership; the result fold applies the batch ordering rules.
         violations: set[str] = state["single_repo"]
         for ns in notes.dirty:
-            candidate = state["candidates"].get(ns)
+            candidate = _survivor(state, ns)
             if candidate is not None and context.repo_filter.violates(candidate):
                 violations.add(ns)
             else:
@@ -424,22 +394,14 @@ class MatchStage(IncrementalStage):
     """§3.2.3: original-nameserver history matching + classification."""
 
     name = "match"
+    funnel = (
+        ("history_matched", "match_results"),
+        ("match_classified", "match_entries"),
+    )
 
     def init_state(self, state: dict[str, Any]) -> None:
         state["match_results"] = {}
         state["match_entries"] = {}
-
-    def run_batch(self, context: StageContext, state: dict[str, Any]) -> None:
-        funnel = state["funnel"]
-        sacrificial = state["sacrificial"]
-        matches, _unmatched = context.matcher.match_all(state["remaining"])
-        funnel.history_matched = len(matches)
-        for match in matches:
-            entry = context.classify_match(match)
-            if entry is not None and entry.name not in sacrificial:
-                sacrificial[entry.name] = entry
-        funnel.match_classified = len(sacrificial) - funnel.pattern_classified
-        state["matches"] = matches
 
     def _advance(
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
@@ -447,18 +409,17 @@ class MatchStage(IncrementalStage):
         results: dict[str, MatchResult] = state["match_results"]
         entries: dict[str, SacrificialNameserver] = state["match_entries"]
         for ns in notes.dirty:
-            candidate = state["candidates"].get(ns)
-            if candidate is None or ns in state["test_removed"]:
-                results.pop(ns, None)
-                entries.pop(ns, None)
-                continue
-            match = context.matcher.match(candidate)
+            candidate = _survivor(state, ns)
+            match = (
+                None
+                if candidate is None or ns in state["single_repo"]
+                else context.matcher.match(candidate)
+            )
+            entry = None if match is None else context.classify_match(match)
             if match is None:
                 results.pop(ns, None)
-                entries.pop(ns, None)
-                continue
-            results[ns] = match
-            entry = context.classify_match(match)
+            else:
+                results[ns] = match
             if entry is None:
                 entries.pop(ns, None)
             else:
@@ -485,31 +446,55 @@ def new_engine_state() -> dict[str, Any]:
     return state
 
 
-class IncrementalDetectionEngine:
-    """Folds per-day delta batches into standing detection state.
+def _run_stage_observed(
+    stage: IncrementalStage,
+    context: StageContext,
+    state: dict[str, Any],
+    notes: AdvanceNotes,
+) -> None:
+    """Run one stage of a fold under a span, a duration histogram, and profiling.
 
-    The engine owns a private zone database (memory or SQLite backend)
-    grown by replaying the consumed delta stream, plus the stage
-    operators' standing state. :meth:`advance` folds one day batch;
-    :meth:`advance_from` drains everything past the engine watermark
-    from a source dataset; :meth:`result` reconstructs the exact
-    :class:`~repro.detection.pipeline.PipelineResult` a batch run over
-    the same history would produce.
+    The span's content attributes are the stage's funnel counts — the
+    sizes of its standing sets, pure functions of the run's inputs, so
+    a re-run after a crash emits an identical span-end; the duration
+    lands only in the histogram and the span's telemetry field.
+    """
+    with obs.span(stage.name) as span, obs.timed(
+        f"pipeline.stage.{stage.name}.duration_s"
+    ), profiling.profile_stage(stage.name):
+        stage.advance(context, state, notes)
+        counts = {field_name: len(state[key]) for field_name, key in stage.funnel}
+        if stage.name == "candidates":
+            counts["total_nameservers"] = len(notes.dirty)
+        span.set(**counts)
+    obs.counter(f"pipeline.stage_runs.{stage.name}").inc()
+    for field_name, value in counts.items():
+        obs.counter(f"pipeline.funnel.{field_name}").inc(value)
+
+
+class IncrementalDetectionEngine:
+    """Folds the delta history into standing detection state.
+
+    :meth:`fold` evaluates a whole source database at once;
+    :meth:`advance` folds one day batch into the engine's own zone
+    database (grown by replaying the consumed delta stream);
+    :meth:`advance_from` drains a source past the engine watermark,
+    folding directly when it can; :meth:`result` reconstructs the
+    :class:`~repro.detection.pipeline.PipelineResult`.
 
     ``covered_tlds`` must name any TLDs the source database was
     *constructed* covering (coverage declared after construction flows
     through ``tld-cover`` deltas and needs no special handling).
     """
 
-    #: Default consumer name for dataset-side watermark commits.
+    #: Accepted for compatibility and ignored: the engine keeps its
+    #: progress in its own state, never in the source dataset.
     CONSUMER = "incremental-engine"
 
     def __init__(
         self,
         whois: WhoisArchive,
         *,
-        backend: str = "memory",
-        store_path: "str | Path | None" = None,
         covered_tlds: Iterable[str] = (),
         psl: PublicSuffixList | None = None,
         classifiers: list[IdiomClassifier] | None = None,
@@ -517,27 +502,19 @@ class IncrementalDetectionEngine:
         repo_map: RepositoryMap | None = None,
         mine_patterns: bool = True,
     ) -> None:
-        if backend == "memory":
-            store = MemoryDelegationStore()
-        elif backend == "sqlite":
-            if store_path is None:
-                raise ValueError("sqlite backend needs store_path")
-            from repro.store.sqlite import SqliteDelegationStore
-
-            store = SqliteDelegationStore(store_path)
-        else:
-            raise ValueError(f"unknown engine backend {backend!r}")
-        self.backend = backend
-        self.zonedb = ZoneDatabase(covered_tlds, store=store)
-        self.context = StageContext.build(
-            self.zonedb,
-            whois,
-            psl=psl,
-            classifiers=classifiers,
-            test_filter=test_filter,
-            repo_map=repo_map,
-            mine_patterns=mine_patterns,
-        )
+        self._options: dict[str, Any] = {
+            "psl": psl,
+            "classifiers": classifiers,
+            "test_filter": test_filter,
+            "repo_map": repo_map,
+            "mine_patterns": mine_patterns,
+        }
+        self.whois = whois
+        self.zonedb = ZoneDatabase(covered_tlds)
+        self.context = StageContext.build(self.zonedb, whois, **self._options)
+        #: True once the engine evaluates a source database directly
+        #: instead of its own replayed copy (see :meth:`fold`).
+        self.direct = False
         self.stages = build_stages()
         self.state = new_engine_state()
         # Conservative dirty-set indices (monotone: entries are never
@@ -556,6 +533,12 @@ class IncrementalDetectionEngine:
     def watermark(self) -> int | None:
         """The last batch day fully folded into the standing state."""
         return self.state["watermarks"].get(ENGINE_WATERMARK)
+
+    def _evaluate_source(self, source: ZoneDatabase) -> None:
+        """Evaluate ``source`` itself from now on, not a replayed copy."""
+        self.zonedb = source
+        self.context = StageContext.build(source, self.whois, **self._options)
+        self.direct = True
 
     def _note_ns(self, ns: str) -> None:
         if ns in self._known_ns:
@@ -594,6 +577,41 @@ class IncrementalDetectionEngine:
 
     # -- advancing -----------------------------------------------------------
 
+    def fold(
+        self,
+        source: ZoneDatabase,
+        *,
+        boundary: Callable[[str], None] | None = None,
+    ) -> int:
+        """Fold all of ``source`` at once; returns the batch day folded.
+
+        Only valid on a fresh engine. Every nameserver is dirty and each
+        stage runs once, under its own span, reading ``source`` directly
+        — no private store, no replay. The standing state equals a
+        day-by-day drain's through the source's last batch day (a source
+        without a recorded delta stream folds at its horizon). The
+        engine then evaluates ``source`` and cannot advance further;
+        restore its dumped state into a fresh engine to continue.
+        ``boundary("stage:<name>")`` runs after each stage completes.
+        """
+        if self.watermark is not None:
+            raise ValueError("a direct fold requires a fresh engine")
+        day = DeltaView(source).last_batch_day()
+        if day is None:
+            day = source.horizon
+        self._evaluate_source(source)
+        notes = AdvanceNotes(
+            batch_day=day,
+            dirty=tuple(sorted(source.all_nameservers())),
+            everything=True,
+        )
+        for stage in self.stages:
+            _run_stage_observed(stage, self.context, self.state, notes)
+            if boundary is not None:
+                boundary(f"stage:{stage.name}")
+        commit_watermark(self.state, ENGINE_WATERMARK, day)
+        return day
+
     def advance(self, batch_day: int, events: Iterable[DeltaEvent]) -> int:
         """Fold one day's delta batch; returns the number of events applied.
 
@@ -607,16 +625,17 @@ class IncrementalDetectionEngine:
                 f"engine already advanced through {watermark}; "
                 f"got batch day {batch_day}"
             )
+        if self.direct:
+            raise ValueError(
+                "engine evaluates its source directly and cannot advance; "
+                "restore its state into a fresh engine"
+            )
         with obs.span("engine.advance", day=batch_day) as span:
             with obs.span("delta.apply", day=batch_day, count=len(events)):
                 for event in events:
                     self._replay(event)
             dirty = self._dirty_from(events)
-            notes = AdvanceNotes(
-                batch_day=batch_day,
-                events=events,
-                dirty=tuple(sorted(dirty)),
-            )
+            notes = AdvanceNotes(batch_day=batch_day, dirty=tuple(sorted(dirty)))
             for stage in self.stages:
                 stage.advance(self.context, self.state, notes)
             commit_watermark(self.state, ENGINE_WATERMARK, batch_day)
@@ -630,35 +649,43 @@ class IncrementalDetectionEngine:
         source: ZoneDatabase,
         *,
         until: int | None = None,
-        consumer: str | None = None,
+        boundary: Callable[[str], None] | None = None,
     ) -> int:
         """Drain every batch past the engine watermark from ``source``.
 
-        Returns the number of day batches folded. With ``consumer`` set,
-        the source store's per-consumer watermark is committed after
-        each fully-folded day, so a later run (or another process)
-        resumes exactly where this one durably stopped.
+        A fresh engine whose horizon (``until``) reaches the source's
+        last batch day folds the source directly (:meth:`fold`); any
+        other drain replays and folds each day batch in turn.
+        ``boundary(label)`` runs after each stage of a direct fold
+        (``stage:<name>``) and after each folded day (``day:<batch day>``).
+        Returns the number of day batches folded.
         """
-        view = DeltaView(source, since=self.watermark, until=until)
-        days = 0
-        for batch_day, events in view.batches():
+        if self.watermark is None:
+            last = DeltaView(source).last_batch_day()
+            if last is not None and (until is None or until >= last):
+                self.fold(source, boundary=boundary)
+                if boundary is not None:
+                    boundary(f"day:{last}")
+                return DeltaView(source).stats()[1]
+        batches = DeltaView(source, since=self.watermark, until=until).batches()
+        for batch_day, events in batches:
             self.advance(batch_day, events)
-            if consumer is not None:
-                source.commit_watermark(consumer, batch_day)
-            days += 1
-        return days
+            if boundary is not None:
+                boundary(f"day:{batch_day}")
+        return len(batches)
 
     # -- the fold ------------------------------------------------------------
 
     def result(self) -> PipelineResult:
-        """The batch-identical :class:`PipelineResult` for the current state.
+        """The :class:`PipelineResult` for the current state.
 
-        Reconstructs every ordering the batch pipeline produces:
-        candidates in (first_seen, name) order, matches in surviving-
-        candidate order, the final set sorted by (created_day, name).
-        Coverage annotations are empty — the engine replays deltas, not
-        snapshots, so there are no ingest reports to summarize (result
-        fingerprints exclude coverage for exactly this reason).
+        Reconstructs every ordering the §3 pipeline defines: candidates
+        in (first_seen, name) order, matches in surviving-candidate
+        order, the final set sorted by (created_day, name). Every count
+        is taken over the surviving candidates, so verdicts a state
+        holds for candidates an earlier stage removed never leak in.
+        Coverage annotations are empty; callers attach the source's
+        (result fingerprints exclude coverage).
         """
         state = self.state
         funnel = PipelineFunnel()
@@ -676,10 +703,11 @@ class IncrementalDetectionEngine:
             # memo is per-instance scratch, deliberately left out of
             # dump_engine_state.
             if self._mine_memo is None or self._mine_memo[0] != counter.revision:
-                self._mine_memo = (
-                    counter.revision,
-                    counter.select(min_support=MINE_MIN_SUPPORT),
-                )
+                with obs.span("mine.select", names=len(counter.names)):
+                    self._mine_memo = (
+                        counter.revision,
+                        counter.select(min_support=MINE_MIN_SUPPORT),
+                    )
             mined = list(self._mine_memo[1])
         kept = [c for c in everyone if c.name not in state["test_removed"]]
         funnel.test_removed = len(everyone) - len(kept)
@@ -716,22 +744,27 @@ class IncrementalDetectionEngine:
     # -- serialization / resume ----------------------------------------------
 
     def restore(self, source: ZoneDatabase, state: dict[str, Any]) -> int | None:
-        """Adopt a loaded state, rebuilding the private store by replay.
+        """Adopt a loaded state; returns the restored watermark.
 
         Only valid on a fresh engine; ``state`` comes from
-        :func:`load_engine_state`. The source's recorded deltas up to
-        the state's watermark are replayed into the private store
-        (replay is deterministic, so the rebuilt store is bit-identical
-        to the one the state was dumped against); the standing verdicts
-        are installed as-is. Returns the restored watermark.
+        :func:`load_engine_state`. A state whose watermark is the
+        source's last batch day evaluates ``source`` directly, as a
+        :meth:`fold` does. Otherwise the source's recorded deltas up to
+        the watermark are replayed into the engine's own store (replay
+        is deterministic, so the rebuilt store is bit-identical to the
+        one the state was dumped against). The standing verdicts are
+        installed as-is.
         """
         if self.watermark is not None:
             raise ValueError("restore requires a fresh engine")
         watermark = state["watermarks"].get(ENGINE_WATERMARK)
         if watermark is not None:
-            with obs.span("delta.apply", day=watermark, restore=True):
-                for _batch_day, event in source.deltas_since(None, watermark):
-                    self._replay(event)
+            if watermark == DeltaView(source).last_batch_day():
+                self._evaluate_source(source)
+            else:
+                with obs.span("delta.apply", day=watermark, restore=True):
+                    for _batch_day, event in source.deltas_since(None, watermark):
+                        self._replay(event)
         self.state = state
         return watermark
 
@@ -742,9 +775,9 @@ def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
     Every unordered container is normalized (sets to sorted lists,
     dicts to key-sorted) so equal states produce identical bytes
     regardless of fold order or process hash seed — engine checkpoints
-    are content-addressed by these bytes, exactly like the batch
-    pipeline's stage checkpoint. The miner's state is its name
-    multiset; substring supports are counted when patterns are selected.
+    are content-addressed by these bytes. The miner's state is its
+    name multiset; substring supports are counted when patterns are
+    selected.
     """
     state = engine.state
     counter: SubstringCounter = state["mine_counter"]

@@ -21,9 +21,7 @@ stage-by-stage funnel (the §3 numbers: 20M → 312,328 → −28,614 test →
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dnscore.psl import PublicSuffixList
 from repro.detection.candidates import CandidateNameserver
@@ -32,73 +30,11 @@ from repro.detection.matching import MatchResult
 from repro.detection.repository_check import RepositoryMap
 from repro.detection.substrings import SubstringPattern
 from repro.detection.testns import TestNameserverFilter
-from repro.obs import profiling
-from repro.obs import runtime as obs
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
 
-if TYPE_CHECKING:
-    from repro.detection.incremental import StageContext
-
 #: Minimum substring support for the §3.2.2 mining stage.
 MINE_MIN_SUPPORT = 4
-
-#: Funnel fields each stage populates — mirrored into stage spans and
-#: the obs funnel counters when the stage completes.
-_STAGE_FUNNEL_FIELDS = {
-    "candidates": ("total_nameservers", "candidates"),
-    "mine": (),
-    "test-filter": ("test_removed",),
-    "pattern-sweep": ("pattern_classified",),
-    "single-repo": ("single_repo_removed",),
-    "match": ("history_matched", "match_classified"),
-}
-
-
-def _run_stage_observed(
-    name: str,
-    stage: "Callable[[StageContext, dict[str, Any]], None]",
-    context: "StageContext",
-    state: dict[str, Any],
-) -> None:
-    """Run one stage under a span, a duration histogram, and profiling.
-
-    The span's content attributes are the funnel counts the stage
-    produced — pure functions of the run's inputs, so a re-run after a
-    crash emits an identical span-end; the duration lands only in the
-    histogram and the span's telemetry field.
-    """
-    with obs.span(name) as span, obs.timed(
-        f"pipeline.stage.{name}.duration_s"
-    ), profiling.profile_stage(name):
-        stage(context, state)
-        counts = {
-            field_name: getattr(state["funnel"], field_name)
-            for field_name in _STAGE_FUNNEL_FIELDS.get(name, ())
-        }
-        span.set(**counts)
-    obs.counter(f"pipeline.stage_runs.{name}").inc()
-    for field_name, value in counts.items():
-        obs.counter(f"pipeline.funnel.{field_name}").inc(value)
-
-
-def dump_pipeline_state(state: dict[str, Any]) -> bytes:
-    """Serialize a checkpointable stage state deterministically.
-
-    The ``done`` set is normalized to a sorted list before pickling so
-    equal states produce identical bytes regardless of process hash
-    seed — checkpoint files are content-addressed by these bytes.
-    """
-    normalized = dict(state)
-    normalized["done"] = sorted(state.get("done", ()))
-    return pickle.dumps(normalized)
-
-
-def load_pipeline_state(data: bytes) -> dict[str, Any]:
-    """Inverse of :func:`dump_pipeline_state`."""
-    state: dict[str, Any] = pickle.loads(data)
-    state["done"] = set(state.get("done", ()))
-    return state
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,16 +162,28 @@ class PipelineResult:
 
 
 class DetectionPipeline:
-    """Configurable end-to-end runner for the §3 methodology.
+    """The §3 methodology over one zone database, in one pass.
 
-    :meth:`run` is one in-process pass over :attr:`STAGES`: each stage's
-    body is the ``run_batch`` of its
-    :class:`~repro.detection.incremental.IncrementalStage` operator, so
-    the batch and incremental schedules share one code path. Durable,
-    resumable runs go through
-    :func:`~repro.runner.execution.run_supervised_detection`, which
-    checkpoints the stage state from the ``after_stage`` hook.
+    :meth:`run` folds a fresh
+    :class:`~repro.detection.incremental.IncrementalDetectionEngine`
+    once, directly over ``zonedb``
+    (:meth:`~repro.detection.incremental.IncrementalDetectionEngine.fold`):
+    every nameserver is evaluated, each of :attr:`STAGES` runs once
+    under its own span, and the result carries coverage annotations
+    from the database's ingest reports. Durable, resumable runs go
+    through :func:`~repro.runner.execution.run_incremental_detection`,
+    which folds the same way.
     """
+
+    #: Ordered stages of one run (the span names).
+    STAGES = (
+        "candidates",
+        "mine",
+        "test-filter",
+        "pattern-sweep",
+        "single-repo",
+        "match",
+    )
 
     def __init__(
         self,
@@ -248,76 +196,27 @@ class DetectionPipeline:
         repo_map: RepositoryMap | None = None,
         mine_patterns: bool = True,
     ) -> None:
+        self.zonedb = zonedb
+        self.whois = whois
+        self.options = {
+            "psl": psl,
+            "classifiers": classifiers,
+            "test_filter": test_filter,
+            "repo_map": repo_map,
+            "mine_patterns": mine_patterns,
+        }
+
+    def run(self) -> PipelineResult:
+        """Fold every nameserver once; return the result."""
         # Imported here, not at module top: the incremental module builds
         # on this module's result types, so the dependency runs one way
-        # at import time and closes into a pair only at construction.
-        from repro.detection.incremental import StageContext, build_stages
+        # at import time.
+        from repro.detection.incremental import IncrementalDetectionEngine
 
-        self.context = StageContext.build(
-            zonedb,
-            whois,
-            psl=psl,
-            classifiers=classifiers,
-            test_filter=test_filter,
-            repo_map=repo_map,
-            mine_patterns=mine_patterns,
+        engine = IncrementalDetectionEngine(self.whois, **self.options)
+        engine.fold(self.zonedb)
+        result = engine.result()
+        result.coverage = CoverageAnnotations.from_reports(
+            self.zonedb.ingest_reports
         )
-        #: Stage operators by name; batch runs execute their
-        #: ``run_batch`` bodies, the incremental engine their ``advance``.
-        self.ops = {stage.name: stage for stage in build_stages()}
-
-    #: Ordered stages of one run (the checkpoint and span names).
-    STAGES = (
-        "candidates",
-        "mine",
-        "test-filter",
-        "pattern-sweep",
-        "single-repo",
-        "match",
-    )
-
-    @staticmethod
-    def new_state() -> dict[str, Any]:
-        """A fresh stage state (nothing done yet)."""
-        return {"done": set(), "funnel": PipelineFunnel()}
-
-    def run(
-        self,
-        state: dict[str, Any] | None = None,
-        *,
-        after_stage: "Callable[[str, dict[str, Any]], None] | None" = None,
-    ) -> PipelineResult:
-        """Execute every stage not yet in ``state["done"]``; return the result.
-
-        ``state`` defaults to :meth:`new_state`; a state restored from a
-        checkpoint resumes after its last completed stage.
-        ``after_stage(name, state)`` runs after each stage completes —
-        the supervised runner checkpoints (and chaos-kills) there.
-        """
-        if state is None:
-            state = self.new_state()
-        for name in self.STAGES:
-            if name in state["done"]:
-                continue
-            _run_stage_observed(name, self.ops[name].run_batch, self.context, state)
-            state["done"].add(name)
-            if after_stage is not None:
-                after_stage(name, state)
-        return self._finalize(state)
-
-    def _finalize(self, state: dict[str, Any]) -> PipelineResult:
-        funnel = state["funnel"]
-        final = sorted(
-            state["sacrificial"].values(), key=lambda s: (s.created_day, s.name)
-        )
-        funnel.sacrificial_total = len(final)
-        return PipelineResult(
-            sacrificial=final,
-            funnel=funnel,
-            mined_patterns=state["mined"],
-            matches=state["matches"],
-            candidates=state["candidates"],
-            coverage=CoverageAnnotations.from_reports(
-                self.context.zonedb.ingest_reports
-            ),
-        )
+        return result

@@ -19,18 +19,18 @@ windows (its prefix and its suffix) reached the threshold. Only
 substrings that can still be frequent are ever counted, and each
 counted support is exact.
 
-The incremental engine keeps a standing :class:`SubstringCounter` — the
+The detection engine keeps a standing :class:`SubstringCounter` — the
 candidate name multiset, adjusted in place by day-over-day churn — and
-the batch miner builds the same counter in one pass. Selection counts
-that multiset, so both schedules produce identical patterns for
-identical name multisets.
+:func:`mine_substrings` builds the same counter in one pass. Selection
+counts that multiset, so both produce identical patterns for identical
+name multisets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 #: Default mining parameters (the values the pipeline uses).
 DEFAULT_MIN_LENGTH = 5
@@ -209,51 +209,6 @@ def mine_substrings(
         counter.add(raw)
     return counter.select(
         min_support=min_support, top=top, containment_slack=containment_slack
-    )
-
-
-def mine_substrings_cached(
-    names: Iterable[str],
-    *,
-    cache: Any | None = None,
-    min_length: int = DEFAULT_MIN_LENGTH,
-    max_length: int = DEFAULT_MAX_LENGTH,
-    min_support: int = 5,
-    top: int = 50,
-    containment_slack: float = 0.9,
-) -> list[SubstringPattern]:
-    """:func:`mine_substrings` memoized through the artifact cache.
-
-    Mining is a pure function of the name multiset and the parameters,
-    so results are content-addressed: repeated folds over an unchanged
-    candidate set (the common case for daily incremental advances) hit
-    the cache instead of re-scanning every name.
-    """
-    from repro.store.artifacts import ArtifactKey, content_digest, default_cache
-
-    name_list = sorted(raw.lower() for raw in names)
-    options = {
-        "min_length": min_length,
-        "max_length": max_length,
-        "min_support": min_support,
-        "top": top,
-        "containment_slack": containment_slack,
-    }
-    key = ArtifactKey.build(
-        "mined-patterns", content_digest({"names": name_list}), options
-    )
-    store = cache if cache is not None else default_cache()
-    return store.get_or_create(
-        key,
-        lambda: mine_substrings(
-            name_list,
-            min_length=min_length,
-            max_length=max_length,
-            min_support=min_support,
-            top=top,
-            containment_slack=containment_slack,
-        ),
-        memory_only=True,
     )
 
 

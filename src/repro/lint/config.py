@@ -95,14 +95,10 @@ class LintConfig:
     protocol_close_methods: tuple[str, ...] = ("close",)
     #: Journal event names that rewrite resume history; appending them
     #: outside the reconcile functions below is a DET015 finding.
-    journal_reconcile_events: tuple[str, ...] = (
-        "engine-reset",
-        "pipeline-reset",
-    )
+    journal_reconcile_events: tuple[str, ...] = ("engine-reset",)
     #: The functions (``module:qualname`` specs) sanctioned to append
     #: reconcile events: the resume/verify paths that own recovery.
     journal_reconcile_functions: tuple[str, ...] = (
-        "repro.runner.execution:_load_partial_state",
         "repro.runner.execution:_restore_engine",
     )
     #: Paths where DET016 polices manual temp-file dances. Wider than

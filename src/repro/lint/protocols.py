@@ -12,8 +12,8 @@ functions live in config, not code:
   and a closed :class:`~repro.obs.tracer.Tracer` must not record
   anything further.
 * **DET015** — journal discipline: a closed journal must not be used,
-  and the reconcile events (``engine-reset``/``pipeline-reset``) may only
-  be appended from the sanctioned reconcile functions.
+  and the reconcile events (``engine-reset``) may only be appended from
+  the sanctioned reconcile functions.
 * **DET016** — the temp→fsync→``os.replace`` atomic-write protocol:
   renaming a dirty temp publishes a possibly-torn file; writing the
   temp (or the rename target) after the rename corrupts the published
@@ -218,9 +218,9 @@ class _JournalLifecycle(_HandleLifecycle):
     def scan(self, cfg: CFG, ctx: TypestateContext) -> list[Diagnostic]:
         """Reconcile window: reset events only from sanctioned functions.
 
-        ``engine-reset``/``pipeline-reset`` journal records rewrite resume
-        history; appending them anywhere but the reconcile helpers
-        forges a recovery that never happened.
+        ``engine-reset`` journal records rewrite resume history;
+        appending them anywhere but the reconcile helpers forges a
+        recovery that never happened.
         """
         config = ctx.config
         ident = ctx.function_ident(cfg.name)

@@ -12,12 +12,10 @@ it:
   tasks across a pool of worker processes with heartbeats, hang
   detection, and retry-with-exponential-backoff on crash (the engine
   behind ``riskybiz lint --jobs``);
-* :mod:`repro.runner.execution` — the supervised detection run: one
-  in-process pass whose stage state is checkpointed and journaled after
-  every stage, with ``riskybiz detect --resume <run-id>`` semantics —
-  plus the incremental run (``riskybiz advance``), which folds per-day
-  delta batches into a journaled standing engine instead of re-running
-  the batch pipeline;
+* :mod:`repro.runner.execution` — the journaled detection run behind
+  ``riskybiz detect --run-dir`` and ``riskybiz advance``: a detection
+  engine folds the dataset (all at once, then day batch by day batch)
+  and one checkpoint per invocation makes its standing state durable;
 * :mod:`repro.runner.chaos_harness` — the seeded kill-and-resume
   harness proving a run killed at randomized boundaries and resumed is
   bit-identical to an uninterrupted one.
@@ -42,11 +40,9 @@ from repro.runner.supervisor import (
 )
 from repro.runner.execution import (
     IncrementalRunResult,
-    SupervisedResult,
     compute_run_id,
     result_fingerprint,
     run_incremental_detection,
-    run_supervised_detection,
 )
 from repro.runner.chaos_harness import ChaosTrialReport, run_kill_resume_trial
 
@@ -59,11 +55,9 @@ __all__ = [
     "RunJournal",
     "RunSupervisor",
     "ShardOutcome",
-    "SupervisedResult",
     "SupervisorPolicy",
     "compute_run_id",
     "result_fingerprint",
     "run_incremental_detection",
     "run_kill_resume_trial",
-    "run_supervised_detection",
 ]

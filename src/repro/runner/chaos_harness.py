@@ -1,7 +1,7 @@
 """Seeded kill-and-resume trials: crash anywhere, resume, compare bits.
 
 The harness is the executable claim behind the crash-safety design: a
-supervised run killed at *randomized* stage, journal-append, and
+journaled run killed at *randomized* stage, day, journal-append, and
 torn-write boundaries — repeatedly, up to a kill budget — and resumed
 after each death must produce a result **bit-identical** (equal
 semantic digest, which covers every reported field) to the same run
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
-from repro.runner.execution import run_supervised_detection
+from repro.runner.execution import run_incremental_detection
 from repro.runner.journal import RunJournal
 
 if TYPE_CHECKING:
@@ -136,7 +136,7 @@ def run_kill_resume_trial(
     workdir.mkdir(parents=True, exist_ok=True)
     zonedb, whois, dataset_path = _build_inputs(scale, seed, backend, workdir)
 
-    baseline = run_supervised_detection(
+    baseline = run_incremental_detection(
         zonedb,
         whois,
         run_dir=workdir / "baseline",
@@ -156,12 +156,12 @@ def run_kill_resume_trial(
     chaos_dir = workdir / "chaos"
     resumes = 0
     resume_id: str | None = None
-    supervised = None
+    outcome = None
     # Each caught ChaosKill spends exactly one kill from the budget, so
     # the loop is bounded by max_kills + the final uninterrupted pass.
     for _attempt in range(max_kills + 2):
         try:
-            supervised = run_supervised_detection(
+            outcome = run_incremental_detection(
                 zonedb,
                 whois,
                 run_dir=chaos_dir,
@@ -174,7 +174,7 @@ def run_kill_resume_trial(
         except ChaosKill:
             resumes += 1
             resume_id = RunJournal.open(chaos_dir / "journal.jsonl").run_id
-    if supervised is None:  # pragma: no cover - budget math prevents this
+    if outcome is None:  # pragma: no cover - budget math prevents this
         raise RuntimeError(
             f"chaos trial did not finish within {max_kills + 2} attempts"
         )
@@ -195,7 +195,7 @@ def run_kill_resume_trial(
         kill_sites=list(monkey.kill_sites),
         resumes=resumes,
         baseline_digest=baseline.result_digest,
-        chaos_digest=supervised.result_digest,
+        chaos_digest=outcome.result_digest,
         verify_issues=issues,
         baseline_trace_digest=baseline_trace,
         chaos_trace_digest=chaos_trace,

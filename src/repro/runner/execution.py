@@ -1,31 +1,37 @@
-"""Supervised detection runs: journaled, checkpointed, resumable.
+"""Journaled detection runs: checkpointed, resumable, durable.
 
-This module ties the journal to the detection pipeline. One *supervised
-run* lives in a run directory::
+One *run* lives in a run directory::
 
     <run_dir>/journal.jsonl                     append-only run journal
-    <run_dir>/checkpoints/pipeline-state.pkl    the stage state
+    <run_dir>/checkpoints/engine-state.pkl      the engine checkpoint
     <run_dir>/result.pkl + result.json          result + manifest
 
-Durability protocol, per stage::
+Every invocation folds the source dataset into an
+:class:`~repro.detection.incremental.IncrementalDetectionEngine`: the
+first folds the whole dataset at once (``riskybiz detect --run-dir``,
+or ``riskybiz advance`` on a fresh run directory), later ones fold
+exactly the day batches recorded past the durable watermark. The
+durability protocol, per invocation::
 
-    run stage  →  atomic checkpoint write  →  journal stage-complete
+    fold  →  atomic engine checkpoint  →  journal day-advanced
+          →  result  →  journal run-complete
 
 so every crash window converges on resume:
 
-* killed before the checkpoint write — the stage's work is in memory
-  only; the checkpoint still describes the previous stage; redo it;
+* killed before the checkpoint write — the fold is in memory only; the
+  checkpoint still describes the previous drain; refold;
 * killed between checkpoint and journal append — the checkpoint is
-  *ahead* of the journal; resume reconciles by journaling the stages
-  the checkpoint proves complete (flagged ``reconciled``);
+  *ahead* of the journal; resume reconciles by journaling the drain the
+  checkpoint proves (flagged ``reconciled``);
 * a torn journal append — the fragment fails verification and is
   dropped on reopen, identical to the previous window.
 
 The checkpoint and the result are content-verified on resume: a file
-whose SHA-256 does not match what the journal recorded is quarantined
-and its work recomputed — the journal never lies about what durably
-exists. Run IDs are deterministic digests of the run's inputs, so
-``--resume`` can also detect an input switcheroo.
+whose SHA-256 does not match what the journal recorded is quarantined,
+an ``engine-reset`` is journaled, and the work is recomputed — the
+journal never lies about what durably exists. Run IDs are
+deterministic digests of the run's inputs, so ``--resume`` can also
+detect an input switcheroo. The source dataset is only ever read.
 """
 
 from __future__ import annotations
@@ -44,12 +50,7 @@ from repro.detection.incremental import (
     dump_engine_state,
     load_engine_state,
 )
-from repro.detection.pipeline import (
-    DetectionPipeline,
-    PipelineResult,
-    dump_pipeline_state,
-    load_pipeline_state,
-)
+from repro.detection.pipeline import CoverageAnnotations, PipelineResult
 from repro.obs import profiling
 from repro.obs import runtime as obs
 from repro.obs.tracer import Tracer
@@ -79,9 +80,7 @@ RESULT_MANIFEST_NAME = "result.json"
 CHECKPOINT_DIR_NAME = "checkpoints"
 TRACE_NAME = "trace.jsonl"
 METRICS_NAME = "metrics.json"
-PIPELINE_CHECKPOINT_NAME = "pipeline-state.pkl"
 ENGINE_CHECKPOINT_NAME = "engine-state.pkl"
-ENGINE_STORE_NAME = "engine-store.sqlite"
 
 
 def compute_run_id(fingerprint: dict[str, Any]) -> str:
@@ -116,119 +115,6 @@ def result_fingerprint(result: PipelineResult) -> dict[str, Any]:
 def result_digest(result: PipelineResult) -> str:
     """SHA-256 digest of :func:`result_fingerprint`."""
     return content_digest(result_fingerprint(result))
-
-
-def state_digest(state: dict[str, Any]) -> str:
-    """Semantic digest of a batch run's checkpointable stage state.
-
-    Journaled at every stage boundary; like :func:`result_fingerprint`
-    it digests field values, not pickle bytes, so digests agree between
-    the process that wrote a checkpoint and the one that resumes it.
-    """
-    fingerprint: dict[str, Any] = {
-        "done": sorted(state.get("done", ())),
-        "funnel": asdict(state["funnel"]),
-    }
-    for key in ("candidates", "remaining"):
-        if key in state:
-            fingerprint[key] = [
-                [c.name, c.first_seen, list(c.referencing_domains)]
-                for c in state[key]
-            ]
-    if "mined" in state:
-        fingerprint["mined"] = [[p.substring, p.support] for p in state["mined"]]
-    if "sacrificial" in state:
-        fingerprint["sacrificial"] = {
-            name: asdict(entry) for name, entry in state["sacrificial"].items()
-        }
-    if "matches" in state:
-        fingerprint["matches"] = [asdict(match) for match in state["matches"]]
-    return content_digest(fingerprint)
-
-
-@dataclass
-class SupervisedResult:
-    """What a supervised run produced, plus how it got there."""
-
-    run_id: str
-    result: PipelineResult
-    result_digest: str
-    run_dir: Path
-    journal_path: Path
-    resumed: bool = False
-
-
-def _boundary(chaos: "ChaosMonkey | None", site: str, label: str) -> None:
-    """Hit a chaos boundary if a monkey is riding along."""
-    if chaos is None:
-        return
-    if site == "worker":
-        chaos.worker_boundary(label)
-    else:
-        chaos.supervisor_boundary(label)
-
-
-def _note_pipeline_reset(reason: str) -> None:
-    """Mirror a journaled pipeline-reset into metrics and the trace."""
-    obs.counter("runner.pipeline_resets").inc()
-    obs.trace_event("runner.pipeline-reset", reason=reason)
-
-
-def _load_partial_state(journal: RunJournal, path: Path) -> dict[str, Any]:
-    """The resumable stage state of an unfinished batch run, reconciled.
-
-    Source of truth is the checkpoint file (it is written before the
-    journal entry); the journal is cross-checked against it:
-
-    * checkpoint ahead of journal — journal the proven stages
-      (``reconciled``) and continue from the checkpoint;
-    * checkpoint behind the journal, unreadable, missing while the
-      journal claims progress, or hashing differently from what the
-      journal recorded for the same stage — the durable artifact is
-      gone or lying; quarantine it, journal a ``pipeline-reset``, and
-      start over (stages are deterministic, so redoing is always safe).
-    """
-    journaled = journal.completed_stages()
-    stages = {str(record.payload["stage"]) for record in journaled}
-    if not path.exists():
-        if journaled:
-            journal.append("pipeline-reset", reason="checkpoint-missing")
-            _note_pipeline_reset("checkpoint-missing")
-        return DetectionPipeline.new_state()
-    try:
-        data = path.read_bytes()
-        state = load_pipeline_state(data)
-    except Exception:
-        quarantine(path)
-        journal.append("pipeline-reset", reason="checkpoint-unreadable")
-        _note_pipeline_reset("checkpoint-unreadable")
-        return DetectionPipeline.new_state()
-    done = state["done"]
-    sha256 = hashlib.sha256(data).hexdigest()
-    reason = None
-    if not stages <= done:
-        reason = "checkpoint-behind-journal"
-    elif (
-        journaled
-        and done == stages
-        and sha256 != journaled[-1].payload.get("checkpoint_sha256")
-    ):
-        reason = "checkpoint-mismatch"
-    if reason is not None:
-        quarantine(path)
-        journal.append("pipeline-reset", reason=reason)
-        _note_pipeline_reset(reason)
-        return DetectionPipeline.new_state()
-    for stage in DetectionPipeline.STAGES:
-        if stage in done and stage not in stages:
-            journal.append(
-                "stage-complete",
-                stage=stage,
-                state_digest=state_digest(state),
-                checkpoint_sha256=sha256,
-                reconciled=True,
-            )
-    return state
 
 
 def _load_completed_result(
@@ -390,136 +276,12 @@ def _open_run(
             tracer.close()
 
 
-# -- the supervised run ------------------------------------------------------
-
-
-def run_supervised_detection(
-    zonedb: "ZoneDatabase",
-    whois: "WhoisArchive",
-    *,
-    run_dir: str | Path,
-    mine_patterns: bool = True,
-    options: dict[str, Any] | None = None,
-    chaos: "ChaosMonkey | None" = None,
-    resume: str | None = None,
-    trace: bool = False,
-    profile: bool = False,
-) -> SupervisedResult:
-    """Run the detection pipeline journaled in ``run_dir``, resumably.
-
-    Fresh run: ``run_dir`` must hold no journal; one is created under a
-    deterministic run ID. Resume: pass ``resume=<run-id>`` (from the
-    journal, or ``riskybiz detect``'s output); the journal is replayed
-    and exactly the stages that did not durably complete are re-executed
-    — finishing a run twice returns the recorded result without running
-    anything. A stage that raises propagates: the stages are
-    deterministic, so retrying in place would only repeat the failure.
-
-    ``chaos`` arms the execution-plane fault injectors at every stage
-    and journal-append boundary (see :mod:`repro.faults.process`).
-
-    ``trace`` emits a span/event trace to ``<run_dir>/trace.jsonl`` and a
-    metrics snapshot to ``<run_dir>/metrics.json`` (deterministic span
-    IDs; wall durations confined to telemetry-only fields — see
-    :mod:`repro.obs.tracer`). ``profile`` additionally records per-stage
-    durations and ``tracemalloc`` peaks into the metrics snapshot.
-    """
-    inputs = {"mine_patterns": mine_patterns, "options": dict(options or {})}
-    with _open_run(
-        run_dir,
-        zonedb,
-        inputs=inputs,
-        resume=resume,
-        chaos=chaos,
-        trace=trace,
-        profile=profile,
-    ) as run:
-        return _execute_supervised(
-            run, zonedb, whois, mine_patterns=mine_patterns, chaos=chaos
-        )
-
-
-def _execute_supervised(
-    run: _OpenRun,
-    zonedb: "ZoneDatabase",
-    whois: "WhoisArchive",
-    *,
-    mine_patterns: bool,
-    chaos: "ChaosMonkey | None",
-) -> SupervisedResult:
-    """The journal-driven execution body of :func:`run_supervised_detection`.
-
-    Runs with the run's tracer (possibly None) installed as the active
-    one; every span and event below no-ops when tracing is off. The
-    outermost ``run`` span closes only when the run completes, so a kill
-    anywhere inside leaves a start-without-end — the same shape the
-    journal's crash windows have.
-    """
-    journal = run.journal
-    with obs.span("run") as run_span:
-        complete_record = journal.run_complete
-        if complete_record is not None:
-            replayed = _load_completed_result(run.run_dir, complete_record.payload)
-            if replayed is not None:
-                digest = str(complete_record.payload["result_digest"])
-                run_span.set(result_digest=digest)
-                if run.tracer is not None:
-                    _write_metrics_snapshot(run.run_dir)
-                return SupervisedResult(
-                    run_id=run.run_id,
-                    result=replayed,
-                    result_digest=digest,
-                    run_dir=run.run_dir,
-                    journal_path=run.journal_path,
-                    resumed=True,
-                )
-
-        path = run.checkpoint_dir / PIPELINE_CHECKPOINT_NAME
-        state = _load_partial_state(journal, path)
-
-        def after_stage(stage: str, st: dict[str, Any]) -> None:
-            _boundary(chaos, "worker", f"stage:{stage}")
-            data = dump_pipeline_state(st)
-            atomic_write_bytes(path, data)
-            _boundary(chaos, "supervisor", f"stage-complete:{stage}")
-            journal.append(
-                "stage-complete",
-                stage=stage,
-                state_digest=state_digest(st),
-                checkpoint_sha256=hashlib.sha256(data).hexdigest(),
-            )
-
-        pipeline = DetectionPipeline(zonedb, whois, mine_patterns=mine_patterns)
-        result = pipeline.run(state, after_stage=after_stage)
-        data = pickle.dumps(result)
-        atomic_write_bytes(run.run_dir / RESULT_NAME, data)
-        manifest = _write_result_manifest(run.run_dir, run.run_id, data, result)
-        _boundary(chaos, "supervisor", "run-complete")
-        journal.append(
-            "run-complete",
-            run_id=run.run_id,
-            result_sha256=manifest["result_sha256"],
-            result_digest=manifest["result_digest"],
-        )
-        run_span.set(result_digest=str(manifest["result_digest"]))
-        if run.tracer is not None:
-            _write_metrics_snapshot(run.run_dir)
-        return SupervisedResult(
-            run_id=run.run_id,
-            result=result,
-            result_digest=str(manifest["result_digest"]),
-            run_dir=run.run_dir,
-            journal_path=run.journal_path,
-            resumed=run.resumed,
-        )
-
-
-# -- the incremental run -----------------------------------------------------
+# -- the run -----------------------------------------------------------------
 
 
 @dataclass
 class IncrementalRunResult:
-    """What an incremental run produced, plus how far it advanced."""
+    """What a run invocation produced, plus how far it advanced."""
 
     run_id: str
     result: PipelineResult
@@ -616,7 +378,6 @@ def run_incremental_detection(
     *,
     run_dir: str | Path,
     until: int | None = None,
-    backend: str = "memory",
     mine_patterns: bool = True,
     options: dict[str, Any] | None = None,
     chaos: "ChaosMonkey | None" = None,
@@ -625,38 +386,38 @@ def run_incremental_detection(
     trace: bool = False,
     profile: bool = False,
 ) -> IncrementalRunResult:
-    """Advance an incremental detection run to the end of the delta stream.
+    """Advance a journaled detection run to ``until`` (default: the end).
 
-    Instead of re-running the batch pipeline, an
-    :class:`~repro.detection.incremental.IncrementalDetectionEngine`
-    folds every recorded day batch past its watermark into standing
-    state, then makes the whole drain durable at once::
+    Fresh run: ``run_dir`` must hold no journal; one is created under a
+    deterministic run ID, and a fresh engine folds ``zonedb`` directly
+    when ``until`` reaches its last batch day, or replays it day by day
+    up to ``until``. Resume: pass ``resume=<run-id>`` (from the journal,
+    or the CLI's output); the durable engine checkpoint is restored and
+    exactly the day batches past its watermark are folded — a run that
+    is already current returns its recorded result without folding
+    anything. ``until`` caps the horizon without entering the run
+    fingerprint, so one standing run can advance day by day. Each
+    invocation writes one engine checkpoint for everything it folded
+    (see the module docstring for the crash windows). ``consumer`` is
+    accepted for compatibility and ignored: ``zonedb`` is only read.
 
-        fold each new day  →  atomic engine checkpoint
-                           →  journal day-advanced  →  commit watermark
+    ``chaos`` arms the execution-plane fault injectors at every stage,
+    day and journal-append boundary (see :mod:`repro.faults.process`).
+    ``trace`` emits a span/event trace to ``<run_dir>/trace.jsonl`` and a
+    metrics snapshot to ``<run_dir>/metrics.json`` (deterministic span
+    IDs; wall durations confined to telemetry-only fields — see
+    :mod:`repro.obs.tracer`). ``profile`` additionally records per-stage
+    durations and ``tracemalloc`` peaks into the metrics snapshot.
 
-    so a crash mid-drain resumes at the previous durable drain and
-    refolds the lost days (folding is deterministic, so the refold is
-    bit-identical). The run directory holds one engine checkpoint
-    (``checkpoints/engine-state.pkl``) that always describes the
-    journal's newest ``day-advanced`` record — the same
-    checkpoint-ahead reconciliation the batch runner uses.
-
-    Unlike a batch run, an incremental run is durable *across*
-    invocations: call again (with ``resume=<run-id>``) after the source
-    dataset grows and exactly the new days are folded. ``until`` caps
-    the horizon without entering the run fingerprint, so one standing
-    run can advance day by day. With ``consumer`` set, the source
-    store's per-consumer watermark is committed after each durable
-    drain.
-
-    The produced result is bit-identical (same result digest) to a
-    fresh batch run over the same history — that invariant is what the
-    ``incremental-equivalence`` CI job asserts on both backends.
+    The result is bit-identical (same result digest) to
+    :class:`~repro.detection.pipeline.DetectionPipeline` over the same
+    history — the invariant the ``incremental-equivalence`` CI job
+    asserts.
     """
+    # "backend" stays in the fingerprint so standing run IDs survive.
     inputs = {
         "mode": "incremental",
-        "backend": backend,
+        "backend": "memory",
         "mine_patterns": mine_patterns,
         "options": dict(options or {}),
     }
@@ -668,81 +429,37 @@ def run_incremental_detection(
         chaos=chaos,
         trace=trace,
         profile=profile,
-    ) as run:
-        return _execute_incremental(
-            run,
-            zonedb,
-            whois,
-            until=until,
-            backend=backend,
-            mine_patterns=mine_patterns,
-            chaos=chaos,
-            consumer=consumer,
-        )
-
-
-def _execute_incremental(
-    run: _OpenRun,
-    zonedb: "ZoneDatabase",
-    whois: "WhoisArchive",
-    *,
-    until: int | None,
-    backend: str,
-    mine_patterns: bool,
-    chaos: "ChaosMonkey | None",
-    consumer: str | None,
-) -> IncrementalRunResult:
-    """The journal-driven drain loop of :func:`run_incremental_detection`."""
-    journal = run.journal
-    engine_path = run.checkpoint_dir / ENGINE_CHECKPOINT_NAME
-    with obs.span("run", mode="incremental") as run_span:
-        store_path: Path | None = None
-        if backend == "sqlite":
-            # The private store is rebuilt by deterministic replay; only
-            # the engine-state checkpoint is a durable artifact. A stale
-            # store from an earlier invocation must not be replayed into.
-            store_path = run.run_dir / ENGINE_STORE_NAME
-            for leftover in (
-                store_path,
-                store_path.with_name(store_path.name + "-wal"),
-                store_path.with_name(store_path.name + "-shm"),
-            ):
-                leftover.unlink(missing_ok=True)
-        engine = IncrementalDetectionEngine(
-            whois,
-            backend=backend,
-            store_path=store_path,
-            mine_patterns=mine_patterns,
-        )
+    ) as run, obs.span("run", mode="incremental") as run_span:
+        # The outermost span closes only when the invocation completes,
+        # so a kill anywhere inside leaves a start-without-end — the
+        # same shape the journal's crash windows have.
+        journal = run.journal
+        engine_path = run.checkpoint_dir / ENGINE_CHECKPOINT_NAME
+        engine = IncrementalDetectionEngine(whois, mine_patterns=mine_patterns)
         restored = (
             _restore_engine(journal, engine, zonedb, engine_path)
             if run.resumed
             else None
         )
-        batches = DeltaView(zonedb, since=engine.watermark, until=until).batches()
-        days = len(batches)
-        deltas = 0
-        for batch_day, events in batches:
-            deltas += engine.advance(batch_day, events)
-            _boundary(chaos, "worker", f"day:{batch_day}")
-        if batches:
-            watermark = batches[-1][0]
+        deltas, days = DeltaView(
+            zonedb, since=engine.watermark, until=until
+        ).stats()
+        engine.advance_from(
+            zonedb,
+            until=until,
+            boundary=None if chaos is None else chaos.worker_boundary,
+        )
+        if days:
             data = dump_engine_state(engine)
             atomic_write_bytes(engine_path, data)
-            _boundary(chaos, "supervisor", f"day-advanced:{watermark}")
+            if chaos is not None:
+                chaos.supervisor_boundary(f"day-advanced:{engine.watermark}")
             journal.append(
                 "day-advanced",
-                day=watermark,
+                day=engine.watermark,
                 deltas_applied=deltas,
                 checkpoint_sha256=hashlib.sha256(data).hexdigest(),
             )
-            # The source-side watermark is shared by consumer *name*, so
-            # a fresh run directory refolding already-consumed days must
-            # not drag it backwards — only ever advance it.
-            if consumer is not None:
-                source_mark = zonedb.watermark(consumer)
-                if source_mark is None or watermark > source_mark:
-                    zonedb.commit_watermark(consumer, watermark)
         else:
             complete = journal.run_complete
             if (
@@ -752,7 +469,7 @@ def _execute_incremental(
                 replayed = _load_completed_result(run.run_dir, complete.payload)
                 if replayed is not None:
                     digest = str(complete.payload["result_digest"])
-                    run_span.set(result_digest=digest, days=0)
+                    run_span.set(result_digest=digest, watermark=engine.watermark)
                     if run.tracer is not None:
                         _write_metrics_snapshot(run.run_dir)
                     return IncrementalRunResult(
@@ -766,10 +483,12 @@ def _execute_incremental(
                         restored_watermark=restored,
                     )
         result = engine.result()
+        result.coverage = CoverageAnnotations.from_reports(zonedb.ingest_reports)
         data = pickle.dumps(result)
         atomic_write_bytes(run.run_dir / RESULT_NAME, data)
         manifest = _write_result_manifest(run.run_dir, run.run_id, data, result)
-        _boundary(chaos, "supervisor", "run-complete")
+        if chaos is not None:
+            chaos.supervisor_boundary("run-complete")
         journal.append(
             "run-complete",
             run_id=run.run_id,
@@ -779,7 +498,8 @@ def _execute_incremental(
             result_digest=manifest["result_digest"],
         )
         run_span.set(
-            result_digest=str(manifest["result_digest"]), days=days
+            result_digest=str(manifest["result_digest"]),
+            watermark=engine.watermark,
         )
         if run.tracer is not None:
             _write_metrics_snapshot(run.run_dir)

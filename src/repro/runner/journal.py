@@ -1,11 +1,12 @@
 """The durable run journal: append-only, checksummed JSONL.
 
 One journal records one run's progress as a sequence of events —
-``run-start``, ``run-config``, ``stage-complete`` (with the stage
-checkpoint's digests), ``run-complete`` — each on its own line:
+``run-start``, ``run-config``, ``day-advanced`` (with the engine
+checkpoint's digest), ``engine-reset``, ``run-complete`` — each on its
+own line:
 
     {"checksum": "<sha256 of the rest>", "payload": {...},
-     "run_id": "run-…", "seq": 3, "type": "stage-complete"}
+     "run_id": "run-…", "seq": 3, "type": "day-advanced"}
 
 Appends are durable (write → flush → fsync) and every record carries a
 SHA-256 over its own canonical body, so on reopen the journal can tell
@@ -214,21 +215,6 @@ class RunJournal:
                 return record
         return None
 
-    def completed_stages(self) -> list[JournalRecord]:
-        """The ``stage-complete`` events after the last ``pipeline-reset``.
-
-        In completion order; a batch run's checkpoint must be the one
-        the newest of them hashed. Empty when no stage is durable since
-        a reset.
-        """
-        stages: list[JournalRecord] = []
-        for record in self.records:
-            if record.type == "pipeline-reset":
-                stages = []
-            elif record.type == "stage-complete":
-                stages.append(record)
-        return stages
-
     @property
     def run_complete(self) -> JournalRecord | None:
         """The run-complete event, if the run durably finished."""
@@ -238,8 +224,8 @@ class RunJournal:
     def last_drain(self) -> JournalRecord | None:
         """The newest ``day-advanced`` event after the last ``engine-reset``.
 
-        An incremental run's engine checkpoint must be the one this
-        event hashed; None when no drain is durable since a reset.
+        The run's engine checkpoint must be the one this event hashed;
+        None when no drain is durable since a reset.
         """
         for record in reversed(self.records):
             if record.type == "engine-reset":

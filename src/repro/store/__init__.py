@@ -17,9 +17,8 @@ Layering (see ``docs/ARCHITECTURE.md``)::
 * :mod:`repro.store.memory` — dict-of-intervals backend (the seed
   implementation, moved behind the interface);
 * :mod:`repro.store.sqlite` — SQLite-backed on-disk backend;
-* :mod:`repro.store.changelog` — the append-only, checksummed delta
-  log (``riskybiz-changelog/1``) with per-consumer watermarks that the
-  incremental detection engine consumes;
+* :mod:`repro.store.changelog` — the typed delta events every
+  mutation is recorded as, and their grouping into batch days;
 * :mod:`repro.store.dataset` — dataset files + manifests, and the
   :class:`~repro.store.dataset.DeltaView` the incremental detection
   engine consumes;
@@ -51,14 +50,7 @@ from repro.store.atomic import (
     write_checked_json,
 )
 from repro.store.base import DelegationRecord, DelegationStore, PresenceHistory
-from repro.store.changelog import (
-    CHANGELOG_FORMAT,
-    ChangeLog,
-    ChangelogCorruption,
-    DELTA_KINDS,
-    DeltaEvent,
-    group_batches,
-)
+from repro.store.changelog import DELTA_KINDS, DeltaEvent, group_batches
 from repro.store.dataset import (
     DATASET_FORMAT,
     DeltaView,
@@ -79,9 +71,6 @@ from repro.store.verify import (
 __all__ = [
     "ArtifactCache",
     "ArtifactKey",
-    "CHANGELOG_FORMAT",
-    "ChangeLog",
-    "ChangelogCorruption",
     "DATASET_FORMAT",
     "DELTA_KINDS",
     "DelegationRecord",

@@ -264,6 +264,17 @@ class DelegationStore(Protocol):
         the order they were recorded; batch days are non-decreasing.
         """
 
+    def delta_stats(
+        self, day: int | None, until: int | None = None
+    ) -> tuple[int, int]:
+        """(deltas, distinct batch days) in the same window as
+        :meth:`deltas_since`, counted without materialising events."""
+
+    def last_batch_day(
+        self, day: int | None = None, until: int | None = None
+    ) -> int | None:
+        """The newest batch day in the same window, or None if empty."""
+
     # -- metadata / lifecycle ----------------------------------------------
 
     def get_meta(self, key: str) -> str | None:

@@ -1,4 +1,4 @@
-"""The delegation change log: an append-only, checksummed delta stream.
+"""The delta vocabulary: typed mutations grouped into batch days.
 
 Incremental detection needs to know *what changed* each day, not just
 the resulting interval state. Every mutation the zone-database façade
@@ -11,39 +11,15 @@ intervals retroactively), which is exactly why consumers key their
 progress on batch days: once a batch is processed, no later batch can
 change what it said.
 
-On disk a change log is journal-style JSONL — one checksummed record
-per line, appended durably (write → flush → fsync), with the same
-torn-tail recovery contract as :class:`~repro.runner.journal.RunJournal`:
-a final line cut short by a killed writer is dropped (that delta never
-durably happened), damage before the tail raises
-:class:`ChangelogCorruption`. Per-consumer *watermarks* — the last
-batch day each consumer fully processed — live in a checksummed sidecar
-written through :mod:`repro.store.atomic`, so a killed consumer resumes
-from its last committed batch and replays at most one day.
-
-Timestamps are deliberately absent: the log orders events by sequence
-number and batch day only, so its bytes are a pure function of the
-mutations performed.
+The durable log is the store itself: every backend records each event
+under its batch day (the SQLite dataset's ``deltas`` table), and
+:class:`~repro.store.dataset.DeltaView` reads it back in batches.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterator
-
-from repro.store.atomic import (
-    canonical_json,
-    fsync_directory,
-    load_checked_json,
-    write_checked_json,
-)
-
-#: Format tag recorded by the log-start record and the manifest sidecar.
-CHANGELOG_FORMAT = "riskybiz-changelog/1"
 
 # -- delta vocabulary --------------------------------------------------------
 
@@ -64,7 +40,7 @@ DOMAIN_EXPIRE = "domain-expire"
 #: it changes what the resolvability analysis may assess).
 TLD_COVER = "tld-cover"
 
-#: Every kind a change log may carry, in a stable documentation order.
+#: Every delta kind, in a stable documentation order.
 DELTA_KINDS = (
     DELEGATION_ADD,
     DELEGATION_REMOVE,
@@ -77,10 +53,6 @@ DELTA_KINDS = (
 
 #: Kinds that reference a nameserver (``ns`` must be set).
 _PAIR_KINDS = frozenset({DELEGATION_ADD, DELEGATION_REMOVE})
-
-
-class ChangelogCorruption(Exception):
-    """A change-log record before the tail failed verification."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,27 +104,6 @@ class DeltaEvent:
         return (self.kind, self.day, self.name, self.ns)
 
 
-def _record_checksum(body: dict[str, Any]) -> str:
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
-
-def _parse_line(line: str, seq: int) -> dict[str, Any] | None:
-    """The verified record body on ``line``, or ``None`` if it fails."""
-    try:
-        document = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(document, dict):
-        return None
-    recorded = document.get("checksum")
-    body = {k: v for k, v in document.items() if k != "checksum"}
-    if not isinstance(recorded, str) or _record_checksum(body) != recorded:
-        return None
-    if body.get("seq") != seq:
-        return None
-    return body
-
-
 def group_batches(
     deltas: "Iterator[tuple[int, DeltaEvent]] | list[tuple[int, DeltaEvent]]",
 ) -> list[tuple[int, list[DeltaEvent]]]:
@@ -174,193 +125,3 @@ def group_batches(
         else:
             batches.append((batch_day, [event]))
     return batches
-
-
-class ChangeLog:
-    """One append-only delta log plus its per-consumer watermarks.
-
-    Construct with :meth:`create` for a fresh log, :meth:`open` to
-    replay an existing file, or :meth:`attach` for whichever applies.
-    Appends are durable per record; the in-memory view is the verified
-    (batch_day, event) sequence.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        deltas: list[tuple[int, DeltaEvent]] | None = None,
-    ) -> None:
-        self.path = Path(path)
-        #: Verified (batch_day, event) pairs, in append order.
-        self.deltas: list[tuple[int, DeltaEvent]] = list(deltas or ())
-        self._seq = len(self.deltas) + 1  # +1 for the log-start record
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def create(cls, path: str | Path) -> "ChangeLog":
-        """Start a fresh log (the file must not already exist)."""
-        target = Path(path)
-        if target.exists():
-            raise FileExistsError(f"change log already exists: {target}")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        log = cls(target)
-        log._seq = 0
-        log._append_record({"type": "log-start", "format": CHANGELOG_FORMAT})
-        return log
-
-    @classmethod
-    def open(cls, path: str | Path) -> "ChangeLog":
-        """Replay an existing log, recovering from a torn tail."""
-        target = Path(path)
-        raw_lines = target.read_text(encoding="utf-8").split("\n")
-        if raw_lines and raw_lines[-1] == "":
-            raw_lines.pop()
-        bodies: list[dict[str, Any]] = []
-        dropped_tail = False
-        for index, line in enumerate(raw_lines):
-            body = _parse_line(line, seq=len(bodies))
-            if body is None:
-                if index == len(raw_lines) - 1:
-                    dropped_tail = True
-                    break
-                raise ChangelogCorruption(
-                    f"{target}: record {index} failed verification with "
-                    "valid records after it — log damaged, not torn"
-                )
-            bodies.append(body)
-        if not bodies or bodies[0].get("type") != "log-start":
-            raise ChangelogCorruption(f"{target}: no verifiable log-start")
-        if bodies[0].get("format") != CHANGELOG_FORMAT:
-            raise ChangelogCorruption(
-                f"{target}: unknown format {bodies[0].get('format')!r}"
-            )
-        deltas: list[tuple[int, DeltaEvent]] = []
-        for body in bodies[1:]:
-            if body.get("type") != "delta":
-                raise ChangelogCorruption(
-                    f"{target}: unexpected record type {body.get('type')!r}"
-                )
-            deltas.append(
-                (int(body["batch_day"]), DeltaEvent.from_payload(body["event"]))
-            )
-        log = cls(target, deltas)
-        if dropped_tail:
-            log._truncate_to_verified(raw_lines, len(bodies))
-        return log
-
-    @classmethod
-    def attach(cls, path: str | Path) -> "ChangeLog":
-        """Open the log at ``path``, creating it if absent."""
-        if Path(path).exists():
-            return cls.open(path)
-        return cls.create(path)
-
-    def _truncate_to_verified(self, raw_lines: list[str], kept: int) -> None:
-        """Drop the torn tail, keeping every verified line byte-for-byte."""
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in raw_lines[:kept]))
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    # -- appends -------------------------------------------------------------
-
-    def _append_record(self, body: dict[str, Any]) -> None:
-        body = dict(body)
-        body["seq"] = self._seq
-        document = dict(body)
-        document["checksum"] = _record_checksum(body)
-        line = json.dumps(document, sort_keys=True) + "\n"
-        with open(self.path, "ab") as handle:
-            handle.write(line.encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        fsync_directory(self.path.parent)
-        self._seq += 1
-
-    def record(self, batch_day: int, event: DeltaEvent) -> None:
-        """Durably append one event under ``batch_day``."""
-        if self.deltas and batch_day < self.deltas[-1][0]:
-            raise ValueError(
-                f"batch day {batch_day} before last batch "
-                f"{self.deltas[-1][0]}: change logs are append-only"
-            )
-        self._append_record(
-            {"type": "delta", "batch_day": batch_day, "event": event.to_payload()}
-        )
-        self.deltas.append((batch_day, event))
-
-    def record_batch(self, batch_day: int, events: "list[DeltaEvent]") -> None:
-        """Durably append one day's batch of events, in order."""
-        for event in events:
-            self.record(batch_day, event)
-
-    # -- replay queries ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.deltas)
-
-    @property
-    def last_batch_day(self) -> int | None:
-        """The most recent batch day, if any deltas were recorded."""
-        return self.deltas[-1][0] if self.deltas else None
-
-    def events_since(self, day: int | None) -> list[tuple[int, DeltaEvent]]:
-        """Every (batch_day, event) with ``batch_day`` after ``day``.
-
-        ``None`` means "from the beginning" — the watermark of a
-        consumer that has processed nothing yet.
-        """
-        if day is None:
-            return list(self.deltas)
-        return [(d, event) for d, event in self.deltas if d > day]
-
-    def batches(
-        self, *, since: int | None = None, until: int | None = None
-    ) -> list[tuple[int, list[DeltaEvent]]]:
-        """Per-day batches with ``since < batch_day`` (``<= until``)."""
-        deltas = self.events_since(since)
-        if until is not None:
-            deltas = [(d, event) for d, event in deltas if d <= until]
-        return group_batches(deltas)
-
-    # -- watermarks ----------------------------------------------------------
-
-    def _watermark_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".watermarks.json")
-
-    def _load_watermarks(self) -> dict[str, int]:
-        sidecar = self._watermark_path()
-        if not sidecar.exists():
-            return {}
-        body = load_checked_json(sidecar)
-        if body is None:  # corrupt sidecar was quarantined; start clean
-            return {}
-        return {
-            str(consumer): int(day)
-            for consumer, day in body.get("watermarks", {}).items()
-        }
-
-    def watermark(self, consumer: str) -> int | None:
-        """The last batch day ``consumer`` fully processed, if any."""
-        return self._load_watermarks().get(consumer)
-
-    def commit_watermark(self, consumer: str, day: int) -> None:
-        """Durably record that ``consumer`` processed through ``day``.
-
-        Watermarks never move backwards: re-committing an older day is
-        rejected, because the consumer's standing state already folded
-        the later batches in.
-        """
-        marks = self._load_watermarks()
-        current = marks.get(consumer)
-        if current is not None and day < current:
-            raise ValueError(
-                f"watermark for {consumer!r} cannot move backwards: "
-                f"{day} < {current}"
-            )
-        marks[consumer] = day
-        write_checked_json(
-            self._watermark_path(),
-            {"format": CHANGELOG_FORMAT, "watermarks": dict(sorted(marks.items()))},
-        )

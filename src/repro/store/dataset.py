@@ -62,10 +62,13 @@ class DeltaView:
         """Per-day event batches inside the window, in day order."""
         return group_batches(self.deltas())
 
+    def stats(self) -> tuple[int, int]:
+        """(deltas, batch days) inside the window, counted by the store."""
+        return self.zonedb.store.delta_stats(self.since, self.until)
+
     def last_batch_day(self) -> int | None:
         """The final batch day inside the window, if any."""
-        deltas = self.deltas()
-        return deltas[-1][0] if deltas else None
+        return self.zonedb.store.last_batch_day(self.since, self.until)
 
 
 def manifest_path(dataset_path: str | Path) -> Path:
@@ -213,13 +216,14 @@ def load_manifest(dataset_path: str | Path) -> dict[str, Any]:
 def open_dataset(
     path: str | Path, *, ingest_policy: "IngestPolicy | None" = None
 ) -> "ZoneDatabase":
-    """Open an on-disk dataset as a zone database (SQLite backend).
+    """Open an on-disk dataset, read-only, as a zone database.
 
     The manifest sidecar is verified against its embedded checksum
     before the dataset is trusted; a corrupt sidecar is quarantined and
     recomputed from the store (deep dataset-content verification is
     ``riskybiz verify-data``'s job — opening only guards the cheap
-    invariants).
+    invariants). The store connects read-only, so a stray write fails
+    loudly instead of changing the bytes the manifest vouches for.
     """
     from repro.zonedb.database import ZoneDatabase
 
@@ -228,5 +232,5 @@ def open_dataset(
         raise FileNotFoundError(f"no dataset at {dataset_path}")
     if manifest_path(dataset_path).exists():
         load_manifest(dataset_path)  # verify; quarantine-and-recompute
-    store = SqliteDelegationStore(dataset_path)
+    store = SqliteDelegationStore(dataset_path, read_only=True)
     return ZoneDatabase(store=store, ingest_policy=ingest_policy)

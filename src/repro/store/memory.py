@@ -158,6 +158,28 @@ class MemoryDelegationStore:
             and (until is None or pair[0] <= until)
         ]
 
+    def delta_stats(
+        self, day: int | None, until: int | None = None
+    ) -> tuple[int, int]:
+        days = [
+            batch_day
+            for batch_day, _ in self._deltas
+            if (day is None or batch_day > day)
+            and (until is None or batch_day <= until)
+        ]
+        return len(days), len(set(days))
+
+    def last_batch_day(
+        self, day: int | None = None, until: int | None = None
+    ) -> int | None:
+        # Batch days never decrease: scan back from the newest.
+        for batch_day, _ in reversed(self._deltas):
+            if day is not None and batch_day <= day:
+                return None
+            if until is None or batch_day <= until:
+                return batch_day
+        return None
+
     # -- metadata / lifecycle ----------------------------------------------
 
     def get_meta(self, key: str) -> str | None:

@@ -23,6 +23,11 @@ database file, and readers are never blocked mid-checkpoint. Closing
 truncates the WAL back into the main file so a closed dataset is one
 self-contained, checksummable file. In-memory stores keep
 ``synchronous=OFF`` (there is nothing to make durable).
+
+A store opened with ``read_only=True`` connects with SQLite's
+``mode=ro``: every write fails with ``attempt to write a readonly
+database`` and the file's bytes cannot change. SQLite may leave its
+(empty) ``-wal``/``-shm`` sidecars beside a file read that way.
 """
 
 from __future__ import annotations
@@ -93,10 +98,17 @@ class SqliteDelegationStore:
 
     backend_name = "sqlite"
 
-    def __init__(self, path: str | Path = ":memory:") -> None:
+    def __init__(
+        self, path: str | Path = ":memory:", *, read_only: bool = False
+    ) -> None:
         self.path = str(path)
         self.on_disk = self.path != ":memory:"
-        self._conn = sqlite3.connect(self.path)
+        if read_only:
+            self._conn = sqlite3.connect(
+                Path(path).resolve().as_uri() + "?mode=ro", uri=True
+            )
+        else:
+            self._conn = sqlite3.connect(self.path)
         self._conn.isolation_level = None  # explicit transaction control
         if self.on_disk:
             # Crash safety: WAL never corrupts the main file on a kill,
@@ -376,21 +388,32 @@ class SqliteDelegationStore:
 
     def delta_count(self) -> int:
         """Number of recorded deltas (counted, not materialised)."""
-        row = self._conn.execute("SELECT COUNT(*) FROM deltas").fetchone()
-        return int(row[0])
+        return self.delta_stats(None)[0]
+
+    def delta_stats(
+        self, day: int | None, until: int | None = None
+    ) -> tuple[int, int]:
+        where, params = _batch_window(day, until)
+        count, days = self._conn.execute(
+            f"SELECT COUNT(*), COUNT(DISTINCT batch_day) FROM deltas{where}",
+            params,
+        ).fetchone()
+        return int(count), int(days)
+
+    def last_batch_day(
+        self, day: int | None = None, until: int | None = None
+    ) -> int | None:
+        # One seek on the batch-day index, unlike the counts above.
+        where, params = _batch_window(day, until)
+        row = self._conn.execute(
+            f"SELECT MAX(batch_day) FROM deltas{where}", params
+        ).fetchone()
+        return row[0]
 
     def deltas_since(
         self, day: int | None, until: int | None = None
     ) -> list[tuple[int, DeltaEvent]]:
-        clauses: list[str] = []
-        params: list[int] = []
-        if day is not None:
-            clauses.append("batch_day > ?")
-            params.append(day)
-        if until is not None:
-            clauses.append("batch_day <= ?")
-            params.append(until)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        where, params = _batch_window(day, until)
         rows = self._conn.execute(
             f"SELECT batch_day, kind, day, name, ns FROM deltas{where} "
             "ORDER BY seq",
@@ -433,6 +456,19 @@ class SqliteDelegationStore:
             # sidecars, so the dataset is a single checksummable file.
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         self._conn.close()
+
+
+def _batch_window(day: int | None, until: int | None) -> tuple[str, list[int]]:
+    """The ``WHERE`` clause and parameters for ``day < batch_day <= until``."""
+    clauses: list[str] = []
+    params: list[int] = []
+    if day is not None:
+        clauses.append("batch_day > ?")
+        params.append(day)
+    if until is not None:
+        clauses.append("batch_day <= ?")
+        params.append(until)
+    return (f" WHERE {' AND '.join(clauses)}" if clauses else ""), params
 
 
 def write_tables(

@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.store.atomic import (
     IntegrityError,
@@ -216,17 +216,14 @@ def verify_artifact_dir(root: str | Path) -> list[Issue]:
 # -- run directories ---------------------------------------------------------
 
 
-def _verify_checkpoint(
-    path: Path,
-    record: "JournalRecord | None",
-    load: "Callable[[bytes], object]",
-) -> list[Issue]:
-    """Check one checkpoint against the journal record that hashed it.
+def _verify_checkpoint(path: Path, record: "JournalRecord | None") -> list[Issue]:
+    """Check the engine checkpoint against the drain record that hashed it.
 
-    ``record`` is the newest record describing the checkpoint (None:
-    nothing durable to check); ``load`` is the loader that must accept
-    the bytes.
+    ``record`` is the newest ``day-advanced`` record since the last
+    ``engine-reset`` (None: nothing durable to check).
     """
+    from repro.detection.incremental import load_engine_state
+
     if record is None:
         return []
     if not path.exists():
@@ -250,29 +247,25 @@ def _verify_checkpoint(
             )
         ]
     try:
-        load(data)
+        load_engine_state(data)
     except Exception as error:
         return [Issue(CORRUPT, str(path), f"unreadable checkpoint: {error}")]
     return []
 
 
 def verify_run_dir(run_dir: str | Path) -> list[Issue]:
-    """Verify a run directory: journal, checkpoints, result.
+    """Verify a run directory: journal, engine checkpoint, result.
 
     Replays the journal (reporting corruption rather than raising),
-    recomputes the SHA-256 the journal recorded for each checkpoint —
-    a batch run's stage state against its newest ``stage-complete``, an
-    incremental run's engine against its newest drain, both counted
-    from the last reset — and, when the run durably completed, verifies
-    the result's bytes and manifest.
+    recomputes the SHA-256 the journal recorded for the engine
+    checkpoint — against its newest drain since the last reset — and,
+    when the run durably completed, verifies the result's bytes and
+    manifest.
     """
-    from repro.detection.incremental import load_engine_state
-    from repro.detection.pipeline import load_pipeline_state
     from repro.runner.execution import (
         CHECKPOINT_DIR_NAME,
         ENGINE_CHECKPOINT_NAME,
         JOURNAL_NAME,
-        PIPELINE_CHECKPOINT_NAME,
         RESULT_MANIFEST_NAME,
         RESULT_NAME,
     )
@@ -289,19 +282,9 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
         return [Issue(CORRUPT, str(journal_path), str(error))]
 
     checkpoint_dir = directory / CHECKPOINT_DIR_NAME
-    stages = journal.completed_stages()
     issues.extend(
         _verify_checkpoint(
-            checkpoint_dir / PIPELINE_CHECKPOINT_NAME,
-            stages[-1] if stages else None,
-            load_pipeline_state,
-        )
-    )
-    issues.extend(
-        _verify_checkpoint(
-            checkpoint_dir / ENGINE_CHECKPOINT_NAME,
-            journal.last_drain,
-            load_engine_state,
+            checkpoint_dir / ENGINE_CHECKPOINT_NAME, journal.last_drain
         )
     )
 

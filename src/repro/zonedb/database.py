@@ -44,7 +44,6 @@ from repro.store.changelog import (
     GLUE_ADD,
     GLUE_REMOVE,
     TLD_COVER,
-    ChangeLog,
     DeltaEvent,
 )
 from repro.store.memory import MemoryDelegationStore
@@ -151,9 +150,8 @@ class ZoneDatabase:
     pending gap-bridge verdicts) that has meaning mid-ingest.
 
     Every mutation flows through one write path (:meth:`_emit`) as a
-    typed :class:`~repro.store.changelog.DeltaEvent`: the store applies
-    and records it, and an attached :class:`~repro.store.changelog.ChangeLog`
-    mirrors it durably. Events are grouped under *batch days* — the day
+    typed :class:`~repro.store.changelog.DeltaEvent`, which the store
+    applies and records. Events are grouped under *batch days* — the day
     the mutation was performed, which can exceed its effective day when
     gap bridging rewrites history retroactively.
     """
@@ -164,7 +162,6 @@ class ZoneDatabase:
         *,
         ingest_policy: IngestPolicy | None = None,
         store: DelegationStore | None = None,
-        changelog: ChangeLog | None = None,
     ) -> None:
         self.store: DelegationStore = store if store is not None else MemoryDelegationStore()
         self.covered_tlds: set[str] = {Name(t).text for t in covered_tlds}
@@ -175,8 +172,6 @@ class ZoneDatabase:
         #: Domains absent from recent snapshots, awaiting the bridge
         #: window's verdict: domain -> first day observed absent.
         self._pending_close: dict[str, int] = {}
-        #: Mirrors every emitted delta when attached.
-        self.changelog: ChangeLog | None = changelog
         #: Explicit batch-day context (set during ingest/finalize so
         #: retroactive rewrites batch under the day that caused them).
         self._batch_day: int | None = None
@@ -189,24 +184,17 @@ class ZoneDatabase:
 
     # -- the delta write path -----------------------------------------------
 
-    def attach_changelog(self, changelog: ChangeLog) -> None:
-        """Mirror every subsequently emitted delta into ``changelog``."""
-        self.changelog = changelog
-
     def _emit(self, event: DeltaEvent) -> None:
         """Apply one mutation and record it as a delta.
 
         The *only* mutation path: the store applies-and-records the
-        event under the current batch day, and the attached change log
-        (if any) mirrors it durably.
+        event under the current batch day.
         """
         batch_day = self._batch_day if self._batch_day is not None else self.horizon
         batch_day = max(batch_day, self._batch_floor)
         self._batch_floor = batch_day
         self.store.apply_delta(event, batch_day)
         self._deltas_emitted += 1
-        if self.changelog is not None:
-            self.changelog.record(batch_day, event)
 
     def apply_delta(self, event: DeltaEvent) -> None:
         """Replay one recorded delta into this database (no re-emission).
@@ -469,14 +457,25 @@ class ZoneDatabase:
             self.ingest_reports.append(IngestReport(**entry))
 
     def flush(self) -> None:
-        """Persist façade state into the store and make writes durable."""
-        meta = {
-            "covered_tlds": sorted(self.covered_tlds),
-            "horizon": self.horizon,
-            "last_ingest_day": dict(sorted(self._last_ingest_day.items())),
-            "ingest_reports": [asdict(report) for report in self.ingest_reports],
-        }
-        self.store.set_meta(self._META_KEY, json.dumps(meta, sort_keys=True))
+        """Persist façade state into the store and make writes durable.
+
+        The state is written only when it differs from what the store
+        holds, so flushing an unchanged database — such as a dataset
+        opened read-only — writes nothing.
+        """
+        meta = json.dumps(
+            {
+                "covered_tlds": sorted(self.covered_tlds),
+                "horizon": self.horizon,
+                "last_ingest_day": dict(sorted(self._last_ingest_day.items())),
+                "ingest_reports": [
+                    asdict(report) for report in self.ingest_reports
+                ],
+            },
+            sort_keys=True,
+        )
+        if self.store.get_meta(self._META_KEY) != meta:
+            self.store.set_meta(self._META_KEY, meta)
         self.store.flush()
 
     def close(self) -> None:
@@ -484,31 +483,13 @@ class ZoneDatabase:
         self.flush()
         self.store.close()
 
-    # -- delta queries / watermarks -------------------------------------------
-
-    _WATERMARK_PREFIX = "watermark:"
+    # -- delta queries --------------------------------------------------------
 
     def deltas_since(
         self, day: int | None, until: int | None = None
     ) -> list[tuple[int, DeltaEvent]]:
         """Recorded (batch_day, event) pairs with ``day < batch_day <= until``."""
         return self.store.deltas_since(day, until)
-
-    def watermark(self, consumer: str) -> int | None:
-        """The last batch day ``consumer`` committed against this store."""
-        raw = self.store.get_meta(self._WATERMARK_PREFIX + consumer)
-        return None if raw is None else int(raw)
-
-    def commit_watermark(self, consumer: str, day: int) -> None:
-        """Durably record that ``consumer`` processed through ``day``."""
-        current = self.watermark(consumer)
-        if current is not None and day < current:
-            raise ValueError(
-                f"watermark for {consumer!r} cannot move backwards: "
-                f"{day} < {current}"
-            )
-        self.store.set_meta(self._WATERMARK_PREFIX + consumer, str(day))
-        self.store.flush()
 
     # -- queries: nameservers -----------------------------------------------
 

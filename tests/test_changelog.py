@@ -1,8 +1,6 @@
-"""The delta change log: format, durability, and watermark contracts."""
+"""The delta vocabulary and the store's recorded delta log."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -11,11 +9,11 @@ from repro.store.changelog import (
     DELEGATION_REMOVE,
     DOMAIN_APPEAR,
     GLUE_ADD,
-    ChangeLog,
-    ChangelogCorruption,
     DeltaEvent,
     group_batches,
 )
+from repro.store.dataset import DeltaView
+from repro.zonedb.database import ZoneDatabase
 
 
 def _add(day: int, domain: str, ns: str) -> DeltaEvent:
@@ -60,152 +58,31 @@ class TestGroupBatches:
             group_batches(stream)
 
 
-class TestChangeLogRoundTrip:
-    def test_create_record_open_round_trip(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        log = ChangeLog.create(path)
-        events = [
-            _add(1, "a.biz", "ns1.x.com"),
-            DeltaEvent(kind=DOMAIN_APPEAR, day=1, name="a.biz"),
-            _add(2, "b.biz", "ns2.x.com"),
-        ]
-        log.record(1, events[0])
-        log.record(1, events[1])
-        log.record(2, events[2])
-
-        reopened = ChangeLog.open(path)
-        assert len(reopened) == 3
-        assert reopened.deltas == [(1, events[0]), (1, events[1]), (2, events[2])]
-        assert reopened.last_batch_day == 2
-
-    def test_create_refuses_existing_file(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        ChangeLog.create(path)
-        with pytest.raises(FileExistsError):
-            ChangeLog.create(path)
-
-    def test_attach_creates_then_opens(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        log = ChangeLog.attach(path)
-        log.record(1, _add(1, "a.biz", "ns1.x.com"))
-        assert len(ChangeLog.attach(path)) == 1
-
-    def test_append_only_batch_days(self, tmp_path):
-        log = ChangeLog.create(tmp_path / "changes.jsonl")
-        log.record(5, _add(5, "a.biz", "ns1.x.com"))
-        with pytest.raises(ValueError, match="append-only"):
-            log.record(4, _add(4, "b.biz", "ns1.x.com"))
-
-    def test_reopened_log_appends_with_continuing_seq(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        log = ChangeLog.create(path)
-        log.record(1, _add(1, "a.biz", "ns1.x.com"))
-        reopened = ChangeLog.open(path)
-        reopened.record(2, _add(2, "b.biz", "ns1.x.com"))
-        assert len(ChangeLog.open(path)) == 2
-
-
-class TestTornTailRecovery:
-    def test_torn_tail_is_dropped_and_truncated(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        log = ChangeLog.create(path)
-        log.record(1, _add(1, "a.biz", "ns1.x.com"))
-        intact = path.read_bytes()
-        with open(path, "ab") as handle:
-            handle.write(b'{"type": "delta", "batch_')  # killed mid-append
-
-        recovered = ChangeLog.open(path)
-        assert len(recovered) == 1
-        assert path.read_bytes() == intact  # verified lines kept verbatim
-        recovered.record(2, _add(2, "b.biz", "ns1.x.com"))
-        assert len(ChangeLog.open(path)) == 2
-
-    def test_damage_before_tail_raises(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        log = ChangeLog.create(path)
-        log.record(1, _add(1, "a.biz", "ns1.x.com"))
-        log.record(2, _add(2, "b.biz", "ns1.x.com"))
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace("a.biz", "z.biz")  # checksum now wrong
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ChangelogCorruption, match="damaged, not torn"):
-            ChangeLog.open(path)
-
-    def test_missing_log_start_raises(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        path.write_text(json.dumps({"type": "delta"}) + "\n")
-        with pytest.raises(ChangelogCorruption, match="log-start"):
-            ChangeLog.open(path)
-
-    def test_unknown_format_raises(self, tmp_path):
-        import hashlib
-
-        from repro.store.atomic import canonical_json
-
-        path = tmp_path / "changes.jsonl"
-        body = {"type": "log-start", "format": "riskybiz-changelog/999", "seq": 0}
-        document = dict(body)
-        document["checksum"] = hashlib.sha256(
-            canonical_json(body).encode("utf-8")
-        ).hexdigest()
-        path.write_text(json.dumps(document, sort_keys=True) + "\n")
-        with pytest.raises(ChangelogCorruption, match="unknown format"):
-            ChangeLog.open(path)
-
-
 class TestReplayQueries:
-    def _log(self, tmp_path) -> ChangeLog:
-        log = ChangeLog.create(tmp_path / "changes.jsonl")
-        log.record_batch(1, [_add(1, "a.biz", "ns1.x.com")])
-        log.record_batch(3, [
-            _add(3, "b.biz", "ns1.x.com"),
-            _add(3, "c.biz", "ns2.x.com"),
-        ])
-        log.record_batch(6, [_add(6, "d.biz", "ns2.x.com")])
-        return log
+    """The store is the durable delta log: windows over its batch days."""
 
-    def test_events_since_is_exclusive(self, tmp_path):
-        log = self._log(tmp_path)
-        assert len(log.events_since(None)) == 4
-        assert [d for d, _ in log.events_since(1)] == [3, 3, 6]
-        assert log.events_since(6) == []
+    def _log(self) -> ZoneDatabase:
+        zonedb = ZoneDatabase()
+        zonedb.store.record_delta(_add(1, "a.biz", "ns1.x.com"), 1)
+        zonedb.store.record_delta(_add(3, "b.biz", "ns1.x.com"), 3)
+        zonedb.store.record_delta(_add(3, "c.biz", "ns2.x.com"), 3)
+        zonedb.store.record_delta(_add(6, "d.biz", "ns2.x.com"), 6)
+        return zonedb
 
-    def test_batches_window_is_since_exclusive_until_inclusive(self, tmp_path):
-        log = self._log(tmp_path)
-        batches = log.batches(since=1, until=3)
+    def test_events_since_is_exclusive(self):
+        log = self._log()
+        assert len(log.deltas_since(None)) == 4
+        assert [d for d, _ in log.deltas_since(1)] == [3, 3, 6]
+        assert log.deltas_since(6) == []
+
+    def test_batches_window_is_since_exclusive_until_inclusive(self):
+        log = self._log()
+        batches = DeltaView(log, since=1, until=3).batches()
         assert [day for day, _ in batches] == [3]
         assert len(batches[0][1]) == 2
-        assert [day for day, _ in log.batches()] == [1, 3, 6]
-
-
-class TestWatermarks:
-    def test_unknown_consumer_has_no_watermark(self, tmp_path):
-        log = ChangeLog.create(tmp_path / "changes.jsonl")
-        assert log.watermark("engine") is None
-
-    def test_commit_and_read_back_across_reopen(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        log = ChangeLog.create(path)
-        log.commit_watermark("engine", 5)
-        log.commit_watermark("mirror", 2)
-        assert log.watermark("engine") == 5
-        reopened = ChangeLog.open(path)
-        assert reopened.watermark("engine") == 5
-        assert reopened.watermark("mirror") == 2
-
-    def test_watermark_never_moves_backwards(self, tmp_path):
-        log = ChangeLog.create(tmp_path / "changes.jsonl")
-        log.commit_watermark("engine", 5)
-        log.commit_watermark("engine", 5)  # re-commit of the same day is fine
-        with pytest.raises(ValueError, match="cannot move backwards"):
-            log.commit_watermark("engine", 4)
-
-    def test_corrupt_sidecar_starts_clean(self, tmp_path):
-        path = tmp_path / "changes.jsonl"
-        log = ChangeLog.create(path)
-        log.commit_watermark("engine", 5)
-        sidecar = path.with_name(path.name + ".watermarks.json")
-        sidecar.write_text("not json {")
-        assert log.watermark("engine") is None
-        log.commit_watermark("engine", 1)  # clean slate accepts any day
-        assert log.watermark("engine") == 1
+        assert [day for day, _ in DeltaView(log).batches()] == [1, 3, 6]
+        assert DeltaView(log, since=1, until=3).stats() == (2, 1)
+        assert DeltaView(log).stats() == (4, 3)
+        assert DeltaView(log, since=1, until=5).last_batch_day() == 3
+        assert DeltaView(log, since=6).last_batch_day() is None
+        assert DeltaView(log).last_batch_day() == 6

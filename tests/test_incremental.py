@@ -1,11 +1,12 @@
-"""The incremental detection engine: batch-identical daily updates.
+"""The detection engine: a direct fold and a daily drain agree.
 
 The contract under test: after advancing through batch day N, the
 engine's :meth:`~repro.detection.incremental.IncrementalDetectionEngine.result`
-is bit-identical (same result digest) to a fresh batch pipeline run over
-a zone database rebuilt through day N — on both engine store backends,
-across serialize/restore, and through the journaled incremental runner
-with its crash-recovery paths.
+is bit-identical (same result digest) to a direct fold of a zone
+database holding the history through day N — over the in-memory world
+and a written SQLite dataset, with byte-identical checkpoints, across
+serialize/restore, and through the journaled runner with its
+crash-recovery paths. The source dataset is never written.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.runner.execution import (
 )
 from repro.runner.journal import RunJournal
 from repro.runner.supervisor import RunFailed
-from repro.store.dataset import DeltaView
+from repro.store.dataset import DeltaView, open_dataset, write_dataset
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
 from tests.substring_oracle import naive_substring_counts
@@ -57,9 +58,19 @@ def batch_digest(world):
     return result_digest(result)
 
 
-def _drained_engine(world, **kwargs) -> IncrementalDetectionEngine:
-    engine = IncrementalDetectionEngine(world.whois, **kwargs)
-    engine.advance_from(world.zonedb)
+@pytest.fixture(scope="module")
+def dataset(world, tmp_path_factory):
+    """The world written as a SQLite dataset (reopened read-only)."""
+    path = tmp_path_factory.mktemp("dataset") / "dataset.sqlite"
+    write_dataset(world.zonedb, path, scenario_digest="ab" * 32)
+    return path
+
+
+def _drained_engine(zonedb, whois, **kwargs) -> IncrementalDetectionEngine:
+    """An engine that folded ``zonedb``'s history one day batch at a time."""
+    engine = IncrementalDetectionEngine(whois, **kwargs)
+    for batch_day, events in DeltaView(zonedb).batches():
+        engine.advance(batch_day, events)
     return engine
 
 
@@ -79,14 +90,26 @@ def _mini_inputs() -> tuple[ZoneDatabase, WhoisArchive]:
 
 class TestEngineEquivalence:
     def test_memory_backend_matches_batch(self, world, batch_digest):
-        engine = _drained_engine(world)
+        engine = _drained_engine(world.zonedb, world.whois)
         assert result_digest(engine.result()) == batch_digest
 
-    def test_sqlite_backend_matches_batch(self, world, batch_digest, tmp_path):
-        engine = _drained_engine(
-            world, backend="sqlite", store_path=tmp_path / "engine.sqlite"
-        )
-        assert result_digest(engine.result()) == batch_digest
+    def test_sqlite_backend_matches_batch(self, world, dataset, batch_digest):
+        """Folding a written dataset directly, and draining it day by
+        day, both reproduce the in-memory batch result."""
+        zonedb = open_dataset(dataset)
+        try:
+            folded = IncrementalDetectionEngine(world.whois)
+            folded.fold(zonedb)
+            drained = _drained_engine(zonedb, world.whois)
+            assert result_digest(folded.result()) == batch_digest
+            assert result_digest(drained.result()) == batch_digest
+            # Equal states; the pickled bytes may still differ in which
+            # equal strings they share, so compare the payloads.
+            assert pickle.loads(dump_engine_state(folded)) == pickle.loads(
+                dump_engine_state(drained)
+            )
+        finally:
+            zonedb.close()
 
     def test_partial_then_continued_advance_matches_batch(
         self, world, batch_digest
@@ -133,16 +156,21 @@ class TestWatermarkGuards:
         with pytest.raises(ValueError, match="cannot move backwards"):
             commit_watermark(state, ENGINE_WATERMARK, 4)
 
-    def test_advance_from_commits_source_consumer_watermark(self):
+    def test_direct_fold_cannot_advance_further(self):
         zonedb, whois = _mini_inputs()
         engine = IncrementalDetectionEngine(whois)
-        engine.advance_from(zonedb, consumer="incremental-engine")
-        assert zonedb.watermark("incremental-engine") == engine.watermark
+        engine.fold(zonedb)
+        assert engine.direct
+        assert engine.watermark == DeltaView(zonedb).last_batch_day()
+        with pytest.raises(ValueError, match="cannot advance"):
+            engine.advance(engine.watermark + 1, [])
+        with pytest.raises(ValueError, match="fresh engine"):
+            engine.fold(zonedb)
 
 
 class TestSerialization:
     def test_dump_restore_round_trip_matches(self, world, batch_digest):
-        data = dump_engine_state(_drained_engine(world))
+        data = dump_engine_state(_drained_engine(world.zonedb, world.whois))
         fresh = IncrementalDetectionEngine(world.whois)
         watermark = fresh.restore(world.zonedb, load_engine_state(data))
         assert watermark == DeltaView(world.zonedb).last_batch_day()
@@ -192,12 +220,16 @@ class TestIncrementalRunner:
         assert outcome.watermark == DeltaView(world.zonedb).last_batch_day()
 
     def test_sqlite_engine_backend_matches_batch(
-        self, world, batch_digest, tmp_path
+        self, world, dataset, batch_digest, tmp_path
     ):
-        outcome = run_incremental_detection(
-            world.zonedb, world.whois, run_dir=tmp_path / "run",
-            backend="sqlite",
-        )
+        """The runner's fold evaluates a SQLite dataset directly."""
+        zonedb = open_dataset(dataset)
+        try:
+            outcome = run_incremental_detection(
+                zonedb, world.whois, run_dir=tmp_path / "run"
+            )
+        finally:
+            zonedb.close()
         assert outcome.result_digest == batch_digest
 
     def test_resume_folds_exactly_the_new_days(self, world, batch_digest, tmp_path):
@@ -269,10 +301,8 @@ class TestIncrementalRunner:
         view = DeltaView(world.zonedb)
         midpoint = view.batches()[len(view.batches()) // 2][0]
         run_dir = tmp_path / "run"
-        consumer = "kill-mid-drain"
         first = run_incremental_detection(
-            world.zonedb, world.whois, run_dir=run_dir, until=midpoint,
-            consumer=consumer,
+            world.zonedb, world.whois, run_dir=run_dir, until=midpoint
         )
         journal_path = run_dir / JOURNAL_NAME
         checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
@@ -285,19 +315,16 @@ class TestIncrementalRunner:
         with pytest.raises(ChaosKill) as killed:
             run_incremental_detection(
                 world.zonedb, world.whois, run_dir=run_dir,
-                resume=first.run_id, consumer=consumer, chaos=monkey,
+                resume=first.run_id, chaos=monkey,
             )
         assert killed.value.label.startswith("day:")
         assert journal_path.read_bytes() == journal_before
         assert checkpoint.read_bytes() == checkpoint_before
-        assert world.zonedb.watermark(consumer) == midpoint
         resumed = run_incremental_detection(
-            world.zonedb, world.whois, run_dir=run_dir,
-            resume=first.run_id, consumer=consumer,
+            world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id
         )
         assert resumed.restored_watermark == midpoint
         assert resumed.result_digest == batch_digest
-        assert world.zonedb.watermark(consumer) == resumed.watermark
 
     def test_v1_checkpoint_resets_and_refolds(self, world, tmp_path):
         run_dir = tmp_path / "run"
@@ -365,20 +392,6 @@ class TestIncrementalRunner:
         assert self._journaled_resets(run_dir) == ["checkpoint-behind-journal"]
         batch = DetectionPipeline(world.zonedb, world.whois).run()
         assert again.result_digest == result_digest(batch)
-
-    def test_source_consumer_watermark_only_advances(self, world, tmp_path):
-        zonedb, whois = _mini_inputs()
-        last = DeltaView(zonedb).last_batch_day()
-        run_incremental_detection(
-            zonedb, whois, run_dir=tmp_path / "one", consumer="incremental-engine"
-        )
-        assert zonedb.watermark("incremental-engine") == last
-        # A second run directory refolds the same days; the shared
-        # dataset-side watermark must not be dragged backwards.
-        run_incremental_detection(
-            zonedb, whois, run_dir=tmp_path / "two", consumer="incremental-engine"
-        )
-        assert zonedb.watermark("incremental-engine") == last
 
 
 def _drained_engine_until(world, until: int) -> IncrementalDetectionEngine:

@@ -5,8 +5,8 @@ through the zone-database delta write path, and asserts the incremental
 engine's core invariant from every angle:
 
 * folding the recorded batches day by day produces a result digest
-  bit-identical to a fresh batch pipeline run, on both engine store
-  backends;
+  bit-identical to a fresh batch pipeline run, and so does a direct
+  fold over the history written as a SQLite dataset;
 * the invariant holds at *every* prefix of the stream, not just the
   end (a replica database rebuilt from the delta prefix is the batch
   referee);
@@ -34,7 +34,7 @@ from repro.detection.pipeline import MINE_MIN_SUPPORT, DetectionPipeline
 from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
 from repro.runner.execution import result_digest, run_incremental_detection
 from repro.runner.journal import RunJournal
-from repro.store.dataset import DeltaView
+from repro.store.dataset import DeltaView, open_dataset, write_dataset
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
 
@@ -77,25 +77,23 @@ def _build(history) -> ZoneDatabase:
     return zonedb
 
 
-def _engine(whois, backend: str) -> IncrementalDetectionEngine:
-    return IncrementalDetectionEngine(
-        whois,
-        backend=backend,
-        store_path=":memory:" if backend == "sqlite" else None,
-    )
-
-
 @settings(max_examples=25, deadline=None)
 @given(history=_histories)
 def test_day_by_day_fold_is_batch_identical(history):
     zonedb = _build(history)
     whois = WhoisArchive()
     batch = result_digest(DetectionPipeline(zonedb, whois).run())
-    for backend in ("memory", "sqlite"):
-        engine = _engine(whois, backend)
-        for batch_day, events in DeltaView(zonedb).batches():
-            engine.advance(batch_day, events)
-        assert result_digest(engine.result()) == batch, backend
+    engine = IncrementalDetectionEngine(whois)
+    for batch_day, events in DeltaView(zonedb).batches():
+        engine.advance(batch_day, events)
+    assert result_digest(engine.result()) == batch
+    with tempfile.TemporaryDirectory() as scratch:
+        dataset = open_dataset(write_dataset(zonedb, Path(scratch) / "ds.sqlite"))
+        try:
+            folded = DetectionPipeline(dataset, whois).run()
+        finally:
+            dataset.close()
+    assert result_digest(folded) == batch
 
 
 @settings(max_examples=20, deadline=None)
@@ -106,7 +104,7 @@ def test_every_stream_prefix_is_batch_identical(history, cut):
     batches = DeltaView(zonedb).batches()
     cut_day = batches[cut % len(batches)][0]
 
-    engine = _engine(whois, "memory")
+    engine = IncrementalDetectionEngine(whois)
     engine.advance_from(zonedb, until=cut_day)
     assert engine.watermark == cut_day
 
@@ -122,7 +120,7 @@ def test_every_stream_prefix_is_batch_identical(history, cut):
 @given(history=_histories)
 def test_loaded_checkpoint_recounts_standing_substrings(history):
     zonedb = _build(history)
-    engine = _engine(WhoisArchive(), "memory")
+    engine = IncrementalDetectionEngine(WhoisArchive())
     for batch_day, events in DeltaView(zonedb).batches():
         engine.advance(batch_day, events)
         standing = engine.state["mine_counter"]

@@ -23,7 +23,7 @@ from repro.runner.chaos_harness import run_kill_resume_trial
 from repro.runner.execution import (
     METRICS_NAME,
     TRACE_NAME,
-    run_supervised_detection,
+    run_incremental_detection,
 )
 
 SCALE = 0.06
@@ -40,10 +40,10 @@ def world():
 
 class TestTracingIsContentNeutral:
     def test_trace_on_off_bit_identical(self, world, tmp_path):
-        plain = run_supervised_detection(
+        plain = run_incremental_detection(
             world.zonedb, world.whois, run_dir=tmp_path / "plain"
         )
-        traced = run_supervised_detection(
+        traced = run_incremental_detection(
             world.zonedb,
             world.whois,
             run_dir=tmp_path / "traced",
@@ -56,7 +56,7 @@ class TestTracingIsContentNeutral:
         assert (tmp_path / "traced" / METRICS_NAME).exists()
 
     def test_traced_artifacts_validate_and_cover_the_run(self, world, tmp_path):
-        run_supervised_detection(
+        run_incremental_detection(
             world.zonedb,
             world.whois,
             run_dir=tmp_path / "run",
@@ -87,7 +87,7 @@ class TestTracingIsContentNeutral:
 
     def test_two_traced_runs_share_canonical_content(self, world, tmp_path):
         for name in ("first", "second"):
-            run_supervised_detection(
+            run_incremental_detection(
                 world.zonedb,
                 world.whois,
                 run_dir=tmp_path / name,

@@ -50,16 +50,17 @@ class TestReplay:
             "run-start", "shard-start", "shard-complete",
         ]
 
-    def test_completed_stages_since_last_reset(self, journal):
-        journal.append("stage-complete", stage="candidates")
-        journal.append("pipeline-reset", reason="checkpoint-missing")
-        journal.append("stage-complete", stage="candidates")
-        journal.append("stage-complete", stage="mine")
-        stages = journal.completed_stages()
-        assert [r.payload["stage"] for r in stages] == ["candidates", "mine"]
-        assert [r.seq for r in stages] == [3, 4]
-        journal.append("pipeline-reset", reason="checkpoint-unreadable")
-        assert journal.completed_stages() == []
+    def test_last_drain_since_last_reset(self, journal):
+        journal.append("day-advanced", day=3)
+        journal.append("engine-reset", reason="checkpoint-missing")
+        assert journal.last_drain is None
+        journal.append("day-advanced", day=3)
+        journal.append("day-advanced", day=5)
+        drain = journal.last_drain
+        assert drain is not None
+        assert (drain.seq, drain.payload["day"]) == (4, 5)
+        journal.append("engine-reset", reason="checkpoint-unreadable")
+        assert journal.last_drain is None
 
     def test_run_complete_property(self, journal):
         assert journal.run_complete is None

@@ -1,10 +1,10 @@
 """Kill-anywhere + resume = bit-identical, on both store backends.
 
-The exhaustive test enumerates every chaos boundary a supervised run
-crosses (stage boundaries, journal appends, torn journal writes) and
-kills the run at each one in turn; every resumed run must reproduce the
-uninterrupted result digest exactly and leave a run directory that
-verifies clean. The randomized trials drive the
+The exhaustive test enumerates every chaos boundary a journaled run
+crosses (the fold's stage and day boundaries, journal appends, torn
+journal writes) and kills the run at each one in turn; every resumed
+run must reproduce the uninterrupted result digest exactly and leave a
+run directory that verifies clean. The randomized trials drive the
 same claim through the seeded harness with a full kill budget.
 """
 
@@ -17,9 +17,11 @@ import pytest
 from repro.detection.pipeline import DetectionPipeline
 from repro.faults.process import ChaosKill
 from repro.runner.chaos_harness import BACKENDS, run_kill_resume_trial
-from repro.runner.execution import run_supervised_detection
+from repro.runner.execution import run_incremental_detection
 from repro.runner.journal import RunJournal
 from repro.runner.supervisor import RunFailed
+from repro.store.atomic import file_sha256
+from repro.store.dataset import load_manifest
 from repro.store.verify import verify_run_dir
 
 SCALE = 0.06
@@ -109,7 +111,7 @@ def inputs(request, world, sqlite_inputs):
 @pytest.fixture(scope="module")
 def baseline(inputs, tmp_path_factory):
     run_dir = tmp_path_factory.mktemp(f"baseline-{inputs.backend}")
-    return run_supervised_detection(
+    return run_incremental_detection(
         inputs.zonedb, inputs.whois, run_dir=run_dir / "run"
     )
 
@@ -119,22 +121,25 @@ class TestKillAnywhere:
         self, inputs, baseline, tmp_path
     ):
         probe = BoundaryKiller(nth=None)
-        run_supervised_detection(
+        run_incremental_detection(
             inputs.zonedb,
             inputs.whois,
             run_dir=tmp_path / "probe",
             chaos=probe,
         )
         total = probe.crossed
-        # Sanity: the sweep actually covers stage, append, and torn sites.
+        # Sanity: the sweep covers every boundary a fresh run crosses —
+        # one per fold stage and one for the folded day (worker), the
+        # day-advanced and run-complete appends (supervisor), and the
+        # run-config, day-advanced and run-complete writes (torn).
         assert probe.sites == {"worker", "supervisor", "torn"}
-        assert total > 3 * len(DetectionPipeline.STAGES)
+        assert total == len(DetectionPipeline.STAGES) + 6
 
         for nth in range(total):
             killer = BoundaryKiller(nth=nth)
             run_dir = tmp_path / f"kill-{nth:03d}"
             with pytest.raises(ChaosKill):
-                run_supervised_detection(
+                run_incremental_detection(
                     inputs.zonedb,
                     inputs.whois,
                     run_dir=run_dir,
@@ -142,7 +147,7 @@ class TestKillAnywhere:
                 )
             assert killer.killed_at is not None
             run_id = RunJournal.open(run_dir / "journal.jsonl").run_id
-            resumed = run_supervised_detection(
+            resumed = run_incremental_detection(
                 inputs.zonedb,
                 inputs.whois,
                 run_dir=run_dir,
@@ -171,11 +176,15 @@ class TestRandomizedTrials:
         assert report.resumes == report.kills
         assert report.bit_identical, (report.baseline_digest, report.chaos_digest)
         assert report.passed, report.verify_issues
+        if backend == "sqlite":
+            # The runs only ever read the source dataset.
+            dataset = tmp_path / "dataset.sqlite"
+            assert file_sha256(dataset) == load_manifest(dataset)["dataset_sha256"]
 
 
 class TestResumeSemantics:
     def _run(self, inputs, run_dir, **kwargs):
-        return run_supervised_detection(
+        return run_incremental_detection(
             inputs.zonedb, inputs.whois, run_dir=run_dir, **kwargs
         )
 
@@ -207,37 +216,37 @@ class TestResumeSemantics:
 
     def test_checkpoint_the_journal_did_not_hash_is_reset(self, world, tmp_path):
         """A checkpoint that still loads but is not the one the newest
-        stage-complete hashed is quarantined, and the stages rerun."""
-        from repro.detection.pipeline import (
-            dump_pipeline_state,
-            load_pipeline_state,
+        day-advanced hashed is quarantined, and the fold reruns."""
+        from repro.detection.incremental import (
+            IncrementalDetectionEngine,
+            dump_engine_state,
+            load_engine_state,
         )
         from repro.runner.execution import (
             CHECKPOINT_DIR_NAME,
-            PIPELINE_CHECKPOINT_NAME,
+            ENGINE_CHECKPOINT_NAME,
             RESULT_NAME,
         )
 
         inputs = Inputs("memory", world.zonedb, world.whois)
         first = self._run(inputs, tmp_path / "run")
-        checkpoint = (
-            tmp_path / "run" / CHECKPOINT_DIR_NAME / PIPELINE_CHECKPOINT_NAME
-        )
-        state = load_pipeline_state(checkpoint.read_bytes())
-        state["funnel"].candidates += 1
-        checkpoint.write_bytes(dump_pipeline_state(state))
+        checkpoint = tmp_path / "run" / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
+        engine = IncrementalDetectionEngine(world.whois)
+        engine.state = load_engine_state(checkpoint.read_bytes())
+        engine.state["pattern"].popitem()
+        checkpoint.write_bytes(dump_engine_state(engine))
         (tmp_path / "run" / RESULT_NAME).unlink()
 
         resumed = self._run(inputs, tmp_path / "run", resume=first.run_id)
         assert resumed.result_digest == first.result_digest
-        resets = list(RunJournal.open(first.journal_path).events("pipeline-reset"))
+        resets = list(RunJournal.open(first.journal_path).events("engine-reset"))
         assert [r.payload["reason"] for r in resets] == ["checkpoint-mismatch"]
 
     def test_resume_detects_changed_inputs(self, world, tmp_path):
         inputs = Inputs("memory", world.zonedb, world.whois)
         first = self._run(inputs, tmp_path / "run")
         with pytest.raises(RunFailed, match="run inputs changed"):
-            run_supervised_detection(
+            run_incremental_detection(
                 inputs.zonedb,
                 inputs.whois,
                 run_dir=tmp_path / "run",

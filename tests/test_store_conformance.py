@@ -249,7 +249,11 @@ class TestDeltaWindow:
             store.record_delta(event, batch_day)
 
     def _days(self, store, since, until=None):
-        return [day for day, _ in store.deltas_since(since, until)]
+        days = [day for day, _ in store.deltas_since(since, until)]
+        # The counts and the newest day describe the same window.
+        assert store.delta_stats(since, until) == (len(days), len(set(days)))
+        assert store.last_batch_day(since, until) == (days[-1] if days else None)
+        return days
 
     def test_open_window_is_the_whole_stream(self, store):
         self._recorded(store)

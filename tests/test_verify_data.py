@@ -15,7 +15,6 @@ from repro.runner.execution import (
     CHECKPOINT_DIR_NAME,
     ENGINE_CHECKPOINT_NAME,
     JOURNAL_NAME,
-    PIPELINE_CHECKPOINT_NAME,
 )
 from repro.runner.journal import RunJournal
 from repro.store.atomic import (
@@ -144,10 +143,10 @@ class TestVerifyArtifactDir:
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, tiny_bundle):
-    from repro.runner.execution import run_supervised_detection
+    from repro.runner.execution import run_incremental_detection
 
     directory = tmp_path_factory.mktemp("verify-run") / "run"
-    run_supervised_detection(
+    run_incremental_detection(
         tiny_bundle.world.zonedb, tiny_bundle.world.whois, run_dir=directory
     )
     return directory
@@ -198,17 +197,17 @@ class TestVerifyRunDir:
 
 
 class _KillAt:
-    """Duck-typed chaos monkey that dies at one stage boundary."""
+    """Duck-typed chaos monkey that dies at one journal-append boundary."""
 
     def __init__(self, label: str) -> None:
         self.label = label
 
     def worker_boundary(self, label: str) -> None:
-        if label == self.label:
-            raise ChaosKill("worker", label)
+        pass
 
     def supervisor_boundary(self, label: str) -> None:
-        pass
+        if label == self.label:
+            raise ChaosKill("supervisor", label)
 
     def torn_write(self, data: bytes) -> None:
         return None
@@ -216,28 +215,29 @@ class _KillAt:
 
 @pytest.fixture
 def killed_run(tiny_bundle, tmp_path):
-    """A batch run killed right after journaling its pattern-sweep stage."""
-    from repro.runner.execution import run_supervised_detection
+    """A batch run killed after journaling its fold, before completing."""
+    from repro.runner.execution import run_incremental_detection
 
     directory = tmp_path / "killed"
     with pytest.raises(ChaosKill):
-        run_supervised_detection(
+        run_incremental_detection(
             tiny_bundle.world.zonedb,
             tiny_bundle.world.whois,
             run_dir=directory,
             mine_patterns=False,
-            chaos=_KillAt("stage:single-repo"),
+            chaos=_KillAt("run-complete"),
         )
     return directory
 
 
 class TestVerifyUnfinishedBatchRun:
     def _checkpoint(self, run_dir):
-        return run_dir / CHECKPOINT_DIR_NAME / PIPELINE_CHECKPOINT_NAME
+        return run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
 
     def test_killed_run_verifies(self, killed_run):
-        stages = RunJournal.open(killed_run / JOURNAL_NAME).completed_stages()
-        assert stages[-1].payload["stage"] == "pattern-sweep"
+        journal = RunJournal.open(killed_run / JOURNAL_NAME)
+        assert journal.last_drain is not None
+        assert journal.run_complete is None
         assert verify_run_dir(killed_run) == []
 
     def test_flipped_checkpoint_byte_exits_one(self, killed_run, capsys):
@@ -262,7 +262,7 @@ class TestVerifyUnfinishedBatchRun:
         checkpoint.write_bytes(data)
         journal = RunJournal.create(tmp_path / JOURNAL_NAME, "run-verify")
         journal.append(
-            "stage-complete", stage="candidates",
+            "day-advanced", day=3,
             checkpoint_sha256=hashlib.sha256(data).hexdigest(),
         )
         assert kinds(verify_run_dir(tmp_path)) == [CORRUPT]
@@ -270,7 +270,7 @@ class TestVerifyUnfinishedBatchRun:
     def test_reset_leaves_nothing_to_check(self, killed_run):
         self._checkpoint(killed_run).unlink()
         journal = RunJournal.open(killed_run / JOURNAL_NAME)
-        journal.append("pipeline-reset", reason="checkpoint-missing")
+        journal.append("engine-reset", reason="checkpoint-missing")
         assert verify_run_dir(killed_run) == []
 
 
@@ -319,6 +319,43 @@ class TestVerifyIncrementalRunDir:
             checkpoint_sha256=hashlib.sha256(data).hexdigest(),
         )
         assert kinds(verify_run_dir(tmp_path)) == [CORRUPT]
+
+
+class TestSourceDatasetIsReadOnly:
+    """Detection reads the dataset and writes only its run directory."""
+
+    def test_advance_and_detect_leave_dataset_bytes_unchanged(
+        self, dataset_copy, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.store.dataset import DeltaView, open_dataset
+
+        before = file_sha256(dataset_copy)
+        zonedb = open_dataset(dataset_copy)
+        days = [day for day, _ in DeltaView(zonedb).batches()]
+        zonedb.close()
+        midpoint = ["--until", str(days[len(days) // 2])]
+        for argv in (
+            ["advance", "--run-dir", str(tmp_path / "standing")] + midpoint,
+            ["advance", "--run-dir", str(tmp_path / "standing")],
+            ["detect", "--run-dir", str(tmp_path / "batch")],
+        ):
+            assert main(argv + ["--dataset", str(dataset_copy)]) == 0
+            assert file_sha256(dataset_copy) == before, argv
+            assert verify_dataset(dataset_copy) == [], argv
+        capsys.readouterr()
+
+    def test_write_through_open_dataset_raises(self, dataset_copy):
+        from repro.store.dataset import open_dataset
+
+        before = file_sha256(dataset_copy)
+        zonedb = open_dataset(dataset_copy)
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                zonedb.set_glue(zonedb.horizon + 1, "ns1.readonly.biz")
+        finally:
+            zonedb.store.close()
+        assert file_sha256(dataset_copy) == before
 
 
 class TestRendering:
