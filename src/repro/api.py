@@ -72,7 +72,5 @@ def reproduce(
     study = StudyAnalysis(pipeline, world.zonedb, world.whois)
     bundle = ReproBundle(world=world, pipeline=pipeline, study=study)
     if use_cache:
-        # Memory-only: bundles hold live World objects; disk persistence
-        # is for the standalone dataset/pipeline artifacts the CLI writes.
-        cache.put(key, bundle, memory_only=True)
+        cache.put(key, bundle)
     return bundle

@@ -13,10 +13,13 @@ actually run:
     or a simulated one) and print the funnel and idiom tables. With
     ``--dataset FILE`` it instead opens the SQLite dataset a previous
     ``simulate`` run wrote — no in-process world object is shared
-    between the two commands. ``--cache-dir DIR`` caches the pipeline
-    result content-addressed by scenario digest + options;
-    ``--run-dir DIR`` journals the run and checkpoints its engine so a
-    killed run resumes with ``--resume RUN_ID``.
+    between the two commands. ``--run-dir DIR`` journals the run and
+    checkpoints its engine so a killed run resumes with
+    ``--resume RUN_ID``.
+
+``riskybiz advance --dataset FILE --run-dir DIR``
+    Fold the days a dataset recorded past a standing run's watermark
+    into its engine checkpoint (the daily update).
 
 ``riskybiz report``
     Regenerate every table and figure of the paper in one run.
@@ -32,8 +35,8 @@ actually run:
     protocol checks. Exits non-zero on any non-baselined error.
 
 ``riskybiz verify-data``
-    Recompute every recorded SHA-256 over a dataset, artifact cache,
-    and/or run directory; report corrupt or orphaned entries and exit
+    Recompute every recorded SHA-256 over a dataset and/or run
+    directory, check the engine checkpoint against its schema, and exit
     non-zero on any mismatch.
 
 ``riskybiz chaos-smoke``
@@ -80,11 +83,6 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", help="scenario JSON file (overrides --seed/--scale)"
     )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persist pipeline artifacts content-addressed under DIR "
-             "(keyed by scenario digest; reused across invocations)",
-    )
 
 
 def _resolve_config(args: argparse.Namespace):
@@ -101,29 +99,17 @@ def _resolve_config(args: argparse.Namespace):
     return config
 
 
-def _artifact_cache(args: argparse.Namespace):
-    """A disk-backed artifact cache when ``--cache-dir`` was given."""
-    if not getattr(args, "cache_dir", None):
-        return None
-    from repro.store.artifacts import ArtifactCache
-
-    return ArtifactCache(root=args.cache_dir)
-
-
 def _run_bundle(args: argparse.Namespace):
     """Build a full bundle from the resolved scenario.
 
     A scenario with non-zero fault rates is replayed through the
     degraded-data plane: the world runs pristine, its observables are
     fault-injected, and detection/study consume the degraded view.
-    With ``--cache-dir`` the pipeline result is content-addressed by the
-    scenario digest (which covers the fault configuration) and reused.
     """
     from repro.analysis.study import StudyAnalysis
     from repro.api import ReproBundle
     from repro.detection.pipeline import DetectionPipeline
     from repro.ecosystem.world import World
-    from repro.store.artifacts import ArtifactKey, scenario_digest
 
     config = _resolve_config(args)
     world = World(config).run()
@@ -137,14 +123,7 @@ def _run_bundle(args: argparse.Namespace):
         )
         degraded = degrade_world(world, config.faults)
         zonedb, whois = degraded.zonedb, degraded.whois
-    cache = _artifact_cache(args)
-    if cache is None:
-        pipeline = DetectionPipeline(zonedb, whois).run()
-    else:
-        key = ArtifactKey.build("pipeline", scenario_digest(config))
-        pipeline = cache.get_or_create(
-            key, lambda: DetectionPipeline(zonedb, whois).run()
-        )
+    pipeline = DetectionPipeline(zonedb, whois).run()
     study = StudyAnalysis(pipeline, zonedb, whois)
     return ReproBundle(world=world, pipeline=pipeline, study=study)
 
@@ -304,31 +283,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         if result is None:
             return 1
         return _render_detect(args, result, zonedb, whois)
-    pipeline = DetectionPipeline(zonedb, whois, mine_patterns=args.mine_patterns)
-    cache = _artifact_cache(args)
-    dataset_digest = zonedb.store.get_meta("scenario_digest")
-    if cache is not None and dataset_digest is not None:
-        from repro.store.artifacts import ArtifactKey
-
-        key = ArtifactKey.build(
-            "pipeline",
-            dataset_digest,
-            {
-                "mine_patterns": args.mine_patterns,
-                "gap_bridge": args.gap_bridge,
-                "strict": args.strict,
-            },
-        )
-        result = cache.get_or_create(key, pipeline.run)
-        stats = cache.stats()
-        print(
-            f"Artifact cache: {stats['hits']} hit(s), "
-            f"{stats['misses']} miss(es), "
-            f"{stats['quarantined']} quarantined",
-            file=sys.stderr,
-        )
-    else:
-        result = pipeline.run()
+    result = DetectionPipeline(
+        zonedb, whois, mine_patterns=args.mine_patterns
+    ).run()
     return _render_detect(args, result, zonedb, whois)
 
 
@@ -418,31 +375,21 @@ def cmd_advance(args: argparse.Namespace) -> int:
 def cmd_verify_data(args: argparse.Namespace) -> int:
     """Recompute and check every recorded digest over on-disk state."""
     from repro.store.verify import (
-        artifact_entry_count,
         issues_as_json,
         render_issues,
-        verify_artifact_dir,
         verify_dataset,
         verify_run_dir,
     )
 
-    if not (args.dataset or args.cache_dir or args.run_dir):
+    if not (args.dataset or args.run_dir):
         print(
-            "error: nothing to verify; pass --dataset, --cache-dir, "
-            "and/or --run-dir",
+            "error: nothing to verify; pass --dataset and/or --run-dir",
             file=sys.stderr,
         )
         return 2
     issues = []
     if args.dataset:
         issues.extend(verify_dataset(args.dataset))
-    if args.cache_dir:
-        issues.extend(verify_artifact_dir(args.cache_dir))
-        print(
-            f"Artifact cache {args.cache_dir}: "
-            f"{artifact_entry_count(args.cache_dir)} entr(y/ies) checked",
-            file=sys.stderr,
-        )
     if args.run_dir:
         issues.extend(verify_run_dir(args.run_dir))
     print(
@@ -787,14 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail on degraded input instead of skipping and counting it",
     )
     detect.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="cache the pipeline result content-addressed under DIR "
-             "(keyed by the dataset's scenario digest + options)",
-    )
-    detect.add_argument(
         "--run-dir", metavar="DIR",
-        help="execute as a journaled run: one engine checkpoint and the "
-             "result are written under DIR",
+        help="execute as a journaled run: the journal, one engine "
+             "checkpoint and the result digest are written under DIR",
     )
     detect.add_argument(
         "--resume", metavar="RUN_ID",
@@ -945,15 +887,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser(
         "verify-data",
-        help="recompute recorded digests over datasets, caches, and runs",
+        help="recompute recorded digests over datasets and runs",
     )
     verify.add_argument(
         "--dataset", metavar="FILE",
         help="SQLite dataset to verify against its manifest",
-    )
-    verify.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="artifact cache directory to verify entry-by-entry",
     )
     verify.add_argument(
         "--run-dir", metavar="DIR",

@@ -48,7 +48,7 @@ lives in :class:`StageContext`.
 
 from __future__ import annotations
 
-import pickle
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -75,6 +75,7 @@ from repro.detection.substrings import SubstringCounter
 from repro.detection.testns import TestNameserverFilter
 from repro.obs import profiling
 from repro.obs import runtime as obs
+from repro.store.atomic import canonical_json
 from repro.store.changelog import (
     DELEGATION_ADD,
     DELEGATION_REMOVE,
@@ -90,7 +91,7 @@ from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
 
 #: Format tag carried by serialized engine state.
-ENGINE_STATE_FORMAT = "riskybiz-engine-state/2"
+ENGINE_STATE_FORMAT = "riskybiz-engine-state/3"
 
 #: Watermark key for the engine as a whole (stages use their own names).
 ENGINE_WATERMARK = "engine"
@@ -769,58 +770,198 @@ class IncrementalDetectionEngine:
         return watermark
 
 
-def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
-    """Serialize an engine's standing state deterministically.
+# -- the checkpoint codec ----------------------------------------------------
 
-    Every unordered container is normalized (sets to sorted lists,
-    dicts to key-sorted) so equal states produce identical bytes
-    regardless of fold order or process hash seed — engine checkpoints
-    are content-addressed by these bytes. The miner's state is its
-    name multiset; substring supports are counted when patterns are
-    selected.
+#: Each standing record type's fields, with the JSON type every value
+#: must have. ``str?`` admits null; ``[str]`` is an array of strings,
+#: rebuilt as a tuple.
+_RECORD_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
+    CandidateNameserver: (
+        ("name", "str"),
+        ("first_seen", "int"),
+        ("referencing_domains", "[str]"),
+    ),
+    SacrificialNameserver: (
+        ("name", "str"),
+        ("created_day", "int"),
+        ("idiom_id", "str"),
+        ("hijackable", "bool"),
+        ("registrar", "str?"),
+        ("registered_domain", "str?"),
+        ("source", "str"),
+        ("original_ns", "str?"),
+        ("original_domain", "str?"),
+        ("collision", "bool"),
+    ),
+    MatchResult: (
+        ("candidate", "str"),
+        ("first_seen", "int"),
+        ("original_ns", "str"),
+        ("original_domain", "str"),
+        ("witness_domain", "str"),
+        ("registrar", "str?"),
+    ),
+}
+
+#: The record maps of the state: key, record type, and the field that
+#: names the nameserver each record is keyed by.
+_RECORD_MAPS: tuple[tuple[str, type, str], ...] = (
+    ("candidates", CandidateNameserver, "name"),
+    ("pattern", SacrificialNameserver, "name"),
+    ("match_results", MatchResult, "candidate"),
+    ("match_entries", SacrificialNameserver, "name"),
+)
+
+#: The name sets of the state.
+_NAME_SETS = ("test_removed", "single_repo")
+
+#: Every top-level key of a document.
+_DOCUMENT_KEYS = frozenset(
+    ("format", "watermarks", "mine_lengths", "mine_names")
+    + tuple(key for key, _cls, _field in _RECORD_MAPS)
+    + _NAME_SETS
+)
+
+#: Stands in for a record field the document lacks.
+_MISSING = object()
+
+#: Whether a parsed JSON value has each field type (``bool`` is not an
+#: ``int`` here, nor an ``int`` a ``float``).
+_IS_KIND: dict[str, Callable[[Any], bool]] = {
+    "str": lambda value: type(value) is str,
+    "int": lambda value: type(value) is int,
+    "bool": lambda value: type(value) is bool,
+    "str?": lambda value: value is None or type(value) is str,
+    "[str]": lambda value: type(value) is list
+    and all(type(item) is str for item in value),
+}
+
+
+def _checked(value: Any, kind: str, where: str) -> Any:
+    """``value`` if it has field type ``kind``; ``ValueError`` otherwise."""
+    if not _IS_KIND[kind](value):
+        raise ValueError(f"malformed engine state: {where} is not {kind}")
+    return value
+
+
+def _encode_record(record: Any) -> dict[str, Any]:
+    fields = _RECORD_FIELDS[type(record)]
+    return {name: getattr(record, name) for name, _kind in fields}
+
+
+def _decode_record(document: Any, cls: type, key: str, index: int) -> Any:
+    """Record ``index`` of the state's ``key`` array, type-checked."""
+    fields = _RECORD_FIELDS[cls]
+    if type(document) is not dict or len(document) != len(fields):
+        raise ValueError(
+            f"malformed engine state: {key}[{index}] is not a "
+            f"{cls.__name__} record"
+        )
+    values: dict[str, Any] = {}
+    for name, kind in fields:
+        value = document.get(name, _MISSING)
+        if not _IS_KIND[kind](value):
+            raise ValueError(
+                f"malformed engine state: {key}[{index}].{name} is not {kind}"
+            )
+        values[name] = tuple(value) if kind == "[str]" else value
+    return cls(**values)
+
+
+def _sorted_names(value: Any, where: str) -> list[str]:
+    """A strictly increasing list of strings (sorted, no duplicates)."""
+    names: list[str] = _checked(value, "[str]", where)
+    if names != sorted(set(names)):
+        raise ValueError(f"malformed engine state: {where} is not sorted and unique")
+    return names
+
+
+def dump_engine_state(state: dict[str, Any]) -> bytes:
+    """Serialize a standing engine state as canonical JSON.
+
+    Key-sorted and compact, every unordered container written in sorted
+    order, so equal states produce identical bytes regardless of fold
+    order, process hash seed or object identity — engine checkpoints
+    are content-addressed by these bytes. Each record map is an array
+    of named-field records sorted by nameserver. The miner's state is
+    its name multiset; substring supports are counted when patterns are
+    selected. The schema is documented in ``docs/ARCHITECTURE.md``.
     """
-    state = engine.state
     counter: SubstringCounter = state["mine_counter"]
-    normalized = {
+    document: dict[str, Any] = {
         "format": ENGINE_STATE_FORMAT,
-        "watermarks": dict(sorted(state["watermarks"].items())),
-        "candidates": {
-            ns: state["candidates"][ns] for ns in sorted(state["candidates"])
-        },
+        "watermarks": state["watermarks"],
         "mine_lengths": [counter.min_length, counter.max_length],
         "mine_names": sorted(counter.names.items()),
-        "test_removed": sorted(state["test_removed"]),
-        "pattern": {ns: state["pattern"][ns] for ns in sorted(state["pattern"])},
-        "single_repo": sorted(state["single_repo"]),
-        "match_results": {
-            ns: state["match_results"][ns]
-            for ns in sorted(state["match_results"])
-        },
-        "match_entries": {
-            ns: state["match_entries"][ns]
-            for ns in sorted(state["match_entries"])
-        },
     }
-    return pickle.dumps(normalized)
+    for key, _cls, _field in _RECORD_MAPS:
+        records = state[key]
+        document[key] = [_encode_record(records[ns]) for ns in sorted(records)]
+    for key in _NAME_SETS:
+        document[key] = sorted(state[key])
+    return canonical_json(document).encode("utf-8")
 
 
 def load_engine_state(data: bytes) -> dict[str, Any]:
-    """Inverse of :func:`dump_engine_state`."""
-    payload: dict[str, Any] = pickle.loads(data)
-    if payload.get("format") != ENGINE_STATE_FORMAT:
+    """Inverse of :func:`dump_engine_state`.
+
+    Anything that is not a ``riskybiz-engine-state/3`` document of the
+    exact schema — another format or encoding (the older binary
+    checkpoints included), a missing key, a value of the wrong type —
+    raises :class:`ValueError`. Only plain JSON is ever parsed, so no
+    checkpoint can run code when loaded.
+    """
+    try:
+        document = json.loads(data)
+    except (ValueError, RecursionError) as error:  # also UnicodeDecodeError
+        raise ValueError(f"not an engine state: not JSON ({error})") from None
+    found = document.get("format") if type(document) is dict else None
+    if found != ENGINE_STATE_FORMAT:
+        raise ValueError(f"not an engine state (format {found!r})")
+    if set(document) != _DOCUMENT_KEYS:
         raise ValueError(
-            f"not an engine state (format {payload.get('format')!r})"
+            "malformed engine state: keys "
+            f"{sorted(set(document) ^ _DOCUMENT_KEYS)} missing or unexpected"
         )
-    min_length, max_length = payload["mine_lengths"]
-    counter = SubstringCounter(min_length=min_length, max_length=max_length)
-    counter.names.update(dict(payload["mine_names"]))
-    return {
-        "watermarks": dict(payload["watermarks"]),
-        "candidates": dict(payload["candidates"]),
+    watermarks = document["watermarks"]
+    if type(watermarks) is not dict:
+        raise ValueError("malformed engine state: watermarks is not an object")
+    for stage, day in watermarks.items():
+        _checked(day, "int", f"watermarks.{stage}")
+    lengths = document["mine_lengths"]
+    if type(lengths) is not list or len(lengths) != 2:
+        raise ValueError("malformed engine state: mine_lengths is not a pair")
+    counter = SubstringCounter(
+        min_length=_checked(lengths[0], "int", "mine_lengths[0]"),
+        max_length=_checked(lengths[1], "int", "mine_lengths[1]"),
+    )
+    pairs = document["mine_names"]
+    if type(pairs) is not list or not all(
+        type(pair) is list and len(pair) == 2 for pair in pairs
+    ):
+        raise ValueError("malformed engine state: mine_names is not an array of pairs")
+    names = _sorted_names([pair[0] for pair in pairs], "mine_names")
+    for index, (name, pair) in enumerate(zip(names, pairs)):
+        count = _checked(pair[1], "int", f"mine_names[{index}][1]")
+        if count < 1:
+            raise ValueError(
+                f"malformed engine state: mine_names[{index}][1] is not positive"
+            )
+        counter.names[name] = count
+    state: dict[str, Any] = {
+        "watermarks": dict(watermarks),
         "mine_counter": counter,
-        "test_removed": set(payload["test_removed"]),
-        "pattern": dict(payload["pattern"]),
-        "single_repo": set(payload["single_repo"]),
-        "match_results": dict(payload["match_results"]),
-        "match_entries": dict(payload["match_entries"]),
     }
+    for key, cls, name_field in _RECORD_MAPS:
+        rows = document[key]
+        if type(rows) is not list:
+            raise ValueError(f"malformed engine state: {key} is not an array")
+        records = [
+            _decode_record(row, cls, key, index) for index, row in enumerate(rows)
+        ]
+        names = [getattr(record, name_field) for record in records]
+        _sorted_names(names, f"{key} names")
+        state[key] = dict(zip(names, records))
+    for key in _NAME_SETS:
+        state[key] = set(_sorted_names(document[key], key))
+    return state

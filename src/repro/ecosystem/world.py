@@ -871,5 +871,5 @@ def run_default_world(
             return cached
     result = World(config).run()
     if use_cache:
-        cache.put(key, result, memory_only=True)
+        cache.put(key, result)
     return result

@@ -9,21 +9,27 @@ names are scored against the simulator's ground-truth rename log —
 precision/recall per rate, alongside the pipeline's own coverage and
 confidence annotations.
 
-Every per-rate result is checkpointed (when a directory is given), so a
-killed sweep resumes where it stopped and produces identical tables.
+Every per-rate result is checkpointed (when a directory is given) as a
+checksummed JSON point document keyed by the world's scenario digest,
+the sampling interval and the rate, so a killed sweep resumes where it
+stopped and produces identical tables, and a point computed for other
+inputs is never reused.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.detection.pipeline import DetectionPipeline
 from repro.faults.apply import degrade_world
 from repro.faults.config import FaultConfig
-from repro.store.atomic import atomic_write_bytes
+from repro.store.artifacts import scenario_digest
+from repro.store.atomic import load_checked_json, write_checked_json
+
+#: Format tag carried by each checkpointed sweep point.
+SWEEP_POINT_FORMAT = "riskybiz-sweep-point/1"
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,9 @@ def run_degradation_sweep(
     ``checkpoint_dir``, each completed rate's :class:`SweepPoint` is
     persisted (atomically) and reloaded on re-run — killing the sweep at
     any point and restarting recomputes only the unfinished rates and
-    yields the identical report.
+    yields the identical report. A checkpointed point is reused only
+    for the same world (scenario digest), ``every`` and rate; any other
+    is recomputed and overwritten.
     """
     if world_result is None:
         from repro.ecosystem.world import run_default_world
@@ -145,20 +153,41 @@ def run_degradation_sweep(
         world_result = run_default_world(seed, scale)
     truth = {record.new_name for record in world_result.log.renames}
     directory = Path(checkpoint_dir) if checkpoint_dir else None
-    if directory:
-        directory.mkdir(parents=True, exist_ok=True)
+    digest = scenario_digest(world_result.config)
     report = DegradationReport(seed=seed, scale=scale, every=every)
     for rate in rates:
-        point_path = directory / f"point-{rate:.4f}.pkl" if directory else None
-        if point_path is not None and point_path.exists():
-            with open(point_path, "rb") as handle:
-                point = pickle.load(handle)
-        else:
+        inputs = {
+            "format": SWEEP_POINT_FORMAT,
+            "scenario_digest": digest,
+            "every": every,
+            "rate": rate,
+        }
+        path = directory / f"point-{rate:.4f}.json" if directory else None
+        point = _load_point(path, inputs) if path is not None else None
+        if point is None:
             point = _evaluate_rate(world_result, truth, rate, every=every)
-            if point_path is not None:
-                atomic_write_bytes(point_path, pickle.dumps(point))
+            if path is not None:
+                write_checked_json(path, {**inputs, "point": asdict(point)})
         report.points.append(point)
     return report
+
+
+def _load_point(path: Path, inputs: dict[str, Any]) -> SweepPoint | None:
+    """The checkpointed point at ``path`` if it was computed for ``inputs``.
+
+    None when the file is missing, fails its checksum (it is then
+    quarantined), or records other inputs or other fields.
+    """
+    if not path.exists():
+        return None
+    document = load_checked_json(path)
+    if document is None:
+        return None
+    point = document.pop("point", None)
+    names = {f.name for f in fields(SweepPoint)}
+    if document != inputs or not isinstance(point, dict) or set(point) != names:
+        return None
+    return SweepPoint(**point)
 
 
 def render_sweep(report: DegradationReport) -> str:

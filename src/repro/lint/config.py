@@ -76,7 +76,7 @@ class LintConfig:
     digest_sinks: tuple[str, ...] = (
         "repro.faults.rng.stable_hash",
         "repro.store.atomic.write_checked_json",
-        "repro.store.artifacts.content_digest",
+        "repro.store.atomic.content_digest",
     )
     #: The only functions (``module:qualname`` specs) allowed to write
     #: the incremental engine's ``state["watermarks"]`` mapping (DET013).
@@ -115,17 +115,6 @@ class LintConfig:
     protocol_fsync_functions: tuple[str, ...] = ("os.fsync",)
     #: Calls DET016/the atomic protocol accept as the publishing rename.
     protocol_rename_functions: tuple[str, ...] = ("os.replace",)
-    #: Calls that durably write the incremental engine checkpoint;
-    #: DET017 requires one on every path before a watermark commit.
-    checkpoint_write_functions: tuple[str, ...] = ("atomic_write_bytes",)
-    #: Method names that commit a consumer watermark (DET017 tracks
-    #: attribute calls only; the module-level DET013 helper is exempt).
-    watermark_commit_methods: tuple[str, ...] = ("commit_watermark",)
-    #: Paths where the DET017 checkpoint-before-commit ordering holds.
-    incremental_runner_paths: tuple[str, ...] = (
-        "src/repro/runner",
-        "src/repro/detection",
-    )
 
     def baseline_path(self) -> Path:
         """Absolute path of the configured baseline file."""
@@ -207,9 +196,6 @@ def load_config(root: Path | str | None = None) -> LintConfig:
         ("atomic-temp-markers", "atomic_temp_markers"),
         ("protocol-fsync-functions", "protocol_fsync_functions"),
         ("protocol-rename-functions", "protocol_rename_functions"),
-        ("checkpoint-write-functions", "checkpoint_write_functions"),
-        ("watermark-commit-methods", "watermark_commit_methods"),
-        ("incremental-runner-paths", "incremental_runner_paths"),
     ):
         if option in table:
             updates[attr] = _as_str_tuple(table[option], option)

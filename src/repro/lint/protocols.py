@@ -1,4 +1,4 @@
-"""The typestate protocol rules: DET014–DET017.
+"""The typestate protocol rules: DET014–DET016.
 
 Each class below is one declarative automaton over the machinery in
 :mod:`repro.lint.typestate` — states, ``(state, event)`` transitions
@@ -19,10 +19,6 @@ functions live in config, not code:
   temp (or the rename target) after the rename corrupts the published
   artifact; a temp left dirty or unrenamed on a normal exit never
   becomes durable.
-* **DET017** — incremental-runner ordering: committing a consumer
-  watermark on a path where the engine checkpoint was never written
-  breaks the refold-safety invariant ``run_incremental_detection``
-  relies on.
 """
 
 from __future__ import annotations
@@ -59,10 +55,6 @@ rule(
 rule(
     "DET016", "atomic-protocol", "typestate",
     "temp-fsync-rename atomic-write protocol broken on some path",
-)
-rule(
-    "DET017", "checkpoint-order", "typestate",
-    "watermark commit reachable before the engine checkpoint write",
 )
 
 #: File modes that make an ``open()`` a write.
@@ -511,71 +503,8 @@ class _AtomicWriteProtocol(ProtocolAutomaton):
         return events
 
 
-class _CheckpointBeforeCommit(ProtocolAutomaton):
-    """DET017: the engine checkpoint write dominates watermark commits.
-
-    A pseudo-object per function that commits a consumer watermark via
-    a *method* call (the module-level stage helper is the sanctioned
-    DET013 commit path and is exempt): every path from entry to the
-    commit must pass a checkpoint write, or a crash between them makes
-    the source watermark run ahead of the durable engine state and the
-    refold silently skips days.
-    """
-
-    rule_id = "DET017"
-    initial = "unwritten"
-    transitions = {
-        ("unwritten", "checkpoint"): ("written", None),
-        ("unwritten", "commit"): (
-            "unwritten",
-            "watermark committed on a path where the engine checkpoint "
-            "was never written; a crash here skips the day on refold",
-        ),
-        ("written", "commit"): ("written", None),
-    }
-
-    def applies_to(self, ctx: TypestateContext) -> bool:
-        return ctx.config.path_in(
-            ctx.path, ctx.config.incremental_runner_paths
-        )
-
-    def collect(self, cfg: CFG, ctx: TypestateContext) -> list[TrackedObject]:
-        methods = ctx.config.watermark_commit_methods
-        for stmt in own_statements(cfg.func):
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in methods
-                ):
-                    return [
-                        TrackedObject(
-                            key="watermark",
-                            line=node.lineno,
-                            col=node.col_offset,
-                            at_entry=True,
-                        )
-                    ]
-        return []
-
-    def events(
-        self, node: CFGNode, obj: TrackedObject, ctx: TypestateContext
-    ) -> list[Event]:
-        events: list[Event] = []
-        for call in scope_calls(node):
-            position = (call.lineno, call.col_offset)
-            if isinstance(call.func, ast.Attribute) and (
-                call.func.attr in ctx.config.watermark_commit_methods
-            ):
-                events.append(("commit", *position))
-            elif call_matches(call, ctx.config.checkpoint_write_functions):
-                events.append(("checkpoint", *position))
-        return events
-
-
 #: Registration order fixes diagnostic order for same-position findings.
 typestate_checker(_SpanLifecycle())
 typestate_checker(_TracerLifecycle())
 typestate_checker(_JournalLifecycle())
 typestate_checker(_AtomicWriteProtocol())
-typestate_checker(_CheckpointBeforeCommit())

@@ -23,14 +23,14 @@ SCN107    purge-orphaned-hosts          registry purge left externally
                                         referenced hosts behind (warning;
                                         this is the paper's dummyns state)
 SCN108    invalid-scenario              scenario config fails to load
-SCN109    missing-scenario-digest       dataset/artifact manifest does not
-                                        carry the digest of the scenario
-                                        it was produced from
+SCN109    missing-scenario-digest       dataset manifest does not carry
+                                        the digest of the scenario it was
+                                        produced from
 ========  ============================  ===================================
 
 Documents are recognized structurally: a ``"format"`` of
-``riskybiz-world/1`` marks a world dump; ``riskybiz-dataset/1`` or
-``riskybiz-artifact/1`` marks a dataset/artifact manifest; a top-level
+``riskybiz-world/1`` marks a world dump; ``riskybiz-dataset/1`` marks
+a dataset manifest; a top-level
 object carrying ``seed`` and ``registrars`` is a scenario config;
 anything else is not lintable and is skipped.
 """
@@ -50,9 +50,9 @@ from repro.simtime import Interval, merge_intervals
 #: Format tag written by ``scenario_io.save_world``.
 WORLD_FORMAT = "riskybiz-world/1"
 
-#: Format tags written by ``repro.store`` (dataset and artifact-cache
-#: manifests). Kept literal so the linter never imports the store layer.
-MANIFEST_FORMATS = frozenset({"riskybiz-dataset/1", "riskybiz-artifact/1"})
+#: Format tags written by ``repro.store`` (dataset manifests). Kept
+#: literal so the linter never imports the store layer.
+MANIFEST_FORMATS = frozenset({"riskybiz-dataset/1"})
 
 rule("SCN100", "malformed-document", "scenario", "document shape is invalid")
 rule(
@@ -87,7 +87,7 @@ rule(
 rule("SCN108", "invalid-scenario", "scenario", "scenario config fails to load")
 rule(
     "SCN109", "missing-scenario-digest", "scenario",
-    "dataset/artifact manifest lacks the producing scenario's digest",
+    "dataset manifest lacks the producing scenario's digest",
 )
 
 
@@ -493,10 +493,10 @@ _HEX_DIGEST_LEN = 64  # sha256 hexdigest, as produced by content_digest()
 def check_manifest_document(
     doc: dict[str, Any], ctx: ScenarioContext
 ) -> list[Diagnostic]:
-    """The dataset/artifact-manifest rule pack (SCN109).
+    """The dataset-manifest rule pack (SCN109).
 
-    Datasets and cached artifacts are only meaningful relative to the
-    scenario that produced them; a manifest without the producing
+    A dataset is only meaningful relative to the scenario that
+    produced it; a manifest without the producing
     scenario's digest lets a ``detect`` run silently consume the output
     of the wrong ``simulate`` run.
     """

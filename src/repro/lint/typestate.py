@@ -64,13 +64,11 @@ class TrackedObject:
     """One protocol instance being tracked through a function."""
 
     key: str
-    #: Local alias closure for the object (may be empty for pseudo
-    #: objects and ``with``-item creations).
+    #: Local alias closure for the object (may be empty for
+    #: ``with``-item creations).
     names: frozenset[str] = frozenset()
     line: int = 0
     col: int = 0
-    #: Pseudo-objects (DET017's checkpoint ordering) exist from entry.
-    at_entry: bool = False
     #: The creating statement/expression, matched by identity.
     creation: ast.AST | None = None
     #: Protocol-specific extras (handle aliases, rename targets, ...).
@@ -347,10 +345,7 @@ def analyze_cfg(
         events[node.index] = per_node
 
     in_states: list[_StateMap] = [{} for _ in cfg.nodes]
-    in_states[cfg.entry] = {
-        obj.key: frozenset((protocol.initial if obj.at_entry else _VIRGIN,))
-        for obj in objects
-    }
+    in_states[cfg.entry] = {obj.key: frozenset((_VIRGIN,)) for obj in objects}
     worklist = [cfg.entry]
     while worklist:
         index = worklist.pop()

@@ -3,8 +3,8 @@
 One *run* lives in a run directory::
 
     <run_dir>/journal.jsonl                     append-only run journal
-    <run_dir>/checkpoints/engine-state.pkl      the engine checkpoint
-    <run_dir>/result.pkl + result.json          result + manifest
+    <run_dir>/checkpoints/engine-state.json     the engine checkpoint
+    <run_dir>/result.json                       the result digest
 
 Every invocation folds the source dataset into an
 :class:`~repro.detection.incremental.IncrementalDetectionEngine`: the
@@ -14,7 +14,7 @@ exactly the day batches recorded past the durable watermark. The
 durability protocol, per invocation::
 
     fold  →  atomic engine checkpoint  →  journal day-advanced
-          →  result  →  journal run-complete
+          →  result  →  result.json  →  journal run-complete
 
 so every crash window converges on resume:
 
@@ -26,10 +26,12 @@ so every crash window converges on resume:
 * a torn journal append — the fragment fails verification and is
   dropped on reopen, identical to the previous window.
 
-The checkpoint and the result are content-verified on resume: a file
-whose SHA-256 does not match what the journal recorded is quarantined,
-an ``engine-reset`` is journaled, and the work is recomputed — the
-journal never lies about what durably exists. Run IDs are
+The checkpoint is content-verified on resume: a file whose SHA-256
+does not match what the journal recorded is quarantined, an
+``engine-reset`` is journaled, and the fold is redone — the journal
+never lies about what durably exists. The result is never stored: every
+invocation recomputes it from the engine, and an invocation with
+nothing to fold checks it against the journaled digest. Run IDs are
 deterministic digests of the run's inputs, so ``--resume`` can also
 detect an input switcheroo. The source dataset is only ever read.
 """
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -56,9 +57,9 @@ from repro.obs import runtime as obs
 from repro.obs.tracer import Tracer
 from repro.runner.journal import RunJournal
 from repro.runner.supervisor import RunFailed
-from repro.store.artifacts import content_digest
 from repro.store.atomic import (
     atomic_write_bytes,
+    content_digest,
     load_checked_json,
     quarantine,
     write_checked_json,
@@ -70,17 +71,16 @@ if TYPE_CHECKING:
     from repro.whois.archive import WhoisArchive
     from repro.zonedb.database import ZoneDatabase
 
-#: Format tag carried by the result manifest sidecar.
-RESULT_FORMAT = "riskybiz-run-result/1"
+#: Format tag carried by ``result.json``.
+RESULT_FORMAT = "riskybiz-run-result/2"
 
 #: Filenames inside a run directory.
 JOURNAL_NAME = "journal.jsonl"
-RESULT_NAME = "result.pkl"
 RESULT_MANIFEST_NAME = "result.json"
 CHECKPOINT_DIR_NAME = "checkpoints"
 TRACE_NAME = "trace.jsonl"
 METRICS_NAME = "metrics.json"
-ENGINE_CHECKPOINT_NAME = "engine-state.pkl"
+ENGINE_CHECKPOINT_NAME = "engine-state.json"
 
 
 def compute_run_id(fingerprint: dict[str, Any]) -> str:
@@ -95,10 +95,10 @@ def compute_run_id(fingerprint: dict[str, Any]) -> str:
 def result_fingerprint(result: PipelineResult) -> dict[str, Any]:
     """A canonical, JSON-able fingerprint of a pipeline result.
 
-    Semantic (field values), not representational (pickle bytes), so it
-    is stable across processes, hash seeds, and pickle protocols. Two
-    results fingerprint equal iff every output the paper reports from
-    them is equal.
+    Semantic (field values), not representational (object layout), so
+    it is stable across processes and hash seeds. Two results
+    fingerprint equal iff every output the paper reports from them is
+    equal.
     """
     return {
         "funnel": asdict(result.funnel),
@@ -117,53 +117,12 @@ def result_digest(result: PipelineResult) -> str:
     return content_digest(result_fingerprint(result))
 
 
-def _load_completed_result(
-    run_dir: Path, payload: dict[str, Any]
-) -> PipelineResult | None:
-    """The durably-journaled result, verified, or None.
+def _manifest_matches(path: Path, manifest: dict[str, Any]) -> bool:
+    """Does ``path`` verify and hold exactly ``manifest``?
 
-    None means the result artifact was missing or failed verification;
-    the corrupt files are quarantined and the caller rebuilds the
-    result from its (independently verified) checkpoint.
+    A file that fails its checksum is quarantined.
     """
-    result_path = run_dir / RESULT_NAME
-    manifest_path = run_dir / RESULT_MANIFEST_NAME
-    if not result_path.exists():
-        return None
-    data = result_path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != payload.get("result_sha256"):
-        quarantine(result_path)
-        if manifest_path.exists():
-            quarantine(manifest_path)
-        return None
-    try:
-        result: PipelineResult = pickle.loads(data)
-    except Exception:
-        quarantine(result_path)
-        return None
-    if result_digest(result) != payload.get("result_digest"):
-        quarantine(result_path)
-        return None
-    if manifest_path.exists() and load_checked_json(manifest_path) is None:
-        # Manifest corrupt (now quarantined): rewrite it from the
-        # verified result rather than leaving the run dir inconsistent.
-        _write_result_manifest(run_dir, payload["run_id"], data, result)
-    return result
-
-
-def _write_result_manifest(
-    run_dir: Path, run_id: str, data: bytes, result: PipelineResult
-) -> dict[str, Any]:
-    manifest = {
-        "format": RESULT_FORMAT,
-        "run_id": run_id,
-        "result": RESULT_NAME,
-        "result_sha256": hashlib.sha256(data).hexdigest(),
-        "result_digest": result_digest(result),
-        "sacrificial_total": result.funnel.sacrificial_total,
-    }
-    write_checked_json(run_dir / RESULT_MANIFEST_NAME, manifest)
-    return manifest
+    return path.exists() and load_checked_json(path) == manifest
 
 
 def _write_metrics_snapshot(run_dir: Path) -> Path:
@@ -394,9 +353,11 @@ def run_incremental_detection(
     up to ``until``. Resume: pass ``resume=<run-id>`` (from the journal,
     or the CLI's output); the durable engine checkpoint is restored and
     exactly the day batches past its watermark are folded — a run that
-    is already current returns its recorded result without folding
-    anything. ``until`` caps the horizon without entering the run
-    fingerprint, so one standing run can advance day by day. Each
+    is already current folds nothing, recomputes its result from the
+    checkpoint and raises :class:`~repro.runner.supervisor.RunFailed`
+    unless it has the journaled digest. ``until`` caps the horizon
+    without entering the run fingerprint, so one standing run can
+    advance day by day. Each
     invocation writes one engine checkpoint for everything it folded
     (see the module docstring for the crash windows). ``consumer`` is
     accepted for compatibility and ignored: ``zonedb`` is only read.
@@ -450,7 +411,7 @@ def run_incremental_detection(
             boundary=None if chaos is None else chaos.worker_boundary,
         )
         if days:
-            data = dump_engine_state(engine)
+            data = dump_engine_state(engine.state)
             atomic_write_bytes(engine_path, data)
             if chaos is not None:
                 chaos.supervisor_boundary(f"day-advanced:{engine.watermark}")
@@ -460,53 +421,54 @@ def run_incremental_detection(
                 deltas_applied=deltas,
                 checkpoint_sha256=hashlib.sha256(data).hexdigest(),
             )
-        else:
-            complete = journal.run_complete
-            if (
-                complete is not None
-                and complete.payload.get("watermark") == engine.watermark
-            ):
-                replayed = _load_completed_result(run.run_dir, complete.payload)
-                if replayed is not None:
-                    digest = str(complete.payload["result_digest"])
-                    run_span.set(result_digest=digest, watermark=engine.watermark)
-                    if run.tracer is not None:
-                        _write_metrics_snapshot(run.run_dir)
-                    return IncrementalRunResult(
-                        run_id=run.run_id,
-                        result=replayed,
-                        result_digest=digest,
-                        run_dir=run.run_dir,
-                        journal_path=run.journal_path,
-                        watermark=engine.watermark,
-                        resumed=True,
-                        restored_watermark=restored,
-                    )
-        result = engine.result()
-        result.coverage = CoverageAnnotations.from_reports(zonedb.ingest_reports)
-        data = pickle.dumps(result)
-        atomic_write_bytes(run.run_dir / RESULT_NAME, data)
-        manifest = _write_result_manifest(run.run_dir, run.run_id, data, result)
-        if chaos is not None:
-            chaos.supervisor_boundary("run-complete")
-        journal.append(
-            "run-complete",
-            run_id=run.run_id,
-            watermark=engine.watermark,
-            days_advanced=days,
-            result_sha256=manifest["result_sha256"],
-            result_digest=manifest["result_digest"],
-        )
-        run_span.set(
-            result_digest=str(manifest["result_digest"]),
-            watermark=engine.watermark,
-        )
+        # With nothing folded, a run journaled complete at this
+        # watermark must recompute the digest it journaled.
+        complete = journal.run_complete
+        recorded = None
+        if (
+            not days
+            and complete is not None
+            and complete.payload.get("watermark") == engine.watermark
+        ):
+            recorded = complete.payload.get("result_digest")
+        manifest_path = run.run_dir / RESULT_MANIFEST_NAME
+        with obs.span("result") as result_span:
+            result = engine.result()
+            result.coverage = CoverageAnnotations.from_reports(zonedb.ingest_reports)
+            digest = result_digest(result)
+            total = result.funnel.sacrificial_total
+            result_span.set(result_digest=digest, sacrificial_total=total)
+            if recorded is not None and digest != recorded:
+                raise RunFailed(
+                    f"run {run.run_id} is journaled complete at watermark "
+                    f"{engine.watermark} with result digest {recorded}, but "
+                    f"its checkpoint recomputes to {digest}"
+                )
+            manifest = {
+                "format": RESULT_FORMAT,
+                "run_id": run.run_id,
+                "result_digest": digest,
+                "sacrificial_total": total,
+            }
+            if recorded is None or not _manifest_matches(manifest_path, manifest):
+                write_checked_json(manifest_path, manifest)
+        if recorded is None:
+            if chaos is not None:
+                chaos.supervisor_boundary("run-complete")
+            journal.append(
+                "run-complete",
+                run_id=run.run_id,
+                watermark=engine.watermark,
+                days_advanced=days,
+                result_digest=digest,
+            )
+        run_span.set(result_digest=digest, watermark=engine.watermark)
         if run.tracer is not None:
             _write_metrics_snapshot(run.run_dir)
         return IncrementalRunResult(
             run_id=run.run_id,
             result=result,
-            result_digest=str(manifest["result_digest"]),
+            result_digest=digest,
             run_dir=run.run_dir,
             journal_path=run.journal_path,
             watermark=engine.watermark,

@@ -27,14 +27,13 @@ did (wall-clock reads are banned repo-wide by lint rule ``DET002``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.store.atomic import canonical_json, fsync_directory
+from repro.store.atomic import content_digest, fsync_directory
 
 #: Format tag recorded by the run-start event.
 JOURNAL_FORMAT = "riskybiz-journal/1"
@@ -42,10 +41,6 @@ JOURNAL_FORMAT = "riskybiz-journal/1"
 
 class JournalCorruption(Exception):
     """A journal record before the tail failed verification."""
-
-
-def _record_checksum(body: dict[str, Any]) -> str:
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +72,7 @@ def _parse_line(line: str) -> JournalRecord | None:
         return None
     recorded = document.get("checksum")
     body = {k: v for k, v in document.items() if k != "checksum"}
-    if not isinstance(recorded, str) or _record_checksum(body) != recorded:
+    if not isinstance(recorded, str) or content_digest(body) != recorded:
         return None
     try:
         return JournalRecord(
@@ -183,7 +178,7 @@ class RunJournal:
         )
         body = record.body()
         document = dict(body)
-        document["checksum"] = _record_checksum(body)
+        document["checksum"] = content_digest(body)
         line = json.dumps(document, sort_keys=True) + "\n"
         data = line.encode("utf-8")
         cut = self.torn_writer(data) if self.torn_writer is not None else None

@@ -1,4 +1,4 @@
-"""The storage layer: pluggable delegation stores and artifact caching.
+"""The storage layer: pluggable delegation stores and durable files.
 
 This package is the persistence spine of the reproduction. Everything
 above it — the zone-database façade, the detection pipeline, the
@@ -22,11 +22,12 @@ Layering (see ``docs/ARCHITECTURE.md``)::
 * :mod:`repro.store.dataset` — dataset files + manifests, and the
   :class:`~repro.store.dataset.DeltaView` the incremental detection
   engine consumes;
-* :mod:`repro.store.artifacts` — the content-addressed artifact cache
-  (digest-keyed, disk-persisted, bounded in-memory LRU);
+* :mod:`repro.store.artifacts` — the content-addressed in-memory
+  artifact memo (digest-keyed, bounded LRU);
 * :mod:`repro.store.atomic` — crash-safe writes (temp → fsync →
-  rename) and checksummed JSON manifests; every manifest, checkpoint,
-  and journal write routes through it (lint rule ``DET008``);
+  rename), the canonical-JSON content digest, and checksummed JSON
+  manifests; every manifest, checkpoint, and journal write routes
+  through it (lint rule ``DET008``);
 * :mod:`repro.store.verify` — the read-only integrity walker behind
   ``riskybiz verify-data``.
 """
@@ -34,7 +35,6 @@ Layering (see ``docs/ARCHITECTURE.md``)::
 from repro.store.artifacts import (
     ArtifactCache,
     ArtifactKey,
-    content_digest,
     default_cache,
     scenario_digest,
 )
@@ -43,6 +43,7 @@ from repro.store.atomic import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
+    content_digest,
     file_sha256,
     load_checked_json,
     quarantine,
@@ -61,12 +62,7 @@ from repro.store.dataset import (
 )
 from repro.store.memory import MemoryDelegationStore
 from repro.store.sqlite import SqliteDelegationStore
-from repro.store.verify import (
-    Issue,
-    verify_artifact_dir,
-    verify_dataset,
-    verify_run_dir,
-)
+from repro.store.verify import Issue, verify_dataset, verify_run_dir
 
 __all__ = [
     "ArtifactCache",
@@ -95,7 +91,6 @@ __all__ = [
     "quarantine",
     "rebuild_manifest",
     "scenario_digest",
-    "verify_artifact_dir",
     "verify_checked_json",
     "verify_dataset",
     "verify_run_dir",

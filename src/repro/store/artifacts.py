@@ -1,60 +1,28 @@
-"""Content-addressed artifact cache for expensive reproduction stages.
+"""Content-addressed in-memory memo for expensive reproduction stages.
 
-Artifacts (simulated worlds, pipeline results, full bundles) are keyed
-by the SHA-256 digest of a canonical-JSON description of *what produced
-them*: the scenario configuration plus the producing stage's options.
-Two runs that would compute the same thing therefore share one cache
-entry — and any change to the scenario or options changes the key, so
-stale artifacts can never be served for a different configuration.
+Artifacts (simulated worlds, full bundles) are keyed by the SHA-256
+digest of a canonical-JSON description of *what produced them*: the
+scenario configuration plus the producing stage's options. Two calls
+that would compute the same thing therefore share one entry — and any
+change to the scenario or options changes the key, so a stale artifact
+can never be served for a different configuration.
 
-The cache is a bounded in-memory LRU with an optional disk layer: when
-constructed with a ``root`` directory, artifacts are pickled under it
-next to a JSON manifest that records the producing scenario digest
-(checked by ``riskybiz lint``). Entries that cannot pickle are simply
-kept memory-only; the disk layer is an accelerator, never a correctness
-dependency.
-
-Disk entries are crash-safe and self-verifying: both files are written
-through :mod:`repro.store.atomic`, the manifest carries its own content
-checksum plus the SHA-256 of the pickled artifact bytes, and a load
-whose bytes do not hash to the manifest's record is quarantined and
-treated as a miss — corruption is surfaced to ``riskybiz verify-data``
-and recomputed, never silently served.
+The memo is a bounded LRU that lives and dies with its process; nothing
+is written to disk. Anything a later process needs is recomputed from
+the dataset, or resumed from a run directory.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs import runtime as obs
-from repro.store.atomic import (
-    atomic_write_bytes,
-    load_checked_json,
-    quarantine,
-    write_checked_json,
-)
+from repro.store.atomic import content_digest
 
-#: Format tag carried by artifact manifest sidecars.
-ARTIFACT_FORMAT = "riskybiz-artifact/1"
-
-#: Default bound on in-memory cached artifacts per cache instance.
+#: Default bound on memoized artifacts per cache instance.
 DEFAULT_CAPACITY = 16
-
-
-def content_digest(payload: Any) -> str:
-    """SHA-256 of the canonical JSON encoding of ``payload``.
-
-    Canonical means sorted keys and compact separators, so logically
-    equal payloads digest identically regardless of construction order.
-    """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def scenario_digest(config: Any) -> str:
@@ -66,11 +34,10 @@ def scenario_digest(config: Any) -> str:
 
 @dataclass(frozen=True, slots=True)
 class ArtifactKey:
-    """Identity of one cached artifact.
+    """Identity of one memoized artifact.
 
     ``digest`` covers the kind, the producing scenario, and the options
-    dict, so it alone addresses the artifact; ``kind`` and
-    ``scenario`` ride along for filenames and manifests.
+    dict, so it alone addresses the artifact.
     """
 
     kind: str
@@ -87,28 +54,17 @@ class ArtifactKey:
         )
         return cls(kind=kind, scenario=scenario, digest=digest)
 
-    @property
-    def basename(self) -> str:
-        """Stable on-disk stem for this artifact's files."""
-        return f"{self.kind}-{self.digest[:32]}"
-
 
 class ArtifactCache:
-    """Bounded LRU of artifacts with optional disk persistence."""
+    """Bounded in-memory LRU of artifacts."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        root: str | Path | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.root = Path(root) if root is not None else None
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.quarantined = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -116,125 +72,40 @@ class ArtifactCache:
     def __contains__(self, key: ArtifactKey) -> bool:
         return key.digest in self._entries
 
-    def stats(self) -> dict[str, int]:
-        """This cache's hit/miss/quarantine counts as a plain dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "quarantined": self.quarantined,
-            "entries": len(self._entries),
-        }
-
     def get(self, key: ArtifactKey) -> Any | None:
-        """The cached artifact, or None. Checks memory, then disk."""
-        if key.digest in self._entries:
-            self.hits += 1
-            obs.counter("artifact_cache.hits").inc()
-            self._entries.move_to_end(key.digest)
-            return self._entries[key.digest]
-        value = self._disk_load(key)
-        if value is not None:
-            self.hits += 1
-            obs.counter("artifact_cache.hits").inc()
-            self._remember(key, value)
-            return value
-        self.misses += 1
-        obs.counter("artifact_cache.misses").inc()
-        return None
+        """The memoized artifact, or None."""
+        if key.digest not in self._entries:
+            self.misses += 1
+            obs.counter("artifact_cache.misses").inc()
+            return None
+        self.hits += 1
+        obs.counter("artifact_cache.hits").inc()
+        self._entries.move_to_end(key.digest)
+        return self._entries[key.digest]
 
-    def put(self, key: ArtifactKey, value: Any, *, memory_only: bool = False) -> None:
-        """Cache an artifact; spill to disk unless ``memory_only``."""
-        self._remember(key, value)
-        if not memory_only:
-            self._disk_store(key, value)
-
-    def get_or_create(
-        self,
-        key: ArtifactKey,
-        builder: Callable[[], Any],
-        *,
-        memory_only: bool = False,
-    ) -> Any:
-        """The cached artifact, building (and caching) it on a miss."""
-        value = self.get(key)
-        if value is None:
-            value = builder()
-            self.put(key, value, memory_only=memory_only)
-        return value
-
-    def clear(self) -> None:
-        """Drop every in-memory entry (disk artifacts are kept)."""
-        self._entries.clear()
-
-    def _remember(self, key: ArtifactKey, value: Any) -> None:
+    def put(self, key: ArtifactKey, value: Any) -> None:
+        """Memoize an artifact, evicting the least recently used."""
         self._entries[key.digest] = value
         self._entries.move_to_end(key.digest)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    # -- disk layer ---------------------------------------------------------
+    def get_or_create(self, key: ArtifactKey, builder: Callable[[], Any]) -> Any:
+        """The memoized artifact, building (and memoizing) it on a miss."""
+        value = self.get(key)
+        if value is None:
+            value = builder()
+            self.put(key, value)
+        return value
 
-    def _artifact_path(self, key: ArtifactKey) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / f"{key.basename}.pkl"
-
-    def manifest_path(self, key: ArtifactKey) -> Path | None:
-        """Where this artifact's manifest sidecar lives (None: no disk)."""
-        if self.root is None:
-            return None
-        return self.root / f"{key.basename}.json"
-
-    def _disk_store(self, key: ArtifactKey, value: Any) -> None:
-        path = self._artifact_path(key)
-        if path is None:
-            return
-        try:
-            payload = pickle.dumps(value)
-        except Exception:
-            return  # unpicklable artifacts stay memory-only
-        atomic_write_bytes(path, payload)
-        manifest = {
-            "format": ARTIFACT_FORMAT,
-            "kind": key.kind,
-            "digest": key.digest,
-            "scenario_digest": key.scenario,
-            "artifact": path.name,
-            "artifact_sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        manifest_file = self.manifest_path(key)
-        assert manifest_file is not None
-        write_checked_json(manifest_file, manifest)
-
-    def _disk_load(self, key: ArtifactKey) -> Any | None:
-        path = self._artifact_path(key)
-        if path is None or not path.exists():
-            return None
-        payload = path.read_bytes()
-        manifest_file = self.manifest_path(key)
-        assert manifest_file is not None
-        if manifest_file.exists():
-            manifest = load_checked_json(manifest_file)  # quarantines if bad
-            if manifest is not None:
-                recorded = manifest.get("artifact_sha256")
-                actual = hashlib.sha256(payload).hexdigest()
-                if isinstance(recorded, str) and recorded != actual:
-                    # The artifact bytes are not what was written:
-                    # quarantine both halves and recompute on miss.
-                    quarantine(path)
-                    quarantine(manifest_file)
-                    self.quarantined += 1
-                    obs.counter("artifact_cache.quarantined").inc()
-                    return None
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            return None  # corrupt cache entry: treat as a miss
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._entries.clear()
 
 
 _DEFAULT_CACHE = ArtifactCache()
 
 
 def default_cache() -> ArtifactCache:
-    """The process-wide artifact cache (memory-only unless given a root)."""
+    """The process-wide artifact memo."""
     return _DEFAULT_CACHE

@@ -51,8 +51,13 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def payload_checksum(payload: Any) -> str:
-    """SHA-256 hex digest of ``payload``'s canonical JSON encoding."""
+def content_digest(payload: Any) -> str:
+    """SHA-256 hex digest of ``payload``'s canonical JSON encoding.
+
+    Logically equal payloads digest identically regardless of
+    construction order. Run IDs, result digests, scenario digests,
+    manifest checksums and journal record checksums are all this.
+    """
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
@@ -117,7 +122,7 @@ def write_checked_json(path: str | Path, payload: dict[str, Any]) -> Path:
     """
     body = {key: value for key, value in payload.items() if key != CHECKSUM_KEY}
     document = dict(body)
-    document[CHECKSUM_KEY] = payload_checksum(body)
+    document[CHECKSUM_KEY] = content_digest(body)
     return atomic_write_json(path, document)
 
 
@@ -156,7 +161,7 @@ def verify_checked_json(path: str | Path) -> dict[str, Any]:
     if not isinstance(recorded, str):
         raise IntegrityError(f"{target}: manifest has no checksum field")
     body = {k: v for k, v in document.items() if k != CHECKSUM_KEY}
-    actual = payload_checksum(body)
+    actual = content_digest(body)
     if actual != recorded:
         raise IntegrityError(
             f"{target}: checksum mismatch (recorded {recorded[:12]}…, "

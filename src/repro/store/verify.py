@@ -1,12 +1,12 @@
 """End-to-end data verification: the engine behind ``riskybiz verify-data``.
 
-Walks the three kinds of durable state the tool chain writes — datasets
-(SQLite file + checksummed manifest), artifact caches (pickles +
-checksummed manifests), and run directories (journal + checkpoint +
-result) — recomputing every recorded SHA-256 and reporting what
-does not verify. Verification is read-only: nothing is quarantined or
-rewritten here (the loaders do that lazily); this module only *reports*,
-so it is safe to run against live data.
+Walks the two kinds of durable state the tool chain writes — datasets
+(SQLite file + checksummed manifest) and run directories (journal +
+engine checkpoint + result digest) — recomputing every recorded
+SHA-256, checking the engine checkpoint against its schema, and
+reporting what does not verify. Verification is read-only: nothing is
+quarantined or rewritten here (the loaders do that lazily); this module
+only *reports*, so it is safe to run against live data.
 
 Each finding is an :class:`Issue` with a machine-usable kind and a
 human-readable detail; an empty list means everything verified.
@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from repro.store.atomic import (
     IntegrityError,
     QUARANTINE_SUFFIX,
-    TMP_SUFFIX,
     file_sha256,
     verify_checked_json,
 )
@@ -35,7 +34,6 @@ if TYPE_CHECKING:
 MISSING = "missing"
 CHECKSUM_MISMATCH = "checksum-mismatch"
 HASH_MISMATCH = "hash-mismatch"
-ORPHANED = "orphaned"
 CORRUPT = "corrupt"
 QUARANTINED = "quarantined"
 INCONSISTENT = "inconsistent"
@@ -130,89 +128,6 @@ def verify_dataset(dataset_path: str | Path) -> list[Issue]:
     return issues
 
 
-# -- artifact caches ---------------------------------------------------------
-
-
-def artifact_entry_count(root: str | Path) -> int:
-    """Number of (non-quarantined) artifact manifests under ``root``.
-
-    The same filter :func:`verify_artifact_dir` scans with, exposed so
-    callers can summarize the cache ("N entries checked") without
-    re-verifying it.
-    """
-    directory = Path(root)
-    if not directory.is_dir():
-        return 0
-    return sum(
-        1
-        for path in directory.glob("*.json")
-        if QUARANTINE_SUFFIX not in path.name
-        and not path.name.endswith(TMP_SUFFIX)
-        and not path.name.endswith(".manifest.json")
-    )
-
-
-def verify_artifact_dir(root: str | Path) -> list[Issue]:
-    """Verify every entry of an on-disk artifact cache directory.
-
-    Each ``<stem>.json`` manifest must checksum-verify and point at an
-    existing ``<stem>.pkl`` whose bytes hash to its ``artifact_sha256``;
-    pickles without a manifest are reported as orphans.
-    """
-    directory = Path(root)
-    issues: list[Issue] = []
-    if not directory.is_dir():
-        return [Issue(MISSING, str(directory), "artifact directory does not exist")]
-    manifests = sorted(
-        path
-        for path in directory.glob("*.json")
-        if QUARANTINE_SUFFIX not in path.name
-        and not path.name.endswith(TMP_SUFFIX)
-        and not path.name.endswith(".manifest.json")  # dataset sidecars
-    )
-    claimed: set[str] = set()
-    for sidecar in manifests:
-        try:
-            manifest = verify_checked_json(sidecar)
-        except IntegrityError as error:
-            issues.append(Issue(CHECKSUM_MISMATCH, str(sidecar), str(error)))
-            continue
-        artifact_name = manifest.get("artifact")
-        if not isinstance(artifact_name, str):
-            issues.append(
-                Issue(INCONSISTENT, str(sidecar), "manifest names no artifact")
-            )
-            continue
-        claimed.add(artifact_name)
-        artifact = directory / artifact_name
-        if not artifact.exists():
-            issues.append(
-                Issue(ORPHANED, str(sidecar), f"artifact {artifact_name} missing")
-            )
-            continue
-        recorded = manifest.get("artifact_sha256")
-        if recorded is not None:
-            actual = file_sha256(artifact)
-            if actual != recorded:
-                issues.append(
-                    Issue(
-                        HASH_MISMATCH,
-                        str(artifact),
-                        f"bytes hash {actual[:12]}…, manifest says "
-                        f"{str(recorded)[:12]}…",
-                    )
-                )
-    for pkl in sorted(directory.glob("*.pkl")):
-        if QUARANTINE_SUFFIX in pkl.name or pkl.name.endswith(TMP_SUFFIX):
-            continue
-        if pkl.name not in claimed:
-            issues.append(
-                Issue(ORPHANED, str(pkl), "artifact has no manifest sidecar")
-            )
-    issues.extend(_quarantine_issues(directory))
-    return issues
-
-
 # -- run directories ---------------------------------------------------------
 
 
@@ -253,21 +168,42 @@ def _verify_checkpoint(path: Path, record: "JournalRecord | None") -> list[Issue
     return []
 
 
+def _verify_result(path: Path, record: "JournalRecord") -> list[Issue]:
+    """Check ``result.json`` against the ``run-complete`` record."""
+    if not path.exists():
+        return [
+            Issue(
+                MISSING,
+                str(path),
+                f"{record.type} record {record.seq} journaled but the "
+                "result file is missing",
+            )
+        ]
+    try:
+        manifest = verify_checked_json(path)
+    except IntegrityError as error:
+        return [Issue(CHECKSUM_MISMATCH, str(path), str(error))]
+    if manifest.get("result_digest") != record.payload.get("result_digest"):
+        return [
+            Issue(INCONSISTENT, str(path), "result_digest disagrees with the journal")
+        ]
+    return []
+
+
 def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     """Verify a run directory: journal, engine checkpoint, result.
 
     Replays the journal (reporting corruption rather than raising),
     recomputes the SHA-256 the journal recorded for the engine
-    checkpoint — against its newest drain since the last reset — and,
-    when the run durably completed, verifies the result's bytes and
-    manifest.
+    checkpoint — against its newest drain since the last reset — and
+    checks it against the engine-state schema; when the run durably
+    completed, verifies ``result.json`` against the journaled digest.
     """
     from repro.runner.execution import (
         CHECKPOINT_DIR_NAME,
         ENGINE_CHECKPOINT_NAME,
         JOURNAL_NAME,
         RESULT_MANIFEST_NAME,
-        RESULT_NAME,
     )
     from repro.runner.journal import JournalCorruption, RunJournal
 
@@ -290,46 +226,7 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
 
     complete = journal.run_complete
     if complete is not None:
-        result_path = directory / RESULT_NAME
-        if not result_path.exists():
-            issues.append(
-                Issue(
-                    MISSING,
-                    str(result_path),
-                    "run journaled complete but result file missing",
-                )
-            )
-        else:
-            actual = hashlib.sha256(result_path.read_bytes()).hexdigest()
-            recorded = complete.payload.get("result_sha256")
-            if recorded is not None and actual != recorded:
-                issues.append(
-                    Issue(
-                        HASH_MISMATCH,
-                        str(result_path),
-                        f"bytes hash {actual[:12]}…, journal says "
-                        f"{str(recorded)[:12]}…",
-                    )
-                )
-        manifest_file = directory / RESULT_MANIFEST_NAME
-        if manifest_file.exists():
-            try:
-                manifest = verify_checked_json(manifest_file)
-            except IntegrityError as error:
-                issues.append(
-                    Issue(CHECKSUM_MISMATCH, str(manifest_file), str(error))
-                )
-            else:
-                if manifest.get("result_digest") != complete.payload.get(
-                    "result_digest"
-                ):
-                    issues.append(
-                        Issue(
-                            INCONSISTENT,
-                            str(manifest_file),
-                            "manifest result_digest disagrees with journal",
-                        )
-                    )
+        issues.extend(_verify_result(directory / RESULT_MANIFEST_NAME, complete))
     issues.extend(_quarantine_issues(directory))
     issues.extend(_quarantine_issues(checkpoint_dir))
     return issues

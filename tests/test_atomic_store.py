@@ -13,9 +13,9 @@ from repro.store.atomic import (
     atomic_write_bytes,
     atomic_write_json,
     canonical_json,
+    content_digest,
     file_sha256,
     load_checked_json,
-    payload_checksum,
     quarantine,
     verify_checked_json,
     write_checked_json,
@@ -61,7 +61,7 @@ class TestChecksummedJson:
         target = tmp_path / "manifest.json"
         write_checked_json(target, {"kind": "dataset"})
         document = json.loads(target.read_text())
-        assert document["checksum"] == payload_checksum({"kind": "dataset"})
+        assert document["checksum"] == content_digest({"kind": "dataset"})
 
     def test_tampered_field_detected(self, tmp_path):
         target = tmp_path / "manifest.json"
@@ -161,41 +161,3 @@ class TestDatasetManifestIntegrity:
         sidecar.unlink()
         assert load_manifest(dataset) == original
         assert sidecar.exists()
-
-
-class TestArtifactDiskIntegrity:
-    """Disk cache entries carry and enforce their own content hashes."""
-
-    def _cache(self, root):
-        from repro.store.artifacts import ArtifactCache
-
-        return ArtifactCache(root=root)
-
-    def _key(self):
-        from repro.store.artifacts import ArtifactKey
-
-        return ArtifactKey.build("unit", "ff" * 32, {"n": 1})
-
-    def test_manifest_checksummed_and_hash_recorded(self, tmp_path):
-        cache = self._cache(tmp_path)
-        key = self._key()
-        cache.put(key, {"value": 41})
-        manifest = verify_checked_json(cache.manifest_path(key))
-        artifact = tmp_path / manifest["artifact"]
-        assert manifest["artifact_sha256"] == file_sha256(artifact)
-
-    def test_corrupted_artifact_is_a_miss_and_quarantined(self, tmp_path):
-        cache = self._cache(tmp_path)
-        key = self._key()
-        cache.put(key, {"value": 41})
-        artifact = tmp_path / f"{key.basename}.pkl"
-        artifact.write_bytes(artifact.read_bytes()[:-2] + b"xx")
-        fresh = self._cache(tmp_path)
-        assert fresh.get(key) is None
-        assert list(tmp_path.glob("*" + QUARANTINE_SUFFIX + "*"))
-
-    def test_clean_entry_round_trips(self, tmp_path):
-        cache = self._cache(tmp_path)
-        key = self._key()
-        cache.put(key, {"value": 41})
-        assert self._cache(tmp_path).get(key) == {"value": 41}

@@ -11,6 +11,7 @@ crash-recovery paths. The source dataset is never written.
 
 from __future__ import annotations
 
+import json
 import pickle
 from collections import Counter
 
@@ -103,10 +104,8 @@ class TestEngineEquivalence:
             drained = _drained_engine(zonedb, world.whois)
             assert result_digest(folded.result()) == batch_digest
             assert result_digest(drained.result()) == batch_digest
-            # Equal states; the pickled bytes may still differ in which
-            # equal strings they share, so compare the payloads.
-            assert pickle.loads(dump_engine_state(folded)) == pickle.loads(
-                dump_engine_state(drained)
+            assert dump_engine_state(folded.state) == dump_engine_state(
+                drained.state
             )
         finally:
             zonedb.close()
@@ -170,7 +169,7 @@ class TestWatermarkGuards:
 
 class TestSerialization:
     def test_dump_restore_round_trip_matches(self, world, batch_digest):
-        data = dump_engine_state(_drained_engine(world.zonedb, world.whois))
+        data = dump_engine_state(_drained_engine(world.zonedb, world.whois).state)
         fresh = IncrementalDetectionEngine(world.whois)
         watermark = fresh.restore(world.zonedb, load_engine_state(data))
         assert watermark == DeltaView(world.zonedb).last_batch_day()
@@ -183,14 +182,16 @@ class TestSerialization:
         first.advance_from(zonedb)
         second = IncrementalDetectionEngine(whois)
         second.advance_from(zonedb)
-        assert dump_engine_state(first) == dump_engine_state(second)
+        assert dump_engine_state(first.state) == dump_engine_state(second.state)
 
     def test_restore_requires_fresh_engine(self):
         zonedb, whois = _mini_inputs()
         engine = IncrementalDetectionEngine(whois)
         engine.advance_from(zonedb)
         with pytest.raises(ValueError, match="fresh engine"):
-            engine.restore(zonedb, load_engine_state(dump_engine_state(engine)))
+            engine.restore(
+                zonedb, load_engine_state(dump_engine_state(engine.state))
+            )
 
     def test_load_rejects_foreign_payloads(self):
         with pytest.raises(ValueError, match="not an engine state"):
@@ -203,7 +204,7 @@ class TestSerialization:
         for batch_day, events in batches[:-2]:
             partial.advance(batch_day, events)
         fresh = IncrementalDetectionEngine(whois)
-        fresh.restore(zonedb, load_engine_state(dump_engine_state(partial)))
+        fresh.restore(zonedb, load_engine_state(dump_engine_state(partial.state)))
         fresh.advance_from(zonedb)
         batch = DetectionPipeline(zonedb, whois).run()
         assert result_digest(fresh.result()) == result_digest(batch)
@@ -331,9 +332,10 @@ class TestIncrementalRunner:
         first = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir
         )
-        # A checkpoint in the previous format: derived counts included.
+        # A checkpoint in the first format: a pickle, derived counts
+        # included.
         checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
-        payload = pickle.loads(checkpoint.read_bytes())
+        payload = json.loads(checkpoint.read_bytes())
         min_length, max_length = payload["mine_lengths"]
         names = Counter(dict(payload["mine_names"])).elements()
         payload["format"] = "riskybiz-engine-state/1"
@@ -384,7 +386,9 @@ class TestIncrementalRunner:
             world.zonedb, world.whois, run_dir=run_dir, until=midpoint
         )
         checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
-        stale = dump_engine_state(_drained_engine_until(world, view.batches()[0][0]))
+        stale = dump_engine_state(
+            _drained_engine_until(world, view.batches()[0][0]).state
+        )
         checkpoint.write_bytes(stale)
         again = run_incremental_detection(
             world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id

@@ -124,7 +124,7 @@ def test_loaded_checkpoint_recounts_standing_substrings(history):
     for batch_day, events in DeltaView(zonedb).batches():
         engine.advance(batch_day, events)
         standing = engine.state["mine_counter"]
-        loaded = load_engine_state(dump_engine_state(engine))["mine_counter"]
+        loaded = load_engine_state(dump_engine_state(engine.state))["mine_counter"]
         assert loaded.names == standing.names, batch_day
         for min_support in (1, MINE_MIN_SUPPORT):
             assert loaded.select(min_support=min_support) == standing.select(

@@ -21,7 +21,7 @@ def findings(
 
 class TestRegistry:
     def test_typestate_rules_registered(self) -> None:
-        for rule_id in ("DET014", "DET015", "DET016", "DET017"):
+        for rule_id in ("DET014", "DET015", "DET016"):
             assert RULES[rule_id].engine == "typestate"
 
 
@@ -185,40 +185,6 @@ class TestAtomicProtocol:
                 os.replace(temp, target)
             """,
             path="scripts/oneoff.py",
-        ) == []
-
-
-class TestCheckpointOrder:
-    def test_commit_before_checkpoint(self) -> None:
-        found = findings(
-            """
-            def advance(zonedb, days, consumer):
-                for day in days:
-                    zonedb.commit_watermark(consumer, day)
-            """,
-            path="src/repro/detection/example.py",
-        )
-        assert found == [("DET017", 4)]
-
-    def test_checkpoint_dominates_commit_is_clean(self) -> None:
-        assert findings(
-            """
-            def advance(engine, zonedb, days, consumer, path):
-                for day in days:
-                    atomic_write_bytes(path, dump_engine_state(engine))
-                    zonedb.commit_watermark(consumer, day)
-            """,
-            path="src/repro/detection/example.py",
-        ) == []
-
-    def test_bare_name_stage_helper_is_exempt(self) -> None:
-        # The module-level helper is the sanctioned DET013 commit path.
-        assert findings(
-            """
-            def fold(state, stage, day):
-                commit_watermark(state, stage, day)
-            """,
-            path="src/repro/detection/example.py",
         ) == []
 
 

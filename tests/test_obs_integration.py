@@ -85,6 +85,31 @@ class TestTracingIsContentNeutral:
             name.startswith("profile.stage.") for name in document["gauges"]
         )
 
+    def test_every_invocation_has_one_result_span(self, world, tmp_path):
+        first = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=tmp_path / "run", trace=True
+        )
+        again = run_incremental_detection(
+            world.zonedb,
+            world.whois,
+            run_dir=tmp_path / "run",
+            resume=first.run_id,
+            trace=True,
+        )
+        assert again.days_advanced == 0
+        ends = [
+            record.payload
+            for record in read_trace(tmp_path / "run" / TRACE_NAME)
+            if record.type == "span-end" and record.payload["path"] == "run/result"
+        ]
+        assert len(ends) == 2
+        for payload in ends:
+            assert payload["result_digest"] == first.result_digest
+            assert (
+                payload["sacrificial_total"]
+                == first.result.funnel.sacrificial_total
+            )
+
     def test_two_traced_runs_share_canonical_content(self, world, tmp_path):
         for name in ("first", "second"):
             run_incremental_detection(

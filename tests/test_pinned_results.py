@@ -3,23 +3,27 @@
 The digests and funnels below were computed by the batch pipeline this
 code replaced, which ran each stage's own batch body over the whole
 store. Every way of running detection must still reproduce them
-exactly: :meth:`DetectionPipeline.run`, ``riskybiz detect --run-dir``,
-and a day-by-day drain of the recorded delta stream. A direct fold and
-a day-by-day drain must also leave byte-identical engine checkpoints.
+exactly: :meth:`DetectionPipeline.run`, a fresh and an already-complete
+``riskybiz detect --run-dir``, and a day-by-day drain of the recorded
+delta stream. A direct fold and a day-by-day drain must also leave
+byte-identical engine checkpoints, in memory and over the written
+SQLite dataset.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import re
 from dataclasses import asdict
 
 import pytest
 
 from repro.cli import main
 from repro.detection.incremental import IncrementalDetectionEngine, dump_engine_state
-from repro.detection.pipeline import DetectionPipeline
-from repro.runner.execution import RESULT_NAME, result_digest
-from repro.store.dataset import DeltaView, write_dataset
+from repro.detection.pipeline import DetectionPipeline, PipelineFunnel
+from repro.runner.execution import JOURNAL_NAME, RESULT_MANIFEST_NAME, result_digest
+from repro.runner.journal import RunJournal
+from repro.store.dataset import DeltaView, open_dataset, write_dataset
 
 SEED = 2021
 SCALE = 0.1
@@ -101,12 +105,26 @@ class TestPinnedResults:
             "detect", "--dataset", str(dataset), "--whois", str(whois_path),
             "--run-dir", str(run_dir),
         ]
-        assert main(argv + (["--mine-patterns"] if key[1] else [])) == 0
-        capsys.readouterr()
-        result = pickle.loads((run_dir / RESULT_NAME).read_bytes())
-        assert result_digest(result) == digest
-        assert asdict(result.funnel) == funnel
-        assert result.coverage.degraded is degraded
+        argv += ["--mine-patterns"] if key[1] else []
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        manifest = json.loads((run_dir / RESULT_MANIFEST_NAME).read_text())
+        assert manifest["result_digest"] == digest
+        assert manifest["sacrificial_total"] == funnel["sacrificial_total"]
+        for label, count in PipelineFunnel(**funnel).rows():
+            assert re.search(rf"{re.escape(label)}\s+{count}\b", fresh), label
+        assert ("Data coverage and confidence" in fresh) is degraded
+
+        # Already complete: recomputed from the checkpoint, nothing new
+        # journaled, the same report.
+        journal = run_dir / JOURNAL_NAME
+        before = journal.read_bytes()
+        run_id = RunJournal.open(journal).run_id
+        assert main(argv + ["--resume", run_id]) == 0
+        assert capsys.readouterr().out == fresh
+        assert journal.read_bytes() == before
+        manifest = json.loads((run_dir / RESULT_MANIFEST_NAME).read_text())
+        assert manifest["result_digest"] == digest
 
     def test_day_by_day_advance(self, worlds, key):
         digest, funnel, _degraded = PINS[key]
@@ -130,11 +148,23 @@ class TestDirectFoldEqualsDrain:
             drained.advance_from(zonedb, until=folded.watermark - 1)
             drained.advance_from(zonedb)
             assert drained.watermark == folded.watermark
-            assert dump_engine_state(folded) == dump_engine_state(drained)
+            assert dump_engine_state(folded.state) == dump_engine_state(
+                drained.state
+            )
 
     @pytest.mark.parametrize("name", ["clean", "degraded"])
     def test_seed_2021(self, worlds, name):
         self._assert_identical(*worlds[name])
+
+    def test_seed_2021_sqlite_dataset(self, worlds, tmp_path):
+        """Over the written dataset too, where equal strings read back
+        as distinct objects."""
+        zonedb, whois = worlds["clean"]
+        dataset = open_dataset(write_dataset(zonedb, tmp_path / "dataset.sqlite"))
+        try:
+            self._assert_identical(dataset, whois)
+        finally:
+            dataset.close()
 
     def test_seed_7(self):
         from repro.ecosystem.config import default_scenario

@@ -225,7 +225,6 @@ class TestResumeSemantics:
         from repro.runner.execution import (
             CHECKPOINT_DIR_NAME,
             ENGINE_CHECKPOINT_NAME,
-            RESULT_NAME,
         )
 
         inputs = Inputs("memory", world.zonedb, world.whois)
@@ -234,8 +233,7 @@ class TestResumeSemantics:
         engine = IncrementalDetectionEngine(world.whois)
         engine.state = load_engine_state(checkpoint.read_bytes())
         engine.state["pattern"].popitem()
-        checkpoint.write_bytes(dump_engine_state(engine))
-        (tmp_path / "run" / RESULT_NAME).unlink()
+        checkpoint.write_bytes(dump_engine_state(engine.state))
 
         resumed = self._run(inputs, tmp_path / "run", resume=first.run_id)
         assert resumed.result_digest == first.result_digest

@@ -1,20 +1,17 @@
-"""Tests for the content-addressed artifact cache (repro.store.artifacts)."""
+"""Tests for the content-addressed artifact memo (repro.store.artifacts)."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.ecosystem.config import default_scenario
 from repro.store.artifacts import (
-    ARTIFACT_FORMAT,
     ArtifactCache,
     ArtifactKey,
-    content_digest,
     default_cache,
     scenario_digest,
 )
+from repro.store.atomic import content_digest
 
 
 class TestContentDigest:
@@ -52,10 +49,6 @@ class TestArtifactKey:
             ArtifactKey.build("world", "s").digest
             != ArtifactKey.build("bundle", "s").digest
         )
-
-    def test_basename_is_filesystem_friendly(self):
-        key = ArtifactKey.build("pipeline", "s" * 64)
-        assert key.basename == f"pipeline-{key.digest[:32]}"
 
 
 class TestMemoryLayer:
@@ -108,75 +101,14 @@ class TestMemoryLayer:
         assert cache.get_or_create(key, build) == "built"
         assert len(calls) == 1
 
-    def test_clear_keeps_disk(self, tmp_path):
-        cache = ArtifactCache(capacity=4, root=tmp_path)
+    def test_clear_drops_every_entry(self):
+        cache = ArtifactCache(capacity=4)
         key = ArtifactKey.build("k", "s")
         cache.put(key, "value")
         cache.clear()
         assert len(cache) == 0
-        assert cache.get(key) == "value"  # reloaded from disk
-
-
-class TestDiskLayer:
-    def test_roundtrip_across_instances(self, tmp_path):
-        writer = ArtifactCache(root=tmp_path)
-        key = ArtifactKey.build("pipeline", "a" * 64, {"strict": False})
-        writer.put(key, {"funnel": 42})
-
-        reader = ArtifactCache(root=tmp_path)
-        assert reader.get(key) == {"funnel": 42}
-
-    def test_manifest_contents(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path)
-        key = ArtifactKey.build("pipeline", "a" * 64)
-        cache.put(key, "value")
-        manifest = json.loads(cache.manifest_path(key).read_text())
-        assert manifest["format"] == ARTIFACT_FORMAT
-        assert manifest["kind"] == "pipeline"
-        assert manifest["digest"] == key.digest
-        assert manifest["scenario_digest"] == "a" * 64
-        assert (tmp_path / manifest["artifact"]).exists()
-
-    def test_manifest_passes_scenario_lint(self, tmp_path):
-        """The sidecar satisfies SCN109 — the rule exists to catch
-        artifacts written without provenance."""
-        from repro.lint.scenario_engine import classify_document, lint_scenario_data
-
-        cache = ArtifactCache(root=tmp_path)
-        key = ArtifactKey.build("pipeline", "a" * 64)
-        cache.put(key, "value")
-        manifest = json.loads(cache.manifest_path(key).read_text())
-        assert classify_document(manifest) == "manifest"
-        assert lint_scenario_data(manifest, "m.json") == []
-
-    def test_corrupt_pickle_is_a_miss(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path)
-        key = ArtifactKey.build("k", "s")
-        cache.put(key, "value")
-        (tmp_path / f"{key.basename}.pkl").write_bytes(b"not a pickle")
-        cache.clear()
         assert cache.get(key) is None
-
-    def test_unpicklable_value_stays_memory_only(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path)
-        key = ArtifactKey.build("k", "s")
-        cache.put(key, lambda: None)  # lambdas cannot pickle
-        assert cache.get(key) is not None
-        assert not (tmp_path / f"{key.basename}.pkl").exists()
-
-    def test_memory_only_put_never_touches_disk(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path)
-        key = ArtifactKey.build("k", "s")
-        cache.put(key, "value", memory_only=True)
-        assert not (tmp_path / f"{key.basename}.pkl").exists()
-
-    def test_no_root_means_no_disk(self):
-        cache = ArtifactCache()
-        key = ArtifactKey.build("k", "s")
-        assert cache.manifest_path(key) is None
-        cache.put(key, "value")  # must not raise
 
 
 def test_default_cache_is_process_wide_singleton():
     assert default_cache() is default_cache()
-    assert default_cache().root is None

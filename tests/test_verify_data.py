@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import shutil
 import sqlite3
 
@@ -15,6 +14,7 @@ from repro.runner.execution import (
     CHECKPOINT_DIR_NAME,
     ENGINE_CHECKPOINT_NAME,
     JOURNAL_NAME,
+    RESULT_MANIFEST_NAME,
 )
 from repro.runner.journal import RunJournal
 from repro.store.atomic import (
@@ -28,11 +28,9 @@ from repro.store.verify import (
     HASH_MISMATCH,
     INCONSISTENT,
     MISSING,
-    ORPHANED,
     QUARANTINED,
     issues_as_json,
     render_issues,
-    verify_artifact_dir,
     verify_dataset,
     verify_run_dir,
 )
@@ -102,45 +100,6 @@ class TestVerifyDataset:
         assert QUARANTINED in kinds(verify_dataset(dataset_copy))
 
 
-class TestVerifyArtifactDir:
-    def _cache(self, root):
-        from repro.store.artifacts import ArtifactCache, ArtifactKey
-
-        cache = ArtifactCache(root=root)
-        key = ArtifactKey.build("verify", "ee" * 32, {"n": 1})
-        cache.put(key, {"value": 7})
-        return key
-
-    def test_clean_cache_verifies(self, tmp_path):
-        self._cache(tmp_path)
-        assert verify_artifact_dir(tmp_path) == []
-
-    def test_missing_directory(self, tmp_path):
-        assert kinds(verify_artifact_dir(tmp_path / "absent")) == [MISSING]
-
-    def test_orphaned_pickle(self, tmp_path):
-        self._cache(tmp_path)
-        (tmp_path / "stray.pkl").write_bytes(b"data")
-        assert ORPHANED in kinds(verify_artifact_dir(tmp_path))
-
-    def test_manifest_without_artifact(self, tmp_path):
-        key = self._cache(tmp_path)
-        (tmp_path / f"{key.basename}.pkl").unlink()
-        assert ORPHANED in kinds(verify_artifact_dir(tmp_path))
-
-    def test_corrupted_artifact_bytes(self, tmp_path):
-        key = self._cache(tmp_path)
-        artifact = tmp_path / f"{key.basename}.pkl"
-        artifact.write_bytes(artifact.read_bytes()[:-1] + b"\x00")
-        assert HASH_MISMATCH in kinds(verify_artifact_dir(tmp_path))
-
-    def test_tampered_manifest(self, tmp_path):
-        key = self._cache(tmp_path)
-        sidecar = tmp_path / f"{key.basename}.json"
-        sidecar.write_text(sidecar.read_text().replace("riskybiz", "r1skybiz"))
-        assert CHECKSUM_MISMATCH in kinds(verify_artifact_dir(tmp_path))
-
-
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, tiny_bundle):
     from repro.runner.execution import run_incremental_detection
@@ -173,23 +132,38 @@ class TestVerifyRunDir:
         journal.write_text("\n".join(lines) + "\n")
         assert kinds(verify_run_dir(run_copy)) == [CORRUPT]
 
+    def test_only_journal_checkpoint_and_result(self, run_copy):
+        files = sorted(
+            str(path.relative_to(run_copy))
+            for path in run_copy.rglob("*")
+            if path.is_file()
+        )
+        assert files == sorted([
+            JOURNAL_NAME,
+            f"{CHECKPOINT_DIR_NAME}/{ENGINE_CHECKPOINT_NAME}",
+            RESULT_MANIFEST_NAME,
+        ])
+
     def test_corrupted_checkpoint(self, run_copy):
-        checkpoint = sorted((run_copy / CHECKPOINT_DIR_NAME).glob("*.pkl"))[0]
+        checkpoint = run_copy / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
         checkpoint.write_bytes(checkpoint.read_bytes()[:-1] + b"\x00")
         assert HASH_MISMATCH in kinds(verify_run_dir(run_copy))
 
     def test_missing_checkpoint(self, run_copy):
-        for checkpoint in (run_copy / CHECKPOINT_DIR_NAME).glob("*.pkl"):
-            checkpoint.unlink()
+        (run_copy / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME).unlink()
         assert MISSING in kinds(verify_run_dir(run_copy))
 
     def test_corrupted_result(self, run_copy):
-        result = run_copy / "result.pkl"
-        result.write_bytes(result.read_bytes()[:-1] + b"\x00")
-        assert HASH_MISMATCH in kinds(verify_run_dir(run_copy))
+        result = run_copy / RESULT_MANIFEST_NAME
+        result.write_bytes(result.read_bytes()[:-2] + b"0\n")
+        assert kinds(verify_run_dir(run_copy)) == [CHECKSUM_MISMATCH]
+
+    def test_missing_result(self, run_copy):
+        (run_copy / RESULT_MANIFEST_NAME).unlink()
+        assert kinds(verify_run_dir(run_copy)) == [MISSING]
 
     def test_result_manifest_digest_disagreement(self, run_copy):
-        manifest_file = run_copy / "result.json"
+        manifest_file = run_copy / RESULT_MANIFEST_NAME
         body = verify_checked_json(manifest_file)
         body["result_digest"] = "0" * 64
         write_checked_json(manifest_file, body)
@@ -256,7 +230,7 @@ class TestVerifyUnfinishedBatchRun:
         assert kinds(verify_run_dir(killed_run)) == [MISSING]
 
     def test_unloadable_checkpoint(self, tmp_path):
-        data = b"not a pickle"
+        data = b"not an engine state"
         checkpoint = self._checkpoint(tmp_path)
         checkpoint.parent.mkdir()
         checkpoint.write_bytes(data)
@@ -309,7 +283,7 @@ class TestVerifyIncrementalRunDir:
         assert kinds(verify_run_dir(advanced_run)) == [MISSING]
 
     def test_unloadable_engine_checkpoint(self, tmp_path):
-        data = pickle.dumps({"format": "riskybiz-engine-state/1"})
+        data = json.dumps({"format": "riskybiz-engine-state/1"}).encode()
         checkpoint = self._checkpoint(tmp_path)
         checkpoint.parent.mkdir()
         checkpoint.write_bytes(data)
@@ -363,7 +337,7 @@ class TestRendering:
         assert "all checks passed" in render_issues([])
 
     def test_json_round_trips(self, run_copy):
-        (run_copy / "result.pkl").write_bytes(b"junk")
+        (run_copy / RESULT_MANIFEST_NAME).write_bytes(b"junk")
         issues = verify_run_dir(run_copy)
         document = json.loads(issues_as_json(issues))
         assert document
