@@ -85,6 +85,7 @@ from repro.store.changelog import (
     GLUE_REMOVE,
     TLD_COVER,
     DeltaEvent,
+    pair_nameserver,
 )
 from repro.store.dataset import DeltaView
 from repro.whois.archive import WhoisArchive
@@ -554,17 +555,16 @@ class IncrementalDetectionEngine:
         """Apply one delta to the private store and the dirty indices."""
         self.zonedb.apply_delta(event)
         if event.kind in (DELEGATION_ADD, DELEGATION_REMOVE):
-            assert event.ns is not None
-            self._note_ns(event.ns)
-            self._domain_ns.setdefault(event.name, set()).add(event.ns)
+            ns = pair_nameserver(event)
+            self._note_ns(ns)
+            self._domain_ns.setdefault(event.name, set()).add(ns)
 
     def _dirty_from(self, events: Iterable[DeltaEvent]) -> set[str]:
         dirty: set[str] = set()
         dirty_domains: set[str] = set()
         for event in events:
             if event.kind in (DELEGATION_ADD, DELEGATION_REMOVE):
-                assert event.ns is not None
-                dirty.add(event.ns)
+                dirty.add(pair_nameserver(event))
                 dirty_domains.add(event.name)
             elif event.kind in (GLUE_ADD, GLUE_REMOVE):
                 dirty.add(event.name)

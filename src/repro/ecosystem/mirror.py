@@ -5,6 +5,11 @@ in its TLD zone files is reflected into the :class:`ZoneDatabase` on the
 day it happens. This is exactly equivalent to diffing daily zone-file
 snapshots (the DZDB ingestion path — covered by tests that compare the
 two), but avoids materializing thousands of full snapshots.
+
+Every name the mirror handles is canonical text the repository already
+checked at the EPP request (object names and audit details), so it
+writes through the database's canonical-text bodies and never parses a
+name again.
 """
 
 from __future__ import annotations
@@ -54,16 +59,16 @@ class ZoneMirror:
         try:
             obj = self.repository.domain(name)
         except EppError:
-            self.database.remove_delegation(day, name)
+            self.database._remove_delegation(day, name)
             return
         on_hold = (
             DomainStatus.CLIENT_HOLD in obj.statuses
             or DomainStatus.SERVER_HOLD in obj.statuses
         )
         if obj.nameservers and not on_hold:
-            self.database.set_delegation(day, obj.name, obj.nameservers)
+            self.database._set_delegation(day, obj.name, obj.nameservers)
         else:
-            self.database.remove_delegation(day, obj.name)
+            self.database._remove_delegation(day, obj.name)
 
     def _on_domain_create(self, day: int, details: dict) -> None:
         self._refresh_domain(day, details["domain"])
@@ -75,10 +80,10 @@ class ZoneMirror:
         self._refresh_domain(day, details["domain"])
 
     def _on_domain_delete(self, day: int, details: dict) -> None:
-        self.database.remove_delegation(day, details["domain"])
+        self.database._remove_delegation(day, details["domain"])
 
     def _on_domain_purge(self, day: int, details: dict) -> None:
-        self.database.remove_delegation(day, details["domain"])
+        self.database._remove_delegation(day, details["domain"])
 
     # -- host operations -----------------------------------------------------
 
@@ -88,15 +93,15 @@ class ZoneMirror:
         except EppError:
             if host_name in self._glue_hosts:
                 self._glue_hosts.discard(host_name)
-                self.database.remove_glue(day, host_name)
+                self.database._remove_glue(day, host_name)
             return
         has_glue = bool(obj.addresses) and not obj.external
         if has_glue and host_name not in self._glue_hosts:
             self._glue_hosts.add(host_name)
-            self.database.set_glue(day, host_name)
+            self.database._set_glue(day, host_name)
         elif not has_glue and host_name in self._glue_hosts:
             self._glue_hosts.discard(host_name)
-            self.database.remove_glue(day, host_name)
+            self.database._remove_glue(day, host_name)
 
     def _on_host_create(self, day: int, details: dict) -> None:
         self._refresh_glue(day, details["host"])
@@ -108,13 +113,13 @@ class ZoneMirror:
         host = details["host"]
         if host in self._glue_hosts:
             self._glue_hosts.discard(host)
-            self.database.remove_glue(day, host)
+            self.database._remove_glue(day, host)
 
     def _on_host_rename(self, day: int, details: dict) -> None:
         old, new = details["old"], details["new"]
         if old in self._glue_hosts:
             self._glue_hosts.discard(old)
-            self.database.remove_glue(day, old)
+            self.database._remove_glue(day, old)
         self._refresh_glue(day, new)
         for domain in details.get("linked", ()):
             self._refresh_domain(day, domain)

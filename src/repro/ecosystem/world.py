@@ -9,8 +9,11 @@ WHOIS archive — plus a ground-truth event log used only for validation.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro import simtime
 from repro.dnscore.names import Name
@@ -41,9 +44,31 @@ from repro.ecosystem.population import (
 )
 from repro.epp.registry import RegistryRoster, default_roster
 from repro.faults.rng import stable_hash
+from repro.obs import runtime as obs
 from repro.registrar.registrar import IdiomSchedule, Registrar
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection for the block.
+
+    The population build and the event loop grow a large heap with no
+    reference cycles: reference counting frees everything they drop, so
+    a collection there reclaims nothing and only re-scans every live
+    object, a full pass each time the heap grows by a quarter. The
+    caller's collector state is restored on exit, also when the block
+    raises. ``tests/test_world.py`` checks that a run leaves no cyclic
+    garbage; code added here must keep it that way.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -103,7 +128,15 @@ class World:
             f"ns{i}.{provider}" for provider, _owner in SAFE_PROVIDERS for i in (1, 2)
         }
         self._remediation_targets: dict[str, list[RenameRecord]] = {}
-        self.plan = PopulationPlanner(config).build()
+        with collector_paused(), obs.span("world.plan") as span:
+            self.plan = PopulationPlanner(config).build()
+            span.set(
+                hosters=len(self.plan.hosters),
+                clients=self.plan.client_count(),
+                safe_domains=len(self.plan.safe_domains),
+                typo_domains=len(self.plan.typo_domains),
+                test_ns=len(self.plan.test_ns),
+            )
         self._built = False
         self._ran = False
 
@@ -139,11 +172,17 @@ class World:
             return
         self._built = True
         day = self.config.start_day
-        self._provision_safe_providers(day)
-        self._provision_hijacker_infrastructure(day)
-        schedule_plan(self.queue, self.plan, self.config)
-        schedule_registrar_policy(self.queue, self.config)
-        schedule_remediation(self.queue, self.config)
+        deltas_before = self.zonedb.deltas_emitted
+        with obs.span("world.build") as span:
+            self._provision_safe_providers(day)
+            self._provision_hijacker_infrastructure(day)
+            schedule_plan(self.queue, self.plan, self.config)
+            schedule_registrar_policy(self.queue, self.config)
+            schedule_remediation(self.queue, self.config)
+            span.set(
+                events=len(self.queue),
+                deltas=self.zonedb.deltas_emitted - deltas_before,
+            )
 
     def _provision_safe_providers(self, day: int) -> None:
         for index, (provider, owner) in enumerate(SAFE_PROVIDERS):
@@ -358,11 +397,18 @@ class World:
     # -- run loop -----------------------------------------------------------
 
     def run(self) -> WorldResult:
-        """Execute every queued event and return the result bundle."""
-        self.build()
-        if self._ran:
-            return self.result()
-        self._ran = True
+        """Execute every queued event and return the result bundle.
+
+        Cyclic collection is paused throughout (:func:`collector_paused`).
+        """
+        with collector_paused():
+            self.build()
+            if not self._ran:
+                self._ran = True
+                self._run_events()
+        return self.result()
+
+    def _run_events(self) -> None:
         handlers = {
             "hoster_birth": self._on_hoster_birth,
             "hoster_suspend": self._on_hoster_suspend,
@@ -388,13 +434,21 @@ class World:
             "registrar_remediation": self._on_registrar_remediation,
             "markmonitor_remediation": self._on_markmonitor_remediation,
         }
-        while self.queue:
-            event = self.queue.pop()
-            if event.day >= self.config.end_day:
-                continue
-            handlers[event.kind](event)
-        self.zonedb.advance(self.config.end_day)
-        return self.result()
+        deltas_before = self.zonedb.deltas_emitted
+        handled = 0
+        with obs.span("world.events") as span:
+            while self.queue:
+                event = self.queue.pop()
+                if event.day >= self.config.end_day:
+                    continue
+                handlers[event.kind](event)
+                handled += 1
+            self.zonedb.advance(self.config.end_day)
+            span.set(
+                events=handled,
+                deltas=self.zonedb.deltas_emitted - deltas_before,
+                renames=len(self.log.renames),
+            )
 
     def result(self) -> WorldResult:
         """The run's output bundle."""

@@ -3,9 +3,10 @@
 Registrar provisioning systems speak EPP as request/response frames and
 branch on result *codes* rather than exceptions. :class:`EppSession`
 provides that style: each command returns a :class:`Result` whose
-``code`` is an RFC 5730 result code, and the session keeps a transcript,
-which the tests and the deletion-machinery logic use to assert on exact
-protocol behaviour.
+``code`` is an RFC 5730 result code, and the session keeps a transcript
+of every command and response. Only the tests read it, to assert on
+exact protocol behaviour; the deletion machinery branches on each
+command's result.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.dnscore.names import Name
-
 
 class DomainStatus(str, Enum):
     """Domain object statuses (the subset relevant to the lifecycle)."""
@@ -51,6 +49,9 @@ class DomainObject:
     references (renaming the host object is visible through the domain
     automatically); the repository resolves names to objects at zone
     generation time, which models that reference semantics.
+
+    Every name field holds canonical text: the repository checks names
+    when a request arrives and builds objects from the checked text.
     """
 
     name: str
@@ -63,10 +64,6 @@ class DomainObject:
     #: Transfer authorization code (EPP authInfo); the gaining registrar
     #: must present it to take over sponsorship.
     auth_info: str = ""
-
-    def __post_init__(self) -> None:
-        self.name = Name(self.name).text
-        self.nameservers = [Name(ns).text for ns in self.nameservers]
 
     @property
     def is_deletable(self) -> bool:
@@ -88,7 +85,8 @@ class HostObject:
     ``external`` marks hosts whose superordinate namespace lies outside
     the repository; such hosts carry no addresses in this repository and,
     per operational practice, cannot be further modified by the registrar
-    (the property that makes sacrificial renames irreversible).
+    (the property that makes sacrificial renames irreversible). Like
+    :class:`DomainObject`, it holds canonical text.
     """
 
     name: str
@@ -99,11 +97,6 @@ class HostObject:
     external: bool = False
     linked_domains: set[str] = field(default_factory=set)
     statuses: set[HostStatus] = field(default_factory=lambda: {HostStatus.OK})
-
-    def __post_init__(self) -> None:
-        self.name = Name(self.name).text
-        if self.superordinate is not None:
-            self.superordinate = Name(self.superordinate).text
 
     @property
     def is_linked(self) -> bool:

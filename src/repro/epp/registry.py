@@ -63,7 +63,10 @@ class Registry:
 
     def is_restricted(self, tld: str) -> bool:
         """True if the TLD does not use registrars."""
-        return self.policies[Name(tld).text].restricted
+        policy = self.policies.get(tld)
+        if policy is None:
+            policy = self.policies[Name(tld).text]
+        return policy.restricted
 
     # -- accreditation -----------------------------------------------------
 
@@ -121,7 +124,10 @@ class Registry:
 class RegistryRoster:
     """The full set of registries in a simulated ecosystem."""
 
-    registries: list[Registry] = field(default_factory=list)
+    #: Registries join only through :meth:`add`, which keeps the index.
+    registries: list[Registry] = field(default_factory=list, init=False)
+    #: Operated TLD -> its registry.
+    _by_tld: dict[str, Registry] = field(default_factory=dict, init=False, repr=False)
 
     def add(self, registry: Registry) -> None:
         """Add a registry; TLD sets must not overlap."""
@@ -132,14 +138,24 @@ class RegistryRoster:
                     f"TLDs {sorted(overlap)} already operated by {existing.operator}"
                 )
         self.registries.append(registry)
+        for tld in registry.tlds:
+            self._by_tld[tld] = registry
 
     def registry_for(self, tld_or_name: str) -> Registry:
-        """The registry operating the TLD of ``tld_or_name``."""
-        tld = Name(tld_or_name).tld
-        for registry in self.registries:
-            if tld in registry.tlds:
-                return registry
-        raise KeyError(f"no registry operates .{tld}")
+        """The registry operating the TLD of ``tld_or_name``.
+
+        The index is keyed by canonical TLD, so a hit on the last label
+        as given needs no parse; only a miss canonicalizes the name. This
+        is a lookup, not a check: the EPP command that follows validates
+        the whole name.
+        """
+        registry = self._by_tld.get(tld_or_name.rpartition(".")[2])
+        if registry is None:
+            tld = Name(tld_or_name).tld
+            registry = self._by_tld.get(tld)
+            if registry is None:
+                raise KeyError(f"no registry operates .{tld}")
+        return registry
 
     def operates(self, tld_or_name: str) -> bool:
         """True if some registry in the roster operates that TLD."""

@@ -26,6 +26,7 @@ from repro.store.changelog import (
     GLUE_REMOVE,
     TLD_COVER,
     DeltaEvent,
+    pair_nameserver,
 )
 
 #: Presence-history kinds every backend must support.
@@ -125,14 +126,13 @@ def dispatch_delta(store: "DelegationStore", event: "DeltaEvent") -> None:
     replayed event performs *exactly* the primitive call the original
     mutation did — which is what makes delta replay reproduce a store
     bit-for-bit. ``tld-cover`` events carry no store mutation (coverage
-    is façade metadata) and fall through.
+    is façade metadata) and fall through. An unknown kind, or a pair
+    kind without a nameserver, raises ``ValueError``.
     """
     if event.kind == DELEGATION_ADD:
-        assert event.ns is not None
-        store.open_pair(event.name, event.ns, event.day)
+        store.open_pair(event.name, pair_nameserver(event), event.day)
     elif event.kind == DELEGATION_REMOVE:
-        assert event.ns is not None
-        store.close_pair(event.name, event.ns, event.day)
+        store.close_pair(event.name, pair_nameserver(event), event.day)
     elif event.kind == GLUE_ADD:
         store.open_presence(GLUE, event.name, event.day)
     elif event.kind == GLUE_REMOVE:

@@ -18,8 +18,7 @@ under its batch day (the SQLite dataset's ``deltas`` table), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 # -- delta vocabulary --------------------------------------------------------
 
@@ -55,14 +54,19 @@ DELTA_KINDS = (
 _PAIR_KINDS = frozenset({DELEGATION_ADD, DELEGATION_REMOVE})
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaEvent:
+class DeltaEvent(NamedTuple):
     """One typed mutation of the delegation history.
 
     ``day`` is the *effective* day of the mutation (the interval
     boundary it creates); the batch day it was performed under is
     carried alongside the event, not inside it, because one event can
     be replayed from logs that batched it differently.
+
+    A plain row: building one checks nothing. :func:`check_delta`
+    validates events where they are made (``ZoneDatabase._emit``) and
+    where they arrive from outside (:meth:`from_payload`); replay
+    (:func:`~repro.store.base.dispatch_delta`) refuses an unknown kind
+    or a pair kind without a nameserver.
     """
 
     kind: str
@@ -71,12 +75,6 @@ class DeltaEvent:
     name: str
     #: The nameserver, for delegation-add / delegation-remove.
     ns: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in DELTA_KINDS:
-            raise ValueError(f"unknown delta kind {self.kind!r}")
-        if self.kind in _PAIR_KINDS and self.ns is None:
-            raise ValueError(f"{self.kind} requires a nameserver")
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-serializable value view."""
@@ -91,17 +89,42 @@ class DeltaEvent:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "DeltaEvent":
-        """Inverse of :meth:`to_payload`."""
-        return cls(
-            kind=str(payload["kind"]),
-            day=int(payload["day"]),
-            name=str(payload["name"]),
-            ns=str(payload["ns"]) if payload.get("ns") is not None else None,
+        """Inverse of :meth:`to_payload`; ``ValueError`` on a bad event."""
+        return check_delta(
+            cls(
+                kind=str(payload["kind"]),
+                day=int(payload["day"]),
+                name=str(payload["name"]),
+                ns=str(payload["ns"]) if payload.get("ns") is not None else None,
+            )
         )
 
     def as_tuple(self) -> tuple[str, int, str, str | None]:
         """Value tuple, for backend-independent comparisons."""
         return (self.kind, self.day, self.name, self.ns)
+
+
+def check_delta(event: DeltaEvent) -> DeltaEvent:
+    """``event`` itself, or ``ValueError`` if its kind or fields are wrong."""
+    if event.kind not in DELTA_KINDS:
+        raise ValueError(f"unknown delta kind {event.kind!r}")
+    if event.kind in _PAIR_KINDS and event.ns is None:
+        raise ValueError(f"{event.kind} requires a nameserver")
+    return event
+
+
+def pair_nameserver(event: DeltaEvent) -> str:
+    """The nameserver of a pair delta; ``ValueError`` when it has none.
+
+    Replay's check: a stored row is not validated when it is read back,
+    so a pair delta with a NULL ``ns`` fails here, loudly, even under
+    ``python -O``.
+    """
+    if event.ns is None:
+        raise ValueError(
+            f"{event.kind} delta for {event.name!r} has no nameserver"
+        )
+    return event.ns
 
 
 def group_batches(

@@ -419,8 +419,9 @@ class SqliteDelegationStore:
             "ORDER BY seq",
             params,
         )
+        # Rows are not checked here: replay refuses a malformed one.
         return [
-            (int(batch_day), DeltaEvent(kind=kind, day=d, name=name, ns=ns))
+            (int(batch_day), DeltaEvent(kind, d, name, ns))
             for batch_day, kind, d, name, ns in rows
         ]
 

@@ -168,8 +168,16 @@ def _verify_checkpoint(path: Path, record: "JournalRecord | None") -> list[Issue
     return []
 
 
-def _verify_result(path: Path, record: "JournalRecord") -> list[Issue]:
-    """Check ``result.json`` against the ``run-complete`` record."""
+def _verify_result(
+    path: Path, record: "JournalRecord", *, current: bool
+) -> list[Issue]:
+    """Check ``result.json`` against the ``run-complete`` record.
+
+    Only a ``current`` record vouches for the file's digest. Once a
+    drain or reset is journaled after it, an invocation may have written
+    the next result and been killed before journaling it, so only the
+    file's checksum is checked; the next invocation completes the run.
+    """
     if not path.exists():
         return [
             Issue(
@@ -183,7 +191,9 @@ def _verify_result(path: Path, record: "JournalRecord") -> list[Issue]:
         manifest = verify_checked_json(path)
     except IntegrityError as error:
         return [Issue(CHECKSUM_MISMATCH, str(path), str(error))]
-    if manifest.get("result_digest") != record.payload.get("result_digest"):
+    if current and manifest.get("result_digest") != record.payload.get(
+        "result_digest"
+    ):
         return [
             Issue(INCONSISTENT, str(path), "result_digest disagrees with the journal")
         ]
@@ -197,7 +207,8 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     recomputes the SHA-256 the journal recorded for the engine
     checkpoint — against its newest drain since the last reset — and
     checks it against the engine-state schema; when the run durably
-    completed, verifies ``result.json`` against the journaled digest.
+    completed, verifies ``result.json`` against the journaled digest
+    (only its checksum once a later drain or reset is journaled).
     """
     from repro.runner.execution import (
         CHECKPOINT_DIR_NAME,
@@ -226,7 +237,16 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
 
     complete = journal.run_complete
     if complete is not None:
-        issues.extend(_verify_result(directory / RESULT_MANIFEST_NAME, complete))
+        current = not any(
+            record.seq > complete.seq
+            and record.type in ("day-advanced", "engine-reset")
+            for record in journal.records
+        )
+        issues.extend(
+            _verify_result(
+                directory / RESULT_MANIFEST_NAME, complete, current=current
+            )
+        )
     issues.extend(_quarantine_issues(directory))
     issues.extend(_quarantine_issues(checkpoint_dir))
     return issues

@@ -45,6 +45,7 @@ from repro.store.changelog import (
     GLUE_REMOVE,
     TLD_COVER,
     DeltaEvent,
+    check_delta,
 )
 from repro.store.memory import MemoryDelegationStore
 from repro.zonedb.snapshot import ZoneSnapshot
@@ -185,16 +186,24 @@ class ZoneDatabase:
     # -- the delta write path -----------------------------------------------
 
     def _emit(self, event: DeltaEvent) -> None:
-        """Apply one mutation and record it as a delta.
+        """Check one mutation, apply it and record it as a delta.
 
-        The *only* mutation path: the store applies-and-records the
-        event under the current batch day.
+        The *only* mutation path, and where deltas are validated
+        (``ValueError`` on an unknown kind or a pair kind without a
+        nameserver): the store applies-and-records the event under the
+        current batch day.
         """
+        check_delta(event)
         batch_day = self._batch_day if self._batch_day is not None else self.horizon
         batch_day = max(batch_day, self._batch_floor)
         self._batch_floor = batch_day
         self.store.apply_delta(event, batch_day)
         self._deltas_emitted += 1
+
+    @property
+    def deltas_emitted(self) -> int:
+        """How many deltas this database has emitted (not replayed)."""
+        return self._deltas_emitted
 
     def apply_delta(self, event: DeltaEvent) -> None:
         """Replay one recorded delta into this database (no re-emission).
@@ -225,7 +234,7 @@ class ZoneDatabase:
         if tld_text in self.covered_tlds:
             return
         self.covered_tlds.add(tld_text)
-        self._emit(DeltaEvent(kind=TLD_COVER, day=self.horizon, name=tld_text))
+        self._emit(DeltaEvent(TLD_COVER, self.horizon, tld_text))
 
     def covers(self, name: str) -> bool:
         """True if the TLD of ``name`` is inside the data set."""
@@ -240,49 +249,63 @@ class ZoneDatabase:
     def set_delegation(self, day: int, domain: str, nameservers: Iterable[str]) -> None:
         """Record that ``domain``'s NS set is ``nameservers`` from ``day`` on."""
         self.advance(max(self.horizon, day))
-        domain_text = Name(domain).text
-        new_set = frozenset(Name(ns).text for ns in nameservers)
-        if not new_set:
-            self.remove_delegation(day, domain_text)
-            return
-        old_set = self.store.current_nameservers(domain_text)
-        if new_set == old_set:
-            return
-        for ns in sorted(old_set - new_set):
-            self._emit(
-                DeltaEvent(kind=DELEGATION_REMOVE, day=day, name=domain_text, ns=ns)
-            )
-        for ns in sorted(new_set - old_set):
-            self._emit(
-                DeltaEvent(kind=DELEGATION_ADD, day=day, name=domain_text, ns=ns)
-            )
-        if not self.store.presence_open(DOMAIN, domain_text):
-            self._emit(DeltaEvent(kind=DOMAIN_APPEAR, day=day, name=domain_text))
+        self._set_delegation(
+            day, Name(domain).text, [Name(ns).text for ns in nameservers]
+        )
 
     def remove_delegation(self, day: int, domain: str) -> None:
         """Record that ``domain`` left the zone on ``day``."""
         self.advance(max(self.horizon, day))
-        domain_text = Name(domain).text
-        for ns in sorted(self.store.current_nameservers(domain_text)):
-            self._emit(
-                DeltaEvent(kind=DELEGATION_REMOVE, day=day, name=domain_text, ns=ns)
-            )
-        if self.store.presence_open(DOMAIN, domain_text):
-            self._emit(DeltaEvent(kind=DOMAIN_EXPIRE, day=day, name=domain_text))
+        self._remove_delegation(day, Name(domain).text)
 
     def set_glue(self, day: int, host: str) -> None:
         """Record that ``host`` has glue from ``day`` on."""
         self.advance(max(self.horizon, day))
-        host_text = Name(host).text
-        if not self.store.presence_open(GLUE, host_text):
-            self._emit(DeltaEvent(kind=GLUE_ADD, day=day, name=host_text))
+        self._set_glue(day, Name(host).text)
 
     def remove_glue(self, day: int, host: str) -> None:
         """Record that ``host`` lost its glue on ``day``."""
         self.advance(max(self.horizon, day))
-        host_text = Name(host).text
-        if self.store.presence_open(GLUE, host_text):
-            self._emit(DeltaEvent(kind=GLUE_REMOVE, day=day, name=host_text))
+        self._remove_glue(day, Name(host).text)
+
+    # The bodies of the four writes above, over names that are already
+    # canonical text: the zone mirror passes what EPP objects hold, which
+    # the repository checked when the request came in. The public writes
+    # move the horizon before parsing, so a delegation whose name fails
+    # (and that ingest then salvages or skips) still advances it.
+
+    def _set_delegation(self, day: int, domain: str, nameservers: Iterable[str]) -> None:
+        self.advance(max(self.horizon, day))
+        new_set = frozenset(nameservers)
+        if not new_set:
+            self._remove_delegation(day, domain)
+            return
+        old_set = self.store.current_nameservers(domain)
+        if new_set == old_set:
+            return
+        for ns in sorted(old_set - new_set):
+            self._emit(DeltaEvent(DELEGATION_REMOVE, day, domain, ns))
+        for ns in sorted(new_set - old_set):
+            self._emit(DeltaEvent(DELEGATION_ADD, day, domain, ns))
+        if not self.store.presence_open(DOMAIN, domain):
+            self._emit(DeltaEvent(DOMAIN_APPEAR, day, domain))
+
+    def _remove_delegation(self, day: int, domain: str) -> None:
+        self.advance(max(self.horizon, day))
+        for ns in sorted(self.store.current_nameservers(domain)):
+            self._emit(DeltaEvent(DELEGATION_REMOVE, day, domain, ns))
+        if self.store.presence_open(DOMAIN, domain):
+            self._emit(DeltaEvent(DOMAIN_EXPIRE, day, domain))
+
+    def _set_glue(self, day: int, host: str) -> None:
+        self.advance(max(self.horizon, day))
+        if not self.store.presence_open(GLUE, host):
+            self._emit(DeltaEvent(GLUE_ADD, day, host))
+
+    def _remove_glue(self, day: int, host: str) -> None:
+        self.advance(max(self.horizon, day))
+        if self.store.presence_open(GLUE, host):
+            self._emit(DeltaEvent(GLUE_REMOVE, day, host))
 
     def ingest_snapshot(self, snapshot: ZoneSnapshot) -> IngestReport:
         """Diff one daily snapshot against current state (DZDB mode).

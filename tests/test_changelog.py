@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.detection.incremental import IncrementalDetectionEngine
 from repro.store.changelog import (
     DELEGATION_ADD,
     DELEGATION_REMOVE,
@@ -13,6 +14,8 @@ from repro.store.changelog import (
     group_batches,
 )
 from repro.store.dataset import DeltaView
+from repro.store.sqlite import SqliteDelegationStore
+from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
 
 
@@ -20,14 +23,58 @@ def _add(day: int, domain: str, ns: str) -> DeltaEvent:
     return DeltaEvent(kind=DELEGATION_ADD, day=day, name=domain, ns=ns)
 
 
-class TestDeltaEvent:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown delta kind"):
-            DeltaEvent(kind="no-such-kind", day=0, name="a.biz")
+def _replay_stored_row(tmp_path, kind: str, ns: str | None) -> None:
+    """Store one raw delta row in a SQLite dataset, read it back, replay it."""
+    path = tmp_path / "rows.sqlite"
+    store = SqliteDelegationStore(path)
+    store.record_delta(DeltaEvent(kind, 2, "a.biz", ns), 2)
+    store.close()
+    source = SqliteDelegationStore(path, read_only=True)
+    try:
+        ((_, event),) = source.deltas_since(None)
+        ZoneDatabase().apply_deltas([event])
+    finally:
+        source.close()
 
-    def test_pair_kinds_require_nameserver(self):
+
+class TestDeltaEvent:
+    """A delta is a plain row, checked where it is made (``_emit``), where
+    it arrives from outside (``from_payload``) and when it is replayed."""
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        zonedb = ZoneDatabase()
+        with pytest.raises(ValueError, match="unknown delta kind"):
+            zonedb._emit(DeltaEvent(kind="no-such-kind", day=0, name="a.biz"))
+        assert zonedb.deltas_since(None) == []
+        with pytest.raises(ValueError, match="unknown delta kind"):
+            DeltaEvent.from_payload({"kind": "no-such-kind", "day": 0, "name": "a.biz"})
+        with pytest.raises(ValueError, match="unknown delta kind 'no-such-kind'"):
+            _replay_stored_row(tmp_path, "no-such-kind", None)
+
+    def test_pair_kinds_require_nameserver(self, tmp_path):
+        zonedb = ZoneDatabase()
         with pytest.raises(ValueError, match="requires a nameserver"):
-            DeltaEvent(kind=DELEGATION_REMOVE, day=0, name="a.biz")
+            zonedb._emit(DeltaEvent(kind=DELEGATION_REMOVE, day=0, name="a.biz"))
+        assert zonedb.deltas_since(None) == []
+        with pytest.raises(ValueError, match="requires a nameserver"):
+            DeltaEvent.from_payload(
+                {"kind": DELEGATION_REMOVE, "day": 0, "name": "a.biz"}
+            )
+        # A row with a NULL ns is read back unchecked; replay refuses it
+        # with a ValueError, which ``python -O`` does not strip.
+        with pytest.raises(
+            ValueError, match="delegation-add delta for 'a.biz' has no nameserver"
+        ):
+            _replay_stored_row(tmp_path, DELEGATION_ADD, None)
+
+    def test_engine_replay_names_the_bad_delta(self):
+        events = [DeltaEvent(DELEGATION_REMOVE, 4, "b.biz")]
+        engine = IncrementalDetectionEngine(WhoisArchive())
+        for replay in (lambda: engine.advance(4, events), lambda: engine._dirty_from(events)):
+            with pytest.raises(
+                ValueError, match="delegation-remove delta for 'b.biz' has no nameserver"
+            ):
+                replay()
 
     def test_payload_round_trip(self):
         for event in (

@@ -249,6 +249,66 @@ class TestVerifyUnfinishedBatchRun:
 
 
 @pytest.fixture
+def killed_resume(tiny_bundle, tmp_path):
+    """A run advanced to mid-history, then resumed and killed after
+    writing ``result.json`` but before journaling ``run-complete``."""
+    from repro.runner.execution import run_incremental_detection
+
+    world = tiny_bundle.world
+    directory = tmp_path / "resumed"
+    first = run_incremental_detection(
+        world.zonedb,
+        world.whois,
+        run_dir=directory,
+        until=world.zonedb.horizon // 2,
+        mine_patterns=False,
+    )
+    with pytest.raises(ChaosKill):
+        run_incremental_detection(
+            world.zonedb,
+            world.whois,
+            run_dir=directory,
+            mine_patterns=False,
+            resume=first.run_id,
+            chaos=_KillAt("run-complete"),
+        )
+    return directory, first.run_id
+
+
+class TestVerifyKilledResume:
+    """A result written ahead of its ``run-complete`` record is no lie."""
+
+    def test_killed_resume_verifies(self, killed_resume):
+        directory, _ = killed_resume
+        journal = RunJournal.open(directory / JOURNAL_NAME)
+        assert journal.last_drain.seq > journal.run_complete.seq
+        assert verify_run_dir(directory) == []
+
+    def test_next_invocation_completes_and_verifies(self, killed_resume, tiny_bundle):
+        from repro.runner.execution import run_incremental_detection
+
+        directory, run_id = killed_resume
+        world = tiny_bundle.world
+        finished = run_incremental_detection(
+            world.zonedb,
+            world.whois,
+            run_dir=directory,
+            mine_patterns=False,
+            resume=run_id,
+        )
+        journal = RunJournal.open(directory / JOURNAL_NAME)
+        assert journal.records[-1].type == "run-complete"
+        assert journal.run_complete.payload["result_digest"] == finished.result_digest
+        assert verify_run_dir(directory) == []
+
+    def test_corrupted_result_still_reported(self, killed_resume):
+        directory, _ = killed_resume
+        result = directory / RESULT_MANIFEST_NAME
+        result.write_bytes(result.read_bytes()[:-2] + b"0\n")
+        assert kinds(verify_run_dir(directory)) == [CHECKSUM_MISMATCH]
+
+
+@pytest.fixture
 def advanced_run(dataset_copy, tmp_path):
     """A standing incremental run directory left by ``riskybiz advance``."""
     from repro.cli import main

@@ -207,3 +207,90 @@ class TestDeterminism:
                 continue  # still in the grace pipeline at data end
             registry = world.roster.registry_for(hoster.domain)
             assert not registry.repository.domain_exists(hoster.domain), hoster.domain
+
+
+class TestCollectorPause:
+    """The simulator pauses cyclic collection: its heap has no cycles."""
+
+    @pytest.mark.parametrize("seed", [2021, 8085])
+    def test_run_leaves_no_cyclic_garbage(self, seed):
+        import gc
+
+        from repro.ecosystem.config import default_scenario
+        from repro.ecosystem.world import World
+
+        gc.collect()
+        gc.disable()
+        try:
+            result = World(default_scenario(seed).scaled(0.05)).run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert result.log.renames
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_pause_restores_the_callers_state(self, enabled, monkeypatch):
+        import gc
+
+        from repro.ecosystem import world as world_module
+        from repro.ecosystem.config import tiny_scenario
+
+        def fail(*_args):
+            assert not gc.isenabled()
+            raise RuntimeError("failed while paused")
+
+        def set_collector(on: bool) -> None:
+            if on:
+                gc.enable()
+            else:
+                gc.disable()
+
+        was_enabled = gc.isenabled()
+        set_collector(enabled)
+        try:
+            with world_module.collector_paused():
+                assert not gc.isenabled()
+            assert gc.isenabled() is enabled
+            world_module.World(tiny_scenario(seed=5)).run()
+            assert gc.isenabled() is enabled
+
+            world = world_module.World(tiny_scenario(seed=5))
+            monkeypatch.setattr(world, "_on_client_birth", fail)
+            with pytest.raises(RuntimeError, match="failed while paused"):
+                world.run()
+            assert gc.isenabled() is enabled
+
+            monkeypatch.setattr(world_module.PopulationPlanner, "build", fail)
+            with pytest.raises(RuntimeError, match="failed while paused"):
+                world_module.World(tiny_scenario(seed=5))
+            assert gc.isenabled() is enabled
+        finally:
+            set_collector(was_enabled)
+
+
+class TestSimulatorSpans:
+    def test_traced_run_reports_its_phases(self, tmp_path):
+        from repro.ecosystem.config import tiny_scenario
+        from repro.ecosystem.world import World
+        from repro.obs import runtime as obs
+        from repro.obs.tracer import Tracer, read_trace
+
+        tracer = Tracer(tmp_path / "trace.jsonl", "run-world")
+        with obs.observing(tracer):
+            result = World(tiny_scenario(seed=5)).run()
+        tracer.close()
+        spans = {
+            record.payload["name"]: record.payload
+            for record in read_trace(tmp_path / "trace.jsonl")
+            if record.type == "span-end"
+        }
+        assert sorted(spans) == ["world.build", "world.events", "world.plan"]
+        plan = result.plan
+        assert spans["world.plan"]["hosters"] == len(plan.hosters)
+        assert spans["world.plan"]["clients"] == plan.client_count()
+        events = spans["world.events"]
+        assert events["renames"] == len(result.log.renames)
+        assert events["events"] > 0
+        assert spans["world.build"]["deltas"] + events["deltas"] + len(
+            result.zonedb.covered_tlds
+        ) == len(result.zonedb.deltas_since(None))
