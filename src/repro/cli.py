@@ -318,11 +318,14 @@ def cmd_advance(args: argparse.Namespace) -> int:
 
     The daily-update entry point: point it at the same dataset and run
     directory every day and exactly the day batches recorded past the
-    run's durable watermark are folded in — the result is bit-identical
-    to re-running ``riskybiz detect`` from scratch, without re-reading
-    history. The run ID is read from the journal, so no ``--resume``
-    bookkeeping is needed. Each invocation writes one engine checkpoint
-    for everything it folded; the dataset is opened read-only.
+    run's durable watermark are folded in, at once, against the dataset
+    read as of the newest of them — the result is bit-identical to
+    re-running ``riskybiz detect`` from scratch, without re-reading
+    history (a dataset whose delta stream rewrites earlier days is
+    replayed instead). The run ID is read from the journal, so no
+    ``--resume`` bookkeeping is needed. Each invocation writes one
+    engine checkpoint for everything it folded; the dataset is opened
+    read-only.
     """
     from repro.runner import JournalCorruption, RunFailed, run_incremental_detection
     from repro.runner.execution import JOURNAL_NAME

@@ -3,31 +3,43 @@
 Each §3.2 stage is an :class:`IncrementalStage` with one body: it
 re-evaluates a set of *dirty* nameservers against a zone database and
 updates the stage's standing keys in the engine state.
-:class:`IncrementalDetectionEngine` runs those bodies on two schedules:
+:class:`IncrementalDetectionEngine` runs those bodies on three
+schedules:
 
 * **a fold of everything at once** (:meth:`IncrementalDetectionEngine.fold`)
   — a fresh engine marks every nameserver of a source database dirty
   and evaluates the source directly: no private store, no replay. This
   is the batch :class:`~repro.detection.pipeline.DetectionPipeline` and
-  the first invocation of a run;
+  the first invocation of a run; one capped at an earlier batch day
+  evaluates the source as of that day
+  (:meth:`~repro.zonedb.database.ZoneDatabase.as_of`);
+* **the days past a watermark at once** — an engine evaluating a source
+  as of its watermark re-evaluates the union of the new days' dirty
+  sets against the source as of the last new batch day. This is every
+  later invocation of a run whose delta stream never rewrites an
+  earlier day (:meth:`IncrementalDetectionEngine.advance_from`);
 * **day by day** (:meth:`IncrementalDetectionEngine.advance`) — the
   engine replays one recorded day batch of
   :class:`~repro.store.changelog.DeltaEvent` into its own zone
   database and re-evaluates only the nameservers the batch can have
-  touched.
+  touched. A stream that rewrites (gap bridging closes intervals
+  retroactively) is folded this way, after replaying its history up
+  to the watermark.
 
-The contract is that both agree: after advancing through batch day N,
+The contract is that all agree: after advancing through batch day N,
 :meth:`IncrementalDetectionEngine.result` is bit-identical (same
 :func:`~repro.runner.execution.result_fingerprint`) to a fold of a zone
 database holding the history through day N, and the dumped states are
 equal. Two properties make this hold:
 
-* the engine's own zone database is grown by replaying the delta
-  stream through the exact store primitives that produced it — so
-  per-day evaluation always sees the day-N store, bit for bit;
+* every evaluation sees the day-N store bit for bit: replay rebuilds it
+  through the exact store primitives that produced the stream, and on a
+  stream that never rewrites, the source read as of day N equals that
+  rebuilt store;
 * every stage verdict for a nameserver is a pure function of store
   state reachable from that nameserver, so one conservative *dirty set*
-  per day batch (derived below) bounds what must be re-evaluated.
+  per day batch (derived below) bounds what must be re-evaluated, and
+  the union of several days' sets bounds them all.
 
 Dirty-set derivation, per event kind:
 
@@ -42,6 +54,8 @@ Dirty-set derivation, per event kind:
 * tld-cover on ``tld`` — dirties every known nameserver under ``tld``
   (coverage flips resolvability verdicts from unknown to assessable).
 
+Replay keeps indices for these; a fold of several days reads them from
+the source instead (:meth:`IncrementalDetectionEngine._dirty_in_view`).
 Shared evaluator logic (collision checks, pattern/match classification)
 lives in :class:`StageContext`.
 """
@@ -448,6 +462,30 @@ def new_engine_state() -> dict[str, Any]:
     return state
 
 
+def _touched(
+    events: Iterable[DeltaEvent],
+) -> tuple[set[str], set[str], set[str], set[str]]:
+    """What a batch of deltas touches, per the dirty-set derivation:
+    the nameservers it names (pair deltas' and glue hosts), the domains
+    of its pair deltas, the domains that appeared or expired, and the
+    TLDs it covered."""
+    names: set[str] = set()
+    domains: set[str] = set()
+    registered: set[str] = set()
+    tlds: set[str] = set()
+    for event in events:
+        if event.kind in (DELEGATION_ADD, DELEGATION_REMOVE):
+            names.add(pair_nameserver(event))
+            domains.add(event.name)
+        elif event.kind in (GLUE_ADD, GLUE_REMOVE):
+            names.add(event.name)
+        elif event.kind in (DOMAIN_APPEAR, DOMAIN_EXPIRE):
+            registered.add(event.name)
+        elif event.kind == TLD_COVER:
+            tlds.add(event.name)
+    return names, domains, registered, tlds
+
+
 def _run_stage_observed(
     stage: IncrementalStage,
     context: StageContext,
@@ -480,9 +518,10 @@ class IncrementalDetectionEngine:
     :meth:`fold` evaluates a whole source database at once;
     :meth:`advance` folds one day batch into the engine's own zone
     database (grown by replaying the consumed delta stream);
-    :meth:`advance_from` drains a source past the engine watermark,
-    folding directly when it can; :meth:`result` reconstructs the
-    :class:`~repro.detection.pipeline.PipelineResult`.
+    :meth:`advance_from` folds a source past the engine watermark, once
+    per call unless the stream rewrites; :meth:`result` reconstructs the
+    :class:`~repro.detection.pipeline.PipelineResult`. A source the
+    engine evaluates must not change while it does.
 
     ``covered_tlds`` must name any TLDs the source database was
     *constructed* covering (coverage declared after construction flows
@@ -512,11 +551,15 @@ class IncrementalDetectionEngine:
             "mine_patterns": mine_patterns,
         }
         self.whois = whois
-        self.zonedb = ZoneDatabase(covered_tlds)
+        self.covered_tlds = tuple(covered_tlds)
+        self.zonedb = ZoneDatabase(self.covered_tlds)
         self.context = StageContext.build(self.zonedb, whois, **self._options)
         #: True once the engine evaluates a source database directly
         #: instead of its own replayed copy (see :meth:`fold`).
         self.direct = False
+        #: The source and its ``tld-cover`` deltas while the engine
+        #: evaluates that source as of its watermark (see :meth:`_view`).
+        self._viewed: tuple[ZoneDatabase, list[tuple[int, str]]] | None = None
         self.stages = build_stages()
         self.state = new_engine_state()
         # Conservative dirty-set indices (monotone: entries are never
@@ -542,6 +585,17 @@ class IncrementalDetectionEngine:
         self.context = StageContext.build(source, self.whois, **self._options)
         self.direct = True
 
+    def _view(
+        self, source: ZoneDatabase, covers: list[tuple[int, str]], day: int
+    ) -> None:
+        """Evaluate ``source`` as of batch day ``day`` from now on.
+
+        ``covers`` is the source's scan (:meth:`ZoneDatabase.as_of`):
+        the stream never rewrites an earlier day.
+        """
+        self._evaluate_source(source.as_of(day, self.covered_tlds, covers=covers))
+        self._viewed = (source, covers)
+
     def _note_ns(self, ns: str) -> None:
         if ns in self._known_ns:
             return
@@ -560,20 +614,41 @@ class IncrementalDetectionEngine:
             self._domain_ns.setdefault(event.name, set()).add(ns)
 
     def _dirty_from(self, events: Iterable[DeltaEvent]) -> set[str]:
-        dirty: set[str] = set()
-        dirty_domains: set[str] = set()
-        for event in events:
-            if event.kind in (DELEGATION_ADD, DELEGATION_REMOVE):
-                dirty.add(pair_nameserver(event))
-                dirty_domains.add(event.name)
-            elif event.kind in (GLUE_ADD, GLUE_REMOVE):
-                dirty.add(event.name)
-            elif event.kind in (DOMAIN_APPEAR, DOMAIN_EXPIRE):
-                dirty |= self._registered_ns.get(event.name, _EMPTY)
-            elif event.kind == TLD_COVER:
-                dirty |= self._tld_ns.get(event.name, _EMPTY)
-        for domain in sorted(dirty_domains):
+        dirty, domains, registered, tlds = _touched(events)
+        for name in sorted(registered):
+            dirty |= self._registered_ns.get(name, _EMPTY)
+        for tld in sorted(tlds):
+            dirty |= self._tld_ns.get(tld, _EMPTY)
+        for domain in sorted(domains):
             dirty |= self._domain_ns.get(domain, _EMPTY)
+        return dirty
+
+    def _dirty_in_view(self, events: Iterable[DeltaEvent]) -> set[str]:
+        """The dirty set of deltas folded at once, read from the view.
+
+        A superset of the union of :meth:`_dirty_from` over their days,
+        taken from the source instead of replay's indices: each pair
+        delta's nameserver and every nameserver with a record on its
+        domain, each glue host, and every nameserver whose registered
+        domain appeared or expired, or whose TLD became covered. Those
+        are found by their names' suffixes; the PSL then confirms only
+        the names a registered-domain suffix matched.
+        """
+        dirty, domains, registered, tlds = _touched(events)
+        for domain in sorted(domains):
+            dirty.update(record.ns for record in self.zonedb.domain_records(domain))
+        if registered or tlds:
+            psl = self.context.psl
+            for ns in self.zonedb.all_nameservers():
+                labels = ns.split(".")
+                if labels[-1] in tlds or (
+                    any(
+                        ".".join(labels[index:]) in registered
+                        for index in range(len(labels) - 1)
+                    )
+                    and psl.registered_domain(ns) in registered
+                ):
+                    dirty.add(ns)
         return dirty
 
     # -- advancing -----------------------------------------------------------
@@ -601,9 +676,17 @@ class IncrementalDetectionEngine:
         if day is None:
             day = source.horizon
         self._evaluate_source(source)
+        self._fold_everything(day, boundary)
+        return day
+
+    def _fold_everything(
+        self, day: int, boundary: Callable[[str], None] | None
+    ) -> None:
+        """Run each stage once over every nameserver of the evaluated
+        database, and commit ``day``."""
         notes = AdvanceNotes(
             batch_day=day,
-            dirty=tuple(sorted(source.all_nameservers())),
+            dirty=tuple(sorted(self.zonedb.all_nameservers())),
             everything=True,
         )
         for stage in self.stages:
@@ -611,13 +694,15 @@ class IncrementalDetectionEngine:
             if boundary is not None:
                 boundary(f"stage:{stage.name}")
         commit_watermark(self.state, ENGINE_WATERMARK, day)
-        return day
 
     def advance(self, batch_day: int, events: Iterable[DeltaEvent]) -> int:
         """Fold one day's delta batch; returns the number of events applied.
 
         Batches must arrive in strictly increasing batch-day order (the
         order :meth:`~repro.store.dataset.DeltaView.batches` yields).
+        The engine replays them into its own store, so it must not be
+        evaluating a source (after :meth:`fold`, or a :meth:`restore` or
+        :meth:`advance_from` that read the source as of a batch day).
         """
         events = tuple(events)
         watermark = self.watermark
@@ -652,14 +737,29 @@ class IncrementalDetectionEngine:
         until: int | None = None,
         boundary: Callable[[str], None] | None = None,
     ) -> int:
-        """Drain every batch past the engine watermark from ``source``.
+        """Fold every batch past the engine watermark from ``source``.
 
-        A fresh engine whose horizon (``until``) reaches the source's
-        last batch day folds the source directly (:meth:`fold`); any
-        other drain replays and folds each day batch in turn.
-        ``boundary(label)`` runs after each stage of a direct fold
-        (``stage:<name>``) and after each folded day (``day:<batch day>``).
-        Returns the number of day batches folded.
+        Each call folds once wherever the source's delta stream never
+        rewrites an earlier day:
+
+        * a fresh engine whose horizon (``until``) reaches the source's
+          last batch day folds the source directly (:meth:`fold`);
+        * a fresh engine with a lower ``until`` folds the source as of
+          the last batch day by ``until`` the same way, every nameserver
+          dirty and one candidate pass (a *capped* fold);
+        * an engine evaluating ``source`` as of its watermark (after a
+          capped fold or a :meth:`restore`) reads the deltas past it,
+          unions their dirty sets, and re-evaluates that union once
+          against the source as of the last new batch day, under one
+          ``engine.advance`` span. Every verdict is a pure function of
+          the store as of that day and the dirty sets are conservative,
+          so the state equals a day-by-day drain's.
+
+        A stream that rewrites is replayed and folded one day batch at a
+        time (:meth:`advance`), as is any source the engine does not
+        evaluate. ``boundary(label)`` runs after each stage of a full or
+        capped fold (``stage:<name>``) and after each fold
+        (``day:<batch day>``). Returns the number of day batches folded.
         """
         if self.watermark is None:
             last = DeltaView(source).last_batch_day()
@@ -668,12 +768,50 @@ class IncrementalDetectionEngine:
                 if boundary is not None:
                     boundary(f"day:{last}")
                 return DeltaView(source).stats()[1]
+            day = DeltaView(source, until=until).last_batch_day()
+            covers = None if day is None else source.store.scan_deltas()
+            if day is not None and covers is not None:
+                self._view(source, covers, day)
+                self._fold_everything(day, boundary)
+                if boundary is not None:
+                    boundary(f"day:{day}")
+                return DeltaView(source, until=day).stats()[1]
+        elif self._viewed is not None and self._viewed[0] is source:
+            return self._fold_view(source, self._viewed[1], until, boundary)
         batches = DeltaView(source, since=self.watermark, until=until).batches()
         for batch_day, events in batches:
             self.advance(batch_day, events)
             if boundary is not None:
                 boundary(f"day:{batch_day}")
         return len(batches)
+
+    def _fold_view(
+        self,
+        source: ZoneDatabase,
+        covers: list[tuple[int, str]],
+        until: int | None,
+        boundary: Callable[[str], None] | None,
+    ) -> int:
+        """Fold the viewed source's batches in ``(watermark, until]`` at once."""
+        pairs = source.deltas_since(self.watermark, until)
+        if not pairs:
+            return 0
+        day = pairs[-1][0]
+        days = len({batch_day for batch_day, _event in pairs})
+        events = [event for _batch_day, event in pairs]
+        with obs.span("engine.advance", day=day) as span:
+            self._view(source, covers, day)
+            dirty = self._dirty_in_view(events)
+            notes = AdvanceNotes(batch_day=day, dirty=tuple(sorted(dirty)))
+            for stage in self.stages:
+                stage.advance(self.context, self.state, notes)
+            commit_watermark(self.state, ENGINE_WATERMARK, day)
+            span.set(days=days, deltas=len(events), dirty=len(dirty))
+        obs.counter("detect.incremental.days").inc(days)
+        obs.counter("detect.incremental.deltas_applied").inc(len(events))
+        if boundary is not None:
+            boundary(f"day:{day}")
+        return days
 
     # -- the fold ------------------------------------------------------------
 
@@ -750,10 +888,13 @@ class IncrementalDetectionEngine:
         Only valid on a fresh engine; ``state`` comes from
         :func:`load_engine_state`. A state whose watermark is the
         source's last batch day evaluates ``source`` directly, as a
-        :meth:`fold` does. Otherwise the source's recorded deltas up to
-        the watermark are replayed into the engine's own store (replay
-        is deterministic, so the rebuilt store is bit-identical to the
-        one the state was dumped against). The standing verdicts are
+        :meth:`fold` does. Below it, one scan of the delta stream picks
+        the path: a stream that never rewrites an earlier day is
+        evaluated as of the watermark (:meth:`ZoneDatabase.as_of`),
+        reading no delta; otherwise the recorded deltas up to the
+        watermark are replayed into the engine's own store (replay is
+        deterministic, so the rebuilt store is bit-identical to the one
+        the state was dumped against). The standing verdicts are
         installed as-is.
         """
         if self.watermark is not None:
@@ -762,6 +903,8 @@ class IncrementalDetectionEngine:
         if watermark is not None:
             if watermark == DeltaView(source).last_batch_day():
                 self._evaluate_source(source)
+            elif (covers := source.store.scan_deltas()) is not None:
+                self._view(source, covers, watermark)
             else:
                 with obs.span("delta.apply", day=watermark, restore=True):
                     for _batch_day, event in source.deltas_since(None, watermark):

@@ -166,6 +166,18 @@ class Name:
         return len(self._labels)
 
 
+def canonical_text(name: str) -> str:
+    """``Name(name).text``, without building a :class:`Name` when ``name``
+    already passes its canonical whole-name check.
+
+    Anything else goes through :class:`Name`, with the same result and
+    the same :class:`~repro.dnscore.errors.NameError_`.
+    """
+    if type(name) is str and len(name) <= MAX_NAME_LENGTH and _LAX_NAME.fullmatch(name):
+        return name
+    return Name(name).text
+
+
 def is_valid(name: str, *, strict: bool = False) -> bool:
     """True if ``name`` parses as a domain name."""
     try:

@@ -7,11 +7,15 @@ One *run* lives in a run directory::
     <run_dir>/result.json                       the result digest
 
 Every invocation folds the source dataset into an
-:class:`~repro.detection.incremental.IncrementalDetectionEngine`: the
-first folds the whole dataset at once (``riskybiz detect --run-dir``,
-or ``riskybiz advance`` on a fresh run directory), later ones fold
-exactly the day batches recorded past the durable watermark. The
-durability protocol, per invocation::
+:class:`~repro.detection.incremental.IncrementalDetectionEngine` once:
+the first folds the whole dataset (``riskybiz detect --run-dir``, or
+``riskybiz advance`` on a fresh run directory), or the dataset as of
+the last batch day by ``--until``; later ones restore the checkpoint
+and fold exactly the day batches recorded past its watermark, reading
+the dataset as of the newest of them. None of them re-reads history,
+unless one scan finds that the dataset's delta stream rewrites earlier
+days: such a stream is replayed up to the watermark and folded day by
+day. The durability protocol, per invocation::
 
     fold  →  atomic engine checkpoint  →  journal day-advanced
           →  result  →  result.json  →  journal run-complete
@@ -41,7 +45,8 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -60,6 +65,7 @@ from repro.runner.supervisor import RunFailed
 from repro.store.atomic import (
     atomic_write_bytes,
     content_digest,
+    fsync_directory,
     load_checked_json,
     quarantine,
     write_checked_json,
@@ -82,6 +88,11 @@ TRACE_NAME = "trace.jsonl"
 METRICS_NAME = "metrics.json"
 ENGINE_CHECKPOINT_NAME = "engine-state.json"
 
+#: Files older versions left in a run directory, relative to it: the
+#: pickled engine checkpoint and result. Nothing reads them; opening a
+#: run deletes them.
+STALE_NAMES = (f"{CHECKPOINT_DIR_NAME}/engine-state.pkl", "result.pkl")
+
 
 def compute_run_id(fingerprint: dict[str, Any]) -> str:
     """Deterministic run ID for a run-input fingerprint.
@@ -90,6 +101,18 @@ def compute_run_id(fingerprint: dict[str, Any]) -> str:
     inputs is caught as an ID mismatch instead of producing a franken-run.
     """
     return "run-" + content_digest(fingerprint)[:12]
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
+
+
+def _field_values(record: Any) -> dict[str, Any]:
+    """A dataclass record's fields by name, read directly: they hold
+    only str, int, bool, None and tuples of str, so nothing needs the
+    deep copy ``dataclasses.asdict`` makes."""
+    return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
 def result_fingerprint(result: PipelineResult) -> dict[str, Any]:
@@ -101,9 +124,9 @@ def result_fingerprint(result: PipelineResult) -> dict[str, Any]:
     equal.
     """
     return {
-        "funnel": asdict(result.funnel),
-        "sacrificial": [asdict(entry) for entry in result.sacrificial],
-        "matches": [asdict(match) for match in result.matches],
+        "funnel": _field_values(result.funnel),
+        "sacrificial": [_field_values(entry) for entry in result.sacrificial],
+        "matches": [_field_values(match) for match in result.matches],
         "candidates": [
             [c.name, c.first_seen, list(c.referencing_domains)]
             for c in result.candidates
@@ -165,9 +188,10 @@ def _open_run(
 ) -> Iterator[_OpenRun]:
     """Create or reopen a run directory's journal, with telemetry on.
 
-    ``inputs`` are the run's options: with the dataset's scenario digest
-    they fingerprint the run ID, and they are journaled once as the
-    ``run-config`` record. A fresh run needs a directory without a
+    Files an older version left (:data:`STALE_NAMES`) are deleted
+    unread first. ``inputs`` are the run's options: with the dataset's
+    scenario digest they fingerprint the run ID, and they are journaled
+    once as the ``run-config`` record. A fresh run needs a directory without a
     journal; a resume needs ``resume`` to name the journal's run ID and
     the inputs to fingerprint to it — anything else raises
     :class:`~repro.runner.supervisor.RunFailed`. Tracing and profiling
@@ -178,6 +202,13 @@ def _open_run(
     journal_path = run_dir / JOURNAL_NAME
     checkpoint_dir = run_dir / CHECKPOINT_DIR_NAME
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    for name in STALE_NAMES:
+        stale = run_dir / name
+        try:
+            stale.unlink()
+        except FileNotFoundError:
+            continue
+        fsync_directory(stale.parent)
     run_id = compute_run_id(
         {"scenario_digest": zonedb.store.get_meta(SCENARIO_DIGEST_KEY), **inputs}
     )
@@ -348,19 +379,22 @@ def run_incremental_detection(
     """Advance a journaled detection run to ``until`` (default: the end).
 
     Fresh run: ``run_dir`` must hold no journal; one is created under a
-    deterministic run ID, and a fresh engine folds ``zonedb`` directly
-    when ``until`` reaches its last batch day, or replays it day by day
-    up to ``until``. Resume: pass ``resume=<run-id>`` (from the journal,
-    or the CLI's output); the durable engine checkpoint is restored and
-    exactly the day batches past its watermark are folded — a run that
-    is already current folds nothing, recomputes its result from the
-    checkpoint and raises :class:`~repro.runner.supervisor.RunFailed`
-    unless it has the journaled digest. ``until`` caps the horizon
-    without entering the run fingerprint, so one standing run can
-    advance day by day. Each
-    invocation writes one engine checkpoint for everything it folded
-    (see the module docstring for the crash windows). ``consumer`` is
-    accepted for compatibility and ignored: ``zonedb`` is only read.
+    deterministic run ID, and a fresh engine folds ``zonedb`` in one
+    pass, as of the last batch day by ``until``. Resume: pass
+    ``resume=<run-id>`` (from the journal, or the CLI's output); the
+    durable engine checkpoint is restored and exactly the day batches
+    past its watermark are folded, at once, against ``zonedb`` as of
+    the newest of them — a run that is already current folds nothing,
+    recomputes its result from the checkpoint and raises
+    :class:`~repro.runner.supervisor.RunFailed` unless it has the
+    journaled digest. A dataset whose delta stream rewrites earlier days
+    is instead replayed up to the watermark and folded day by day (see
+    :meth:`~repro.detection.incremental.IncrementalDetectionEngine.advance_from`).
+    ``until`` caps the horizon without entering the run fingerprint, so
+    one standing run can advance day by day. Each invocation writes one
+    engine checkpoint for everything it folded (see the module docstring
+    for the crash windows). ``consumer`` is accepted for compatibility
+    and ignored: ``zonedb`` is only read.
 
     ``chaos`` arms the execution-plane fault injectors at every stage,
     day and journal-append boundary (see :mod:`repro.faults.process`).

@@ -14,7 +14,7 @@ hosts, ``"domain"`` for in-zone domain presence.
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.simtime import Interval
 from repro.store.changelog import (
@@ -26,6 +26,7 @@ from repro.store.changelog import (
     GLUE_REMOVE,
     TLD_COVER,
     DeltaEvent,
+    check_delta,
     pair_nameserver,
 )
 
@@ -119,6 +120,62 @@ class PresenceHistory:
         return iter(sorted(seen))
 
 
+def records_as_of(
+    records: Iterable[DelegationRecord], day: int
+) -> list[DelegationRecord]:
+    """``records`` as a store replayed through ``day`` holds them.
+
+    On a delta stream that never rewrites an earlier day, that store
+    lacks every record starting after ``day`` and has not yet closed any
+    record ending after it. A cut record is a new object: the caller's
+    records are never changed.
+    """
+    return [
+        record
+        if record.end is None or record.end <= day
+        else DelegationRecord(record.domain, record.ns, record.start)
+        for record in records
+        if record.start <= day
+    ]
+
+
+def intervals_as_of(intervals: Iterable[Interval], day: int) -> list[Interval]:
+    """Presence ``intervals`` cut at ``day`` the way :func:`records_as_of`
+    cuts records."""
+    return [
+        interval
+        if interval.end is None or interval.end <= day
+        else Interval(interval.start, None)
+        for interval in intervals
+        if interval.start <= day
+    ]
+
+
+def scan_stream(
+    deltas: Iterable[tuple[int, DeltaEvent]],
+) -> list[tuple[int, str]] | None:
+    """Each ``tld-cover`` delta's ``(batch_day, tld)``, or None if the
+    stream rewrites.
+
+    A stream rewrites when any delta's effective day is not its batch
+    day (gap bridging closes intervals retroactively), or its kind is
+    unknown, or a pair kind lacks its nameserver. A stream that does not
+    can be read as of any batch day without replaying it (see
+    :func:`records_as_of`).
+    """
+    covers: list[tuple[int, str]] = []
+    for batch_day, event in deltas:
+        if event.day != batch_day:
+            return None
+        try:
+            check_delta(event)
+        except ValueError:
+            return None
+        if event.kind == TLD_COVER:
+            covers.append((batch_day, event.name))
+    return covers
+
+
 def dispatch_delta(store: "DelegationStore", event: "DeltaEvent") -> None:
     """Apply one delta event's mutation through the store primitives.
 
@@ -179,14 +236,21 @@ class DelegationStore(Protocol):
 
     # -- pair queries ------------------------------------------------------
 
-    def all_nameservers(self) -> Iterator[str]:
-        """Every NS name ever referenced by any delegation."""
+    def all_nameservers(self, as_of: int | None = None) -> Iterator[str]:
+        """Every NS name ever referenced by any delegation.
+
+        With ``as_of``, only names with a record starting on or before
+        that day (the same holds for :meth:`nameserver_count` and
+        :meth:`iter_ns_records`, which also cut each record as
+        :func:`records_as_of` does): the whole-table reads of a store
+        viewed as of a batch day, answered by the backend itself.
+        """
 
     def all_domains(self) -> Iterator[str]:
         """Every domain ever delegated in the data set."""
 
-    def nameserver_count(self) -> int:
-        """Number of distinct NS names ever seen."""
+    def nameserver_count(self, as_of: int | None = None) -> int:
+        """Number of distinct NS names ever seen (by ``as_of``)."""
 
     def domain_count(self) -> int:
         """Number of distinct domains ever seen."""
@@ -197,7 +261,9 @@ class DelegationStore(Protocol):
     def domain_records(self, domain: str) -> list[DelegationRecord]:
         """All interval records for ``domain``."""
 
-    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+    def iter_ns_records(
+        self, as_of: int | None = None
+    ) -> Iterator[tuple[str, list[DelegationRecord]]]:
         """``(ns, ns_records(ns))`` for every nameserver, in
         ``all_nameservers()`` order, from one pass over the pairs.
 
@@ -274,6 +340,9 @@ class DelegationStore(Protocol):
         self, day: int | None = None, until: int | None = None
     ) -> int | None:
         """The newest batch day in the same window, or None if empty."""
+
+    def scan_deltas(self) -> list[tuple[int, str]] | None:
+        """:func:`scan_stream` over every recorded delta, in one pass."""
 
     # -- metadata / lifecycle ----------------------------------------------
 

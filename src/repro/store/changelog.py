@@ -51,7 +51,7 @@ DELTA_KINDS = (
 )
 
 #: Kinds that reference a nameserver (``ns`` must be set).
-_PAIR_KINDS = frozenset({DELEGATION_ADD, DELEGATION_REMOVE})
+PAIR_KINDS = frozenset({DELEGATION_ADD, DELEGATION_REMOVE})
 
 
 class DeltaEvent(NamedTuple):
@@ -108,7 +108,7 @@ def check_delta(event: DeltaEvent) -> DeltaEvent:
     """``event`` itself, or ``ValueError`` if its kind or fields are wrong."""
     if event.kind not in DELTA_KINDS:
         raise ValueError(f"unknown delta kind {event.kind!r}")
-    if event.kind in _PAIR_KINDS and event.ns is None:
+    if event.kind in PAIR_KINDS and event.ns is None:
         raise ValueError(f"{event.kind} requires a nameserver")
     return event
 

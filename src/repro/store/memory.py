@@ -18,6 +18,8 @@ from repro.store.base import (
     DelegationRecord,
     PresenceHistory,
     dispatch_delta,
+    records_as_of,
+    scan_stream,
 )
 
 if TYPE_CHECKING:
@@ -81,14 +83,22 @@ class MemoryDelegationStore:
 
     # -- pair queries ------------------------------------------------------
 
-    def all_nameservers(self) -> Iterator[str]:
-        return iter(self._ns_recs)
+    def all_nameservers(self, as_of: int | None = None) -> Iterator[str]:
+        if as_of is None:
+            return iter(self._ns_recs)
+        return (
+            ns
+            for ns, records in self._ns_recs.items()
+            if any(record.start <= as_of for record in records)
+        )
 
     def all_domains(self) -> Iterator[str]:
         return iter(self._domain_recs)
 
-    def nameserver_count(self) -> int:
-        return len(self._ns_recs)
+    def nameserver_count(self, as_of: int | None = None) -> int:
+        if as_of is None:
+            return len(self._ns_recs)
+        return sum(1 for _ in self.all_nameservers(as_of))
 
     def domain_count(self) -> int:
         return len(self._domain_recs)
@@ -99,9 +109,16 @@ class MemoryDelegationStore:
     def domain_records(self, domain: str) -> list[DelegationRecord]:
         return list(self._domain_recs.get(domain, ()))
 
-    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+    def iter_ns_records(
+        self, as_of: int | None = None
+    ) -> Iterator[tuple[str, list[DelegationRecord]]]:
         for ns, records in self._ns_recs.items():
-            yield ns, list(records)
+            if as_of is None:
+                yield ns, list(records)
+            else:
+                kept = records_as_of(records, as_of)
+                if kept:
+                    yield ns, kept
 
     def iter_domain_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
         for domain, records in self._domain_recs.items():
@@ -179,6 +196,9 @@ class MemoryDelegationStore:
             if until is None or batch_day <= until:
                 return batch_day
         return None
+
+    def scan_deltas(self) -> list[tuple[int, str]] | None:
+        return scan_stream(self._deltas)
 
     # -- metadata / lifecycle ----------------------------------------------
 

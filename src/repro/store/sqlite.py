@@ -42,8 +42,8 @@ from typing import Callable, Iterable, Iterator
 from repro.obs import clock
 from repro.obs import runtime as obs
 from repro.simtime import Interval
-from repro.store.base import DelegationRecord, dispatch_delta
-from repro.store.changelog import DeltaEvent
+from repro.store.base import DelegationRecord, dispatch_delta, scan_stream
+from repro.store.changelog import DELTA_KINDS, PAIR_KINDS, TLD_COVER, DeltaEvent
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -227,9 +227,10 @@ class SqliteDelegationStore:
 
     # -- pair queries ------------------------------------------------------
 
-    def all_nameservers(self) -> Iterator[str]:
+    def all_nameservers(self, as_of: int | None = None) -> Iterator[str]:
+        where, params = _start_cap(as_of)
         for (ns,) in self._conn.execute(
-            "SELECT DISTINCT ns FROM pairs ORDER BY ns"
+            f"SELECT DISTINCT ns FROM pairs{where} ORDER BY ns", params
         ):
             yield ns
 
@@ -239,8 +240,11 @@ class SqliteDelegationStore:
         ):
             yield domain
 
-    def nameserver_count(self) -> int:
-        row = self._conn.execute("SELECT COUNT(DISTINCT ns) FROM pairs").fetchone()
+    def nameserver_count(self, as_of: int | None = None) -> int:
+        where, params = _start_cap(as_of)
+        row = self._conn.execute(
+            f"SELECT COUNT(DISTINCT ns) FROM pairs{where}", params
+        ).fetchone()
         return int(row[0])
 
     def domain_count(self) -> int:
@@ -273,11 +277,22 @@ class SqliteDelegationStore:
             )
         ]
 
-    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+    def iter_ns_records(
+        self, as_of: int | None = None
+    ) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        if as_of is None:
+            return self._record_pass(
+                "SELECT domain, ns, start, end FROM pairs "
+                "ORDER BY ns, start, domain, id",
+                itemgetter(1),
+            )
+        # An end after the cap reads as open (NULL > ? is NULL: open
+        # rows stay open).
         return self._record_pass(
-            "SELECT domain, ns, start, end FROM pairs "
-            "ORDER BY ns, start, domain, id",
+            "SELECT domain, ns, start, CASE WHEN end > ? THEN NULL ELSE end END "
+            "FROM pairs WHERE start <= ? ORDER BY ns, start, domain, id",
             itemgetter(1),
+            (as_of, as_of),
         )
 
     def iter_domain_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
@@ -288,7 +303,7 @@ class SqliteDelegationStore:
         )
 
     def _record_pass(
-        self, sql: str, key: Callable[[tuple], str]
+        self, sql: str, key: Callable[[tuple], str], params: tuple = ()
     ) -> Iterator[tuple[str, list[DelegationRecord]]]:
         """Group one ordered scan of ``pairs`` into per-name record lists.
 
@@ -299,7 +314,7 @@ class SqliteDelegationStore:
         busy = 0.0
         try:
             mark = clock.perf_counter()
-            for name, rows in groupby(self._conn.execute(sql), key=key):
+            for name, rows in groupby(self._conn.execute(sql, params), key=key):
                 records = [DelegationRecord(*row) for row in rows]
                 busy += clock.perf_counter() - mark
                 yield name, records
@@ -425,6 +440,26 @@ class SqliteDelegationStore:
             for batch_day, kind, d, name, ns in rows
         ]
 
+    def scan_deltas(self) -> list[tuple[int, str]] | None:
+        # SQL keeps only the rows the scan looks at: a delta off its
+        # batch day, a pair kind without its nameserver, and every kind
+        # but the six store mutations (tld-covers and unknown kinds).
+        # One CASE over the kind costs half of the equivalent ORs.
+        mutations = [kind for kind in DELTA_KINDS if kind != TLD_COVER]
+        cases = " ".join(
+            f"WHEN ? THEN {'ns IS NULL' if kind in PAIR_KINDS else '0'}"
+            for kind in mutations
+        )
+        rows = self._conn.execute(
+            "SELECT batch_day, kind, day, name, ns FROM deltas "
+            f"WHERE day != batch_day OR CASE kind {cases} ELSE 1 END ORDER BY seq",
+            mutations,
+        )
+        return scan_stream(
+            (batch_day, DeltaEvent(kind, d, name, ns))
+            for batch_day, kind, d, name, ns in rows
+        )
+
     # -- metadata / lifecycle ----------------------------------------------
 
     def get_meta(self, key: str) -> str | None:
@@ -470,6 +505,11 @@ def _batch_window(day: int | None, until: int | None) -> tuple[str, list[int]]:
         clauses.append("batch_day <= ?")
         params.append(until)
     return (f" WHERE {' AND '.join(clauses)}" if clauses else ""), params
+
+
+def _start_cap(as_of: int | None) -> tuple[str, tuple[int, ...]]:
+    """The ``WHERE`` clause and parameters for ``start <= as_of``."""
+    return ("", ()) if as_of is None else (" WHERE start <= ?", (as_of,))
 
 
 def write_tables(

@@ -37,6 +37,7 @@ HASH_MISMATCH = "hash-mismatch"
 CORRUPT = "corrupt"
 QUARANTINED = "quarantined"
 INCONSISTENT = "inconsistent"
+STALE = "stale"
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,13 +209,15 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     checkpoint — against its newest drain since the last reset — and
     checks it against the engine-state schema; when the run durably
     completed, verifies ``result.json`` against the journaled digest
-    (only its checksum once a later drain or reset is journaled).
+    (only its checksum once a later drain or reset is journaled). A
+    pickle an older version left is reported ``stale``.
     """
     from repro.runner.execution import (
         CHECKPOINT_DIR_NAME,
         ENGINE_CHECKPOINT_NAME,
         JOURNAL_NAME,
         RESULT_MANIFEST_NAME,
+        STALE_NAMES,
     )
     from repro.runner.journal import JournalCorruption, RunJournal
 
@@ -247,6 +250,11 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
                 directory / RESULT_MANIFEST_NAME, complete, current=current
             )
         )
+    issues.extend(
+        Issue(STALE, str(directory / name), "left by an older version; never read")
+        for name in STALE_NAMES
+        if (directory / name).exists()
+    )
     issues.extend(_quarantine_issues(directory))
     issues.extend(_quarantine_issues(checkpoint_dir))
     return issues

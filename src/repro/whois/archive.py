@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.dnscore.names import Name
+from repro.dnscore.names import Name, canonical_text
 
 #: The registrant string WHOIS shows when privacy/GDPR redaction applies.
 REDACTED = "REDACTED FOR PRIVACY"
@@ -39,7 +39,7 @@ class WhoisRecord:
     transfers: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.domain = Name(self.domain).text
+        self.domain = canonical_text(self.domain)
 
     def active_on(self, day: int) -> bool:
         """True if this epoch covers ``day``."""
@@ -195,18 +195,19 @@ class WhoisArchive:
         from pathlib import Path
 
         archive = cls()
+        records = archive._records
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
             data = json.loads(line)
             record = WhoisRecord(
-                domain=data["domain"],
-                registrar=data["registrar"],
-                created=data["created"],
-                expires=data["expires"],
-                deleted=data["deleted"],
-                registrant=data.get("registrant", ""),
-                transfers=[tuple(t) for t in data.get("transfers", [])],
+                data["domain"],
+                data["registrar"],
+                data["created"],
+                data["expires"],
+                data["deleted"],
+                data.get("registrant", ""),
+                [tuple(t) for t in data.get("transfers", ())],
             )
-            archive._records.setdefault(record.domain, []).append(record)
+            records.setdefault(record.domain, []).append(record)
         return archive

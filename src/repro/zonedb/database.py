@@ -18,13 +18,17 @@ Storage is delegated to a pluggable :class:`~repro.store.base.DelegationStore`
 backend (in-memory by default, SQLite for on-disk datasets); this class
 owns all *semantics* — name canonicalization, snapshot diffing, ingest
 policies, and DZDB-style gap bridging — so backends stay interchangeable.
+
+:meth:`ZoneDatabase.as_of` reads a database as it stood after an
+earlier batch day, without copying or replaying anything, when its
+delta stream never rewrote an earlier day.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, cast
 
 from repro.dnscore.errors import NameError_
 from repro.dnscore.names import Name
@@ -35,6 +39,8 @@ from repro.store.base import (
     DelegationRecord,
     DelegationStore,
     dispatch_delta,
+    intervals_as_of,
+    records_as_of,
 )
 from repro.store.changelog import (
     DELEGATION_ADD,
@@ -140,6 +146,50 @@ class FinalizeReport:
     def clean(self) -> bool:
         """True if nothing was pending (the archive ended cleanly)."""
         return self.closed == 0
+
+
+class _StoreAsOf:
+    """A delegation store read as a replica replayed through batch day
+    ``day`` would read it (see :meth:`ZoneDatabase.as_of`).
+
+    The whole-table reads detection makes are the backend's own capped
+    queries; per-key reads cut the backend's answer here. A view has no
+    write path and no metadata.
+    """
+
+    def __init__(self, store: DelegationStore, day: int) -> None:
+        self._store = store
+        self.day = day
+        self.backend_name = store.backend_name
+
+    def all_nameservers(self) -> Iterator[str]:
+        return self._store.all_nameservers(self.day)
+
+    def nameserver_count(self) -> int:
+        return self._store.nameserver_count(self.day)
+
+    def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
+        return self._store.iter_ns_records(self.day)
+
+    def ns_records(self, ns: str) -> list[DelegationRecord]:
+        return records_as_of(self._store.ns_records(ns), self.day)
+
+    def domain_records(self, domain: str) -> list[DelegationRecord]:
+        return records_as_of(self._store.domain_records(domain), self.day)
+
+    def presence_contains(self, kind: str, key: str, day: int) -> bool:
+        if day <= self.day:
+            # A cut interval holds the same days up to the cut.
+            return self._store.presence_contains(kind, key, day)
+        return any(
+            interval.contains(day) for interval in self.presence_intervals(kind, key)
+        )
+
+    def presence_intervals(self, kind: str, key: str) -> list[Interval]:
+        return intervals_as_of(self._store.presence_intervals(kind, key), self.day)
+
+    def get_meta(self, key: str) -> str | None:
+        return None
 
 
 class ZoneDatabase:
@@ -505,6 +555,41 @@ class ZoneDatabase:
         """Flush and release the underlying store."""
         self.flush()
         self.store.close()
+
+    # -- reading as of a batch day ---------------------------------------------
+
+    def as_of(
+        self,
+        day: int,
+        covered_tlds: Iterable[str] = (),
+        *,
+        covers: list[tuple[int, str]] | None = None,
+    ) -> "ZoneDatabase":
+        """A read-only view of this database as of batch day ``day``.
+
+        Every read equals a replica replayed through ``day`` from a
+        database covering ``covered_tlds``: records and presence
+        intervals starting after ``day`` are hidden, an end after it
+        reads as open, and the view covers ``covered_tlds`` plus the
+        ``tld-cover`` deltas batched by ``day``. That holds only for a
+        delta stream that never rewrites an earlier day; ``covers`` is
+        the stream's :meth:`~repro.store.base.DelegationStore.scan_deltas`
+        (scanned here when not given), and a stream that rewrites raises
+        ``ValueError``. The view never changes this database.
+        """
+        if covers is None:
+            covers = self.store.scan_deltas()
+            if covers is None:
+                raise ValueError(
+                    "the delta stream rewrites earlier days: replay it "
+                    "instead of reading it as of a batch day"
+                )
+        tlds = [*covered_tlds, *(tld for batch_day, tld in covers if batch_day <= day)]
+        # The view implements the store's reads only; it has no writes.
+        store = cast(DelegationStore, _StoreAsOf(self.store, day))
+        view = ZoneDatabase(tlds, store=store)
+        view.horizon = day
+        return view
 
     # -- delta queries --------------------------------------------------------
 

@@ -11,8 +11,10 @@ crash-recovery paths. The source dataset is never written.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
+import sqlite3
 from collections import Counter
 
 import pytest
@@ -25,6 +27,7 @@ from repro.detection.incremental import (
     load_engine_state,
     new_engine_state,
 )
+from repro.cli import main
 from repro.detection.pipeline import DetectionPipeline
 from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
 from repro.runner.execution import (
@@ -402,3 +405,112 @@ def _drained_engine_until(world, until: int) -> IncrementalDetectionEngine:
     engine = IncrementalDetectionEngine(world.whois)
     engine.advance_from(world.zonedb, until=until)
     return engine
+
+
+class TestDailyCadence:
+    """A standing run advanced one recorded batch day per invocation, as
+    a daily job does, over the SQLite dataset."""
+
+    #: (until, SHA-256 of checkpoints/engine-state.json) after
+    #: ``advance --until`` at the middle batch day and after each of the
+    #: next three one-day advances, computed by the code that rebuilt
+    #: the store by replaying every delta on each resume.
+    PINS = [
+        (1580, "c99a1304d371f73e5794852f0f62d7d308a29167b6d0361c7fbd8c10e176a9db"),
+        (1586, "1321c25487be00a74950040b9b29e6b64009e2f5a2f320b3c05c60620ed5cfe6"),
+        (1591, "72c025fe3c757397e911e70cff4410b325ec129649c125fba94214517beb26fc"),
+        (1596, "99220d81479dca9bb74d0619f45bcc991dd800fc32ec777a283c86e9f01947a3"),
+    ]
+
+    @pytest.fixture
+    def inputs(self, world, tmp_path):
+        """A private copy of the dataset, the WHOIS file and its batch days."""
+        path = write_dataset(
+            world.zonedb, tmp_path / "dataset.sqlite", scenario_digest="ab" * 32
+        )
+        whois = tmp_path / "whois.jsonl"
+        world.whois.dump(whois)
+        zonedb = open_dataset(path)
+        days = [day for day, _events in DeltaView(zonedb).batches()]
+        zonedb.close()
+        return path, whois, days
+
+    def _advance(self, inputs, run_dir, until):
+        path, whois, _days = inputs
+        return main([
+            "advance", "--dataset", str(path), "--whois", str(whois),
+            "--run-dir", str(run_dir), "--until", str(until), "--mine-patterns",
+        ])
+
+    def test_checkpoints_are_pinned(self, inputs, tmp_path, capsys):
+        days = inputs[2]
+        assert days[len(days) // 2] == self.PINS[0][0]
+        run_dir = tmp_path / "run"
+        checkpoint = run_dir / CHECKPOINT_DIR_NAME / ENGINE_CHECKPOINT_NAME
+        for index, (until, sha256) in enumerate(self.PINS):
+            assert self._advance(inputs, run_dir, until) == 0
+            if index:
+                assert "advanced 1 day(s)" in capsys.readouterr().err
+            assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == sha256
+
+    def test_resume_reads_no_delta_at_or_before_its_watermark(
+        self, world, inputs, tmp_path
+    ):
+        """Apart from the one scan that picks the path, a resumed
+        one-day advance reads only the deltas past its watermark."""
+        path, _whois, days = inputs
+        watermark, until = days[len(days) // 2], days[len(days) // 2 + 1]
+        zonedb = open_dataset(path)
+        try:
+            first = run_incremental_detection(
+                zonedb, world.whois, run_dir=tmp_path / "run", until=watermark
+            )
+            store = zonedb.store
+            windows: list[tuple[str, int | None, int | None]] = []
+            scans: list[object] = []
+            for method in ("deltas_since", "delta_stats"):
+                def spy(day, until=None, _read=getattr(store, method), _method=method):
+                    windows.append((_method, day, until))
+                    return _read(day, until)
+                setattr(store, method, spy)
+            scan = store.scan_deltas
+            store.scan_deltas = lambda: scans.append(scan()) or scans[-1]
+            outcome = run_incremental_detection(
+                zonedb, world.whois, run_dir=tmp_path / "run",
+                until=until, resume=first.run_id,
+            )
+        finally:
+            zonedb.close()
+        assert outcome.days_advanced == 1
+        assert len(scans) == 1 and scans[0] is not None
+        assert ("deltas_since", watermark, until) in windows
+        assert all(day is not None and day >= watermark for _m, day, _u in windows)
+
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            (
+                "UPDATE deltas SET ns = NULL WHERE seq = (SELECT MIN(seq) "
+                "FROM deltas WHERE kind = 'delegation-add')",
+                "delegation-add delta for .* has no nameserver",
+            ),
+            (
+                "UPDATE deltas SET kind = 'bogus-kind' WHERE seq = (SELECT "
+                "MIN(seq) FROM deltas WHERE kind = 'glue-add')",
+                "unknown delta kind 'bogus-kind'",
+            ),
+        ],
+        ids=["null-ns", "unknown-kind"],
+    )
+    def test_malformed_row_deep_in_history_still_fails(
+        self, inputs, tmp_path, plant, message
+    ):
+        path, _whois, days = inputs
+        run_dir = tmp_path / "run"
+        assert self._advance(inputs, run_dir, days[len(days) // 2]) == 0
+        connection = sqlite3.connect(path)
+        with connection:
+            assert connection.execute(plant).rowcount == 1
+        connection.close()
+        with pytest.raises(ValueError, match=message):
+            self._advance(inputs, run_dir, days[len(days) // 2 + 1])

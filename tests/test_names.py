@@ -11,6 +11,7 @@ from repro.dnscore.names import (
     MAX_LABEL_LENGTH,
     MAX_NAME_LENGTH,
     Name,
+    canonical_text,
     common_suffix_depth,
     is_valid,
     sorted_names,
@@ -218,3 +219,17 @@ class TestCanonicalFastPath:
 
     def test_trailing_newline_is_stripped(self):
         assert Name("example.com\n").text == "example.com"
+
+    @settings(max_examples=300)
+    @given(raw=st.one_of(_any_text, _dotted, name_strategy))
+    def test_canonical_text_is_name_text(self, raw):
+        """``canonical_text`` returns what ``Name(raw).text`` does, and
+        refuses what it refuses with the same message."""
+        try:
+            expected = Name(raw).text
+        except NameError_ as exc:
+            with pytest.raises(NameError_) as caught:
+                canonical_text(raw)
+            assert str(caught.value) == str(exc)
+        else:
+            assert canonical_text(raw) == expected

@@ -25,6 +25,9 @@ from repro.runner.execution import (
     TRACE_NAME,
     run_incremental_detection,
 )
+from repro.store.dataset import DeltaView
+from repro.whois.archive import WhoisArchive
+from repro.zonedb.database import ZoneDatabase
 
 SCALE = 0.06
 SEED = 2021
@@ -142,3 +145,64 @@ class TestChaosTraceConvergence:
             report.chaos_trace_digest,
         )
         assert report.passed, report.verify_issues
+
+
+def _span_ends(run_dir, name):
+    return [
+        record.payload
+        for record in read_trace(run_dir / TRACE_NAME)
+        if record.type == "span-end" and record.payload["name"] == name
+    ]
+
+
+class TestFoldSpans:
+    """One fold per invocation shows as one span per invocation."""
+
+    def test_capped_run_then_resume_folds_once_each(self, world, tmp_path):
+        days = [day for day, _events in DeltaView(world.zonedb).batches()]
+        middle = len(days) // 2
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir,
+            until=days[middle], trace=True,
+        )
+        spans = canonical_spans(read_trace(run_dir / TRACE_NAME))
+        paths = [span["path"] for span in spans]
+        for stage in DetectionPipeline.STAGES:
+            assert f"run/{stage}" in paths
+        assert not _span_ends(run_dir, "engine.advance")
+        again = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir,
+            until=days[middle + 3], resume=first.run_id, trace=True,
+        )
+        assert again.days_advanced == 3
+        (fold,) = _span_ends(run_dir, "engine.advance")
+        assert fold["path"] == "run/engine.advance"
+        assert (fold["day"], fold["days"]) == (days[middle + 3], 3)
+        assert fold["deltas"] == again.deltas_applied
+        assert fold["dirty"] > 0
+        assert not _span_ends(run_dir, "delta.apply")
+
+    def test_a_rewriting_stream_is_replayed_on_resume(self, tmp_path):
+        zonedb = ZoneDatabase()
+        zonedb.cover("biz")
+        zonedb.set_delegation(4, "dom0.biz", ["ns1.host0.biz"])
+        zonedb.set_delegation(2, "dom1.biz", ["ns1.host0.biz"])  # behind day 4
+        zonedb.set_delegation(6, "dom2.biz", ["ns1.host1.biz"])
+        zonedb.set_delegation(8, "dom3.biz", ["ns1.host1.biz"])
+        whois = WhoisArchive()
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(
+            zonedb, whois, run_dir=run_dir, until=6, trace=True
+        )
+        run_incremental_detection(
+            zonedb, whois, run_dir=run_dir, resume=first.run_id, trace=True
+        )
+        (restore,) = [
+            span for span in _span_ends(run_dir, "delta.apply") if span.get("restore")
+        ]
+        assert restore["day"] == 6
+        # The capped first run drained 0, 4 and 6; the resume folds 8.
+        assert [span["day"] for span in _span_ends(run_dir, "engine.advance")] == [
+            0, 4, 6, 8,
+        ]

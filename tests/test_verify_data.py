@@ -29,6 +29,7 @@ from repro.store.verify import (
     INCONSISTENT,
     MISSING,
     QUARANTINED,
+    STALE,
     issues_as_json,
     render_issues,
     verify_dataset,
@@ -353,6 +354,48 @@ class TestVerifyIncrementalRunDir:
             checkpoint_sha256=hashlib.sha256(data).hexdigest(),
         )
         assert kinds(verify_run_dir(tmp_path)) == [CORRUPT]
+
+
+class TestStalePickles:
+    """Pickles an older version left are reported, and the next
+    ``advance`` deletes them unread."""
+
+    def _plant(self, run_dir):
+        planted = [
+            run_dir / CHECKPOINT_DIR_NAME / "engine-state.pkl",
+            run_dir / "result.pkl",
+        ]
+        for path in planted:
+            path.write_bytes(b"not a pickle anything may load")
+        return planted
+
+    def test_leftovers_are_reported_stale(self, advanced_run, capsys):
+        from repro.cli import main
+
+        planted = self._plant(advanced_run)
+        issues = verify_run_dir(advanced_run)
+        assert kinds(issues) == [STALE, STALE]
+        assert sorted(issue.path for issue in issues) == sorted(map(str, planted))
+        capsys.readouterr()
+        assert main(["verify-data", "--run-dir", str(advanced_run)]) == 1
+        assert STALE in capsys.readouterr().out
+
+    def test_advance_deletes_them_and_verifies_clean(
+        self, advanced_run, dataset_copy
+    ):
+        from repro.cli import main
+
+        planted = self._plant(advanced_run)
+        journal = RunJournal.open(advanced_run / JOURNAL_NAME)
+        assert main([
+            "advance", "--dataset", str(dataset_copy),
+            "--run-dir", str(advanced_run),
+        ]) == 0
+        assert not any(path.exists() for path in planted)
+        assert verify_run_dir(advanced_run) == []
+        again = RunJournal.open(advanced_run / JOURNAL_NAME)
+        assert not list(again.events("engine-reset"))
+        assert len(again.records) == len(journal.records)
 
 
 class TestSourceDatasetIsReadOnly:
