@@ -322,14 +322,15 @@ def cmd_advance(args: argparse.Namespace) -> int:
     read as of the newest of them — the result is bit-identical to
     re-running ``riskybiz detect`` from scratch, without re-reading
     history (a dataset whose delta stream rewrites earlier days is
-    replayed instead). The run ID is read from the journal, so no
-    ``--resume`` bookkeeping is needed. Each invocation writes one
-    engine checkpoint for everything it folded; the dataset is opened
+    replayed instead). The run ID is read from the journal's first
+    record, so no ``--resume`` bookkeeping is needed and the runner
+    replays the journal once. Each invocation writes one engine
+    checkpoint for everything it folded; the dataset is opened
     read-only.
     """
     from repro.runner import JournalCorruption, RunFailed, run_incremental_detection
     from repro.runner.execution import JOURNAL_NAME
-    from repro.runner.journal import RunJournal
+    from repro.runner.journal import journal_run_id
     from repro.store.dataset import open_dataset
 
     try:
@@ -342,9 +343,7 @@ def cmd_advance(args: argparse.Namespace) -> int:
     journal_path = run_dir / JOURNAL_NAME
     try:
         resume = (
-            RunJournal.open(journal_path).run_id
-            if journal_path.exists()
-            else None
+            journal_run_id(journal_path) if journal_path.exists() else None
         )
         outcome = run_incremental_detection(
             zonedb,
@@ -622,7 +621,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             use_baseline=not args.no_baseline,
             select=args.select.split(",") if args.select else (),
             ignore=args.ignore.split(",") if args.ignore else (),
-            jobs=args.jobs,
         )
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -874,11 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--prune-baseline", action="store_true",
         help="drop baseline entries flagged stale by DET012",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="lint files across N supervised worker processes "
-             "(default: 1, inline)",
     )
     lint.add_argument(
         "--graph", choices=("json", "cfg"),

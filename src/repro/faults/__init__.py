@@ -40,12 +40,7 @@ from repro.faults.injectors import (
     WhoisFaultLog,
 )
 from repro.faults.apply import DegradedObservables, degrade_world, snapshot_stream
-from repro.faults.process import (
-    KILL_EXIT_CODE,
-    ChaosKill,
-    ChaosMonkey,
-    ProcessChaosConfig,
-)
+from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
 
 __all__ = [
     "FaultConfig",
@@ -62,6 +57,5 @@ __all__ = [
     "snapshot_stream",
     "ChaosKill",
     "ChaosMonkey",
-    "KILL_EXIT_CODE",
     "ProcessChaosConfig",
 ]

@@ -26,9 +26,6 @@ from dataclasses import dataclass
 
 from repro.faults.rng import stream_rng
 
-#: Exit status of a SIGKILLed process (128 + 9).
-KILL_EXIT_CODE = 137
-
 
 class ChaosKill(BaseException):
     """Simulated SIGKILL: the process is considered dead at this point.

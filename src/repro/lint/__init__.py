@@ -1,4 +1,4 @@
-"""``repro.lint``: two-layer static analysis for the reproduction.
+"""``repro.lint``: four-engine static analysis for the reproduction.
 
 Engine 1 (:mod:`repro.lint.code_engine`) enforces determinism
 discipline on the Python tree — seeded named RNG streams, simtime-only
@@ -8,17 +8,17 @@ clocks, order-stable iteration. Engine 2
 Engine 3 (:mod:`repro.lint.flow`) is whole-program: it builds an
 import/symbol graph (:mod:`repro.lint.project`) and a conservative
 call graph (:mod:`repro.lint.callgraph`) over the configured project
-roots and runs the interprocedural fork-safety and digest-taint rules
+roots and runs the interprocedural digest-taint and watermark rules
 across module boundaries. Engine 4 (:mod:`repro.lint.typestate`) is
 path-sensitive: it builds per-function control-flow graphs with
 exception and ``finally`` edges (:mod:`repro.lint.cfg`) and runs a
 worklist fixpoint over the declarative protocol automata in
 :mod:`repro.lint.protocols` — span/tracer lifecycles, journal
-discipline, the temp→fsync→rename atomic-write order, and the
-checkpoint-before-watermark-commit invariant. All engines share one
-diagnostic model, rule registry, pyproject config, and
-baseline-suppression file; ``riskybiz lint`` is the CLI front end and
-:mod:`repro.lint.fixes` supplies the ``--fix`` rewrite engine.
+discipline, and the temp→fsync→rename atomic-write order. All engines
+share one diagnostic model, rule registry, pyproject config, and
+baseline-suppression file, and run in one process; ``riskybiz lint``
+is the CLI front end and :mod:`repro.lint.fixes` supplies the
+``--fix`` rewrite engine.
 """
 
 from repro.lint.baseline import Baseline, BaselineEntry
@@ -45,7 +45,7 @@ from repro.lint.typestate import (
     TypestateContext,
     lint_typestate_source,
 )
-from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014-017)
+from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014-016)
 from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import LintResult, run_lint
 from repro.lint.scenario_engine import (

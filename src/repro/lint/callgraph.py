@@ -13,19 +13,15 @@ precision:
   class's method;
 * any remaining ``obj.method()`` whose receiver cannot be typed falls
   back to *every* project class defining ``method`` — an
-  over-approximation, never an omission, which is the right bias for
-  reachability-gated rules like DET010.
+  over-approximation, never an omission.
 
-Reachability is a plain BFS; :meth:`CallGraph.chain_to` reconstructs
-one witness path for diagnostics.
+``riskybiz lint --graph json`` dumps the edges.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.lint.project import (
     FunctionInfo,
@@ -184,12 +180,12 @@ class _CallCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        """Address-taken functions (callbacks, process targets) count.
+        """Address-taken functions (callbacks) count.
 
-        ``ctx.Process(target=worker)`` or ``run(on_complete=journal)``
-        execute the referenced function somewhere we cannot see; treating
-        every function-valued reference as an edge keeps reachability an
-        over-approximation instead of a hole.
+        ``run(on_complete=journal)`` executes the referenced function
+        somewhere we cannot see; treating every function-valued
+        reference as an edge keeps the graph an over-approximation
+        instead of a hole.
         """
         if isinstance(node.ctx, ast.Load):
             self._resolve_name_call(node.id)
@@ -228,44 +224,6 @@ class CallGraph:
             call_graph.edges[func.ident] = collector.callees
         return call_graph
 
-    def resolve_entry(self, spec: str) -> str | None:
-        """Resolve an entry-point spec ``module:qualname`` to a node id."""
-        if ":" not in spec:
-            return None
-        module, _, qualname = spec.partition(":")
-        info = self.graph.modules.get(module)
-        if info is not None and qualname in info.functions:
-            return function_id(module, qualname)
-        return None
-
-    def reachable_from(self, entries: Iterable[str]) -> dict[str, str | None]:
-        """BFS closure: node id -> parent id (None for the entries)."""
-        parents: dict[str, str | None] = {}
-        queue: deque[str] = deque()
-        for entry in entries:
-            if entry not in parents:
-                parents[entry] = None
-                queue.append(entry)
-        while queue:
-            current = queue.popleft()
-            for callee in sorted(self.edges.get(current, ())):
-                if callee not in parents:
-                    parents[callee] = current
-                    queue.append(callee)
-        return parents
-
-    @staticmethod
-    def chain_to(parents: dict[str, str | None], ident: str) -> list[str]:
-        """One witness call chain from an entry down to ``ident``."""
-        chain = [ident]
-        seen = {ident}
-        parent = parents.get(ident)
-        while parent is not None and parent not in seen:
-            chain.append(parent)
-            seen.add(parent)
-            parent = parents.get(parent)
-        return list(reversed(chain))
-
     def to_dict(self) -> dict[str, object]:
         """JSON form for ``riskybiz lint --graph json``."""
         return {
@@ -273,7 +231,6 @@ class CallGraph:
                 name: {
                     "path": info.path,
                     "functions": sorted(info.functions),
-                    "globals": sorted(info.global_names),
                 }
                 for name, info in sorted(self.graph.modules.items())
             },

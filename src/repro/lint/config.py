@@ -63,14 +63,8 @@ class LintConfig:
     #: tracemalloc directly: the obs layer itself.
     telemetry_modules: tuple[str, ...] = ("src/repro/obs",)
     #: Roots (relative to ``root``) the project graph is built from. The
-    #: interprocedural rules (DET010–DET012) see exactly these trees.
+    #: interprocedural rules (DET011–DET013) see exactly these trees.
     project_paths: tuple[str, ...] = ("src",)
-    #: Worker-process entry points, as ``module:qualname`` specs. DET010
-    #: polices everything reachable from these through the call graph.
-    worker_entry_points: tuple[str, ...] = ("repro.lint.runner:_lint_worker",)
-    #: Paths (prefix match) exempt from DET010: the modules that *are*
-    #: the process-global state, with their own fork-safety discipline.
-    worker_safe_modules: tuple[str, ...] = ("src/repro/obs",)
     #: Dotted project functions treated as digest/manifest sinks by
     #: DET011, in addition to ``hashlib`` constructors.
     digest_sinks: tuple[str, ...] = (
@@ -182,8 +176,6 @@ def load_config(root: Path | str | None = None) -> LintConfig:
         ("telemetry-paths", "telemetry_paths"),
         ("telemetry-modules", "telemetry_modules"),
         ("project-paths", "project_paths"),
-        ("worker-entry-points", "worker_entry_points"),
-        ("worker-safe-modules", "worker_safe_modules"),
         ("digest-sinks", "digest_sinks"),
         ("watermark-commit-functions", "watermark_commit_functions"),
         ("span-factories", "span_factories"),

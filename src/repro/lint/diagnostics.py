@@ -1,4 +1,4 @@
-"""The diagnostic model shared by both lint engines.
+"""The diagnostic model shared by every lint engine.
 
 A :class:`Diagnostic` is one finding: a rule id, a location, a message,
 and a *symbol* — the enclosing function/class for code findings, or the
@@ -58,19 +58,6 @@ class Diagnostic:
             "symbol": self.symbol,
             "severity": self.severity.value,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (worker-process round-trip)."""
-        return cls(
-            rule_id=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            message=str(data["message"]),
-            symbol=str(data.get("symbol", "")),
-            severity=Severity(str(data.get("severity", "error"))),
-        )
 
     def render(self) -> str:
         """Text-reporter form: ``path:line:col RULE message [symbol]``."""

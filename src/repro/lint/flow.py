@@ -4,9 +4,6 @@ Where DET001–DET009 are per-file and syntactic, these rules follow
 calls across modules:
 
 ========  =======================  ==========================================
-DET010    worker-global-mutation   worker-reachable code mutating
-                                   module-level state / touching the
-                                   process-global obs plane without detach
 DET011    digest-taint             nondeterminism sources (builtin ``hash``,
                                    duration clocks) flowing transitively
                                    into sha256/checksum/manifest sinks
@@ -15,15 +12,6 @@ DET012    stale-baseline           baseline entries whose (path, symbol) no
 DET013    watermark-bypass         stage/engine state watermarks written
                                    outside the sanctioned commit path
 ========  =======================  ==========================================
-
-DET010 is the fork-safety rule: a function reachable from a supervisor
-worker entry point (``LintConfig.worker_entry_points``) that mutates
-module-level state behaves differently between inline and sharded
-execution — exactly the class of bug that silently diverges parallel
-runs. Modules under ``worker_safe_modules`` (the obs plane, which owns
-the process-global registry and its ``detach()`` discipline) are
-exempt; calls *into* them from worker code are legal only when the
-entry point calls ``detach()`` itself.
 
 DET011 is a taint pass with per-function summaries, iterated to a
 fixpoint over the call graph: a function's return value is *tainted*
@@ -47,18 +35,9 @@ from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.callgraph import CallGraph, _dotted_base
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import (
-    FunctionInfo,
-    ModuleInfo,
-    ProjectGraph,
-    split_function_id,
-)
+from repro.lint.project import FunctionInfo, ModuleInfo, ProjectGraph
 from repro.lint.registry import make, rule
 
-rule(
-    "DET010", "worker-global-mutation", "project",
-    "worker-reachable function mutates module-level state (fork safety)",
-)
 rule(
     "DET011", "digest-taint", "project",
     "nondeterministic value flows into a digest/checksum/manifest sink",
@@ -75,7 +54,7 @@ rule(
 #: The rules :func:`run_project_analysis` computes. DET012 is derived
 #: from the baseline afterwards, not by the graph pass, so the runner
 #: gates the (expensive) pass on these alone.
-PROJECT_PASS_RULES: tuple[str, ...] = ("DET010", "DET011", "DET013")
+PROJECT_PASS_RULES: tuple[str, ...] = ("DET011", "DET013")
 
 #: Container methods that mutate their receiver in place.
 _MUTATING_METHODS = frozenset({
@@ -132,341 +111,6 @@ def _walk_own(func: FunctionInfo) -> Iterable[ast.AST]:
             ):
                 break
             yield node
-
-
-def _local_names(func: FunctionInfo) -> set[str]:
-    """Names bound locally inside the function (shadowing globals)."""
-    names: set[str] = set()
-    args = func.node.args
-    for arg in (
-        *args.posonlyargs, *args.args, *args.kwonlyargs,
-        *( [args.vararg] if args.vararg else [] ),
-        *( [args.kwarg] if args.kwarg else [] ),
-    ):
-        names.add(arg.arg)
-    for node in _walk_own(func):
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            names.add(node.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for target in ast.walk(node.target):
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-        elif isinstance(node, ast.withitem) and node.optional_vars:
-            for target in ast.walk(node.optional_vars):
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.comprehension):
-            for target in ast.walk(node.target):
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
-
-
-def _global_decls(func: FunctionInfo) -> set[str]:
-    """Names the function explicitly declares ``global``."""
-    declared: set[str] = set()
-    for node in _walk_own(func):
-        if isinstance(node, ast.Global):
-            declared.update(node.names)
-    return declared
-
-
-# ---------------------------------------------------------------------------
-# DET010: worker-global-mutation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Det010Context:
-    graph: ProjectGraph
-    call_graph: CallGraph
-    config: LintConfig
-    #: function ident -> True when the function returns a module global.
-    returns_global: dict[str, bool] = field(default_factory=dict)
-
-
-def _path_in(config: LintConfig, rel_path: str, prefixes: tuple[str, ...]) -> bool:
-    return config.path_in(rel_path, prefixes)
-
-
-def _compute_returns_global(ctx: _Det010Context) -> None:
-    """Which functions hand out a reference to a module-level object."""
-    for func in ctx.graph.iter_functions():
-        module = ctx.graph.modules[func.module]
-        locals_ = _local_names(func)
-        declared = _global_decls(func)
-        returns = False
-        for node in _walk_own(func):
-            if isinstance(node, ast.Return) and isinstance(
-                node.value, ast.Name
-            ):
-                name = node.value.id
-                if name in module.global_names and (
-                    name in declared or name not in locals_
-                ):
-                    returns = True
-                    break
-        ctx.returns_global[func.ident] = returns
-
-
-def _module_global_ref(
-    module: ModuleInfo, name: str, locals_: set[str], declared: set[str]
-) -> bool:
-    """Does a bare ``name`` inside this function denote a module global?"""
-    if name in declared:
-        return True
-    return name in module.global_names and name not in locals_
-
-
-def _function_mutations(
-    ctx: _Det010Context, func: FunctionInfo
-) -> list[tuple[ast.AST, str]]:
-    """(node, description) for every module-state mutation in ``func``."""
-    module = ctx.graph.modules[func.module]
-    locals_ = _local_names(func)
-    declared = _global_decls(func)
-
-    #: locals aliased to module globals via ``x = default_thing()``.
-    global_aliases: set[str] = set()
-    for node in _walk_own(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            value = node.value
-            if isinstance(target, ast.Name) and isinstance(value, ast.Call):
-                if isinstance(value.func, ast.Name):
-                    resolved = ctx.graph.resolve_symbol(module, value.func.id)
-                elif isinstance(value.func, ast.Attribute):
-                    dotted = _dotted_base(value.func.value)
-                    resolved = None
-                    if dotted is not None:
-                        owner = ctx.graph.resolve_dotted(module, dotted)
-                        if owner is not None:
-                            resolved = (owner, value.func.attr)
-                else:
-                    resolved = None
-                if resolved is not None:
-                    owner_module, symbol = resolved
-                    owner_info = ctx.graph.modules.get(owner_module)
-                    if owner_info is not None and ctx.returns_global.get(
-                        f"{owner_module}:{symbol}", False
-                    ):
-                        global_aliases.add(target.id)
-
-    def is_global_name(expr: ast.expr) -> str | None:
-        if isinstance(expr, ast.Name):
-            if _module_global_ref(module, expr.id, locals_, declared):
-                return expr.id
-            if expr.id in global_aliases:
-                return expr.id
-        return None
-
-    mutations: list[tuple[ast.AST, str]] = []
-    for node in _walk_own(func):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets: Sequence[ast.expr]
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            else:
-                targets = [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    if target.id in declared:
-                        mutations.append(
-                            (node, f"assigns module global {target.id!r}")
-                        )
-                elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                    base = target.value
-                    name = is_global_name(base)
-                    if name is not None:
-                        kind = (
-                            "item" if isinstance(target, ast.Subscript)
-                            else "attribute"
-                        )
-                        mutations.append(
-                            (node, f"writes an {kind} of module global {name!r}")
-                        )
-                    elif isinstance(target, ast.Attribute):
-                        dotted = _dotted_base(base)
-                        if dotted is not None and ctx.graph.resolve_dotted(
-                            module, dotted
-                        ):
-                            mutations.append(
-                                (
-                                    node,
-                                    f"assigns {dotted}.{target.attr} on "
-                                    "another module",
-                                )
-                            )
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in declared:
-                    mutations.append(
-                        (node, f"deletes module global {target.id!r}")
-                    )
-                elif isinstance(
-                    target, (ast.Subscript, ast.Attribute)
-                ) and is_global_name(target.value):
-                    mutations.append(
-                        (node, "deletes part of a module global")
-                    )
-        elif isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
-        ):
-            if node.func.attr in _MUTATING_METHODS:
-                name = is_global_name(node.func.value)
-                if name is not None:
-                    mutations.append(
-                        (
-                            node,
-                            f".{node.func.attr}() mutates module global "
-                            f"{name!r} in place",
-                        )
-                    )
-    return mutations
-
-
-def _entry_calls_detach(ctx: _Det010Context, entry: FunctionInfo) -> bool:
-    """Does the worker entry call a safe-module ``detach()`` itself?"""
-    module = ctx.graph.modules[entry.module]
-    for node in _walk_own(entry):
-        if not (isinstance(node, ast.Call)):
-            continue
-        func = node.func
-        target: tuple[str, str] | None = None
-        if isinstance(func, ast.Name):
-            target = ctx.graph.resolve_symbol(module, func.id)
-        elif isinstance(func, ast.Attribute):
-            dotted = _dotted_base(func.value)
-            if dotted is not None:
-                owner = ctx.graph.resolve_dotted(module, dotted)
-                if owner is not None:
-                    target = (owner, func.attr)
-        if target is None:
-            continue
-        owner_module, symbol = target
-        owner_info = ctx.graph.modules.get(owner_module)
-        if (
-            owner_info is not None
-            and symbol == "detach"
-            and _path_in(ctx.config, owner_info.path, ctx.config.worker_safe_modules)
-        ):
-            return True
-    return False
-
-
-def _safe_module_touches(
-    ctx: _Det010Context, func: FunctionInfo
-) -> list[tuple[ast.AST, str]]:
-    """Calls from ``func`` into the process-global (safe-module) plane."""
-    module = ctx.graph.modules[func.module]
-    touches: list[tuple[ast.AST, str]] = []
-    for node in _walk_own(func):
-        if not isinstance(node, ast.Call):
-            continue
-        call_func = node.func
-        target: tuple[str, str] | None = None
-        if isinstance(call_func, ast.Name):
-            target = ctx.graph.resolve_symbol(module, call_func.id)
-        elif isinstance(call_func, ast.Attribute):
-            dotted = _dotted_base(call_func.value)
-            if dotted is not None:
-                owner = ctx.graph.resolve_dotted(module, dotted)
-                if owner is not None:
-                    target = (owner, call_func.attr)
-        if target is None:
-            continue
-        owner_module, symbol = target
-        owner_info = ctx.graph.modules.get(owner_module)
-        if (
-            owner_info is not None
-            and symbol != "detach"
-            and symbol in owner_info.functions
-            and _path_in(ctx.config, owner_info.path, ctx.config.worker_safe_modules)
-        ):
-            touches.append((node, f"{owner_module}.{symbol}"))
-    return touches
-
-
-def check_worker_global_mutation(
-    graph: ProjectGraph, call_graph: CallGraph, config: LintConfig
-) -> list[Diagnostic]:
-    """DET010 over every configured worker entry point."""
-    ctx = _Det010Context(graph=graph, call_graph=call_graph, config=config)
-    _compute_returns_global(ctx)
-
-    diagnostics: list[Diagnostic] = []
-    entry_idents: list[str] = []
-    for spec in config.worker_entry_points:
-        ident = call_graph.resolve_entry(spec)
-        if ident is not None:
-            entry_idents.append(ident)
-    if not entry_idents:
-        return []
-    parents = call_graph.reachable_from(entry_idents)
-
-    flagged: set[tuple[str, str, int]] = set()
-    for ident in sorted(parents):
-        func = graph.function(ident)
-        if func is None:
-            continue
-        module = graph.modules[func.module]
-        if _path_in(config, module.path, config.worker_safe_modules):
-            continue
-        for node, description in _function_mutations(ctx, func):
-            line = getattr(node, "lineno", func.lineno)
-            key = (module.path, func.qualname, line)
-            if key in flagged:
-                continue
-            flagged.add(key)
-            chain = call_graph.chain_to(parents, ident)
-            via = " -> ".join(
-                split_function_id(link)[1] for link in chain[-3:]
-            )
-            diagnostics.append(
-                make(
-                    "DET010", module.path, line,
-                    getattr(node, "col_offset", 0),
-                    f"{description}; reachable from worker entry via "
-                    f"{via} — shared-state writes diverge sharded runs "
-                    "(hand state in explicitly or gate behind "
-                    "runtime.detach()-style fork isolation)",
-                    func.qualname,
-                )
-            )
-
-    # Obs-plane touches are legal exactly when the entry detaches first.
-    for entry_ident in entry_idents:
-        entry = graph.function(entry_ident)
-        if entry is None or _entry_calls_detach(ctx, entry):
-            continue
-        entry_module = graph.modules[entry.module]
-        for ident in sorted(parents):
-            func = graph.function(ident)
-            if func is None:
-                continue
-            module = graph.modules[func.module]
-            if _path_in(config, module.path, config.worker_safe_modules):
-                continue
-            touches = _safe_module_touches(ctx, func)
-            if touches:
-                node, touched = touches[0]
-                diagnostics.append(
-                    make(
-                        "DET010", entry_module.path, entry.lineno, 0,
-                        f"worker entry {entry.qualname} reaches "
-                        f"process-global state ({touched} at "
-                        f"{module.path}:{getattr(node, 'lineno', 0)}) but "
-                        "never calls detach(); a forked worker inherits "
-                        "the parent's registry/tracer",
-                        entry.qualname,
-                    )
-                )
-                break
-    return diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +531,7 @@ def stale_baseline_diagnostics(
     meaningful for rules whose engine actually ran: with
     ``evaluated_rules`` given, entries for unevaluated rules are never
     condemned on that ground (``--select DET004`` skips the project
-    pass, which must not mark every live DET010 entry prunable).
+    pass, which must not mark every live DET011 entry prunable).
     Path- and symbol-existence staleness is engine-independent and is
     still checked.
     """
@@ -1044,10 +688,9 @@ def check_watermark_bypass(
 def run_project_analysis(
     config: LintConfig, graph: ProjectGraph | None = None
 ) -> tuple[list[Diagnostic], ProjectGraph, CallGraph]:
-    """Build the graphs and run DET010, DET011, and DET013 over the project."""
+    """Build the graphs and run DET011 and DET013 over the project."""
     project = graph or ProjectGraph.build(config)
     call_graph = CallGraph.build(project)
-    diagnostics = check_worker_global_mutation(project, call_graph, config)
-    diagnostics.extend(check_digest_taint(project, call_graph, config))
+    diagnostics = check_digest_taint(project, call_graph, config)
     diagnostics.extend(check_watermark_bypass(project, config))
     return diagnostics, project, call_graph

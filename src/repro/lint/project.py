@@ -1,12 +1,11 @@
 """The project graph: every module under the configured source roots.
 
-Per-file AST rules (DET001–DET009) cannot see a worker-executed
-function mutating a module-level global three imports away. This module
-supplies the missing whole-program view: it parses every Python file
-under ``LintConfig.project_paths``, assigns each one a dotted module
-name, and records the facts the interprocedural passes need —
+Per-file AST rules (DET001–DET009) cannot see a duration-clock read
+flowing into a digest three imports away. This module supplies the
+missing whole-program view: it parses every Python file under
+``LintConfig.project_paths``, assigns each one a dotted module name,
+and records the facts the interprocedural passes need —
 
-* module-level bound names (the "globals" DET010 polices),
 * top-level functions and class methods (the call-graph nodes),
 * import bindings, resolved to project modules where possible, so a
   call through ``from repro.obs import runtime as obs`` still lands on
@@ -35,12 +34,6 @@ def function_id(module: str, qualname: str) -> str:
     return f"{module}{SYMBOL_SEP}{qualname}"
 
 
-def split_function_id(ident: str) -> tuple[str, str]:
-    """Inverse of :func:`function_id`."""
-    module, _, qualname = ident.partition(SYMBOL_SEP)
-    return module, qualname
-
-
 @dataclass(frozen=True)
 class FunctionInfo:
     """One function or method defined in a project module."""
@@ -67,8 +60,6 @@ class ModuleInfo:
     name: str  # dotted module name, e.g. "repro.detection.pipeline"
     path: str  # root-relative posix path, e.g. "src/repro/.../pipeline.py"
     tree: ast.Module = field(repr=False)
-    #: Names bound by module-level assignments (the mutable-state surface).
-    global_names: set[str] = field(default_factory=set)
     #: qualname -> FunctionInfo for every function/method in the module.
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class name -> method names defined directly on the class.
@@ -101,7 +92,7 @@ def _module_name_for(rel_to_root: PurePosixPath) -> str | None:
 
 
 class _SymbolCollector(ast.NodeVisitor):
-    """Collect functions, classes, and module globals for one module."""
+    """Collect the functions and classes of one module."""
 
     def __init__(self, info: ModuleInfo) -> None:
         self.info = info
@@ -147,28 +138,6 @@ class _SymbolCollector(ast.NodeVisitor):
         self._class_stack.pop()
         self._stack.pop()
 
-    # -- module-level state -------------------------------------------------
-
-    def _record_global_target(self, target: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            self.info.global_names.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._record_global_target(element)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if not self._stack:
-            for target in node.targets:
-                self._record_global_target(target)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if not self._stack:
-            self._record_global_target(node.target)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if not self._stack:
-            self._record_global_target(node.target)
-
 
 def _collect_imports(info: ModuleInfo) -> None:
     """Record module/symbol import bindings (top-level and nested)."""
@@ -200,8 +169,6 @@ class ProjectGraph:
 
     root: Path
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
-    #: root-relative posix path -> module name (reverse index).
-    by_path: dict[str, str] = field(default_factory=dict)
     #: files that failed to parse (path -> error text).
     parse_failures: dict[str, str] = field(default_factory=dict)
 
@@ -233,19 +200,9 @@ class ProjectGraph:
                 _SymbolCollector(info).visit(tree)
                 _collect_imports(info)
                 graph.modules[module_name] = info
-                graph.by_path[rel] = module_name
         return graph
 
     # -- lookups -------------------------------------------------------------
-
-    def module_for_path(self, rel_path: str) -> ModuleInfo | None:
-        name = self.by_path.get(rel_path)
-        return self.modules.get(name) if name is not None else None
-
-    def function(self, ident: str) -> FunctionInfo | None:
-        module, qualname = split_function_id(ident)
-        info = self.modules.get(module)
-        return info.functions.get(qualname) if info is not None else None
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for name in sorted(self.modules):

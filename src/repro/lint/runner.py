@@ -1,34 +1,26 @@
 """The lint runner: walk paths, dispatch engines, apply the baseline.
 
 ``run_lint`` is the single entry point behind both the ``riskybiz
-lint`` subcommand and the test suite. Python files go through the code
-engine and the typestate protocol engine, JSON files through the
-scenario engine, and — when the lint targets cover the configured
-project roots — the whole-program flow pass (DET010/DET011/DET013)
-runs once over the project graph. Engines whose every rule is
-deselected are skipped entirely. Findings are filtered by
-``select``/``ignore``, split into new vs. baselined, and the exit
-code is 1 exactly when a non-baselined ERROR remains.
-
-With ``jobs > 1`` the per-file engines fan out across a process pool
-driven by :class:`~repro.runner.supervisor.RunSupervisor`: files are
-split into contiguous shards of the sorted file list, each worker
-lints its shard, heartbeats per file, and writes its findings to a
-spill file the parent merges after a verified clean exit. Findings are
-sorted before reporting, so inline and parallel runs emit byte-identical
-output. Wall time per file and per run lands in the ``lint.file`` /
-``lint.run`` histograms of the process-global metrics registry.
+lint`` subcommand and the test suite. It runs in one process: Python
+files go through the code engine and the typestate protocol engine,
+JSON files through the scenario engine, and — when the lint targets
+cover the configured project roots — the whole-program flow pass
+(DET011/DET013) runs once over the project graph. Engines whose every
+rule is deselected are skipped entirely. Findings are filtered by
+``select``/``ignore``, split into new vs. baselined, and sorted before
+reporting; the exit code is 1 exactly when a non-baselined ERROR
+remains. Wall time per file, for the project pass and per run lands in
+the ``lint.file`` / ``lint.project`` / ``lint.run`` histograms of the
+process-global metrics registry.
 """
 
 from __future__ import annotations
 
-import json
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014-017)
+from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014-016)
 from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.code_engine import lint_code_file
 from repro.lint.config import LintConfig, load_config
@@ -50,7 +42,7 @@ class LintResult:
     baselined: list[Diagnostic] = field(default_factory=list)
     stale_baseline_entries: list[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
-    #: True when the interprocedural pass (DET010/DET011) ran.
+    #: True when the interprocedural pass (DET011/DET013) ran.
     project_analyzed: bool = False
 
     @property
@@ -147,88 +139,6 @@ def _covers_project_roots(
     return True
 
 
-# -- parallel execution ------------------------------------------------------
-
-
-def _lint_worker(
-    index: int,
-    shard_files: list[tuple[str, str]],
-    config: LintConfig,
-    engines: frozenset[str],
-    out_path: str,
-    heartbeats: Any,
-) -> None:
-    """One lint shard, in its own process.
-
-    Module-level so it pickles under any multiprocessing start method.
-    The findings go to a spill file the supervisor reads only after a
-    clean (exit 0) worker exit; a crashed worker's partial file is
-    never parsed because the shard is retried from scratch.
-    """
-    from repro.obs import runtime as obs
-
-    # A forked worker inherits the parent's tracer and registry handle;
-    # per the fork-safety discipline DET010 enforces, drop them first.
-    obs.detach()
-
-    findings: list[dict[str, object]] = []
-    for absolute, rel in shard_files:
-        findings.extend(
-            diag.to_dict()
-            for diag in _lint_one(Path(absolute), rel, config, engines)
-        )
-        heartbeats.put((index, rel))
-    payload = json.dumps(findings, sort_keys=True)
-    Path(out_path).write_text(payload, encoding="utf-8")
-
-
-def _run_parallel(
-    files: list[tuple[Path, str]],
-    cfg: LintConfig,
-    jobs: int,
-    engines: frozenset[str],
-) -> list[Diagnostic]:
-    """Fan the per-file engines out across a supervised process pool."""
-    from repro.runner.supervisor import RunSupervisor, SupervisorPolicy
-
-    shard_count = min(jobs, len(files))
-    shards: list[list[tuple[str, str]]] = [[] for _ in range(shard_count)]
-    for position, (absolute, rel) in enumerate(files):
-        shards[position % shard_count].append((str(absolute), rel))
-
-    diagnostics: list[Diagnostic] = []
-    with tempfile.TemporaryDirectory(prefix="riskybiz-lint-") as spill_dir:
-        out_paths = [
-            str(Path(spill_dir) / f"shard-{index}.json")
-            for index in range(shard_count)
-        ]
-
-        def spawn(index: int, attempt: int, heartbeats: Any) -> Any:
-            import multiprocessing
-
-            process = multiprocessing.get_context().Process(
-                target=_lint_worker,
-                args=(
-                    index, shards[index], cfg, engines,
-                    out_paths[index], heartbeats,
-                ),
-            )
-            process.start()
-            return process
-
-        def on_complete(index: int) -> None:
-            raw = json.loads(
-                Path(out_paths[index]).read_text(encoding="utf-8")
-            )
-            diagnostics.extend(Diagnostic.from_dict(item) for item in raw)
-
-        supervisor = RunSupervisor(SupervisorPolicy(workers=jobs))
-        supervisor.run_processes(
-            list(range(shard_count)), spawn, on_complete=on_complete
-        )
-    return diagnostics
-
-
 # -- the runner --------------------------------------------------------------
 
 
@@ -241,14 +151,12 @@ def run_lint(
     use_baseline: bool = True,
     select: Iterable[str] = (),
     ignore: Iterable[str] = (),
-    jobs: int = 1,
     project_analysis: bool | None = None,
 ) -> LintResult:
     """Lint ``paths`` and return the partitioned findings.
 
     ``select``/``ignore`` extend (not replace) the pyproject config;
     passing ``use_baseline=False`` reports every finding as new.
-    ``jobs`` > 1 shards the per-file engines across worker processes.
     ``project_analysis`` forces the interprocedural pass on or off;
     the default (None) enables it when the targets cover the project
     roots.
@@ -295,13 +203,9 @@ def run_lint(
         #: Engine output is pre-filter — DET012 staleness must see
         #: findings for rules the caller deselected, or narrowing
         #: ``--select`` would condemn perfectly live baseline entries.
-        raw_diagnostics: list[Diagnostic]
-        if jobs > 1 and len(files) > 1:
-            raw_diagnostics = _run_parallel(files, cfg, jobs, engines)
-        else:
-            raw_diagnostics = []
-            for file_path, rel in files:
-                raw_diagnostics.extend(_lint_one(file_path, rel, cfg, engines))
+        raw_diagnostics: list[Diagnostic] = []
+        for file_path, rel in files:
+            raw_diagnostics.extend(_lint_one(file_path, rel, cfg, engines))
 
         from repro.lint.flow import (
             PROJECT_PASS_RULES,

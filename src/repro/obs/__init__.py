@@ -1,6 +1,6 @@
 """Runtime telemetry plane: tracing, metrics, and profiling hooks.
 
-The observability subsystem added alongside the supervised runner:
+The observability subsystem:
 
 * :mod:`repro.obs.clock` — the one sanctioned source of duration clocks
   (lint rule DET009 confines raw monotonic/perf-counter reads here);
@@ -16,9 +16,10 @@ The observability subsystem added alongside the supervised runner:
 * :mod:`repro.obs.schema` — structural validation of ``trace.jsonl``
   and ``metrics.json``.
 
-Everything here depends only on the standard library, so any layer of
-the reproduction (stores, resolver, runner) may import it without
-cycles.
+Everything here depends only on the standard library and on
+:mod:`repro.store.atomic` (the tracer's record checksums and torn-tail
+cut), so any layer of the reproduction (stores, resolver, runner) may
+import it.
 """
 
 from repro.obs.metrics import (

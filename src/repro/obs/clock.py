@@ -1,17 +1,16 @@
 """The telemetry clock: the one place raw duration clocks are read.
 
 Everything in the reproduction that wants to *measure* time — stage
-latencies, query timings, heartbeat liveness windows — goes through
-these wrappers instead of calling ``time.monotonic`` /
-``time.perf_counter`` directly. Lint rule ``DET009`` enforces the
-funnel: outside :mod:`repro.obs`, a direct monotonic/perf-counter/
-``tracemalloc`` read is an error, because scattered clock reads are how
-wall-clock state quietly leaks into content that must stay bit-identical
-across replays.
+latencies, query timings, lint wall time — goes through this wrapper
+instead of calling ``time.perf_counter`` directly. Lint rule ``DET009``
+enforces the funnel: outside :mod:`repro.obs`, a direct
+monotonic/perf-counter/``tracemalloc`` read is an error, because
+scattered clock reads are how wall-clock state quietly leaks into
+content that must stay bit-identical across replays.
 
-These are *duration* sources (monotonic, no epoch), not wall clocks:
+This is a *duration* source (monotonic, no epoch), not a wall clock:
 ``DET002`` (wall-clock reads) remains a separate, stricter rule. The
-values they return are telemetry — they may appear in clearly-marked
+values it returns are telemetry — they may appear in clearly-marked
 telemetry-only fields (see :mod:`repro.obs.tracer`) and never in
 journal, checkpoint, or result content.
 """
@@ -24,12 +23,3 @@ import time
 def perf_counter() -> float:
     """High-resolution duration clock (seconds, arbitrary origin)."""
     return time.perf_counter()
-
-
-def monotonic() -> float:
-    """Monotonic liveness clock (seconds, arbitrary origin).
-
-    Used by the supervisor for heartbeat timeouts and backoff deadlines;
-    never for anything that lands in run content.
-    """
-    return time.monotonic()

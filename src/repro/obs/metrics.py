@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges, and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` holds every instrument the pipeline, the
-supervisor, the stores, and the resolver increment on their hot paths.
+runner, the stores, and the resolver increment on their hot paths.
 Instruments are created on first use and are cheap to update (a dict
 lookup plus an integer add), so instrumentation can stay threaded
 through production code unconditionally.
@@ -11,8 +11,9 @@ Determinism contract:
 * **Counter and gauge values that describe content** (record counts,
   funnel sizes, fault activations) are pure functions of the run's
   inputs and replay identically; values that describe *operations*
-  (cache hits, retries, heartbeats) may differ between an uninterrupted
-  run and a kill-and-resume run and are therefore telemetry.
+  (cache hits, retries, engine resets) may differ between an
+  uninterrupted run and a kill-and-resume run and are therefore
+  telemetry.
 * **Histogram bucket boundaries are fixed at registration** and never
   derived from observed values, so the *shape* of a metrics snapshot is
   stable across runs and machines even though observed durations are

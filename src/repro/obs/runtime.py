@@ -1,6 +1,6 @@
 """Process-global observability runtime.
 
-The hot paths (pipeline stages, stores, resolver, supervisor) cannot
+The hot paths (pipeline stages, stores, resolver, lint runner) cannot
 thread a tracer/registry handle through every call signature without
 distorting the APIs they instrument, so this module holds the process's
 single :class:`~repro.obs.metrics.MetricsRegistry` plus the *currently
@@ -14,18 +14,12 @@ active* tracer, and exposes no-op-safe helpers:
 * :func:`span` / :func:`trace_event` — emit through the active tracer,
   or do nothing when tracing is off. ``span()`` always yields a span
   object (a null one when off) so call sites never branch.
-
-Worker processes (``riskybiz lint --jobs``) never install a tracer —
-the trace file has the same single-writer rule as the run journal, and
-worker lifecycle is recorded by the supervisor on their behalf. Because
-a forked worker inherits this module's globals (including an open
-tracer), worker entry points must call :func:`detach` first thing.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.obs import clock
 from repro.obs.metrics import (
@@ -36,7 +30,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.tracer import Span, Tracer
+
+# Type names only: the store layer imports this module, and the tracer
+# imports the store's atomic helpers.
+if TYPE_CHECKING:
+    from repro.obs.tracer import Span, Tracer
 
 _REGISTRY = MetricsRegistry()
 _ACTIVE_TRACER: Tracer | None = None
@@ -90,21 +88,6 @@ _NULL_SPAN = _NullSpan()
 def active_tracer() -> Tracer | None:
     """The tracer installed by the innermost :func:`observing`, if any."""
     return _ACTIVE_TRACER
-
-
-def detach() -> None:
-    """Abandon any inherited tracer without touching its file.
-
-    Called at worker-process entry: a forked child shares the parent's
-    trace file descriptor, and two writers would interleave sequence
-    numbers and corrupt the trace. The parent's tracer object is left
-    alone — only this process's reference to it is dropped — and the
-    inherited metrics counts are zeroed so worker-side increments never
-    look like a continuation of the parent's run.
-    """
-    global _ACTIVE_TRACER
-    _ACTIVE_TRACER = None
-    _REGISTRY.reset()
 
 
 @contextlib.contextmanager

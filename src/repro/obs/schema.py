@@ -3,7 +3,7 @@
 No external JSON-Schema dependency — like the lint scenario engine,
 these are hand-rolled structural checks returning a list of issue
 strings (empty = valid). CI's telemetry smoke job runs them over the
-artifacts a supervised ``detect --trace --profile`` run emits.
+artifacts a journaled ``detect --trace --profile`` run emits.
 """
 
 from __future__ import annotations

@@ -28,10 +28,12 @@ Determinism contract:
   the chaos tests compare.
 
 Recovery reuses the journal's torn-tail semantics: a final line cut
-short by a killed writer fails verification and is dropped on reopen.
-Unlike the journal, damage *before* the tail does not poison the run —
-a trace is telemetry, so :meth:`Tracer.open_or_create` quarantines the
-unreadable file and starts fresh rather than refusing to run.
+short by a killed writer fails verification and is dropped on reopen,
+which cuts the file in place to its verified records
+(:func:`~repro.store.atomic.truncate_file`). Unlike the journal,
+damage *before* the tail does not poison the run — a trace is
+telemetry, so :meth:`Tracer.open_or_create` quarantines the unreadable
+file and starts fresh rather than refusing to run.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs import clock
+from repro.store.atomic import content_digest, truncate_file
 
 #: Format tag recorded by the trace-start event.
 TRACE_FORMAT = "riskybiz-trace/1"
@@ -54,14 +57,6 @@ QUARANTINE_SUFFIX = ".corrupt"
 
 class TraceCorruption(Exception):
     """A trace record before the tail failed verification."""
-
-
-def _canonical_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _record_checksum(body: dict[str, Any]) -> str:
-    return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
 def span_id_for(run_id: str, path: str) -> str:
@@ -94,11 +89,11 @@ class TraceRecord:
         }
 
 
-def _parse_line(line: str) -> TraceRecord | None:
+def _parse_line(line: bytes) -> TraceRecord | None:
     """The verified record on ``line``, or None if it fails."""
     try:
-        document = json.loads(line)
-    except json.JSONDecodeError:
+        document = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not isinstance(document, dict):
         return None
@@ -107,7 +102,7 @@ def _parse_line(line: str) -> TraceRecord | None:
     body = {
         k: v for k, v in document.items() if k not in ("checksum", "telemetry")
     }
-    if not isinstance(recorded, str) or _record_checksum(body) != recorded:
+    if not isinstance(recorded, str) or content_digest(body) != recorded:
         return None
     if not isinstance(telemetry, dict):
         telemetry = {}
@@ -123,30 +118,38 @@ def _parse_line(line: str) -> TraceRecord | None:
         return None
 
 
-def read_trace(path: str | Path) -> list[TraceRecord]:
-    """Replay a trace file, dropping a torn tail.
-
-    Journal recovery semantics: an unverifiable *final* line is the
-    residue of a killed writer and is silently dropped; an unverifiable
-    record with valid records after it means the file was damaged after
-    the fact and raises :class:`TraceCorruption`.
-    """
-    target = Path(path)
-    raw_lines = target.read_text(encoding="utf-8").split("\n")
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
+def _read_verified(target: Path) -> tuple[list[TraceRecord], int, int]:
+    """A trace file's verified records, their length in bytes, and the
+    file's length (see :func:`read_trace`)."""
+    data = target.read_bytes()
+    # Whatever follows the last newline is a record that was never
+    # finished: empty on an intact trace.
+    *lines, fragment = data.split(b"\n")
     records: list[TraceRecord] = []
-    for index, line in enumerate(raw_lines):
+    verified = 0
+    for index, line in enumerate(lines):
         record = _parse_line(line)
         if record is None or record.seq != len(records):
-            if index == len(raw_lines) - 1:
+            if index == len(lines) - 1 and not fragment:
                 break  # torn tail: the event never durably happened
             raise TraceCorruption(
                 f"{target}: record {index} failed verification with valid "
                 "records after it — trace damaged, not torn"
             )
         records.append(record)
-    return records
+        verified += len(line) + 1
+    return records, verified, len(data)
+
+
+def read_trace(path: str | Path) -> list[TraceRecord]:
+    """Replay a trace file, dropping a torn tail.
+
+    Journal recovery semantics: an unverifiable or unterminated *final*
+    line is the residue of a killed writer and is silently dropped; an
+    unverifiable record with valid records after it means the file was
+    damaged after the fact and raises :class:`TraceCorruption`.
+    """
+    return _read_verified(Path(path))[0]
 
 
 class Span:
@@ -170,10 +173,9 @@ class Tracer:
     """Single-writer tracer for one run directory.
 
     Exactly one process writes a given trace file at a time (the
-    runner, mirroring the journal's single-writer rule); worker
-    processes report through heartbeats instead. Appends flush per
-    record but do not fsync — a trace is telemetry, not a durability
-    artifact, and its recovery path tolerates any torn tail.
+    runner, mirroring the journal's single-writer rule). Appends flush
+    per record but do not fsync — a trace is telemetry, not a
+    durability artifact, and its recovery path tolerates any torn tail.
     """
 
     def __init__(self, path: str | Path, run_id: str, *, next_seq: int = 0) -> None:
@@ -200,7 +202,7 @@ class Tracer:
             tracer._append("trace-start", {"format": TRACE_FORMAT})
             return tracer
         try:
-            records = read_trace(target)
+            records, verified, size = _read_verified(target)
         except TraceCorruption:
             records = None
         if records is None or (records and records[0].run_id != run_id):
@@ -208,7 +210,8 @@ class Tracer:
             tracer = cls(target, run_id)
             tracer._append("trace-start", {"format": TRACE_FORMAT})
             return tracer
-        _truncate_to_verified(target, len(records))
+        if verified < size:
+            truncate_file(target, verified)
         tracer = cls(target, run_id, next_seq=len(records))
         if not records:
             tracer._append("trace-start", {"format": TRACE_FORMAT})
@@ -231,7 +234,7 @@ class Tracer:
         )
         body = record.body()
         document = dict(body)
-        document["checksum"] = _record_checksum(body)
+        document["checksum"] = content_digest(body)
         if record.telemetry:
             document["telemetry"] = record.telemetry
         line = json.dumps(document, sort_keys=True) + "\n"
@@ -325,15 +328,6 @@ class _SpanContext:
 # -- recovery helpers --------------------------------------------------------
 
 
-def _truncate_to_verified(path: Path, verified: int) -> None:
-    """Rewrite the file to exactly its ``verified`` leading records."""
-    raw_lines = path.read_text(encoding="utf-8").split("\n")
-    kept = raw_lines[:verified]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("".join(line + "\n" for line in kept))
-        handle.flush()
-
-
 def _quarantine(path: Path) -> Path:
     """Move an unreadable trace aside (first free ``.corrupt-N`` name)."""
     for attempt in range(1000):
@@ -372,5 +366,4 @@ def canonical_events(records: list[TraceRecord]) -> Iterator[dict[str, Any]]:
 
 def trace_content_digest(records: list[TraceRecord]) -> str:
     """SHA-256 over the canonical span view (content fields only)."""
-    canonical = _canonical_json(canonical_spans(records))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_digest(canonical_spans(records))

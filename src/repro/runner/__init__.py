@@ -1,17 +1,12 @@
-"""The execution plane: supervised runs, journaling, and crash safety.
+"""The execution plane: journaled runs and crash safety.
 
 The detection methodology at production scale is a long-lived,
-multi-stage job over years of zone snapshots. This package supervises
-it:
+multi-stage job over years of zone snapshots. This package runs it in
+one process and makes every boundary it crosses durable:
 
 * :mod:`repro.runner.journal` — :class:`~repro.runner.journal.RunJournal`,
   an append-only, per-record-checksummed JSONL log of every boundary a
   run durably completed, tolerant of torn tail writes;
-* :mod:`repro.runner.supervisor` —
-  :class:`~repro.runner.supervisor.RunSupervisor`, which executes shard
-  tasks across a pool of worker processes with heartbeats, hang
-  detection, and retry-with-exponential-backoff on crash (the engine
-  behind ``riskybiz lint --jobs``);
 * :mod:`repro.runner.execution` — the journaled detection run behind
   ``riskybiz detect --run-dir`` and ``riskybiz advance``: a detection
   engine folds the dataset (all at once, then day batch by day batch)
@@ -32,14 +27,9 @@ from repro.runner.journal import (
     JournalRecord,
     RunJournal,
 )
-from repro.runner.supervisor import (
-    RunFailed,
-    RunSupervisor,
-    ShardOutcome,
-    SupervisorPolicy,
-)
 from repro.runner.execution import (
     IncrementalRunResult,
+    RunFailed,
     compute_run_id,
     result_fingerprint,
     run_incremental_detection,
@@ -53,9 +43,6 @@ __all__ = [
     "JournalRecord",
     "RunFailed",
     "RunJournal",
-    "RunSupervisor",
-    "ShardOutcome",
-    "SupervisorPolicy",
     "compute_run_id",
     "result_fingerprint",
     "run_incremental_detection",

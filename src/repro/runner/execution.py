@@ -61,7 +61,6 @@ from repro.obs import profiling
 from repro.obs import runtime as obs
 from repro.obs.tracer import Tracer
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import RunFailed
 from repro.store.atomic import (
     atomic_write_bytes,
     content_digest,
@@ -92,6 +91,11 @@ ENGINE_CHECKPOINT_NAME = "engine-state.json"
 #: pickled engine checkpoint and result. Nothing reads them; opening a
 #: run deletes them.
 STALE_NAMES = (f"{CHECKPOINT_DIR_NAME}/engine-state.pkl", "result.pkl")
+
+
+class RunFailed(Exception):
+    """A run could not proceed: a refused run directory or resume, or a
+    finished run whose recomputed result disagrees with its journal."""
 
 
 def compute_run_id(fingerprint: dict[str, Any]) -> str:
@@ -194,8 +198,8 @@ def _open_run(
     once as the ``run-config`` record. A fresh run needs a directory without a
     journal; a resume needs ``resume`` to name the journal's run ID and
     the inputs to fingerprint to it — anything else raises
-    :class:`~repro.runner.supervisor.RunFailed`. Tracing and profiling
-    stay installed for the body of the ``with`` block.
+    :class:`RunFailed`. Tracing and profiling stay installed for the
+    body of the ``with`` block.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -386,9 +390,9 @@ def run_incremental_detection(
     past its watermark are folded, at once, against ``zonedb`` as of
     the newest of them — a run that is already current folds nothing,
     recomputes its result from the checkpoint and raises
-    :class:`~repro.runner.supervisor.RunFailed` unless it has the
-    journaled digest. A dataset whose delta stream rewrites earlier days
-    is instead replayed up to the watermark and folded day by day (see
+    :class:`RunFailed` unless it has the journaled digest. A dataset
+    whose delta stream rewrites earlier days is instead replayed up to
+    the watermark and folded day by day (see
     :meth:`~repro.detection.incremental.IncrementalDetectionEngine.advance_from`).
     ``until`` caps the horizon without entering the run fingerprint, so
     one standing run can advance day by day. Each invocation writes one

@@ -12,9 +12,12 @@ Appends are durable (write → flush → fsync) and every record carries a
 SHA-256 over its own canonical body, so on reopen the journal can tell
 exactly which events survived a crash:
 
-* a *torn tail* — a final line cut short by a killed writer, or a
-  final record whose checksum does not verify — is dropped: the event
-  it described never durably happened, so the work is simply redone;
+* a *torn tail* — a final line cut short by a killed writer (one
+  without its newline), or a final record whose checksum does not
+  verify — is dropped: the event it described never durably happened,
+  so the work is simply redone. The file is cut in place to its
+  verified records (:func:`~repro.store.atomic.truncate_file`), which
+  are never rewritten;
 * corruption anywhere *before* the tail (a bad record followed by good
   ones) means the file was damaged after the fact and raises
   :class:`JournalCorruption` — resuming from a lying journal would
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.store.atomic import content_digest, fsync_directory
+from repro.store.atomic import content_digest, fsync_directory, truncate_file
 
 #: Format tag recorded by the run-start event.
 JOURNAL_FORMAT = "riskybiz-journal/1"
@@ -62,11 +65,11 @@ class JournalRecord:
         }
 
 
-def _parse_line(line: str) -> JournalRecord | None:
+def _parse_line(line: bytes) -> JournalRecord | None:
     """The verified record on ``line``, or ``None`` if it fails."""
     try:
-        document = json.loads(line)
-    except json.JSONDecodeError:
+        document = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not isinstance(document, dict):
         return None
@@ -126,45 +129,32 @@ class RunJournal:
 
     @classmethod
     def open(cls, path: str | Path) -> "RunJournal":
-        """Replay an existing journal, recovering from a torn tail."""
+        """Replay an existing journal, cutting off a torn tail."""
         target = Path(path)
-        raw_lines = target.read_text(encoding="utf-8").split("\n")
-        if raw_lines and raw_lines[-1] == "":
-            raw_lines.pop()
+        data = target.read_bytes()
+        # Whatever follows the last newline is an append that never
+        # finished: empty on an intact journal.
+        *lines, fragment = data.split(b"\n")
         records: list[JournalRecord] = []
-        dropped_tail = False
-        for index, line in enumerate(raw_lines):
+        verified = 0  # bytes taken by the verified records
+        for index, line in enumerate(lines):
             record = _parse_line(line)
             if record is None or record.seq != len(records):
-                if index == len(raw_lines) - 1:
-                    dropped_tail = True
-                    break
+                if index == len(lines) - 1 and not fragment:
+                    break  # the final record is the torn tail
                 raise JournalCorruption(
                     f"{target}: record {index} failed verification with "
                     "valid records after it — journal damaged, not torn"
                 )
             records.append(record)
+            verified += len(line) + 1
         if not records:
             raise JournalCorruption(f"{target}: no verifiable records")
         if records[0].type != "run-start":
             raise JournalCorruption(f"{target}: first record is not run-start")
-        journal = cls(target, records[0].run_id, records)
-        if dropped_tail:
-            journal._truncate_to_verified(raw_lines)
-        return journal
-
-    def _truncate_to_verified(self, raw_lines: list[str]) -> None:
-        """Rewrite the file to contain exactly the verified records.
-
-        Only the torn tail is dropped; every verified line is kept
-        byte-for-byte. The rewrite itself is crash-safe because a
-        re-crash mid-truncate just leaves another torn tail.
-        """
-        verified = raw_lines[: len(self.records)]
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in verified))
-            handle.flush()
-            os.fsync(handle.fileno())
+        if verified < len(data):
+            truncate_file(target, verified)
+        return cls(target, records[0].run_id, records)
 
     # -- appends -------------------------------------------------------------
 
@@ -228,3 +218,20 @@ class RunJournal:
             if record.type == "day-advanced":
                 return record
         return None
+
+
+def journal_run_id(path: str | Path) -> str:
+    """The run ID of the journal at ``path``, from its first record.
+
+    Reads and verifies only the ``run-start`` line, so a caller that
+    needs the ID before the runner opens the journal does not replay
+    the whole file twice. A journal whose first line is not a verified
+    ``run-start`` is opened in full instead, which raises the
+    :class:`JournalCorruption` :meth:`RunJournal.open` gives.
+    """
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    record = _parse_line(first[:-1]) if first.endswith(b"\n") else None
+    if record is None or record.seq != 0 or record.type != "run-start":
+        return RunJournal.open(path).run_id
+    return record.run_id

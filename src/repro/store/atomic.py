@@ -20,6 +20,10 @@ corruption (or a torn write that somehow survived) is *detected* on
 load, not consumed. :func:`load_checked_json` quarantines a corrupt
 manifest by renaming it aside, leaving the caller free to recompute.
 
+Append-only logs (the run journal, a run's trace) cannot temp-rename;
+:func:`truncate_file` is their recovery step, cutting a torn tail off
+in place.
+
 Lint rule ``DET008`` statically enforces that storage-layer code routes
 its writes through here.
 """
@@ -80,6 +84,22 @@ def fsync_directory(directory: Path) -> None:
         os.fsync(fd)
     except OSError:  # pragma: no cover - fsync on dirs can be unsupported
         pass
+    finally:
+        os.close(fd)
+
+
+def truncate_file(path: str | Path, length: int) -> None:
+    """Durably cut ``path`` to its first ``length`` bytes, in place.
+
+    How an append-only log drops a torn tail: the bytes it keeps are
+    never rewritten, so a process killed at any point leaves either the
+    whole file or the cut one, and reopening recovers the same records
+    from both.
+    """
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        os.ftruncate(fd, length)
+        os.fsync(fd)
     finally:
         os.close(fd)
 

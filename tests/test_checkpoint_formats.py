@@ -35,10 +35,10 @@ from repro.runner.execution import (
     ENGINE_CHECKPOINT_NAME,
     JOURNAL_NAME,
     RESULT_MANIFEST_NAME,
+    RunFailed,
     run_incremental_detection,
 )
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import RunFailed
 from repro.store.atomic import QUARANTINE_SUFFIX, verify_checked_json
 from repro.store.dataset import DeltaView
 from repro.store.verify import CORRUPT, QUARANTINED, verify_run_dir

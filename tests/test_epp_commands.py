@@ -52,23 +52,6 @@ class TestSessionIdentity:
         assert result.code is ResultCode.AUTHORIZATION_ERROR
 
 
-class TestTranscript:
-    def test_transcript_records_everything(self, session):
-        session.domain_create("foo.com", day=0)
-        session.domain_delete("ghost.com", day=1)
-        assert [e.command for e in session.transcript] == [
-            "domain:create", "domain:delete",
-        ]
-        assert [e.day for e in session.transcript] == [0, 1]
-
-    def test_failures_filter(self, session):
-        session.domain_create("foo.com", day=0)
-        session.domain_delete("ghost.com", day=1)
-        failures = session.failures()
-        assert len(failures) == 1
-        assert failures[0].command == "domain:delete"
-
-
 class TestHostCommands:
     def test_rename_flow(self, session):
         session.domain_create("foo.com", day=0)

@@ -153,9 +153,11 @@ class TestHostileInputs:
         result = session.domain_update_ns("ok.com", day=1, add=["bad..name"])
         assert not result.ok
 
-    def test_transcript_survives_failures(self, registry):
+    def test_session_keeps_working_after_a_failed_command(self, registry):
         session = registry.session("regA")
-        session.domain_create("..", day=0)
-        session.domain_create("ok.com", day=0)
-        assert len(session.transcript) == 2
-        assert len(session.failures()) == 1
+        failed = session.domain_create("..", day=0)
+        created = session.domain_create("ok.com", day=0)
+        assert not failed.ok
+        assert failed.code is ResultCode.PARAMETER_VALUE_POLICY_ERROR
+        assert created.ok
+        assert session.domain_info("ok.com").data.sponsor == "regA"

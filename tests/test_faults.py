@@ -2,7 +2,8 @@
 
 Covers the FaultConfig/RetryPolicy value types (including the scenario
 JSON round-trip), the three injectors, the resolver's retry/timeout
-semantics against flaky servers, and gap-bridging ingestion.
+semantics against flaky servers, gap-bridging ingestion, and the
+execution-plane ChaosMonkey's seeded kill streams.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.faults import (
     WhoisFaultInjector,
 )
 from repro.faults.config import fault_config_from_dict, fault_config_to_dict
+from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
 from repro.resolver.resolver import IterativeResolver, ResolutionStatus
 from repro.resolver.server import (
     AnsweringBehavior,
@@ -464,3 +466,78 @@ class TestIngestGapBridging:
             db.ingest_snapshot(
                 self._snapshot(0, {"a.biz": ["ns1..host.com"]})
             )
+
+
+class TestChaosMonkey:
+    def test_disabled_config_never_kills(self):
+        monkey = ChaosMonkey(ProcessChaosConfig())
+        for _ in range(100):
+            monkey.worker_boundary("x")
+            monkey.supervisor_boundary("x")
+            assert monkey.torn_write(b"0123456789") is None
+        assert monkey.kills == 0
+
+    def test_rate_one_kills_at_first_boundary(self):
+        monkey = ChaosMonkey(ProcessChaosConfig(kill_worker_rate=1.0))
+        with pytest.raises(ChaosKill):
+            monkey.worker_boundary("shard-0:candidates")
+        assert monkey.kill_sites == [("worker", "shard-0:candidates")]
+
+    def test_budget_caps_total_kills(self):
+        monkey = ChaosMonkey(
+            ProcessChaosConfig(kill_worker_rate=1.0, max_kills=2)
+        )
+        killed = 0
+        for _ in range(10):
+            try:
+                monkey.worker_boundary("boundary")
+            except ChaosKill:
+                killed += 1
+        assert killed == 2
+        assert monkey.kills == 2
+
+    def test_torn_write_cut_is_strictly_inside(self):
+        monkey = ChaosMonkey(ProcessChaosConfig(torn_write_rate=1.0))
+        data = b"0123456789" * 5
+        cut = monkey.torn_write(data)
+        assert cut is not None
+        assert 0 < cut < len(data)
+
+    def test_streams_are_independent(self):
+        """Worker kills draw from their own stream: torn decisions repeat."""
+        config = ProcessChaosConfig(
+            seed=5, kill_worker_rate=0.5, torn_write_rate=0.5
+        )
+        solo = ChaosMonkey(
+            ProcessChaosConfig(seed=5, torn_write_rate=0.5)
+        )
+        mixed = ChaosMonkey(config)
+        torn_solo = []
+        torn_mixed = []
+        for _ in range(50):
+            torn_solo.append(solo.torn_write(b"0123456789"))
+            try:
+                mixed.worker_boundary("x")
+            except ChaosKill:
+                pass
+            torn_mixed.append(mixed.torn_write(b"0123456789"))
+        assert torn_solo == torn_mixed
+
+    def test_deterministic_for_a_seed(self):
+        def sites(seed: int) -> list[tuple[str, str]]:
+            monkey = ChaosMonkey(
+                ProcessChaosConfig(
+                    seed=seed, kill_worker_rate=0.3, kill_supervisor_rate=0.3,
+                    max_kills=5,
+                )
+            )
+            for step in range(40):
+                try:
+                    monkey.worker_boundary(f"w{step}")
+                    monkey.supervisor_boundary(f"s{step}")
+                except ChaosKill:
+                    pass
+            return monkey.kill_sites
+
+        assert sites(9) == sites(9)
+        assert sites(9) != sites(10)

@@ -34,11 +34,11 @@ from repro.runner.execution import (
     CHECKPOINT_DIR_NAME,
     ENGINE_CHECKPOINT_NAME,
     JOURNAL_NAME,
+    RunFailed,
     result_digest,
     run_incremental_detection,
 )
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import RunFailed
 from repro.store.dataset import DeltaView, open_dataset, write_dataset
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
@@ -485,6 +485,59 @@ class TestDailyCadence:
         assert len(scans) == 1 and scans[0] is not None
         assert ("deltas_since", watermark, until) in windows
         assert all(day is not None and day >= watermark for _m, day, _u in windows)
+
+    def test_resumed_advance_opens_its_journal_once(
+        self, inputs, tmp_path, monkeypatch, capsys
+    ):
+        days = inputs[2]
+        run_dir = tmp_path / "run"
+        assert self._advance(inputs, run_dir, days[len(days) // 2]) == 0
+        opened: list[object] = []
+        replay = RunJournal.open.__func__
+
+        def spy(cls, path):
+            opened.append(path)
+            return replay(cls, path)
+
+        monkeypatch.setattr(RunJournal, "open", classmethod(spy))
+        assert self._advance(inputs, run_dir, days[len(days) // 2 + 1]) == 0
+        assert "advanced 1 day(s)" in capsys.readouterr().err
+        assert opened == [run_dir / JOURNAL_NAME]
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: b"", "no verifiable records"),
+            (lambda data: b"x" + data, "record 0 failed verification"),
+            (
+                lambda data: data.replace(b'"run-config"', b'"run-sneaky"'),
+                "record 1 failed verification",
+            ),
+        ],
+        ids=["empty", "damaged-run-start", "damaged-later-record"],
+    )
+    def test_damaged_journal_is_refused_by_name(
+        self, inputs, tmp_path, capsys, damage, message
+    ):
+        days = inputs[2]
+        run_dir = tmp_path / "run"
+        assert self._advance(inputs, run_dir, days[len(days) // 2]) == 0
+        journal = run_dir / JOURNAL_NAME
+        journal.write_bytes(damage(journal.read_bytes()))
+        capsys.readouterr()
+        assert self._advance(inputs, run_dir, days[len(days) // 2 + 1]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_foreign_inputs_are_refused(self, inputs, tmp_path, capsys):
+        path, whois, days = inputs
+        run_dir = tmp_path / "run"
+        assert self._advance(inputs, run_dir, days[len(days) // 2]) == 0
+        capsys.readouterr()
+        assert main([
+            "advance", "--dataset", str(path), "--whois", str(whois),
+            "--run-dir", str(run_dir),
+        ]) == 1
+        assert "run inputs changed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "plant, message",

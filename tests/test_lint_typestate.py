@@ -221,16 +221,6 @@ class TestRunnerIntegration:
         assert [d.rule_id for d in result.by_rule("DET016")] == ["DET016"]
         assert [d.rule_id for d in result.by_rule("DET014")] == ["DET014"]
 
-    def test_parallel_matches_inline(self, tmp_path: Path) -> None:
-        self._violating_tree(tmp_path)
-        config = LintConfig(root=tmp_path)
-        inline = run_lint([tmp_path / "src"], config=config)
-        parallel = run_lint([tmp_path / "src"], config=config, jobs=3)
-        assert [d.to_dict() for d in inline.diagnostics] == [
-            d.to_dict() for d in parallel.diagnostics
-        ]
-        assert inline.files_scanned == parallel.files_scanned
-
     def test_select_can_skip_the_typestate_engine(self, tmp_path: Path) -> None:
         self._violating_tree(tmp_path)
         result = run_lint(

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
+from repro.faults.process import ChaosKill
 from repro.obs import runtime as obs
 from repro.obs.schema import validate_trace_file, validate_trace_records
 from repro.obs.tracer import (
@@ -17,6 +19,7 @@ from repro.obs.tracer import (
     span_id_for,
     trace_content_digest,
 )
+from tests.test_run_journal import kill_at_operation
 
 RUN = "run-feedbeef0123"
 
@@ -149,6 +152,29 @@ class TestRecovery:
         # Sequence numbers stay dense through the recovery.
         assert [r.seq for r in records] == list(range(len(records)))
         assert validate_trace_file(path) == []
+
+    def test_kill_at_each_recovery_operation(self, tmp_path, monkeypatch):
+        """Recovery cuts the torn tail off in place: a kill at any of
+        its file operations loses no verified record."""
+        path = tmp_path / "trace.jsonl"
+        self._write_some(path)
+        verified = path.read_bytes()
+        torn = verified + b'{"checksum": "dead", "seq": 3, "trunc'
+        whole = read_trace(path)
+        operations: list[str] = []
+        for target in itertools.count():
+            path.write_bytes(torn)
+            with kill_at_operation(monkeypatch, target) as reached:
+                try:
+                    Tracer.open_or_create(path, RUN).close()
+                except ChaosKill:
+                    pass
+            assert read_trace(path) == whole
+            if len(reached) <= target:  # recovery finished unkilled
+                break
+            operations = reached
+        assert path.read_bytes() == verified
+        assert "truncate" in operations
 
     def test_mid_file_damage_quarantined_on_reopen(self, tmp_path):
         path = tmp_path / "trace.jsonl"

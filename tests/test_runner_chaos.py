@@ -17,9 +17,8 @@ import pytest
 from repro.detection.pipeline import DetectionPipeline
 from repro.faults.process import ChaosKill
 from repro.runner.chaos_harness import BACKENDS, run_kill_resume_trial
-from repro.runner.execution import run_incremental_detection
+from repro.runner.execution import RunFailed, run_incremental_detection
 from repro.runner.journal import RunJournal
-from repro.runner.supervisor import RunFailed
 from repro.store.atomic import file_sha256
 from repro.store.dataset import load_manifest
 from repro.store.verify import verify_run_dir
