@@ -29,10 +29,10 @@ actually run:
     observations.
 
 ``riskybiz lint``
-    Run the four static-analysis engines: per-file determinism rules
+    Run the three static-analysis engines: per-file determinism rules
     over the Python tree, RFC 5731/5732 referential-integrity rules over
-    scenario/world JSON, the whole-program flow pass, and the typestate
-    protocol checks. Exits non-zero on any non-baselined error.
+    scenario/world JSON, and the typestate protocol checks. Exits
+    non-zero on any non-baselined error.
 
 ``riskybiz verify-data``
     Recompute every recorded SHA-256 over a dataset and/or run
@@ -57,7 +57,6 @@ actually run:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -537,46 +536,10 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the static-analysis gate (code + scenario + project engines)."""
+    """Run the static-analysis gate (code, scenario, typestate engines)."""
     from repro.lint.baseline import Baseline
     from repro.lint.reporters import render_json, render_text
     from repro.lint.runner import run_lint
-
-    if args.graph == "json":
-        from repro.lint.callgraph import CallGraph
-        from repro.lint.config import load_config
-        from repro.lint.project import ProjectGraph
-
-        config = load_config(args.root)
-        call_graph = CallGraph.build(ProjectGraph.build(config))
-        print(json.dumps(call_graph.to_dict(), indent=2, sort_keys=True))
-        return 0
-
-    if args.graph == "cfg":
-        import ast as _ast
-        from pathlib import Path as _Path
-
-        from repro.lint.cfg import function_cfgs
-        from repro.lint.config import load_config
-        from repro.lint.runner import _iter_lintable, _relativize
-
-        config = load_config(args.root)
-        dump: dict[str, dict[str, object]] = {}
-        for file_path in _iter_lintable(
-            [_Path(p) for p in args.paths], config
-        ):
-            if file_path.suffix != ".py":
-                continue
-            rel = _relativize(file_path, config.root)
-            try:
-                tree = _ast.parse(file_path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError, SyntaxError):
-                continue
-            graphs = {g.name: g.to_dict() for g in function_cfgs(tree)}
-            if graphs:
-                dump[rel] = graphs
-        print(json.dumps(dump, indent=2, sort_keys=True))
-        return 0
 
     if args.fix or args.fix_diff:
         from repro.lint.fixes import apply_fixes, plan_fixes
@@ -872,12 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--prune-baseline", action="store_true",
         help="drop baseline entries flagged stale by DET012",
-    )
-    lint.add_argument(
-        "--graph", choices=("json", "cfg"),
-        help="dump a graph instead of linting: 'json' is the project "
-             "import/call graph, 'cfg' the per-function control-flow "
-             "graphs (with exception edges) of the target files",
     )
     lint.set_defaults(func=cmd_lint)
 

@@ -120,8 +120,7 @@ def commit_watermark(state: dict[str, Any], stage: str, day: int) -> None:
     Watermarks are the durability contract of the incremental plane: a
     consumer that has committed day N promises its standing state folds
     every batch through N. They never move backwards, and every update
-    must come through here (lint rule ``DET013`` flags state mutations
-    that bypass this path).
+    must come through here.
     """
     current = state["watermarks"].get(stage)
     if current is not None and day < current:

@@ -1,35 +1,32 @@
-"""``repro.lint``: four-engine static analysis for the reproduction.
+"""``repro.lint``: three-engine static analysis for the reproduction.
 
 Engine 1 (:mod:`repro.lint.code_engine`) enforces determinism
 discipline on the Python tree — seeded named RNG streams, simtime-only
 clocks, order-stable iteration. Engine 2
 (:mod:`repro.lint.scenario_engine`) verifies EPP referential integrity
 (RFC 5731/5732) in scenario and world JSON before anything runs.
-Engine 3 (:mod:`repro.lint.flow`) is whole-program: it builds an
-import/symbol graph (:mod:`repro.lint.project`) and a conservative
-call graph (:mod:`repro.lint.callgraph`) over the configured project
-roots and runs the interprocedural digest-taint and watermark rules
-across module boundaries. Engine 4 (:mod:`repro.lint.typestate`) is
-path-sensitive: it builds per-function control-flow graphs with
-exception and ``finally`` edges (:mod:`repro.lint.cfg`) and runs a
-worklist fixpoint over the declarative protocol automata in
-:mod:`repro.lint.protocols` — span/tracer lifecycles, journal
-discipline, and the temp→fsync→rename atomic-write order. All engines
-share one diagnostic model, rule registry, pyproject config, and
-baseline-suppression file, and run in one process; ``riskybiz lint``
-is the CLI front end and :mod:`repro.lint.fixes` supplies the
-``--fix`` rewrite engine.
+Engine 3 (:mod:`repro.lint.typestate`) is path-sensitive: it builds
+per-function control-flow graphs with exception and ``finally`` edges
+(:mod:`repro.lint.cfg`) and runs a worklist fixpoint over the
+declarative protocol automata in :mod:`repro.lint.protocols` —
+span/tracer lifecycles and the temp→fsync→rename atomic-write order.
+All engines share one diagnostic model, rule registry, pyproject
+config, and baseline-suppression file (whose stale entries
+:mod:`repro.lint.baseline` reports as DET012), and run in one process;
+``riskybiz lint`` is the CLI front end and :mod:`repro.lint.fixes`
+supplies the ``--fix`` rewrite engine.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.callgraph import CallGraph
+from repro.lint.baseline import (
+    Baseline,
+    BaselineEntry,
+    stale_baseline_diagnostics,
+)
 from repro.lint.cfg import CFG, CFGNode, build_cfg, function_cfgs
 from repro.lint.code_engine import CodeContext, FixCandidate, lint_code_source
 from repro.lint.config import LintConfig, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.fixes import FileFix, apply_fixes, fix_source, plan_fixes
-from repro.lint.flow import run_project_analysis, stale_baseline_diagnostics
-from repro.lint.project import ProjectGraph
 from repro.lint.registry import (
     RULES,
     Rule,
@@ -45,7 +42,7 @@ from repro.lint.typestate import (
     TypestateContext,
     lint_typestate_source,
 )
-from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014-016)
+from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014, DET016)
 from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import LintResult, run_lint
 from repro.lint.scenario_engine import (
@@ -60,14 +57,12 @@ __all__ = [
     "BaselineEntry",
     "CFG",
     "CFGNode",
-    "CallGraph",
     "CodeContext",
     "Diagnostic",
     "FileFix",
     "FixCandidate",
     "LintConfig",
     "LintResult",
-    "ProjectGraph",
     "ProtocolAutomaton",
     "RULES",
     "Rule",
@@ -92,7 +87,6 @@ __all__ = [
     "render_text",
     "rule",
     "run_lint",
-    "run_project_analysis",
     "scenario_checker",
     "stale_baseline_diagnostics",
     "typestate_checker",

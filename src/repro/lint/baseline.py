@@ -4,17 +4,27 @@ The baseline is a checked-in JSON file listing findings that are
 accepted rather than fixed. Entries match diagnostics by ``(rule,
 path, symbol)`` — not line numbers — so they survive unrelated edits.
 Every entry must carry a non-empty ``reason``; an unexplained
-suppression is itself an error, which keeps the file honest.
+suppression is itself an error, which keeps the file honest. An entry
+that no longer anchors to anything is itself a finding, DET012, so the
+file shrinks when code improves.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
+from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import make, rule
+
+rule(
+    "DET012", "stale-baseline", "baseline",
+    "baseline entry whose (path, symbol) no longer exists or fires",
+)
 
 #: Current baseline file format version.
 BASELINE_VERSION = 1
@@ -57,13 +67,6 @@ class Baseline:
     def suppresses(self, diagnostic: Diagnostic) -> bool:
         """True if ``diagnostic`` matches a baseline entry."""
         return diagnostic.fingerprint in self._index
-
-    def unused_entries(
-        self, diagnostics: Iterable[Diagnostic]
-    ) -> list[BaselineEntry]:
-        """Entries matching none of ``diagnostics`` (stale suppressions)."""
-        seen = {diag.fingerprint for diag in diagnostics}
-        return [e for e in self.entries if e.fingerprint not in seen]
 
     @classmethod
     def load(cls, path: Path) -> "Baseline":
@@ -136,3 +139,85 @@ class Baseline:
         for entry in other.entries:
             merged[entry.fingerprint] = entry
         return Baseline(entries=tuple(merged.values()))
+
+
+def _file_symbols(path: Path) -> set[str] | None:
+    """Every def/class qualname in ``path`` (None when unparseable)."""
+    try:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, SyntaxError):
+        return None
+    symbols: set[str] = {"<module>"}
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child,
+                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+            ):
+                qualname = f"{prefix}.{child.name}" if prefix else child.name
+                symbols.add(qualname)
+                walk(child, qualname)
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return symbols
+
+
+def stale_baseline_diagnostics(
+    baseline: Baseline,
+    all_diagnostics: Iterable[Diagnostic],
+    scanned_paths: set[str],
+    config: LintConfig,
+    evaluated_rules: Collection[str] | None = None,
+) -> tuple[list[Diagnostic], list[BaselineEntry]]:
+    """DET012: entries that no longer anchor to anything real.
+
+    An entry is stale when its path is gone, its symbol is no longer
+    defined in the file, or the file was scanned in this run and the
+    finding did not fire. Entries for files outside this run's scope
+    are left alone — ``riskybiz lint one_file.py`` must not condemn
+    the rest of the baseline. Likewise, "no longer fires" is only
+    meaningful for rules whose engine actually ran: with
+    ``evaluated_rules`` given, entries for unevaluated rules are never
+    condemned on that ground (``--select DET004`` skips the typestate
+    engine, which must not mark every live DET016 entry prunable).
+    Path- and symbol-existence staleness is engine-independent and is
+    still checked.
+    """
+    fired = {diag.fingerprint for diag in all_diagnostics}
+    diagnostics: list[Diagnostic] = []
+    stale: list[BaselineEntry] = []
+    symbol_cache: dict[str, set[str] | None] = {}
+    for entry in baseline.entries:
+        if entry.fingerprint in fired:
+            continue
+        reason: str | None = None
+        absolute = config.root / entry.path
+        if not absolute.exists():
+            reason = "the path no longer exists"
+        elif entry.path.endswith(".py") and entry.symbol not in ("", "<module>"):
+            if entry.path not in symbol_cache:
+                symbol_cache[entry.path] = _file_symbols(absolute)
+            symbols = symbol_cache[entry.path]
+            if symbols is not None and entry.symbol not in symbols:
+                reason = f"symbol {entry.symbol!r} is no longer defined there"
+        if (
+            reason is None
+            and entry.path in scanned_paths
+            and (evaluated_rules is None or entry.rule in evaluated_rules)
+        ):
+            reason = "the finding no longer fires"
+        if reason is None:
+            continue
+        stale.append(entry)
+        diagnostics.append(
+            make(
+                "DET012", entry.path, 0, 0,
+                f"stale baseline entry ({entry.rule}): {reason}; run "
+                "`riskybiz lint --prune-baseline` to drop it",
+                entry.symbol,
+            )
+        )
+    return diagnostics, stale

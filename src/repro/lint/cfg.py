@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 #: Edge kinds.
 NORMAL = "normal"
@@ -90,29 +90,6 @@ class CFG:
             for target, edge_kind in node.succs:
                 incoming[target].append((node.index, edge_kind))
         return incoming
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly dump for ``riskybiz lint --graph cfg``."""
-        return {
-            "function": self.name,
-            "entry": self.entry,
-            "exit": self.exit,
-            "raise_exit": self.raise_exit,
-            "nodes": [
-                {
-                    "index": node.index,
-                    "kind": node.kind,
-                    "label": node.label,
-                    "line": node.line,
-                }
-                for node in self.nodes
-            ],
-            "edges": sorted(
-                [node.index, target, edge_kind]
-                for node in self.nodes
-                for target, edge_kind in node.succs
-            ),
-        }
 
 
 @dataclass(frozen=True)

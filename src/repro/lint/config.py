@@ -57,44 +57,20 @@ class LintConfig:
         "src/repro/runner/journal.py",
     )
     #: Paths where raw duration-clock / tracemalloc reads are forbidden
-    #: outside the telemetry modules (DET009).
+    #: outside the telemetry modules (DET009), and where DET014 polices
+    #: span and tracer lifecycles.
     telemetry_paths: tuple[str, ...] = ("src/repro",)
     #: The modules (prefix match) allowed to read duration clocks and
     #: tracemalloc directly: the obs layer itself.
     telemetry_modules: tuple[str, ...] = ("src/repro/obs",)
-    #: Roots (relative to ``root``) the project graph is built from. The
-    #: interprocedural rules (DET011–DET013) see exactly these trees.
-    project_paths: tuple[str, ...] = ("src",)
-    #: Dotted project functions treated as digest/manifest sinks by
-    #: DET011, in addition to ``hashlib`` constructors.
-    digest_sinks: tuple[str, ...] = (
-        "repro.faults.rng.stable_hash",
-        "repro.store.atomic.write_checked_json",
-        "repro.store.atomic.content_digest",
-    )
-    #: The only functions (``module:qualname`` specs) allowed to write
-    #: the incremental engine's ``state["watermarks"]`` mapping (DET013).
-    watermark_commit_functions: tuple[str, ...] = (
-        "repro.detection.incremental:commit_watermark",
-    )
     #: Span-context factory names (bare or attribute calls) whose
     #: results DET014 tracks through enter/exit.
     span_factories: tuple[str, ...] = ("span",)
     #: Tracer class names: construction (or a classmethod constructor)
     #: starts a DET014 open/closed lifecycle.
     tracer_classes: tuple[str, ...] = ("Tracer",)
-    #: Journal class names for the DET015 open/closed lifecycle.
-    journal_classes: tuple[str, ...] = ("RunJournal",)
-    #: Method names that close a tracked handle (DET014/DET015).
+    #: Method names that close a tracked tracer (DET014).
     protocol_close_methods: tuple[str, ...] = ("close",)
-    #: Journal event names that rewrite resume history; appending them
-    #: outside the reconcile functions below is a DET015 finding.
-    journal_reconcile_events: tuple[str, ...] = ("engine-reset",)
-    #: The functions (``module:qualname`` specs) sanctioned to append
-    #: reconcile events: the resume/verify paths that own recovery.
-    journal_reconcile_functions: tuple[str, ...] = (
-        "repro.runner.execution:_restore_engine",
-    )
     #: Paths where DET016 polices manual temp-file dances. Wider than
     #: ``atomic_paths``: a hand-rolled temp write anywhere in the
     #: package must follow the full protocol or route through
@@ -175,15 +151,9 @@ def load_config(root: Path | str | None = None) -> LintConfig:
         ("atomic-write-modules", "atomic_write_modules"),
         ("telemetry-paths", "telemetry_paths"),
         ("telemetry-modules", "telemetry_modules"),
-        ("project-paths", "project_paths"),
-        ("digest-sinks", "digest_sinks"),
-        ("watermark-commit-functions", "watermark_commit_functions"),
         ("span-factories", "span_factories"),
         ("tracer-classes", "tracer_classes"),
-        ("journal-classes", "journal_classes"),
         ("protocol-close-methods", "protocol_close_methods"),
-        ("journal-reconcile-events", "journal_reconcile_events"),
-        ("journal-reconcile-functions", "journal_reconcile_functions"),
         ("atomic-protocol-paths", "atomic_protocol_paths"),
         ("atomic-temp-markers", "atomic_temp_markers"),
         ("protocol-fsync-functions", "protocol_fsync_functions"),

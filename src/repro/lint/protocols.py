@@ -1,19 +1,16 @@
-"""The typestate protocol rules: DET014–DET016.
+"""The typestate protocol rules: DET014 and DET016.
 
 Each class below is one declarative automaton over the machinery in
 :mod:`repro.lint.typestate` — states, ``(state, event)`` transitions
 (with the violating ones carrying messages), and exit obligations. The
 events themselves are purely syntactic AST matches, parameterised by
-``[tool.riskybiz.lint]`` so the sanctioned close/commit/rename
+``[tool.riskybiz.lint]`` so the sanctioned close/fsync/rename
 functions live in config, not code:
 
 * **DET014** — telemetry lifecycles: a span context entered by hand
   must reach ``__exit__`` on every path (exception paths included),
   and a closed :class:`~repro.obs.tracer.Tracer` must not record
   anything further.
-* **DET015** — journal discipline: a closed journal must not be used,
-  and the reconcile events (``engine-reset``) may only be appended from
-  the sanctioned reconcile functions.
 * **DET016** — the temp→fsync→``os.replace`` atomic-write protocol:
   renaming a dirty temp publishes a possibly-torn file; writing the
   temp (or the rename target) after the rename corrupts the published
@@ -24,11 +21,10 @@ functions live in config, not code:
 from __future__ import annotations
 
 import ast
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.lint.cfg import CFG, CFGNode
-from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import make, rule, typestate_checker
+from repro.lint.registry import rule, typestate_checker
 from repro.lint.typestate import (
     CREATE,
     Event,
@@ -47,10 +43,6 @@ from repro.lint.typestate import (
 rule(
     "DET014", "span-lifecycle", "typestate",
     "telemetry span/tracer lifecycle violated on some path",
-)
-rule(
-    "DET015", "journal-discipline", "typestate",
-    "journal used after close, or reconcile append outside the window",
 )
 rule(
     "DET016", "atomic-protocol", "typestate",
@@ -132,26 +124,27 @@ def _is_creation_node(node: CFGNode, obj: TrackedObject) -> bool:
     )
 
 
-class _HandleLifecycle(ProtocolAutomaton):
-    """Shared open→close→use-after-close automaton (tracer, journal)."""
+class _TracerLifecycle(ProtocolAutomaton):
+    """DET014, tracer half: nothing is recorded after ``close()``."""
 
+    rule_id = "DET014"
     initial = "open"
     cleanup_events = frozenset({"close"})
-    #: Subclasses fill in the use-after-close message.
-    use_after_close: str = ""
+    transitions = {
+        ("open", "close"): ("closed", None),
+        ("closed", "close"): ("closed", None),
+        ("closed", "use"): (
+            "closed",
+            "tracer method called after close(); spans and events "
+            "recorded here are silently lost",
+        ),
+    }
 
-    def __init__(self) -> None:
-        self.transitions: Mapping[tuple[str, str], tuple[str, str | None]] = {
-            ("open", "close"): ("closed", None),
-            ("closed", "close"): ("closed", None),
-            ("closed", "use"): ("closed", self.use_after_close),
-        }
-
-    def class_names(self, ctx: TypestateContext) -> tuple[str, ...]:
-        raise NotImplementedError
+    def applies_to(self, ctx: TypestateContext) -> bool:
+        return ctx.config.path_in(ctx.path, ctx.config.telemetry_paths)
 
     def collect(self, cfg: CFG, ctx: TypestateContext) -> list[TrackedObject]:
-        classes = self.class_names(ctx)
+        classes = ctx.config.tracer_classes
         return _creation_objects(
             cfg,
             ctx,
@@ -174,79 +167,6 @@ class _HandleLifecycle(ProtocolAutomaton):
             name = "close" if call.func.attr in close_methods else "use"
             events.append((name, call.lineno, call.col_offset))
         return events
-
-
-class _TracerLifecycle(_HandleLifecycle):
-    """DET014, tracer half: nothing is recorded after ``close()``."""
-
-    rule_id = "DET014"
-    use_after_close = (
-        "tracer method called after close(); spans and events recorded "
-        "here are silently lost"
-    )
-
-    def applies_to(self, ctx: TypestateContext) -> bool:
-        return ctx.config.path_in(ctx.path, ctx.config.telemetry_paths)
-
-    def class_names(self, ctx: TypestateContext) -> tuple[str, ...]:
-        return ctx.config.tracer_classes
-
-
-class _JournalLifecycle(_HandleLifecycle):
-    """DET015, lifecycle half: a closed journal records nothing."""
-
-    rule_id = "DET015"
-    use_after_close = (
-        "journal method called after close(); the append would never "
-        "reach the crash-safe log"
-    )
-
-    def applies_to(self, ctx: TypestateContext) -> bool:
-        return ctx.config.path_in(ctx.path, ctx.config.atomic_paths)
-
-    def class_names(self, ctx: TypestateContext) -> tuple[str, ...]:
-        return ctx.config.journal_classes
-
-    def scan(self, cfg: CFG, ctx: TypestateContext) -> list[Diagnostic]:
-        """Reconcile window: reset events only from sanctioned functions.
-
-        ``engine-reset`` journal records rewrite resume history;
-        appending them anywhere but the reconcile helpers forges a
-        recovery that never happened.
-        """
-        config = ctx.config
-        ident = ctx.function_ident(cfg.name)
-        if ident is not None and ident in config.journal_reconcile_functions:
-            return []
-        diagnostics: list[Diagnostic] = []
-        for node in cfg.nodes:
-            for call in scope_calls(node):
-                if (
-                    not isinstance(call.func, ast.Attribute)
-                    or call.func.attr != "append"
-                    or not call.args
-                ):
-                    continue
-                event = call.args[0]
-                if (
-                    isinstance(event, ast.Constant)
-                    and isinstance(event.value, str)
-                    and event.value in config.journal_reconcile_events
-                ):
-                    diagnostics.append(
-                        make(
-                            self.rule_id, ctx.path,
-                            call.lineno, call.col_offset,
-                            f"reconcile event {event.value!r} appended "
-                            "outside the sanctioned reconcile window ("
-                            + ", ".join(
-                                sorted(config.journal_reconcile_functions)
-                            )
-                            + ")",
-                            cfg.name,
-                        )
-                    )
-        return diagnostics
 
 
 class _SpanLifecycle(ProtocolAutomaton):
@@ -506,5 +426,4 @@ class _AtomicWriteProtocol(ProtocolAutomaton):
 #: Registration order fixes diagnostic order for same-position findings.
 typestate_checker(_SpanLifecycle())
 typestate_checker(_TracerLifecycle())
-typestate_checker(_JournalLifecycle())
 typestate_checker(_AtomicWriteProtocol())

@@ -1,8 +1,8 @@
-"""The rule registry: one catalogue, four engines.
+"""The rule registry: one catalogue for every engine.
 
-Every rule — code, scenario, project, or typestate — registers itself
-here with an id, a slug, the engine that runs it, and a one-line
-summary. The runner uses the catalogue to validate
+Every rule — code, scenario, typestate, or the runner's own baseline
+check — registers itself here with an id, a slug, the engine that runs
+it, and a one-line summary. The runner uses the catalogue to validate
 ``--select``/``--ignore`` arguments (and to skip engines whose every
 rule is deselected), the docs generator renders the rule table from
 it, and the engines use it to look up severities. Registering a new
@@ -36,7 +36,7 @@ class Rule:
 
     rule_id: str
     slug: str
-    engine: str  # "code" | "scenario" | "project" | "typestate"
+    engine: str  # "code" | "scenario" | "typestate" | "baseline"
     summary: str
     severity: Severity = Severity.ERROR
 
@@ -77,7 +77,7 @@ def rule(
     severity: Severity = Severity.ERROR,
 ) -> Rule:
     """Register one rule in the catalogue (idempotent per id)."""
-    if engine not in ("code", "scenario", "project", "typestate"):
+    if engine not in ("code", "scenario", "typestate", "baseline"):
         raise ValueError(f"unknown lint engine {engine!r}")
     entry = Rule(rule_id, slug, engine, summary, severity)
     existing = RULES.get(rule_id)

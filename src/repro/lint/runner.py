@@ -3,15 +3,13 @@
 ``run_lint`` is the single entry point behind both the ``riskybiz
 lint`` subcommand and the test suite. It runs in one process: Python
 files go through the code engine and the typestate protocol engine,
-JSON files through the scenario engine, and — when the lint targets
-cover the configured project roots — the whole-program flow pass
-(DET011/DET013) runs once over the project graph. Engines whose every
-rule is deselected are skipped entirely. Findings are filtered by
+JSON files through the scenario engine. Engines whose every rule is
+deselected are skipped entirely. Baseline entries that no longer
+anchor to anything become DET012 findings. Findings are filtered by
 ``select``/``ignore``, split into new vs. baselined, and sorted before
 reporting; the exit code is 1 exactly when a non-baselined ERROR
-remains. Wall time per file, for the project pass and per run lands in
-the ``lint.file`` / ``lint.project`` / ``lint.run`` histograms of the
-process-global metrics registry.
+remains. Wall time per file and per run lands in the ``lint.file`` /
+``lint.run`` histograms of the process-global metrics registry.
 """
 
 from __future__ import annotations
@@ -20,8 +18,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014-016)
-from repro.lint.baseline import Baseline, BaselineEntry
+from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014, DET016)
+from repro.lint.baseline import (
+    Baseline,
+    BaselineEntry,
+    stale_baseline_diagnostics,
+)
 from repro.lint.code_engine import lint_code_file
 from repro.lint.config import LintConfig, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
@@ -30,7 +32,7 @@ from repro.lint.scenario_engine import lint_scenario_file
 from repro.lint.typestate import lint_typestate_file
 from repro.obs import runtime
 
-#: The engines dispatched per file (the project pass runs once).
+#: The engines dispatched per file.
 _PER_FILE_ENGINES = ("code", "scenario", "typestate")
 
 
@@ -42,8 +44,6 @@ class LintResult:
     baselined: list[Diagnostic] = field(default_factory=list)
     stale_baseline_entries: list[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
-    #: True when the interprocedural pass (DET011/DET013) ran.
-    project_analyzed: bool = False
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -113,32 +113,6 @@ def _lint_one(
     return diagnostics
 
 
-def _covers_project_roots(
-    targets: list[Path], config: LintConfig
-) -> bool:
-    """Do the lint targets contain every configured project root?
-
-    The interprocedural rules reason about reachability across the
-    whole program; running them while linting a single file would
-    re-derive whole-project findings on every narrow invocation, so
-    they activate only when the target set covers the project roots
-    (e.g. ``riskybiz lint src tests`` with ``project-paths = ["src"]``).
-    """
-    resolved_targets = [t.resolve() for t in targets]
-    for project_path in config.project_paths:
-        base = (config.root / project_path).resolve()
-        if not base.is_dir():
-            continue
-        covered = False
-        for target in resolved_targets:
-            if target == base or target in base.parents:
-                covered = True
-                break
-        if not covered:
-            return False
-    return True
-
-
 # -- the runner --------------------------------------------------------------
 
 
@@ -151,15 +125,11 @@ def run_lint(
     use_baseline: bool = True,
     select: Iterable[str] = (),
     ignore: Iterable[str] = (),
-    project_analysis: bool | None = None,
 ) -> LintResult:
     """Lint ``paths`` and return the partitioned findings.
 
     ``select``/``ignore`` extend (not replace) the pyproject config;
     passing ``use_baseline=False`` reports every finding as new.
-    ``project_analysis`` forces the interprocedural pass on or off;
-    the default (None) enables it when the targets cover the project
-    roots.
     """
     cfg = config or load_config(root)
     extra_select = tuple(select)
@@ -207,24 +177,6 @@ def run_lint(
         for file_path, rel in files:
             raw_diagnostics.extend(_lint_one(file_path, rel, cfg, engines))
 
-        from repro.lint.flow import (
-            PROJECT_PASS_RULES,
-            run_project_analysis,
-            stale_baseline_diagnostics,
-        )
-
-        run_project = (
-            project_analysis
-            if project_analysis is not None
-            else any(enabled(rule_id) for rule_id in PROJECT_PASS_RULES)
-            and _covers_project_roots(targets, cfg)
-        )
-        if run_project:
-            with runtime.timed("lint.project"):
-                project_diags, _, _ = run_project_analysis(cfg)
-            raw_diagnostics.extend(project_diags)
-            result.project_analyzed = True
-
         if use_baseline and baseline.entries:
             # A skipped engine evaluated nothing: its rules' baseline
             # entries must not be condemned as "no longer fires".
@@ -232,7 +184,6 @@ def run_lint(
                 rule_id
                 for rule_id, entry in RULES.items()
                 if entry.engine in engines
-                or (entry.engine == "project" and run_project)
             )
             scanned = {rel for _, rel in files}
             stale_diags, stale_entries = stale_baseline_diagnostics(

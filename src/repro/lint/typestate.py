@@ -1,7 +1,7 @@
 """Typestate dataflow: a worklist fixpoint over protocol automata.
 
-The fourth lint engine. A *protocol automaton* declares, for one class
-of tracked objects (a span context, a temp file, a journal handle),
+The third lint engine. A *protocol automaton* declares, for one class
+of tracked objects (a span context, a temp file, a tracer handle),
 which states exist, which AST events move between them, which
 transitions are protocol violations, and which states may not survive
 to a function exit. This module supplies the machinery shared by every
@@ -16,27 +16,24 @@ protocol (:mod:`repro.lint.protocols` declares the actual rules):
   before its effect lands), while synthetic ``with-exit`` nodes apply
   their events on every out-edge (``__exit__`` has run by the time the
   exception resumes);
-* DET013-style local alias tracking: objects are identified by the
-  closure of local names syntactically bound to the creation
-  expression.
+* local alias tracking: objects are identified by the closure of
+  local names syntactically bound to the creation expression.
 
-Everything is function-local and syntactic by design, matching the
-project engine's philosophy: the protocols encode invariants whose
-*bypass* is the finding, regardless of whether the path is provably
-reachable.
+Everything is function-local and syntactic by design: the protocols
+encode invariants whose *bypass* is the finding, regardless of whether
+the path is provably reachable.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.lint.cfg import CFG, EXCEPTION, CFGNode, function_cfgs
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import _module_name_for
 from repro.lint.registry import TYPESTATE_CHECKERS, make
 
 #: An event occurrence inside one CFG node: name + source position.
@@ -81,14 +78,6 @@ class TypestateContext:
 
     path: str
     config: LintConfig
-    #: Dotted module name when the file sits under a project root.
-    module: str | None
-
-    def function_ident(self, qualname: str) -> str | None:
-        """``module:qualname`` spec for one function, if resolvable."""
-        if self.module is None:
-            return None
-        return f"{self.module}:{qualname}"
 
 
 class ProtocolAutomaton:
@@ -128,10 +117,6 @@ class ProtocolAutomaton:
         self, node: CFGNode, obj: TrackedObject, ctx: TypestateContext
     ) -> list[Event]:
         """Events ``node`` applies to ``obj``, in source order."""
-        return []
-
-    def scan(self, cfg: CFG, ctx: TypestateContext) -> list[Diagnostic]:
-        """Stateless per-function findings that ride the same rule."""
         return []
 
 
@@ -328,10 +313,9 @@ def analyze_cfg(
     cfg: CFG, protocol: ProtocolAutomaton, ctx: TypestateContext
 ) -> list[Diagnostic]:
     """Run one protocol over one function and report its violations."""
-    diagnostics = list(protocol.scan(cfg, ctx))
     objects = protocol.collect(cfg, ctx)
     if not objects:
-        return diagnostics
+        return []
 
     events: dict[int, dict[str, tuple[Event, ...]]] = {}
     for node in cfg.nodes:
@@ -382,6 +366,7 @@ def analyze_cfg(
                 worklist.append(target)
 
     by_key = {obj.key: obj for obj in objects}
+    diagnostics: list[Diagnostic] = []
     reported: set[tuple[str, int, int, str]] = set()
 
     def report(obj: TrackedObject, line: int, col: int, message: str) -> None:
@@ -434,18 +419,6 @@ def analyze_cfg(
 # -- engine entry points -----------------------------------------------------
 
 
-def module_for_path(rel_path: str, config: LintConfig) -> str | None:
-    """Dotted module name for a file under a configured project root."""
-    path = PurePosixPath(rel_path)
-    for prefix in config.project_paths:
-        prefix_parts = PurePosixPath(prefix).parts
-        if path.parts[: len(prefix_parts)] == prefix_parts:
-            return _module_name_for(
-                PurePosixPath(*path.parts[len(prefix_parts):])
-            )
-    return None
-
-
 def lint_typestate_source(
     source: str, rel_path: str, config: LintConfig
 ) -> list[Diagnostic]:
@@ -460,11 +433,7 @@ def lint_typestate_source(
         tree = ast.parse(source)
     except SyntaxError:
         return []
-    ctx = TypestateContext(
-        path=rel_path,
-        config=config,
-        module=module_for_path(rel_path, config),
-    )
+    ctx = TypestateContext(path=rel_path, config=config)
     active = [
         protocol for protocol in TYPESTATE_CHECKERS if protocol.applies_to(ctx)
     ]

@@ -33,26 +33,23 @@ which cuts the file in place to its verified records
 (:func:`~repro.store.atomic.truncate_file`). Unlike the journal,
 damage *before* the tail does not poison the run — a trace is
 telemetry, so :meth:`Tracer.open_or_create` quarantines the unreadable
-file and starts fresh rather than refusing to run.
+file (:func:`~repro.store.atomic.quarantine`) and starts fresh rather
+than refusing to run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs import clock
-from repro.store.atomic import content_digest, truncate_file
+from repro.store.atomic import content_digest, quarantine, truncate_file
 
 #: Format tag recorded by the trace-start event.
 TRACE_FORMAT = "riskybiz-trace/1"
-
-#: Suffix given to unreadable trace files moved aside on reopen.
-QUARANTINE_SUFFIX = ".corrupt"
 
 
 class TraceCorruption(Exception):
@@ -206,7 +203,7 @@ class Tracer:
         except TraceCorruption:
             records = None
         if records is None or (records and records[0].run_id != run_id):
-            _quarantine(target)
+            quarantine(target)
             tracer = cls(target, run_id)
             tracer._append("trace-start", {"format": TRACE_FORMAT})
             return tracer
@@ -323,19 +320,6 @@ class _SpanContext:
         tracer._append(
             "span-end", payload, telemetry={"duration_ms": round(duration_ms, 3)}
         )
-
-
-# -- recovery helpers --------------------------------------------------------
-
-
-def _quarantine(path: Path) -> Path:
-    """Move an unreadable trace aside (first free ``.corrupt-N`` name)."""
-    for attempt in range(1000):
-        target = path.with_name(f"{path.name}{QUARANTINE_SUFFIX}-{attempt}")
-        if not target.exists():
-            os.replace(path, target)
-            return target
-    raise RuntimeError(f"could not quarantine {path}")  # pragma: no cover
 
 
 # -- the canonical (deterministic) view --------------------------------------

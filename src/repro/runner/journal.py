@@ -88,102 +88,47 @@ def _parse_line(line: bytes) -> JournalRecord | None:
         return None
 
 
-class RunJournal:
-    """Append-only journal for one run, checksummed per record.
+def _read_verified(target: Path) -> tuple[list[JournalRecord], int, int]:
+    """A journal's verified records, their length in bytes, and the
+    file's length. Reads only: the file is left as it is.
 
-    Construct with :meth:`create` for a fresh run or :meth:`open` to
-    replay an existing file (dropping a torn tail, raising
-    :class:`JournalCorruption` on earlier damage). The ``torn_writer``
-    hook exists for chaos testing: given the encoded record it may
-    return a cut position, in which case only that prefix is written
-    (durably — the fragment must survive, that is the point) and the
-    writer dies via :class:`~repro.faults.process.ChaosKill`,
-    simulating a crash mid-append.
+    Raises :class:`JournalCorruption` on a bad record with valid records
+    after it, or when no ``run-start`` record verifies.
+    """
+    data = target.read_bytes()
+    # Whatever follows the last newline is an append that never
+    # finished: empty on an intact journal.
+    *lines, fragment = data.split(b"\n")
+    records: list[JournalRecord] = []
+    verified = 0  # bytes taken by the verified records
+    for index, line in enumerate(lines):
+        record = _parse_line(line)
+        if record is None or record.seq != len(records):
+            if index == len(lines) - 1 and not fragment:
+                break  # the final record is the torn tail
+            raise JournalCorruption(
+                f"{target}: record {index} failed verification with "
+                "valid records after it — journal damaged, not torn"
+            )
+        records.append(record)
+        verified += len(line) + 1
+    if not records:
+        raise JournalCorruption(f"{target}: no verifiable records")
+    if records[0].type != "run-start":
+        raise JournalCorruption(f"{target}: first record is not run-start")
+    return records, verified, len(data)
+
+
+class JournalReplay:
+    """The verified records of one journal and the queries over them.
+
+    :func:`read_journal` returns this, not a :class:`RunJournal`: it
+    has no ``append``, so a reader that left a torn tail in place
+    cannot write a record after it.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        run_id: str,
-        records: list[JournalRecord] | None = None,
-        *,
-        torn_writer: "Callable[[bytes], int | None] | None" = None,
-    ) -> None:
-        self.path = Path(path)
-        self.run_id = run_id
+    def __init__(self, records: list[JournalRecord] | None = None) -> None:
         self.records: list[JournalRecord] = list(records or ())
-        self.torn_writer = torn_writer
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def create(cls, path: str | Path, run_id: str) -> "RunJournal":
-        """Start a fresh journal (the file must not already exist)."""
-        target = Path(path)
-        if target.exists():
-            raise FileExistsError(f"journal already exists: {target}")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        journal = cls(target, run_id)
-        journal.append("run-start", format=JOURNAL_FORMAT, run_id_echo=run_id)
-        return journal
-
-    @classmethod
-    def open(cls, path: str | Path) -> "RunJournal":
-        """Replay an existing journal, cutting off a torn tail."""
-        target = Path(path)
-        data = target.read_bytes()
-        # Whatever follows the last newline is an append that never
-        # finished: empty on an intact journal.
-        *lines, fragment = data.split(b"\n")
-        records: list[JournalRecord] = []
-        verified = 0  # bytes taken by the verified records
-        for index, line in enumerate(lines):
-            record = _parse_line(line)
-            if record is None or record.seq != len(records):
-                if index == len(lines) - 1 and not fragment:
-                    break  # the final record is the torn tail
-                raise JournalCorruption(
-                    f"{target}: record {index} failed verification with "
-                    "valid records after it — journal damaged, not torn"
-                )
-            records.append(record)
-            verified += len(line) + 1
-        if not records:
-            raise JournalCorruption(f"{target}: no verifiable records")
-        if records[0].type != "run-start":
-            raise JournalCorruption(f"{target}: first record is not run-start")
-        if verified < len(data):
-            truncate_file(target, verified)
-        return cls(target, records[0].run_id, records)
-
-    # -- appends -------------------------------------------------------------
-
-    def append(self, event_type: str, **payload: Any) -> JournalRecord:
-        """Durably append one event; returns the written record."""
-        record = JournalRecord(
-            seq=len(self.records),
-            run_id=self.run_id,
-            type=event_type,
-            payload=payload,
-        )
-        body = record.body()
-        document = dict(body)
-        document["checksum"] = content_digest(body)
-        line = json.dumps(document, sort_keys=True) + "\n"
-        data = line.encode("utf-8")
-        cut = self.torn_writer(data) if self.torn_writer is not None else None
-        with open(self.path, "ab") as handle:
-            handle.write(data if cut is None else data[:cut])
-            handle.flush()
-            os.fsync(handle.fileno())
-        fsync_directory(self.path.parent)
-        if cut is not None:
-            # Chaos: the torn fragment is on disk; the writer is now dead.
-            from repro.faults.process import ChaosKill
-
-            raise ChaosKill("torn", f"journal-append:{event_type}")
-        self.records.append(record)
-        return record
 
     # -- replay queries ------------------------------------------------------
 
@@ -218,6 +163,95 @@ class RunJournal:
             if record.type == "day-advanced":
                 return record
         return None
+
+
+class RunJournal(JournalReplay):
+    """Append-only journal for one run, checksummed per record.
+
+    Construct with :meth:`create` for a fresh run or :meth:`open` to
+    replay an existing file (cutting off a torn tail, raising
+    :class:`JournalCorruption` on earlier damage); :func:`read_journal`
+    replays one without writing to it. The ``torn_writer``
+    hook exists for chaos testing: given the encoded record it may
+    return a cut position, in which case only that prefix is written
+    (durably — the fragment must survive, that is the point) and the
+    writer dies via :class:`~repro.faults.process.ChaosKill`,
+    simulating a crash mid-append.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        run_id: str,
+        records: list[JournalRecord] | None = None,
+        *,
+        torn_writer: "Callable[[bytes], int | None] | None" = None,
+    ) -> None:
+        super().__init__(records)
+        self.path = Path(path)
+        self.run_id = run_id
+        self.torn_writer = torn_writer
+
+    # -- construction --------------------------------------------------------
+
+    @classmethod
+    def create(cls, path: str | Path, run_id: str) -> "RunJournal":
+        """Start a fresh journal (the file must not already exist)."""
+        target = Path(path)
+        if target.exists():
+            raise FileExistsError(f"journal already exists: {target}")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        journal = cls(target, run_id)
+        journal.append("run-start", format=JOURNAL_FORMAT, run_id_echo=run_id)
+        return journal
+
+    @classmethod
+    def open(cls, path: str | Path) -> "RunJournal":
+        """Replay an existing journal, cutting off a torn tail."""
+        target = Path(path)
+        records, verified, size = _read_verified(target)
+        if verified < size:
+            truncate_file(target, verified)
+        return cls(target, records[0].run_id, records)
+
+    # -- appends -------------------------------------------------------------
+
+    def append(self, event_type: str, **payload: Any) -> JournalRecord:
+        """Durably append one event; returns the written record."""
+        record = JournalRecord(
+            seq=len(self.records),
+            run_id=self.run_id,
+            type=event_type,
+            payload=payload,
+        )
+        body = record.body()
+        document = dict(body)
+        document["checksum"] = content_digest(body)
+        line = json.dumps(document, sort_keys=True) + "\n"
+        data = line.encode("utf-8")
+        cut = self.torn_writer(data) if self.torn_writer is not None else None
+        with open(self.path, "ab") as handle:
+            handle.write(data if cut is None else data[:cut])
+            handle.flush()
+            os.fsync(handle.fileno())
+        fsync_directory(self.path.parent)
+        if cut is not None:
+            # Chaos: the torn fragment is on disk; the writer is now dead.
+            from repro.faults.process import ChaosKill
+
+            raise ChaosKill("torn", f"journal-append:{event_type}")
+        self.records.append(record)
+        return record
+
+
+def read_journal(path: str | Path) -> JournalReplay:
+    """Replay a journal without changing its file.
+
+    The records :meth:`RunJournal.open` would recover, for a reader
+    such as ``verify-data``: a torn tail is skipped, not cut off.
+    """
+    records, _verified, _size = _read_verified(Path(path))
+    return JournalReplay(records)
 
 
 def journal_run_id(path: str | Path) -> str:

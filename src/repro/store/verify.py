@@ -219,7 +219,7 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
         RESULT_MANIFEST_NAME,
         STALE_NAMES,
     )
-    from repro.runner.journal import JournalCorruption, RunJournal
+    from repro.runner.journal import JournalCorruption, read_journal
 
     directory = Path(run_dir)
     issues: list[Issue] = []
@@ -227,7 +227,7 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     if not journal_path.exists():
         return [Issue(MISSING, str(journal_path), "run journal does not exist")]
     try:
-        journal = RunJournal.open(journal_path)
+        journal = read_journal(journal_path)
     except JournalCorruption as error:
         return [Issue(CORRUPT, str(journal_path), str(error))]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from repro.lint.cfg import EXCEPTION, NORMAL, CFG, build_cfg, function_cfgs
+from repro.lint.cfg import EXCEPTION, NORMAL, CFG, function_cfgs
 
 
 def _cfg(source: str, name: str | None = None) -> CFG:
@@ -193,20 +193,3 @@ class TestReturnInsideFinally:
         work = by_line[4]
         (f_exc, _), = [s for s in work.succs if s[1] == EXCEPTION]
         assert cfg.exit in _reachable(cfg, f_exc)
-
-
-class TestDump:
-    def test_to_dict_is_json_shaped_and_sorted(self) -> None:
-        cfg = _cfg("""
-            def f(x):
-                if x:
-                    return 1
-                return 2
-        """)
-        dump = cfg.to_dict()
-        assert dump["function"] == "f"
-        assert dump["edges"] == sorted(dump["edges"])
-        assert {node["kind"] for node in dump["nodes"]} >= {
-            "entry", "exit", "raise-exit", "stmt"
-        }
-        assert build_cfg is not None

@@ -21,7 +21,7 @@ def findings(
 
 class TestRegistry:
     def test_typestate_rules_registered(self) -> None:
-        for rule_id in ("DET014", "DET015", "DET016"):
+        for rule_id in ("DET014", "DET016"):
             assert RULES[rule_id].engine == "typestate"
 
 
@@ -83,44 +83,6 @@ class TestSpanLifecycle:
                 finally:
                     tracer.close()
         """) == []
-
-
-class TestJournalDiscipline:
-    def test_append_after_close(self) -> None:
-        found = findings("""
-            def f(path):
-                journal = RunJournal.open(path)
-                journal.close()
-                journal.append("late")
-        """)
-        assert found == [("DET015", 5)]
-
-    def test_balanced_lifecycle_is_clean(self) -> None:
-        assert findings("""
-            def f(path):
-                journal = RunJournal.open(path)
-                journal.append("early")
-                journal.close()
-        """) == []
-
-    def test_reconcile_event_outside_window(self) -> None:
-        found = findings(
-            """
-            def helper(journal):
-                journal.append("engine-reset", reason="stale")
-            """,
-            path="src/repro/runner/other.py",
-        )
-        assert found == [("DET015", 3)]
-
-    def test_reconcile_event_in_sanctioned_function_is_clean(self) -> None:
-        assert findings(
-            """
-            def _restore_engine(journal):
-                journal.append("engine-reset", reason="digest mismatch")
-            """,
-            path="src/repro/runner/execution.py",
-        ) == []
 
 
 class TestAtomicProtocol:

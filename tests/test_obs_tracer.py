@@ -184,7 +184,7 @@ class TestRecovery:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         tracer = Tracer.open_or_create(path, RUN)
         tracer.close()
-        assert (tmp_path / "trace.jsonl.corrupt-0").exists()
+        assert (tmp_path / "trace.jsonl.corrupt").exists()
         fresh = read_trace(path)
         assert [r.type for r in fresh] == ["trace-start"]
 
@@ -193,7 +193,7 @@ class TestRecovery:
         self._write_some(path)
         tracer = Tracer.open_or_create(path, "run-someoneelse")
         tracer.close()
-        assert (tmp_path / "trace.jsonl.corrupt-0").exists()
+        assert (tmp_path / "trace.jsonl.corrupt").exists()
         assert read_trace(path)[0].run_id == "run-someoneelse"
 
 

@@ -17,6 +17,7 @@ from repro.runner.journal import (
     JournalCorruption,
     RunJournal,
     journal_run_id,
+    read_journal,
 )
 
 
@@ -164,6 +165,16 @@ class TestTornTailRecovery:
         # After recovery the file replays with no tail to drop.
         reopened = RunJournal.open(path)
         assert len(reopened.records) == 2
+
+    def test_read_leaves_the_tail_and_cannot_append(self, journal, tmp_path):
+        journal.append("shard-start", shard=0)
+        path = tmp_path / "journal.jsonl"
+        torn = path.read_bytes() + b'{"torn": tr'
+        path.write_bytes(torn)
+        replay = read_journal(path)
+        assert path.read_bytes() == torn
+        assert replay.records == RunJournal.open(path).records
+        assert not hasattr(replay, "append")
 
     def test_append_continues_after_recovery(self, journal, tmp_path):
         journal.append("shard-start", shard=0)

@@ -126,6 +126,13 @@ class TestVerifyRunDir:
     def test_missing_journal(self, tmp_path):
         assert kinds(verify_run_dir(tmp_path)) == [MISSING]
 
+    def test_torn_journal_is_left_unchanged(self, run_copy):
+        journal = run_copy / JOURNAL_NAME
+        torn = journal.read_bytes() + b'{"checksum": "torn'
+        journal.write_bytes(torn)
+        assert verify_run_dir(run_copy) == []
+        assert journal.read_bytes() == torn
+
     def test_corrupt_journal(self, run_copy):
         journal = run_copy / JOURNAL_NAME
         lines = journal.read_text().splitlines()
