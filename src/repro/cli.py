@@ -182,7 +182,7 @@ def _detect_zonedb(args: argparse.Namespace):
     """The zone database ``riskybiz detect`` should analyze, or None.
 
     Either opens the on-disk SQLite dataset (``--dataset``) or ingests a
-    zone-file archive (``--archive``) into the requested backend.
+    zone-file archive (``--archive``) into the in-memory store.
     """
     from repro.zonedb.database import IngestError, IngestPolicy
 
@@ -200,13 +200,8 @@ def _detect_zonedb(args: argparse.Namespace):
         print(f"Opened dataset {args.dataset}{suffix}", file=sys.stderr)
         return zonedb
     print(f"Ingesting zone archive {args.archive}...", file=sys.stderr)
-    store = None
-    if args.backend == "sqlite":
-        from repro.store.sqlite import SqliteDelegationStore
-
-        store = SqliteDelegationStore()  # in-memory SQLite for one run
     try:
-        return read_archive(args.archive, ingest_policy=policy, store=store)
+        return read_archive(args.archive, ingest_policy=policy)
     except IngestError as error:
         print(f"error: strict ingest failed: {error}", file=sys.stderr)
         return None
@@ -320,8 +315,8 @@ def cmd_advance(args: argparse.Namespace) -> int:
     run's durable watermark are folded in, at once, against the dataset
     read as of the newest of them — the result is bit-identical to
     re-running ``riskybiz detect`` from scratch, without re-reading
-    history (a dataset whose delta stream rewrites earlier days is
-    replayed instead). The run ID is read from the journal's first
+    history (a dataset whose delta stream rewrites earlier days is read
+    through a replica of it). The run ID is read from the journal's first
     record, so no ``--resume`` bookkeeping is needed and the runner
     replays the journal once. Each invocation writes one engine
     checkpoint for everything it folded; the dataset is opened
@@ -677,11 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", metavar="FILE",
         help="SQLite dataset written by `riskybiz simulate` "
              "(alternative to --archive)",
-    )
-    detect.add_argument(
-        "--backend", choices=("memory", "sqlite"), default="memory",
-        help="delegation store backend for --archive ingestion "
-             "(default: memory)",
     )
     detect.add_argument("--whois", help="WHOIS JSON-lines file")
     detect.add_argument(

@@ -3,59 +3,55 @@
 Each §3.2 stage is an :class:`IncrementalStage` with one body: it
 re-evaluates a set of *dirty* nameservers against a zone database and
 updates the stage's standing keys in the engine state.
-:class:`IncrementalDetectionEngine` runs those bodies on three
-schedules:
+:class:`IncrementalDetectionEngine` runs those bodies once per call,
+against a source database read as of one batch day:
 
-* **a fold of everything at once** (:meth:`IncrementalDetectionEngine.fold`)
-  — a fresh engine marks every nameserver of a source database dirty
-  and evaluates the source directly: no private store, no replay. This
-  is the batch :class:`~repro.detection.pipeline.DetectionPipeline` and
-  the first invocation of a run; one capped at an earlier batch day
-  evaluates the source as of that day
-  (:meth:`~repro.zonedb.database.ZoneDatabase.as_of`);
-* **the days past a watermark at once** — an engine evaluating a source
-  as of its watermark re-evaluates the union of the new days' dirty
-  sets against the source as of the last new batch day. This is every
-  later invocation of a run whose delta stream never rewrites an
-  earlier day (:meth:`IncrementalDetectionEngine.advance_from`);
-* **day by day** (:meth:`IncrementalDetectionEngine.advance`) — the
-  engine replays one recorded day batch of
-  :class:`~repro.store.changelog.DeltaEvent` into its own zone
-  database and re-evaluates only the nameservers the batch can have
-  touched. A stream that rewrites (gap bridging closes intervals
-  retroactively) is folded this way, after replaying its history up
-  to the watermark.
+* **a fresh engine** marks every nameserver dirty and runs each stage
+  once (:meth:`IncrementalDetectionEngine.fold`). This is the batch
+  :class:`~repro.detection.pipeline.DetectionPipeline` and the first
+  invocation of a run; one capped at an earlier batch day is a *capped*
+  fold;
+* **an engine past a watermark** (after a capped fold or a
+  :meth:`~IncrementalDetectionEngine.restore`) re-evaluates the union
+  of the new days' dirty sets once, against the source as of the last
+  new batch day (:meth:`IncrementalDetectionEngine.advance_from`).
 
-The contract is that all agree: after advancing through batch day N,
-:meth:`IncrementalDetectionEngine.result` is bit-identical (same
-:func:`~repro.runner.execution.result_fingerprint`) to a fold of a zone
-database holding the history through day N, and the dumped states are
-equal. Two properties make this hold:
+The store a fold reads as of batch day N is the source itself when N is
+its last batch day; else the source's
+:meth:`~repro.zonedb.database.ZoneDatabase.as_of` view when its delta
+stream never rewrites an earlier day; else (gap bridging closes
+intervals retroactively) a replica the engine fills with the recorded
+deltas through N and extends as its watermark moves.
 
-* every evaluation sees the day-N store bit for bit: replay rebuilds it
-  through the exact store primitives that produced the stream, and on a
-  stream that never rewrites, the source read as of day N equals that
-  rebuilt store;
+The contract is that every way of folding agrees: after advancing
+through batch day N, :meth:`IncrementalDetectionEngine.result` is
+bit-identical (same :func:`~repro.runner.execution.result_fingerprint`)
+to a fold of a zone database holding the history through day N, and
+the dumped states are equal, however the days were grouped into calls.
+Two properties make this hold:
+
+* every evaluation sees the day-N store bit for bit: a replica replays
+  the stream through the exact store primitives that produced it, and
+  on a stream that never rewrites, the source read as of day N equals
+  that replica;
 * every stage verdict for a nameserver is a pure function of store
-  state reachable from that nameserver, so one conservative *dirty set*
-  per day batch (derived below) bounds what must be re-evaluated, and
-  the union of several days' sets bounds them all.
+  state reachable from that nameserver, so a conservative *dirty set*
+  (derived below) bounds what the deltas of several days can change.
 
-Dirty-set derivation, per event kind:
+Dirty-set derivation, per event kind, read from the store as of the
+fold's day (:func:`_dirty_in_view`):
 
 * delegation add/remove on ``(domain, ns)`` — dirties ``ns`` (its
   first-seen day, referencing domains, repository spread and candidate
-  verdict can change) and every nameserver that ever had a record on
-  ``domain`` (their ``nameservers_removed_on`` joins run through it);
+  verdict can change) and every nameserver with a record on ``domain``
+  (their ``nameservers_removed_on`` joins run through it);
 * glue add/remove on ``host`` — dirties ``host`` (resolvability);
-* domain appear/expire on ``domain`` — dirties every known nameserver
-  whose registered domain is ``domain`` (resolvability and collision
-  checks read its presence);
-* tld-cover on ``tld`` — dirties every known nameserver under ``tld``
+* domain appear/expire on ``domain`` — dirties every nameserver whose
+  registered domain is ``domain`` (resolvability and collision checks
+  read its presence);
+* tld-cover on ``tld`` — dirties every nameserver under ``tld``
   (coverage flips resolvability verdicts from unknown to assessable).
 
-Replay keeps indices for these; a fold of several days reads them from
-the source instead (:meth:`IncrementalDetectionEngine._dirty_in_view`).
 Shared evaluator logic (collision checks, pattern/match classification)
 lives in :class:`StageContext`.
 """
@@ -66,7 +62,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.dnscore.names import Name
 from repro.dnscore.psl import PublicSuffixList, default_psl
 from repro.detection.candidates import CandidateNameserver, build_candidate_set
 from repro.detection.idioms import (
@@ -110,9 +105,6 @@ ENGINE_STATE_FORMAT = "riskybiz-engine-state/3"
 
 #: Watermark key for the engine as a whole (stages use their own names).
 ENGINE_WATERMARK = "engine"
-
-_EMPTY: frozenset[str] = frozenset()
-
 
 def commit_watermark(state: dict[str, Any], stage: str, day: int) -> None:
     """Commit a stage (or engine) watermark — the *only* sanctioned write.
@@ -461,30 +453,6 @@ def new_engine_state() -> dict[str, Any]:
     return state
 
 
-def _touched(
-    events: Iterable[DeltaEvent],
-) -> tuple[set[str], set[str], set[str], set[str]]:
-    """What a batch of deltas touches, per the dirty-set derivation:
-    the nameservers it names (pair deltas' and glue hosts), the domains
-    of its pair deltas, the domains that appeared or expired, and the
-    TLDs it covered."""
-    names: set[str] = set()
-    domains: set[str] = set()
-    registered: set[str] = set()
-    tlds: set[str] = set()
-    for event in events:
-        if event.kind in (DELEGATION_ADD, DELEGATION_REMOVE):
-            names.add(pair_nameserver(event))
-            domains.add(event.name)
-        elif event.kind in (GLUE_ADD, GLUE_REMOVE):
-            names.add(event.name)
-        elif event.kind in (DOMAIN_APPEAR, DOMAIN_EXPIRE):
-            registered.add(event.name)
-        elif event.kind == TLD_COVER:
-            tlds.add(event.name)
-    return names, domains, registered, tlds
-
-
 def _run_stage_observed(
     stage: IncrementalStage,
     context: StageContext,
@@ -511,16 +479,68 @@ def _run_stage_observed(
         obs.counter(f"pipeline.funnel.{field_name}").inc(value)
 
 
+def _extend(
+    replica: ZoneDatabase,
+    pairs: list[tuple[int, DeltaEvent]],
+    day: int,
+    *,
+    restore: bool = False,
+) -> None:
+    """Replay recorded ``(batch_day, event)`` pairs into ``replica``,
+    through batch day ``day``, under one ``delta.apply`` span."""
+    marks = {"restore": True} if restore else {}
+    with obs.span("delta.apply", day=day, count=len(pairs), **marks):
+        for _batch_day, event in pairs:
+            replica.apply_delta(event)
+
+
+def _dirty_in_view(context: StageContext, events: Iterable[DeltaEvent]) -> set[str]:
+    """The dirty set of deltas folded at once, per the module's
+    derivation, read from the store ``context`` evaluates.
+
+    Each pair delta's nameserver and every nameserver with a record on
+    its domain, each glue host, and every nameserver whose registered
+    domain appeared or expired, or whose TLD became covered. Those are
+    found by their names' suffixes; the PSL then confirms only the names
+    a registered-domain suffix matched.
+    """
+    dirty: set[str] = set()
+    domains: set[str] = set()
+    registered: set[str] = set()
+    tlds: set[str] = set()
+    for event in events:
+        if event.kind in (DELEGATION_ADD, DELEGATION_REMOVE):
+            dirty.add(pair_nameserver(event))
+            domains.add(event.name)
+        elif event.kind in (GLUE_ADD, GLUE_REMOVE):
+            dirty.add(event.name)
+        elif event.kind in (DOMAIN_APPEAR, DOMAIN_EXPIRE):
+            registered.add(event.name)
+        elif event.kind == TLD_COVER:
+            tlds.add(event.name)
+    for domain in sorted(domains):
+        dirty.update(record.ns for record in context.zonedb.domain_records(domain))
+    if registered or tlds:
+        for ns in context.zonedb.all_nameservers():
+            labels = ns.split(".")
+            if labels[-1] in tlds or (
+                any(
+                    ".".join(labels[index:]) in registered
+                    for index in range(len(labels) - 1)
+                )
+                and context.psl.registered_domain(ns) in registered
+            ):
+                dirty.add(ns)
+    return dirty
+
+
 class IncrementalDetectionEngine:
     """Folds the delta history into standing detection state.
 
-    :meth:`fold` evaluates a whole source database at once;
-    :meth:`advance` folds one day batch into the engine's own zone
-    database (grown by replaying the consumed delta stream);
     :meth:`advance_from` folds a source past the engine watermark, once
-    per call unless the stream rewrites; :meth:`result` reconstructs the
-    :class:`~repro.detection.pipeline.PipelineResult`. A source the
-    engine evaluates must not change while it does.
+    per call; :meth:`fold` folds a whole source at once; :meth:`result`
+    reconstructs the :class:`~repro.detection.pipeline.PipelineResult`.
+    A source the engine evaluates must not change while it does.
 
     ``covered_tlds`` must name any TLDs the source database was
     *constructed* covering (coverage declared after construction flows
@@ -551,23 +571,18 @@ class IncrementalDetectionEngine:
         }
         self.whois = whois
         self.covered_tlds = tuple(covered_tlds)
-        self.zonedb = ZoneDatabase(self.covered_tlds)
-        self.context = StageContext.build(self.zonedb, whois, **self._options)
-        #: True once the engine evaluates a source database directly
-        #: instead of its own replayed copy (see :meth:`fold`).
-        self.direct = False
-        #: The source and its ``tld-cover`` deltas while the engine
-        #: evaluates that source as of its watermark (see :meth:`_view`).
-        self._viewed: tuple[ZoneDatabase, list[tuple[int, str]]] | None = None
+        #: The store the stages last read; None until a fold or a restore.
+        self.zonedb: ZoneDatabase | None = None
+        #: The source the engine reads as of its watermark, and how it
+        #: reads it as of a later batch day: through ``as_of`` with the
+        #: source's ``tld-cover`` scan, or, when its stream rewrites, by
+        #: extending the replica. No source once the engine reads one at
+        #: its last batch day: that engine cannot advance.
+        self._source: ZoneDatabase | None = None
+        self._covers: list[tuple[int, str]] | None = None
+        self._replica: ZoneDatabase | None = None
         self.stages = build_stages()
         self.state = new_engine_state()
-        # Conservative dirty-set indices (monotone: entries are never
-        # removed; a stale member only widens re-evaluation, never
-        # narrows it).
-        self._domain_ns: dict[str, set[str]] = {}
-        self._registered_ns: dict[str, set[str]] = {}
-        self._tld_ns: dict[str, set[str]] = {}
-        self._known_ns: set[str] = set()
         #: (counter revision, selected patterns) fold memo.
         self._mine_memo: tuple[int, list[Any]] | None = None
 
@@ -578,77 +593,28 @@ class IncrementalDetectionEngine:
         """The last batch day fully folded into the standing state."""
         return self.state["watermarks"].get(ENGINE_WATERMARK)
 
-    def _evaluate_source(self, source: ZoneDatabase) -> None:
-        """Evaluate ``source`` itself from now on, not a replayed copy."""
-        self.zonedb = source
-        self.context = StageContext.build(source, self.whois, **self._options)
-        self.direct = True
+    def _evaluate(self, zonedb: ZoneDatabase) -> StageContext:
+        """Evaluate ``zonedb`` from now on; returns the stages' context."""
+        self.zonedb = zonedb
+        return StageContext.build(zonedb, self.whois, **self._options)
 
-    def _view(
-        self, source: ZoneDatabase, covers: list[tuple[int, str]], day: int
-    ) -> None:
-        """Evaluate ``source`` as of batch day ``day`` from now on.
+    def _read(
+        self, source: ZoneDatabase, day: int, *, restore: bool = False
+    ) -> ZoneDatabase:
+        """``source`` as of batch day ``day``, and read it so from now on.
 
-        ``covers`` is the source's scan (:meth:`ZoneDatabase.as_of`):
-        the stream never rewrites an earlier day.
+        One scan of the delta stream picks the store: the source's
+        :meth:`~ZoneDatabase.as_of` view when the stream never rewrites
+        an earlier day, otherwise a new replica filled with the deltas
+        through ``day`` (``restore`` marks the fill's span).
         """
-        self._evaluate_source(source.as_of(day, self.covered_tlds, covers=covers))
-        self._viewed = (source, covers)
-
-    def _note_ns(self, ns: str) -> None:
-        if ns in self._known_ns:
-            return
-        self._known_ns.add(ns)
-        registered = self.context.psl.registered_domain(ns)
-        if registered is not None:
-            self._registered_ns.setdefault(registered, set()).add(ns)
-        self._tld_ns.setdefault(Name(ns).tld, set()).add(ns)
-
-    def _replay(self, event: DeltaEvent) -> None:
-        """Apply one delta to the private store and the dirty indices."""
-        self.zonedb.apply_delta(event)
-        if event.kind in (DELEGATION_ADD, DELEGATION_REMOVE):
-            ns = pair_nameserver(event)
-            self._note_ns(ns)
-            self._domain_ns.setdefault(event.name, set()).add(ns)
-
-    def _dirty_from(self, events: Iterable[DeltaEvent]) -> set[str]:
-        dirty, domains, registered, tlds = _touched(events)
-        for name in sorted(registered):
-            dirty |= self._registered_ns.get(name, _EMPTY)
-        for tld in sorted(tlds):
-            dirty |= self._tld_ns.get(tld, _EMPTY)
-        for domain in sorted(domains):
-            dirty |= self._domain_ns.get(domain, _EMPTY)
-        return dirty
-
-    def _dirty_in_view(self, events: Iterable[DeltaEvent]) -> set[str]:
-        """The dirty set of deltas folded at once, read from the view.
-
-        A superset of the union of :meth:`_dirty_from` over their days,
-        taken from the source instead of replay's indices: each pair
-        delta's nameserver and every nameserver with a record on its
-        domain, each glue host, and every nameserver whose registered
-        domain appeared or expired, or whose TLD became covered. Those
-        are found by their names' suffixes; the PSL then confirms only
-        the names a registered-domain suffix matched.
-        """
-        dirty, domains, registered, tlds = _touched(events)
-        for domain in sorted(domains):
-            dirty.update(record.ns for record in self.zonedb.domain_records(domain))
-        if registered or tlds:
-            psl = self.context.psl
-            for ns in self.zonedb.all_nameservers():
-                labels = ns.split(".")
-                if labels[-1] in tlds or (
-                    any(
-                        ".".join(labels[index:]) in registered
-                        for index in range(len(labels) - 1)
-                    )
-                    and psl.registered_domain(ns) in registered
-                ):
-                    dirty.add(ns)
-        return dirty
+        self._source = source
+        self._covers = source.store.scan_deltas()
+        if self._covers is not None:
+            return source.as_of(day, self.covered_tlds, covers=self._covers)
+        self._replica = ZoneDatabase(self.covered_tlds)
+        _extend(self._replica, source.deltas_since(None, day), day, restore=restore)
+        return self._replica
 
     # -- advancing -----------------------------------------------------------
 
@@ -661,73 +627,41 @@ class IncrementalDetectionEngine:
         """Fold all of ``source`` at once; returns the batch day folded.
 
         Only valid on a fresh engine. Every nameserver is dirty and each
-        stage runs once, under its own span, reading ``source`` directly
-        — no private store, no replay. The standing state equals a
-        day-by-day drain's through the source's last batch day (a source
-        without a recorded delta stream folds at its horizon). The
-        engine then evaluates ``source`` and cannot advance further;
-        restore its dumped state into a fresh engine to continue.
-        ``boundary("stage:<name>")`` runs after each stage completes.
+        stage runs once, under its own span, reading ``source`` directly.
+        The standing state equals that of any sequence of folds through
+        the source's last batch day (a source without a recorded delta
+        stream folds at its horizon). The engine then evaluates
+        ``source`` and cannot advance further; restore its dumped state
+        into a fresh engine to continue. ``boundary("stage:<name>")``
+        runs after each stage completes.
         """
         if self.watermark is not None:
             raise ValueError("a direct fold requires a fresh engine")
         day = DeltaView(source).last_batch_day()
         if day is None:
             day = source.horizon
-        self._evaluate_source(source)
-        self._fold_everything(day, boundary)
+        self._fold_everything(source, day, boundary)
         return day
 
     def _fold_everything(
-        self, day: int, boundary: Callable[[str], None] | None
+        self,
+        zonedb: ZoneDatabase,
+        day: int,
+        boundary: Callable[[str], None] | None,
     ) -> None:
-        """Run each stage once over every nameserver of the evaluated
-        database, and commit ``day``."""
+        """Run each stage once over every nameserver of ``zonedb``, and
+        commit ``day``."""
+        context = self._evaluate(zonedb)
         notes = AdvanceNotes(
             batch_day=day,
-            dirty=tuple(sorted(self.zonedb.all_nameservers())),
+            dirty=tuple(sorted(zonedb.all_nameservers())),
             everything=True,
         )
         for stage in self.stages:
-            _run_stage_observed(stage, self.context, self.state, notes)
+            _run_stage_observed(stage, context, self.state, notes)
             if boundary is not None:
                 boundary(f"stage:{stage.name}")
         commit_watermark(self.state, ENGINE_WATERMARK, day)
-
-    def advance(self, batch_day: int, events: Iterable[DeltaEvent]) -> int:
-        """Fold one day's delta batch; returns the number of events applied.
-
-        Batches must arrive in strictly increasing batch-day order (the
-        order :meth:`~repro.store.dataset.DeltaView.batches` yields).
-        The engine replays them into its own store, so it must not be
-        evaluating a source (after :meth:`fold`, or a :meth:`restore` or
-        :meth:`advance_from` that read the source as of a batch day).
-        """
-        events = tuple(events)
-        watermark = self.watermark
-        if watermark is not None and batch_day <= watermark:
-            raise ValueError(
-                f"engine already advanced through {watermark}; "
-                f"got batch day {batch_day}"
-            )
-        if self.direct:
-            raise ValueError(
-                "engine evaluates its source directly and cannot advance; "
-                "restore its state into a fresh engine"
-            )
-        with obs.span("engine.advance", day=batch_day) as span:
-            with obs.span("delta.apply", day=batch_day, count=len(events)):
-                for event in events:
-                    self._replay(event)
-            dirty = self._dirty_from(events)
-            notes = AdvanceNotes(batch_day=batch_day, dirty=tuple(sorted(dirty)))
-            for stage in self.stages:
-                stage.advance(self.context, self.state, notes)
-            commit_watermark(self.state, ENGINE_WATERMARK, batch_day)
-            span.set(deltas=len(events), dirty=len(dirty))
-        obs.counter("detect.incremental.days").inc()
-        obs.counter("detect.incremental.deltas_applied").inc(len(events))
-        return len(events)
 
     def advance_from(
         self,
@@ -736,74 +670,67 @@ class IncrementalDetectionEngine:
         until: int | None = None,
         boundary: Callable[[str], None] | None = None,
     ) -> int:
-        """Fold every batch past the engine watermark from ``source``.
+        """Fold every batch past the engine watermark from ``source``, once.
 
-        Each call folds once wherever the source's delta stream never
-        rewrites an earlier day:
-
-        * a fresh engine whose horizon (``until``) reaches the source's
+        * A fresh engine whose horizon (``until``) reaches the source's
           last batch day folds the source directly (:meth:`fold`);
         * a fresh engine with a lower ``until`` folds the source as of
           the last batch day by ``until`` the same way, every nameserver
           dirty and one candidate pass (a *capped* fold);
-        * an engine evaluating ``source`` as of its watermark (after a
+        * an engine reading ``source`` as of its watermark (after a
           capped fold or a :meth:`restore`) reads the deltas past it,
           unions their dirty sets, and re-evaluates that union once
           against the source as of the last new batch day, under one
           ``engine.advance`` span. Every verdict is a pure function of
           the store as of that day and the dirty sets are conservative,
-          so the state equals a day-by-day drain's.
+          so the state equals that of one fold per day.
 
-        A stream that rewrites is replayed and folded one day batch at a
-        time (:meth:`advance`), as is any source the engine does not
-        evaluate. ``boundary(label)`` runs after each stage of a full or
-        capped fold (``stage:<name>``) and after each fold
-        (``day:<batch day>``). Returns the number of day batches folded.
+        ``boundary(label)`` runs after each stage of a full or capped
+        fold (``stage:<name>``) and after the fold (``day:<batch
+        day>``). Returns the number of day batches folded.
         """
-        if self.watermark is None:
-            last = DeltaView(source).last_batch_day()
-            if last is not None and (until is None or until >= last):
-                self.fold(source, boundary=boundary)
-                if boundary is not None:
-                    boundary(f"day:{last}")
-                return DeltaView(source).stats()[1]
-            day = DeltaView(source, until=until).last_batch_day()
-            covers = None if day is None else source.store.scan_deltas()
-            if day is not None and covers is not None:
-                self._view(source, covers, day)
-                self._fold_everything(day, boundary)
-                if boundary is not None:
-                    boundary(f"day:{day}")
-                return DeltaView(source, until=day).stats()[1]
-        elif self._viewed is not None and self._viewed[0] is source:
-            return self._fold_view(source, self._viewed[1], until, boundary)
-        batches = DeltaView(source, since=self.watermark, until=until).batches()
-        for batch_day, events in batches:
-            self.advance(batch_day, events)
-            if boundary is not None:
-                boundary(f"day:{batch_day}")
-        return len(batches)
+        if self.watermark is not None:
+            return self._fold_days(source, until, boundary)
+        day = DeltaView(source, until=until).last_batch_day()
+        if day is None:
+            return 0
+        if day == DeltaView(source).last_batch_day():
+            self.fold(source, boundary=boundary)
+        else:
+            self._fold_everything(self._read(source, day), day, boundary)
+        if boundary is not None:
+            boundary(f"day:{day}")
+        return DeltaView(source, until=day).stats()[1]
 
-    def _fold_view(
+    def _fold_days(
         self,
         source: ZoneDatabase,
-        covers: list[tuple[int, str]],
         until: int | None,
         boundary: Callable[[str], None] | None,
     ) -> int:
-        """Fold the viewed source's batches in ``(watermark, until]`` at once."""
+        """Fold the source's batches in ``(watermark, until]`` at once."""
         pairs = source.deltas_since(self.watermark, until)
         if not pairs:
             return 0
+        if source is not self._source:
+            raise ValueError(
+                "engine does not read this source as of its watermark and "
+                "cannot advance; restore its state into a fresh engine"
+            )
         day = pairs[-1][0]
         days = len({batch_day for batch_day, _event in pairs})
         events = [event for _batch_day, event in pairs]
         with obs.span("engine.advance", day=day) as span:
-            self._view(source, covers, day)
-            dirty = self._dirty_in_view(events)
+            if self._replica is None:
+                zonedb = source.as_of(day, self.covered_tlds, covers=self._covers)
+            else:
+                zonedb = self._replica
+                _extend(zonedb, pairs, day)
+            context = self._evaluate(zonedb)
+            dirty = _dirty_in_view(context, events)
             notes = AdvanceNotes(batch_day=day, dirty=tuple(sorted(dirty)))
             for stage in self.stages:
-                stage.advance(self.context, self.state, notes)
+                stage.advance(context, self.state, notes)
             commit_watermark(self.state, ENGINE_WATERMARK, day)
             span.set(days=days, deltas=len(events), dirty=len(dirty))
         obs.counter("detect.incremental.days").inc(days)
@@ -827,13 +754,15 @@ class IncrementalDetectionEngine:
         """
         state = self.state
         funnel = PipelineFunnel()
-        funnel.total_nameservers = self.zonedb.nameserver_count()
+        funnel.total_nameservers = (
+            0 if self.zonedb is None else self.zonedb.nameserver_count()
+        )
         everyone = sorted(
             state["candidates"].values(), key=lambda c: (c.first_seen, c.name)
         )
         funnel.candidates = len(everyone)
         mined: list[Any] = []
-        if self.context.mine_patterns:
+        if self._options["mine_patterns"]:
             counter: SubstringCounter = state["mine_counter"]
             # Selection is a pure function of the name multiset; memoize
             # on the counter revision so days without candidate churn
@@ -887,27 +816,22 @@ class IncrementalDetectionEngine:
         Only valid on a fresh engine; ``state`` comes from
         :func:`load_engine_state`. A state whose watermark is the
         source's last batch day evaluates ``source`` directly, as a
-        :meth:`fold` does. Below it, one scan of the delta stream picks
-        the path: a stream that never rewrites an earlier day is
-        evaluated as of the watermark (:meth:`ZoneDatabase.as_of`),
-        reading no delta; otherwise the recorded deltas up to the
-        watermark are replayed into the engine's own store (replay is
-        deterministic, so the rebuilt store is bit-identical to the one
-        the state was dumped against). The standing verdicts are
-        installed as-is.
+        :meth:`fold` does. Below it, the engine reads the source as of
+        the watermark from now on, as a capped fold leaves it: through
+        :meth:`ZoneDatabase.as_of`, reading no delta, or, when the
+        stream rewrites, through a replica filled with the deltas up to
+        the watermark (replay is deterministic, so the replica is
+        bit-identical to the store the state was dumped against). The
+        standing verdicts are installed as-is.
         """
         if self.watermark is not None:
             raise ValueError("restore requires a fresh engine")
         watermark = state["watermarks"].get(ENGINE_WATERMARK)
         if watermark is not None:
             if watermark == DeltaView(source).last_batch_day():
-                self._evaluate_source(source)
-            elif (covers := source.store.scan_deltas()) is not None:
-                self._view(source, covers, watermark)
+                self.zonedb = source
             else:
-                with obs.span("delta.apply", day=watermark, restore=True):
-                    for _batch_day, event in source.deltas_since(None, watermark):
-                        self._replay(event)
+                self.zonedb = self._read(source, watermark, restore=True)
         self.state = state
         return watermark
 

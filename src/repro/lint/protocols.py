@@ -238,7 +238,13 @@ class _SpanLifecycle(ProtocolAutomaton):
 
 
 class _AtomicWriteProtocol(ProtocolAutomaton):
-    """DET016: every temp file follows write → fsync → ``os.replace``."""
+    """DET016: every temp file follows write → fsync → ``os.replace``.
+
+    Writes are ``open(temp, "w...")``, writes through a handle opened on
+    the temp, ``temp.write_*`` and any other call that takes the temp
+    itself as an argument (such as a helper filling it); the fsync is a
+    barrier call on the temp or on a handle opened on it, in any mode.
+    """
 
     rule_id = "DET016"
     initial = "fresh"
@@ -313,8 +319,8 @@ class _AtomicWriteProtocol(ProtocolAutomaton):
             handles: set[str] = set()
             targets: set[str] = set()
             for stmt in own_statements(cfg.func):
-                for withitem_or_assign, bound in self._open_bindings(stmt):
-                    if self._opens_for_write(withitem_or_assign, obj):
+                for call, bound in self._open_bindings(stmt):
+                    if self._opens(call, obj.names):
                         handles.add(bound)
                 for node in ast.walk(stmt):
                     if not isinstance(node, ast.Call):
@@ -353,15 +359,19 @@ class _AtomicWriteProtocol(ProtocolAutomaton):
         return bindings
 
     @staticmethod
-    def _opens_for_write(call: ast.Call, obj: TrackedObject) -> bool:
-        """``open(<temp>, "w...")``-style call on the tracked temp."""
-        if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
-            return False
-        if not (
-            call.args
+    def _opens(call: ast.Call, names: frozenset[str]) -> bool:
+        """An ``open(<name>, ...)`` call on one of ``names``."""
+        return (
+            isinstance(call.func, ast.Name)
+            and call.func.id == "open"
+            and bool(call.args)
             and isinstance(call.args[0], ast.Name)
-            and call.args[0].id in obj.names
-        ):
+            and call.args[0].id in names
+        )
+
+    def _opens_for_write(self, call: ast.Call, obj: TrackedObject) -> bool:
+        """``open(<temp>, "w...")``-style call on the tracked temp."""
+        if not self._opens(call, obj.names):
             return False
         mode = call.args[1] if len(call.args) > 1 else None
         for keyword in call.keywords:
@@ -408,18 +418,13 @@ class _AtomicWriteProtocol(ProtocolAutomaton):
             elif receiver in targets and isinstance(call.func, ast.Attribute) \
                     and call.func.attr in _PATH_WRITE_METHODS:
                 events.append(("target_write", *position))
-            elif (
-                isinstance(call.func, ast.Name)
-                and call.func.id == "open"
-                and call.args
-                and isinstance(call.args[0], ast.Name)
-                and call.args[0].id in targets
-                and self._opens_for_write(
-                    call,
-                    TrackedObject(key="", names=targets),
-                )
-            ):
+            elif self._opens_for_write(call, TrackedObject(key="", names=targets)):
                 events.append(("target_write", *position))
+            elif not self._opens(call, obj.names) and any(
+                isinstance(arg, ast.Name) and arg.id in obj.names
+                for arg in [*call.args, *(kw.value for kw in call.keywords)]
+            ):
+                events.append(("write", *position))
         return events
 
 

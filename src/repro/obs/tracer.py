@@ -40,13 +40,18 @@ than refusing to run.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs import clock
-from repro.store.atomic import content_digest, quarantine, truncate_file
+from repro.store.atomic import (
+    content_digest,
+    encode_checked_line,
+    quarantine,
+    read_checked_lines,
+    truncate_file,
+)
 
 #: Format tag recorded by the trace-start event.
 TRACE_FORMAT = "riskybiz-trace/1"
@@ -86,58 +91,6 @@ class TraceRecord:
         }
 
 
-def _parse_line(line: bytes) -> TraceRecord | None:
-    """The verified record on ``line``, or None if it fails."""
-    try:
-        document = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(document, dict):
-        return None
-    recorded = document.get("checksum")
-    telemetry = document.get("telemetry", {})
-    body = {
-        k: v for k, v in document.items() if k not in ("checksum", "telemetry")
-    }
-    if not isinstance(recorded, str) or content_digest(body) != recorded:
-        return None
-    if not isinstance(telemetry, dict):
-        telemetry = {}
-    try:
-        return TraceRecord(
-            seq=int(body["seq"]),
-            run_id=str(body["run_id"]),
-            type=str(body["type"]),
-            payload=dict(body["payload"]),
-            telemetry=telemetry,
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _read_verified(target: Path) -> tuple[list[TraceRecord], int, int]:
-    """A trace file's verified records, their length in bytes, and the
-    file's length (see :func:`read_trace`)."""
-    data = target.read_bytes()
-    # Whatever follows the last newline is a record that was never
-    # finished: empty on an intact trace.
-    *lines, fragment = data.split(b"\n")
-    records: list[TraceRecord] = []
-    verified = 0
-    for index, line in enumerate(lines):
-        record = _parse_line(line)
-        if record is None or record.seq != len(records):
-            if index == len(lines) - 1 and not fragment:
-                break  # torn tail: the event never durably happened
-            raise TraceCorruption(
-                f"{target}: record {index} failed verification with valid "
-                "records after it — trace damaged, not torn"
-            )
-        records.append(record)
-        verified += len(line) + 1
-    return records, verified, len(data)
-
-
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """Replay a trace file, dropping a torn tail.
 
@@ -146,7 +99,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
     unverifiable record with valid records after it means the file was
     damaged after the fact and raises :class:`TraceCorruption`.
     """
-    return _read_verified(Path(path))[0]
+    return read_checked_lines(Path(path), TraceRecord, TraceCorruption, "trace")[0]
 
 
 class Span:
@@ -199,7 +152,9 @@ class Tracer:
             tracer._append("trace-start", {"format": TRACE_FORMAT})
             return tracer
         try:
-            records, verified, size = _read_verified(target)
+            records, verified, size = read_checked_lines(
+                target, TraceRecord, TraceCorruption, "trace"
+            )
         except TraceCorruption:
             records = None
         if records is None or (records and records[0].run_id != run_id):
@@ -229,15 +184,9 @@ class Tracer:
             payload=payload,
             telemetry=dict(telemetry or {}),
         )
-        body = record.body()
-        document = dict(body)
-        document["checksum"] = content_digest(body)
-        if record.telemetry:
-            document["telemetry"] = record.telemetry
-        line = json.dumps(document, sort_keys=True) + "\n"
         if self._handle is None:
             self._handle = open(self.path, "ab")
-        self._handle.write(line.encode("utf-8"))
+        self._handle.write(encode_checked_line(record.body(), record.telemetry))
         self._handle.flush()
         self._seq += 1
         return record

@@ -13,9 +13,10 @@ the first folds the whole dataset (``riskybiz detect --run-dir``, or
 the last batch day by ``--until``; later ones restore the checkpoint
 and fold exactly the day batches recorded past its watermark, reading
 the dataset as of the newest of them. None of them re-reads history,
-unless one scan finds that the dataset's delta stream rewrites earlier
-days: such a stream is replayed up to the watermark and folded day by
-day. The durability protocol, per invocation::
+except where one scan finds that the dataset's delta stream rewrites
+earlier days: there the engine reads a replica it fills up to the
+watermark, once per invocation. The durability protocol, per
+invocation::
 
     fold  →  atomic engine checkpoint  →  journal day-advanced
           →  result  →  result.json  →  journal run-complete
@@ -37,13 +38,16 @@ never lies about what durably exists. The result is never stored: every
 invocation recomputes it from the engine, and an invocation with
 nothing to fold checks it against the journaled digest. Run IDs are
 deterministic digests of the run's inputs, so ``--resume`` can also
-detect an input switcheroo. The source dataset is only ever read.
+detect an input switcheroo; the WHOIS archive's SHA-256 is journaled
+beside them, and a resume with another archive is refused. The source
+dataset is only ever read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache
@@ -185,6 +189,7 @@ def _open_run(
     zonedb: "ZoneDatabase",
     *,
     inputs: dict[str, Any],
+    whois_sha256: str,
     resume: str | None,
     chaos: "ChaosMonkey | None",
     trace: bool,
@@ -195,11 +200,15 @@ def _open_run(
     Files an older version left (:data:`STALE_NAMES`) are deleted
     unread first. ``inputs`` are the run's options: with the dataset's
     scenario digest they fingerprint the run ID, and they are journaled
-    once as the ``run-config`` record. A fresh run needs a directory without a
-    journal; a resume needs ``resume`` to name the journal's run ID and
-    the inputs to fingerprint to it — anything else raises
-    :class:`RunFailed`. Tracing and profiling stay installed for the
-    body of the ``with`` block.
+    once, with ``whois_sha256`` (:meth:`WhoisArchive.sha256`), as the
+    ``run-config`` record. A fresh run needs a directory without a
+    journal; a resume needs ``resume`` to name the journal's run ID, the
+    inputs to fingerprint to it and the journaled WHOIS digest, if any,
+    to be ``whois_sha256`` — anything else raises :class:`RunFailed`
+    before a byte of the run directory changes. A run journaled before
+    WHOIS digests were recorded journals the one it resumes with.
+    Tracing and profiling stay installed for the body of the ``with``
+    block.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -238,10 +247,23 @@ def _open_run(
         if resume is not None:
             raise RunFailed(f"nothing to resume in {run_dir}")
         journal = RunJournal.create(journal_path, run_id)
+    config = journal.last("run-config")
+    journaled = None if config is None else config.payload.get("whois_sha256")
+    if journaled is not None and journaled != whois_sha256:
+        raise RunFailed(
+            f"WHOIS input changed: run {run_id} is journaled with WHOIS "
+            f"sha256 {journaled}, this invocation's is {whois_sha256}"
+        )
     if chaos is not None:
         journal.torn_writer = chaos.torn_write
-    if journal.last("run-config") is None:
-        journal.append("run-config", **inputs)
+    if journaled is None:
+        if config is not None:
+            print(
+                f"note: run {run_id} journaled no WHOIS digest; recording "
+                f"{whois_sha256}, so a resume with other WHOIS data is refused",
+                file=sys.stderr,
+            )
+        journal.append("run-config", **inputs, whois_sha256=whois_sha256)
 
     tracer = (
         Tracer.open_or_create(run_dir / TRACE_NAME, run_id) if trace else None
@@ -390,15 +412,19 @@ def run_incremental_detection(
     past its watermark are folded, at once, against ``zonedb`` as of
     the newest of them — a run that is already current folds nothing,
     recomputes its result from the checkpoint and raises
-    :class:`RunFailed` unless it has the journaled digest. A dataset
-    whose delta stream rewrites earlier days is instead replayed up to
-    the watermark and folded day by day (see
+    :class:`RunFailed` unless it has the journaled digest. On a dataset
+    whose delta stream rewrites earlier days, the dataset as of a batch
+    day is a replica the engine fills up to the watermark and extends
+    (see
     :meth:`~repro.detection.incremental.IncrementalDetectionEngine.advance_from`).
     ``until`` caps the horizon without entering the run fingerprint, so
     one standing run can advance day by day. Each invocation writes one
     engine checkpoint for everything it folded (see the module docstring
     for the crash windows). ``consumer`` is accepted for compatibility
-    and ignored: ``zonedb`` is only read.
+    and ignored: ``zonedb`` is only read. ``whois`` must be the archive
+    the run started with: its :meth:`~repro.whois.archive.WhoisArchive.sha256`
+    is journaled in ``run-config``, and a resume with another archive
+    raises :class:`RunFailed` naming both digests.
 
     ``chaos`` arms the execution-plane fault injectors at every stage,
     day and journal-append boundary (see :mod:`repro.faults.process`).
@@ -424,6 +450,7 @@ def run_incremental_detection(
         run_dir,
         zonedb,
         inputs=inputs,
+        whois_sha256=whois.sha256(),
         resume=resume,
         chaos=chaos,
         trace=trace,

@@ -30,13 +30,18 @@ did (wall-clock reads are banned repo-wide by lint rule ``DET002``).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.store.atomic import content_digest, fsync_directory, truncate_file
+from repro.store.atomic import (
+    encode_checked_line,
+    fsync_directory,
+    parse_checked_line,
+    read_checked_lines,
+    truncate_file,
+)
 
 #: Format tag recorded by the run-start event.
 JOURNAL_FORMAT = "riskybiz-journal/1"
@@ -65,29 +70,6 @@ class JournalRecord:
         }
 
 
-def _parse_line(line: bytes) -> JournalRecord | None:
-    """The verified record on ``line``, or ``None`` if it fails."""
-    try:
-        document = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(document, dict):
-        return None
-    recorded = document.get("checksum")
-    body = {k: v for k, v in document.items() if k != "checksum"}
-    if not isinstance(recorded, str) or content_digest(body) != recorded:
-        return None
-    try:
-        return JournalRecord(
-            seq=int(body["seq"]),
-            run_id=str(body["run_id"]),
-            type=str(body["type"]),
-            payload=dict(body["payload"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def _read_verified(target: Path) -> tuple[list[JournalRecord], int, int]:
     """A journal's verified records, their length in bytes, and the
     file's length. Reads only: the file is left as it is.
@@ -95,28 +77,14 @@ def _read_verified(target: Path) -> tuple[list[JournalRecord], int, int]:
     Raises :class:`JournalCorruption` on a bad record with valid records
     after it, or when no ``run-start`` record verifies.
     """
-    data = target.read_bytes()
-    # Whatever follows the last newline is an append that never
-    # finished: empty on an intact journal.
-    *lines, fragment = data.split(b"\n")
-    records: list[JournalRecord] = []
-    verified = 0  # bytes taken by the verified records
-    for index, line in enumerate(lines):
-        record = _parse_line(line)
-        if record is None or record.seq != len(records):
-            if index == len(lines) - 1 and not fragment:
-                break  # the final record is the torn tail
-            raise JournalCorruption(
-                f"{target}: record {index} failed verification with "
-                "valid records after it — journal damaged, not torn"
-            )
-        records.append(record)
-        verified += len(line) + 1
+    records, verified, size = read_checked_lines(
+        target, JournalRecord, JournalCorruption, "journal"
+    )
     if not records:
         raise JournalCorruption(f"{target}: no verifiable records")
     if records[0].type != "run-start":
         raise JournalCorruption(f"{target}: first record is not run-start")
-    return records, verified, len(data)
+    return records, verified, size
 
 
 class JournalReplay:
@@ -224,11 +192,7 @@ class RunJournal(JournalReplay):
             type=event_type,
             payload=payload,
         )
-        body = record.body()
-        document = dict(body)
-        document["checksum"] = content_digest(body)
-        line = json.dumps(document, sort_keys=True) + "\n"
-        data = line.encode("utf-8")
+        data = encode_checked_line(record.body())
         cut = self.torn_writer(data) if self.torn_writer is not None else None
         with open(self.path, "ab") as handle:
             handle.write(data if cut is None else data[:cut])
@@ -265,7 +229,11 @@ def journal_run_id(path: str | Path) -> str:
     """
     with open(path, "rb") as handle:
         first = handle.readline()
-    record = _parse_line(first[:-1]) if first.endswith(b"\n") else None
+    record = (
+        parse_checked_line(first[:-1], JournalRecord)
+        if first.endswith(b"\n")
+        else None
+    )
     if record is None or record.seq != 0 or record.type != "run-start":
         return RunJournal.open(path).run_id
     return record.run_id

@@ -20,7 +20,10 @@ corruption (or a torn write that somehow survived) is *detected* on
 load, not consumed. :func:`load_checked_json` quarantines a corrupt
 manifest by renaming it aside, leaving the caller free to recompute.
 
-Append-only logs (the run journal, a run's trace) cannot temp-rename;
+Append-only logs (the run journal, a run's trace) cannot temp-rename.
+They are checksummed JSONL, one record per line: each line is encoded
+by :func:`encode_checked_line` and read back by
+:func:`read_checked_lines`, which tells a torn tail from damage, and
 :func:`truncate_file` is their recovery step, cutting a torn tail off
 in place.
 
@@ -34,7 +37,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 #: Suffix appended to the target name for in-flight temp files.
 TMP_SUFFIX = ".tmp"
@@ -44,6 +47,10 @@ QUARANTINE_SUFFIX = ".corrupt"
 
 #: Manifest key holding the document's own integrity checksum.
 CHECKSUM_KEY = "checksum"
+
+
+#: A log's record type, built from one verified line's fields.
+Record = TypeVar("Record")
 
 
 class IntegrityError(Exception):
@@ -102,6 +109,88 @@ def truncate_file(path: str | Path, length: int) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def encode_checked_line(
+    body: dict[str, Any], telemetry: dict[str, Any] | None = None
+) -> bytes:
+    """One checksummed JSONL line: ``body`` with the SHA-256 of its
+    canonical encoding, plus a ``telemetry`` field outside the checksum
+    when one is given."""
+    document = dict(body)
+    document[CHECKSUM_KEY] = content_digest(body)
+    if telemetry:
+        document["telemetry"] = telemetry
+    return (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+
+
+def parse_checked_line(
+    line: bytes, record: Callable[..., Record]
+) -> Record | None:
+    """The verified record on one line (without its newline), or None.
+
+    ``record`` is called with the line's ``seq``, ``run_id``, ``type``
+    and ``payload``, and with its ``telemetry`` only when the line has
+    one, so a record type without that field refuses such a line.
+    """
+    try:
+        document = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not isinstance(document, dict):
+        return None
+    recorded = document.pop(CHECKSUM_KEY, None)
+    extra = {}
+    if "telemetry" in document:
+        telemetry = document.pop("telemetry")
+        extra["telemetry"] = telemetry if isinstance(telemetry, dict) else {}
+    if not isinstance(recorded, str) or content_digest(document) != recorded:
+        return None
+    try:
+        return record(
+            seq=int(document["seq"]),
+            run_id=str(document["run_id"]),
+            type=str(document["type"]),
+            payload=dict(document["payload"]),
+            **extra,
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def read_checked_lines(
+    target: Path,
+    record: Callable[..., Record],
+    damaged: Callable[[str], Exception],
+    noun: str,
+) -> tuple[list[Record], int, int]:
+    """A checksummed JSONL log's verified records, their length in
+    bytes, and the file's length. Reads only: the file is left as it is.
+
+    A final line that fails verification, or one without its newline,
+    is a torn tail: an append that never finished, left out. A line
+    that fails with lines after it (or a record out of sequence) means
+    the log was damaged after the fact, and raises ``damaged`` with a
+    message naming the record and ``noun``.
+    """
+    data = target.read_bytes()
+    # Whatever follows the last newline is an append that never
+    # finished: empty on an intact log.
+    *lines, fragment = data.split(b"\n")
+    records: list[Any] = []
+    verified = 0  # bytes taken by the verified records
+    for index, line in enumerate(lines):
+        parsed: Any = parse_checked_line(line, record)
+        if parsed is None or parsed.seq != len(records):
+            if index == len(lines) - 1 and not fragment:
+                break  # the final record is the torn tail
+            raise damaged(
+                f"{target}: record {index} failed verification with "
+                f"valid records after it — {noun} damaged, not torn"
+            )
+        records.append(parsed)
+        verified += len(line) + 1
+    return records, verified, len(data)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> Path:

@@ -12,7 +12,10 @@ dates remain visible.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator
 
 from repro.dnscore.names import Name, canonical_text
@@ -62,6 +65,10 @@ class WhoisArchive:
 
     redact_registrants: bool = False
     _records: dict[str, list[WhoisRecord]] = field(default_factory=dict)
+    #: SHA-256 of the file :meth:`load` read the archive from.
+    _loaded_sha256: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def record_registration(
         self,
@@ -163,8 +170,6 @@ class WhoisArchive:
 
     def to_json_lines(self) -> Iterator[str]:
         """Serialize as JSON lines (one registration epoch per line)."""
-        import json
-
         for domain in sorted(self._records):
             for record in self._records[domain]:
                 yield json.dumps(
@@ -180,23 +185,31 @@ class WhoisArchive:
                     sort_keys=True,
                 )
 
+    def _dump_bytes(self) -> bytes:
+        return ("\n".join(self.to_json_lines()) + "\n").encode("utf-8")
+
     def dump(self, path) -> int:
         """Write the archive to a JSON-lines file; returns epoch count."""
-        from pathlib import Path
+        Path(path).write_bytes(self._dump_bytes())
+        return len(self)
 
-        lines = list(self.to_json_lines())
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return len(lines)
+    def sha256(self) -> str:
+        """SHA-256 of the archive's input: the bytes of the file
+        :meth:`load` read, or, for an archive built in memory, the bytes
+        :meth:`dump` would write now (the same value for a file
+        :meth:`dump` wrote)."""
+        if self._loaded_sha256 is not None:
+            return self._loaded_sha256
+        return hashlib.sha256(self._dump_bytes()).hexdigest()
 
     @classmethod
     def load(cls, path) -> "WhoisArchive":
         """Read an archive previously written by :meth:`dump`."""
-        import json
-        from pathlib import Path
-
+        data = Path(path).read_bytes()
         archive = cls()
+        archive._loaded_sha256 = hashlib.sha256(data).hexdigest()
         records = archive._records
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in data.decode("utf-8").splitlines():
             if not line.strip():
                 continue
             data = json.loads(line)

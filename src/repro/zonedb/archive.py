@@ -19,7 +19,6 @@ from typing import Iterator
 
 from repro.dnscore.errors import DnsError
 from repro.dnscore.names import Name
-from repro.store.base import DelegationStore
 from repro.zonedb.database import IngestPolicy, ZoneDatabase
 from repro.zonedb.snapshot import ZoneSnapshot
 
@@ -102,17 +101,15 @@ def read_archive(
     root: str | Path,
     *,
     ingest_policy: IngestPolicy | None = None,
-    store: DelegationStore | None = None,
 ) -> ZoneDatabase:
-    """Build a :class:`ZoneDatabase` by ingesting a whole archive.
+    """Build an in-memory :class:`ZoneDatabase` by ingesting a whole
+    archive.
 
     Pass an :class:`IngestPolicy` to bridge snapshot-day gaps or to fail
     fast on degraded input; pending gap-bridge decisions are finalized
-    once the archive is exhausted. Pass a ``store`` to ingest into a
-    specific backend (e.g. an on-disk SQLite dataset) instead of the
-    default in-memory one.
+    once the archive is exhausted.
     """
-    database = ZoneDatabase(ingest_policy=ingest_policy, store=store)
+    database = ZoneDatabase(ingest_policy=ingest_policy)
     for snapshot in iter_archive(root):
         database.ingest_snapshot(snapshot)
     database.finalize_pending()

@@ -258,23 +258,15 @@ class ZoneDatabase:
     def apply_delta(self, event: DeltaEvent) -> None:
         """Replay one recorded delta into this database (no re-emission).
 
-        The incremental engine grows its own store by replaying a
-        recorded delta stream; events mutate through the exact same
-        primitives that produced them, so replay is bit-faithful.
+        The incremental engine fills a replica of a delta stream that
+        rewrites earlier days this way; events mutate through the exact
+        same primitives that produced them, so replay is bit-faithful.
         """
         self.horizon = max(self.horizon, event.day)
         if event.kind == TLD_COVER:
             self.covered_tlds.add(event.name)
             return
         dispatch_delta(self.store, event)
-
-    def apply_deltas(self, events: Iterable[DeltaEvent]) -> int:
-        """Replay a sequence of deltas; returns how many were applied."""
-        count = 0
-        for event in events:
-            self.apply_delta(event)
-            count += 1
-        return count
 
     # -- write path ---------------------------------------------------------
 

@@ -18,8 +18,9 @@ dataset, it asserts:
   record pass and the covered TLDs;
 * in both orders, a fresh ``advance_from(until=N)`` and a restore
   resumed to a later M give the replica fold's digest at M and the
-  checkpoint bytes of a day-by-day ``engine.advance`` drain;
-* the engine replays exactly when the stream rewrites.
+  checkpoint bytes of a drain that folds one batch day per call;
+* below the last batch day, the engine reads a replica of its own
+  exactly when the stream rewrites, and a view of the source otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.detection.pipeline import DetectionPipeline
 from repro.runner.execution import result_digest
 from repro.store.base import DOMAIN, GLUE
 from repro.store.dataset import DeltaView, open_dataset, write_dataset
+from repro.store.memory import MemoryDelegationStore
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
 
@@ -189,15 +191,19 @@ def test_capped_fold_then_resume_equals_a_drain(in_order, history, cuts):
                 resumed.restore(
                     source, load_engine_state(dump_engine_state(capped.state))
                 )
-                # Below the last batch day, restore reads the source as
-                # of the watermark exactly when the stream never rewrites.
-                assert resumed.direct == (cut == days[-1] or not rewrites)
+                # Below the last batch day, restore fills a replica of a
+                # stream that rewrites and reads any other through a view.
+                if cut == days[-1]:
+                    assert resumed.zonedb is source
+                else:
+                    replica = isinstance(resumed.zonedb.store, MemoryDelegationStore)
+                    assert replica == rewrites
                 resumed.advance_from(source, until=later)
                 assert resumed.watermark == later
 
                 drained = IncrementalDetectionEngine(whois)
-                for batch_day, events in DeltaView(source, until=later).batches():
-                    drained.advance(batch_day, events)
+                for batch_day, _events in DeltaView(source, until=later).batches():
+                    drained.advance_from(source, until=batch_day)
                 assert dump_engine_state(resumed.state) == dump_engine_state(
                     drained.state
                 )
@@ -248,6 +254,6 @@ def test_a_later_tld_cover_re_evaluates_earlier_nameservers():
     assert resumed.advance_from(zonedb) == 2
     assert "ns1.gone.net" in resumed.state["candidates"]
     drained = IncrementalDetectionEngine(whois)
-    for batch_day, events in DeltaView(zonedb).batches():
-        drained.advance(batch_day, events)
+    for batch_day, _events in DeltaView(zonedb).batches():
+        drained.advance_from(zonedb, until=batch_day)
     assert dump_engine_state(resumed.state) == dump_engine_state(drained.state)

@@ -32,7 +32,7 @@ def _replay_stored_row(tmp_path, kind: str, ns: str | None) -> None:
     source = SqliteDelegationStore(path, read_only=True)
     try:
         ((_, event),) = source.deltas_since(None)
-        ZoneDatabase().apply_deltas([event])
+        ZoneDatabase().apply_delta(event)
     finally:
         source.close()
 
@@ -68,13 +68,17 @@ class TestDeltaEvent:
             _replay_stored_row(tmp_path, DELEGATION_ADD, None)
 
     def test_engine_replay_names_the_bad_delta(self):
-        events = [DeltaEvent(DELEGATION_REMOVE, 4, "b.biz")]
+        """A stored pair row without its nameserver makes the stream one
+        that rewrites: the fold that replays it refuses it by name."""
+        source = ZoneDatabase()
+        source.store.apply_delta(_add(2, "a.biz", "ns1.x.com"), 2)
+        source.store.record_delta(DeltaEvent(DELEGATION_REMOVE, 4, "b.biz"), 4)
         engine = IncrementalDetectionEngine(WhoisArchive())
-        for replay in (lambda: engine.advance(4, events), lambda: engine._dirty_from(events)):
-            with pytest.raises(
-                ValueError, match="delegation-remove delta for 'b.biz' has no nameserver"
-            ):
-                replay()
+        assert engine.advance_from(source, until=2) == 1
+        with pytest.raises(
+            ValueError, match="delegation-remove delta for 'b.biz' has no nameserver"
+        ):
+            engine.advance_from(source)
 
     def test_payload_round_trip(self):
         for event in (

@@ -141,8 +141,8 @@ def test_generated_states_round_trip(state):
 def test_small_world_states_round_trip(history, mine_patterns):
     zonedb = _build(history)
     engine = IncrementalDetectionEngine(WhoisArchive(), mine_patterns=mine_patterns)
-    for batch_day, events in DeltaView(zonedb).batches():
-        engine.advance(batch_day, events)
+    for batch_day, _events in DeltaView(zonedb).batches():
+        engine.advance_from(zonedb, until=batch_day)
         loaded = load_engine_state(dump_engine_state(engine.state))
         assert _comparable(loaded) == _comparable(engine.state), batch_day
 

@@ -14,6 +14,7 @@ Two claims are pinned down here:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -62,31 +63,53 @@ def _fingerprint(result) -> str:
     return digest.hexdigest()
 
 
-#: Simulates the scenario at ``argv[2]`` and writes its dataset to ``argv[1]``.
+#: Simulates the scenario at ``argv[2]``, writes its dataset to
+#: ``argv[1]`` and the name and glue addresses of each EPP host object
+#: the run created to ``argv[3]``: most are gone by the end of the run.
 _WRITE_DATASET = """
+import json
 import sys
 from repro.ecosystem.config import default_scenario
 from repro.ecosystem.world import World
+from repro.epp.repository import EppRepository
 from repro.store.dataset import write_dataset
 
+created = []
+create_host = EppRepository.create_host
+
+def recording_create_host(self, *args, **kwargs):
+    host = create_host(self, *args, **kwargs)
+    created.append((host.name, sorted(host.addresses)))
+    return host
+
+EppRepository.create_host = recording_create_host
 world = World(default_scenario(2021).scaled(float(sys.argv[2]))).run()
 write_dataset(world.zonedb, sys.argv[1])
+with open(sys.argv[3], "w", encoding="utf-8") as handle:
+    json.dump(sorted(created), handle)
 """
 
 
 def test_dataset_bytes_ignore_the_hash_seed(tmp_path):
-    """Nothing that reaches a dataset may iterate a set or frozenset."""
+    """Nothing that reaches a dataset may iterate a set or frozenset, and
+    the glue addresses hosts are given may not use builtin ``hash``."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     written = []
     for hash_seed in ("1", "2"):
         path = tmp_path / f"hashseed-{hash_seed}" / "dataset.sqlite"
+        hosts = path.with_name("hosts.json")
         subprocess.run(
-            [sys.executable, "-c", _WRITE_DATASET, str(path), str(SCALE)],
+            [sys.executable, "-c", _WRITE_DATASET, str(path), str(SCALE), str(hosts)],
             env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
             check=True,
         )
         manifest = path.with_name(path.name + ".manifest.json")
-        written.append((path.read_bytes(), manifest.read_bytes()))
+        written.append((path.read_bytes(), manifest.read_bytes(), hosts.read_bytes()))
+    assert any(
+        address.startswith("192.0.2.")  # a hoster's glue (World._on_hoster_birth)
+        for _name, addresses in json.loads(written[0][2])
+        for address in addresses
+    )
     assert written[0] == written[1]
 
 

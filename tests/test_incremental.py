@@ -71,10 +71,11 @@ def dataset(world, tmp_path_factory):
 
 
 def _drained_engine(zonedb, whois, **kwargs) -> IncrementalDetectionEngine:
-    """An engine that folded ``zonedb``'s history one day batch at a time."""
+    """An engine that folded ``zonedb``'s history one batch day per call,
+    as a daily job does."""
     engine = IncrementalDetectionEngine(whois, **kwargs)
-    for batch_day, events in DeltaView(zonedb).batches():
-        engine.advance(batch_day, events)
+    for batch_day, _events in DeltaView(zonedb).batches():
+        engine.advance_from(zonedb, until=batch_day)
     return engine
 
 
@@ -128,8 +129,8 @@ class TestEngineEquivalence:
     def test_every_prefix_matches_batch_on_mini_history(self):
         zonedb, whois = _mini_inputs()
         engine = IncrementalDetectionEngine(whois)
-        for batch_day, events in DeltaView(zonedb).batches():
-            engine.advance(batch_day, events)
+        for batch_day, _events in DeltaView(zonedb).batches():
+            engine.advance_from(zonedb, until=batch_day)
             replica = ZoneDatabase()
             for day, event in zonedb.deltas_since(None):
                 if day <= batch_day:
@@ -141,16 +142,6 @@ class TestEngineEquivalence:
 
 
 class TestWatermarkGuards:
-    def test_advance_rejects_non_increasing_batch_day(self):
-        zonedb, whois = _mini_inputs()
-        engine = IncrementalDetectionEngine(whois)
-        batches = DeltaView(zonedb).batches()
-        engine.advance(*batches[1])
-        with pytest.raises(ValueError, match="already advanced"):
-            engine.advance(*batches[1])
-        with pytest.raises(ValueError, match="already advanced"):
-            engine.advance(*batches[0])
-
     def test_commit_watermark_never_moves_backwards(self):
         state = new_engine_state()
         commit_watermark(state, ENGINE_WATERMARK, 5)
@@ -162,10 +153,13 @@ class TestWatermarkGuards:
         zonedb, whois = _mini_inputs()
         engine = IncrementalDetectionEngine(whois)
         engine.fold(zonedb)
-        assert engine.direct
+        assert engine.zonedb is zonedb
         assert engine.watermark == DeltaView(zonedb).last_batch_day()
+        assert engine.advance_from(zonedb) == 0
+        longer, _whois = _mini_inputs()
+        longer.set_delegation(7, "beta.biz", ["ns1.alpha.biz"])
         with pytest.raises(ValueError, match="cannot advance"):
-            engine.advance(engine.watermark + 1, [])
+            engine.advance_from(longer)
         with pytest.raises(ValueError, match="fresh engine"):
             engine.fold(zonedb)
 
@@ -204,8 +198,8 @@ class TestSerialization:
         zonedb, whois = _mini_inputs()
         batches = DeltaView(zonedb).batches()
         partial = IncrementalDetectionEngine(whois)
-        for batch_day, events in batches[:-2]:
-            partial.advance(batch_day, events)
+        for batch_day, _events in batches[:-2]:
+            partial.advance_from(zonedb, until=batch_day)
         fresh = IncrementalDetectionEngine(whois)
         fresh.restore(zonedb, load_engine_state(dump_engine_state(partial.state)))
         fresh.advance_from(zonedb)
@@ -405,6 +399,73 @@ def _drained_engine_until(world, until: int) -> IncrementalDetectionEngine:
     engine = IncrementalDetectionEngine(world.whois)
     engine.advance_from(world.zonedb, until=until)
     return engine
+
+
+def _run_dir_bytes(run_dir) -> dict:
+    return {
+        path: path.read_bytes() for path in sorted(run_dir.rglob("*")) if path.is_file()
+    }
+
+
+class TestWhoisInput:
+    """A run is bound to the WHOIS archive it started with."""
+
+    def test_resume_without_the_runs_whois_is_refused(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(
+            ["simulate", "--seed", "7", "--scale", "0.05", "--out", str(sim)]
+        ) == 0
+        dataset, whois = sim / "dataset.sqlite", sim / "whois.jsonl"
+        run_dir = tmp_path / "run"
+        assert main([
+            "advance", "--dataset", str(dataset), "--whois", str(whois),
+            "--run-dir", str(run_dir), "--until", "1500",
+        ]) == 0
+        before = _run_dir_bytes(run_dir)
+        capsys.readouterr()
+        assert main(
+            ["advance", "--dataset", str(dataset), "--run-dir", str(run_dir)]
+        ) == 1
+        error = capsys.readouterr().err
+        assert "WHOIS input changed" in error
+        assert WhoisArchive.load(whois).sha256() in error
+        assert WhoisArchive().sha256() in error
+        assert _run_dir_bytes(run_dir) == before
+
+    def test_a_run_journaled_without_a_digest_adopts_its_resumes(
+        self, tmp_path, capsys
+    ):
+        """A run directory written before WHOIS digests were journaled
+        keeps its run ID, journals the digest it resumes with and then
+        refuses another archive."""
+        zonedb, whois = _mini_inputs()
+        whois.record_registration("alpha.biz", "registrar-a", day=0)
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(zonedb, whois, run_dir=run_dir, until=3)
+        journal = RunJournal.open(run_dir / JOURNAL_NAME)
+        records = list(journal.records)
+        (config,) = [record for record in records if record.type == "run-config"]
+        assert config.payload.pop("whois_sha256") == whois.sha256()
+        (run_dir / JOURNAL_NAME).unlink()
+        legacy = RunJournal.create(run_dir / JOURNAL_NAME, first.run_id)
+        for record in records[1:]:
+            legacy.append(record.type, **record.payload)
+        capsys.readouterr()
+        again = run_incremental_detection(
+            zonedb, whois, run_dir=run_dir, resume=first.run_id
+        )
+        assert "journaled no WHOIS digest" in capsys.readouterr().err
+        assert again.run_id == first.run_id
+        assert again.result_digest == result_digest(
+            DetectionPipeline(zonedb, whois).run()
+        )
+        assert RunJournal.open(run_dir / JOURNAL_NAME).last("run-config").payload[
+            "whois_sha256"
+        ] == whois.sha256()
+        with pytest.raises(RunFailed, match="WHOIS input changed"):
+            run_incremental_detection(
+                zonedb, WhoisArchive(), run_dir=run_dir, resume=first.run_id
+            )
 
 
 class TestDailyCadence:

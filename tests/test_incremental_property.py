@@ -84,8 +84,8 @@ def test_day_by_day_fold_is_batch_identical(history):
     whois = WhoisArchive()
     batch = result_digest(DetectionPipeline(zonedb, whois).run())
     engine = IncrementalDetectionEngine(whois)
-    for batch_day, events in DeltaView(zonedb).batches():
-        engine.advance(batch_day, events)
+    for batch_day, _events in DeltaView(zonedb).batches():
+        engine.advance_from(zonedb, until=batch_day)
     assert result_digest(engine.result()) == batch
     with tempfile.TemporaryDirectory() as scratch:
         dataset = open_dataset(write_dataset(zonedb, Path(scratch) / "ds.sqlite"))
@@ -121,8 +121,8 @@ def test_every_stream_prefix_is_batch_identical(history, cut):
 def test_loaded_checkpoint_recounts_standing_substrings(history):
     zonedb = _build(history)
     engine = IncrementalDetectionEngine(WhoisArchive())
-    for batch_day, events in DeltaView(zonedb).batches():
-        engine.advance(batch_day, events)
+    for batch_day, _events in DeltaView(zonedb).batches():
+        engine.advance_from(zonedb, until=batch_day)
         standing = engine.state["mine_counter"]
         loaded = load_engine_state(dump_engine_state(engine.state))["mine_counter"]
         assert loaded.names == standing.names, batch_day

@@ -112,6 +112,29 @@ class TestAtomicProtocol:
                 return target
         """) == []
 
+    def test_temp_filled_by_a_call_needs_its_fsync(self) -> None:
+        """A helper taking the temp's path writes it, and an fsync
+        through a handle opened on the temp, in any mode, is its
+        barrier: dropping that fsync renames a dirty temp."""
+        source = """
+            import os
+
+            def write_dataset(zonedb, target):
+                temp = target.with_name(target.name + TMP_SUFFIX)
+                write_tables(temp, pairs=zonedb.pairs())
+                with open(temp, "rb") as handle:
+                    os.fsync(handle.fileno())
+                os.replace(temp, target)
+        """
+        assert findings(source) == []
+        dropped = source.replace(
+            """
+                with open(temp, "rb") as handle:
+                    os.fsync(handle.fileno())""",
+            "",
+        )
+        assert findings(dropped) == [("DET016", 7)]
+
     def test_temp_left_dirty_on_exit(self) -> None:
         found = findings("""
             def save(data, target):

@@ -17,12 +17,14 @@ import json
 import pytest
 
 from repro.detection.pipeline import DetectionPipeline
+from repro.faults.process import ChaosMonkey, ProcessChaosConfig
 from repro.obs.schema import validate_metrics_file, validate_trace_file
 from repro.obs.tracer import canonical_spans, read_trace, trace_content_digest
 from repro.runner.chaos_harness import run_kill_resume_trial
 from repro.runner.execution import (
     METRICS_NAME,
     TRACE_NAME,
+    result_digest,
     run_incremental_detection,
 )
 from repro.store.dataset import DeltaView
@@ -183,26 +185,73 @@ class TestFoldSpans:
         assert fold["dirty"] > 0
         assert not _span_ends(run_dir, "delta.apply")
 
-    def test_a_rewriting_stream_is_replayed_on_resume(self, tmp_path):
+    def test_a_rewriting_stream_folds_once_per_call(self, tmp_path):
+        """A stream that rewrites an earlier day is folded on the same
+        schedule as any other: a capped fold, then one fold per resume,
+        against a replica each invocation fills once."""
         zonedb = ZoneDatabase()
         zonedb.cover("biz")
         zonedb.set_delegation(4, "dom0.biz", ["ns1.host0.biz"])
         zonedb.set_delegation(2, "dom1.biz", ["ns1.host0.biz"])  # behind day 4
         zonedb.set_delegation(6, "dom2.biz", ["ns1.host1.biz"])
         zonedb.set_delegation(8, "dom3.biz", ["ns1.host1.biz"])
+        zonedb.set_delegation(10, "dom0.biz", ["ns1.host1.biz"])
+        assert zonedb.store.scan_deltas() is None
         whois = WhoisArchive()
         run_dir = tmp_path / "run"
+
+        first_boundaries = _BoundaryLog()
         first = run_incremental_detection(
-            zonedb, whois, run_dir=run_dir, until=6, trace=True
+            zonedb, whois, run_dir=run_dir, until=6,
+            chaos=first_boundaries, trace=True,
         )
-        run_incremental_detection(
-            zonedb, whois, run_dir=run_dir, resume=first.run_id, trace=True
+        seen, spans = _span_ends_since(run_dir, 0)
+        names = [span["name"] for span in spans]
+        assert [name for name in names if name in DetectionPipeline.STAGES] == list(
+            DetectionPipeline.STAGES
         )
-        (restore,) = [
-            span for span in _span_ends(run_dir, "delta.apply") if span.get("restore")
-        ]
-        assert restore["day"] == 6
-        # The capped first run drained 0, 4 and 6; the resume folds 8.
-        assert [span["day"] for span in _span_ends(run_dir, "engine.advance")] == [
-            0, 4, 6, 8,
-        ]
+        assert "engine.advance" not in names
+        (fill,) = [span for span in spans if span["name"] == "delta.apply"]
+        assert (fill["day"], fill["count"]) == (6, len(zonedb.deltas_since(None, 6)))
+        assert "restore" not in fill
+        assert first_boundaries.days() == ["day:6"]
+
+        second_boundaries = _BoundaryLog()
+        again = run_incremental_detection(
+            zonedb, whois, run_dir=run_dir, resume=first.run_id,
+            chaos=second_boundaries, trace=True,
+        )
+        _seen, spans = _span_ends_since(run_dir, seen)
+        (fold,) = [span for span in spans if span["name"] == "engine.advance"]
+        assert again.days_advanced == 2
+        assert (fold["day"], fold["days"]) == (10, again.days_advanced)
+        restore, extend = [span for span in spans if span["name"] == "delta.apply"]
+        assert (restore["path"], restore["day"]) == ("run/delta.apply", 6)
+        assert restore["restore"] is True
+        assert (extend["path"], extend["day"]) == ("run/engine.advance/delta.apply", 10)
+        assert "restore" not in extend
+        assert restore["count"] + extend["count"] == len(zonedb.deltas_since(None))
+        assert second_boundaries.days() == ["day:10"]
+        batch = DetectionPipeline(zonedb, whois).run()
+        assert again.result_digest == result_digest(batch)
+
+
+class _BoundaryLog(ChaosMonkey):
+    """A monkey that never kills and logs every worker boundary."""
+
+    def __init__(self) -> None:
+        super().__init__(ProcessChaosConfig())
+        self.labels: list[str] = []
+
+    def worker_boundary(self, label: str) -> None:
+        self.labels.append(label)
+
+    def days(self) -> list[str]:
+        return [label for label in self.labels if label.startswith("day:")]
+
+
+def _span_ends_since(run_dir, start):
+    """The trace's record count, and the span-ends recorded from ``start``."""
+    records = read_trace(run_dir / TRACE_NAME)
+    ends = [record.payload for record in records[start:] if record.type == "span-end"]
+    return len(records), ends

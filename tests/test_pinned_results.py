@@ -4,9 +4,9 @@ The digests and funnels below were computed by the batch pipeline this
 code replaced, which ran each stage's own batch body over the whole
 store. Every way of running detection must still reproduce them
 exactly: :meth:`DetectionPipeline.run`, a fresh and an already-complete
-``riskybiz detect --run-dir``, and a day-by-day drain of the recorded
-delta stream. A direct fold and a day-by-day drain must also leave
-byte-identical engine checkpoints, in memory and over the written
+``riskybiz detect --run-dir``, and a drain of the recorded delta stream
+that folds one batch day per call. A direct fold and a drain must also
+leave byte-identical engine checkpoints, in memory and over the written
 SQLite dataset.
 """
 
@@ -130,8 +130,8 @@ class TestPinnedResults:
         digest, funnel, _degraded = PINS[key]
         zonedb, whois = worlds[key[0]]
         engine = IncrementalDetectionEngine(whois, mine_patterns=key[1])
-        for batch_day, events in DeltaView(zonedb).batches():
-            engine.advance(batch_day, events)
+        for batch_day, _events in DeltaView(zonedb).batches():
+            engine.advance_from(zonedb, until=batch_day)
         result = engine.result()
         assert result_digest(result) == digest
         assert asdict(result.funnel) == funnel
