@@ -24,13 +24,13 @@ def test_bench_incremental_final_day(benchmark, bundle):
 
     def setup():
         engine = IncrementalDetectionEngine(whois, mine_patterns=False)
-        for day, events in batches[:-1]:
-            engine.advance(day, events)
+        for day, _events in batches[:-1]:
+            engine.advance_from(zonedb, until=day)
         engine.result()  # a standing run folds daily, so arrive warm
         return (engine,), {}
 
     def final_fold(engine):
-        engine.advance(final_day, final_events)
+        engine.advance_from(zonedb)
         return engine.result()
 
     result = benchmark.pedantic(final_fold, setup=setup, rounds=3, iterations=1)

@@ -34,6 +34,7 @@ from repro.lint.typestate import (
     alias_closure,
     assign_target,
     call_matches,
+    dotted_name,
     names_in,
     own_statements,
     receiver_name,
@@ -57,6 +58,13 @@ _HANDLE_WRITE_METHODS = frozenset({"write", "writelines"})
 
 #: Path methods that write a file in one call.
 _PATH_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
+
+
+def _leaves_file_unwritten(call: ast.Call) -> bool:
+    """``os.unlink``, ``os.remove`` or an ``os.path`` function: a call
+    that takes a path and never writes the file at it."""
+    name = dotted_name(call.func) or ""
+    return name in ("os.unlink", "os.remove") or name.startswith("os.path.")
 
 
 def _factory_call(
@@ -420,9 +428,13 @@ class _AtomicWriteProtocol(ProtocolAutomaton):
                 events.append(("target_write", *position))
             elif self._opens_for_write(call, TrackedObject(key="", names=targets)):
                 events.append(("target_write", *position))
-            elif not self._opens(call, obj.names) and any(
-                isinstance(arg, ast.Name) and arg.id in obj.names
-                for arg in [*call.args, *(kw.value for kw in call.keywords)]
+            elif (
+                not self._opens(call, obj.names)
+                and not _leaves_file_unwritten(call)
+                and any(
+                    isinstance(arg, ast.Name) and arg.id in obj.names
+                    for arg in [*call.args, *(kw.value for kw in call.keywords)]
+                )
             ):
                 events.append(("write", *position))
         return events

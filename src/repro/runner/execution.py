@@ -197,43 +197,27 @@ def _open_run(
 ) -> Iterator[_OpenRun]:
     """Create or reopen a run directory's journal, with telemetry on.
 
-    Files an older version left (:data:`STALE_NAMES`) are deleted
-    unread first. ``inputs`` are the run's options: with the dataset's
-    scenario digest they fingerprint the run ID, and they are journaled
-    once, with ``whois_sha256`` (:meth:`WhoisArchive.sha256`), as the
+    ``inputs`` are the run's options: with the dataset's scenario digest
+    they fingerprint the run ID, and they are journaled once, with
+    ``whois_sha256`` (:meth:`WhoisArchive.sha256`), as the
     ``run-config`` record. A fresh run needs a directory without a
     journal; a resume needs ``resume`` to name the journal's run ID, the
     inputs to fingerprint to it and the journaled WHOIS digest, if any,
     to be ``whois_sha256`` — anything else raises :class:`RunFailed`
-    before a byte of the run directory changes. A run journaled before
-    WHOIS digests were recorded journals the one it resumes with.
-    Tracing and profiling stay installed for the body of the ``with``
-    block.
+    before a byte of the run directory changes (a torn journal tail
+    included). A run journaled before WHOIS digests were recorded
+    journals the one it resumes with. Files an older version left
+    (:data:`STALE_NAMES`) are then deleted unread. Tracing and profiling
+    stay installed for the body of the ``with`` block.
     """
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     journal_path = run_dir / JOURNAL_NAME
     checkpoint_dir = run_dir / CHECKPOINT_DIR_NAME
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    for name in STALE_NAMES:
-        stale = run_dir / name
-        try:
-            stale.unlink()
-        except FileNotFoundError:
-            continue
-        fsync_directory(stale.parent)
     run_id = compute_run_id(
         {"scenario_digest": zonedb.store.get_meta(SCENARIO_DIGEST_KEY), **inputs}
     )
 
-    resumed = journal_path.exists()
-    if resumed:
-        if resume is None:
-            raise RunFailed(
-                f"{run_dir} already holds a journal; pass resume=<run-id> "
-                "(or point at a fresh run directory)"
-            )
-        journal = RunJournal.open(journal_path)
+    def admit(journal: RunJournal) -> None:
         if journal.run_id != resume:
             raise RunFailed(
                 f"journal belongs to {journal.run_id}, not {resume}"
@@ -243,20 +227,39 @@ def _open_run(
                 f"run inputs changed: journal is {journal.run_id}, these "
                 f"inputs fingerprint to {run_id}"
             )
+        config = journal.last("run-config")
+        journaled = None if config is None else config.payload.get("whois_sha256")
+        if journaled is not None and journaled != whois_sha256:
+            raise RunFailed(
+                f"WHOIS input changed: run {run_id} is journaled with WHOIS "
+                f"sha256 {journaled}, this invocation's is {whois_sha256}"
+            )
+
+    resumed = journal_path.exists()
+    if resumed:
+        if resume is None:
+            raise RunFailed(
+                f"{run_dir} already holds a journal; pass resume=<run-id> "
+                "(or point at a fresh run directory)"
+            )
+        journal = RunJournal.open(journal_path, admit=admit)
     else:
         if resume is not None:
             raise RunFailed(f"nothing to resume in {run_dir}")
+        run_dir.mkdir(parents=True, exist_ok=True)
         journal = RunJournal.create(journal_path, run_id)
-    config = journal.last("run-config")
-    journaled = None if config is None else config.payload.get("whois_sha256")
-    if journaled is not None and journaled != whois_sha256:
-        raise RunFailed(
-            f"WHOIS input changed: run {run_id} is journaled with WHOIS "
-            f"sha256 {journaled}, this invocation's is {whois_sha256}"
-        )
+    checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    for name in STALE_NAMES:
+        stale = run_dir / name
+        try:
+            stale.unlink()
+        except FileNotFoundError:
+            continue
+        fsync_directory(stale.parent)
     if chaos is not None:
         journal.torn_writer = chaos.torn_write
-    if journaled is None:
+    config = journal.last("run-config")
+    if config is None or config.payload.get("whois_sha256") is None:
         if config is not None:
             print(
                 f"note: run {run_id} journaled no WHOIS digest; recording "

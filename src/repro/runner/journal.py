@@ -174,13 +174,25 @@ class RunJournal(JournalReplay):
         return journal
 
     @classmethod
-    def open(cls, path: str | Path) -> "RunJournal":
-        """Replay an existing journal, cutting off a torn tail."""
+    def open(
+        cls,
+        path: str | Path,
+        *,
+        admit: "Callable[[RunJournal], None] | None" = None,
+    ) -> "RunJournal":
+        """Replay an existing journal, cutting off a torn tail.
+
+        ``admit`` sees the replayed journal before the cut: an exception
+        it raises leaves the file as it is.
+        """
         target = Path(path)
         records, verified, size = _read_verified(target)
+        journal = cls(target, records[0].run_id, records)
+        if admit is not None:
+            admit(journal)
         if verified < size:
             truncate_file(target, verified)
-        return cls(target, records[0].run_id, records)
+        return journal
 
     # -- appends -------------------------------------------------------------
 

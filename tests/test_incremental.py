@@ -34,6 +34,7 @@ from repro.runner.execution import (
     CHECKPOINT_DIR_NAME,
     ENGINE_CHECKPOINT_NAME,
     JOURNAL_NAME,
+    STALE_NAMES,
     RunFailed,
     result_digest,
     run_incremental_detection,
@@ -432,6 +433,28 @@ class TestWhoisInput:
         assert WhoisArchive().sha256() in error
         assert _run_dir_bytes(run_dir) == before
 
+    def test_a_refused_resume_changes_no_byte(self, tmp_path):
+        """Every refusal comes before the run directory is touched: a
+        torn journal tail stays uncut and a stale file undeleted."""
+        zonedb, whois = _mini_inputs()
+        whois.record_registration("alpha.biz", "registrar-a", day=0)
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(zonedb, whois, run_dir=run_dir, until=3)
+        with open(run_dir / JOURNAL_NAME, "ab") as handle:
+            handle.write(b'{"checksum": "torn')
+        (run_dir / STALE_NAMES[-1]).write_bytes(b"stale")
+        before = _run_dir_bytes(run_dir)
+        refusals = [
+            ("WHOIS input changed", {"resume": first.run_id, "whois": WhoisArchive()}),
+            ("journal belongs to", {"resume": "run-other"}),
+            ("run inputs changed", {"resume": first.run_id, "mine_patterns": False}),
+        ]
+        for message, overrides in refusals:
+            kwargs = {"whois": whois, "run_dir": run_dir, **overrides}
+            with pytest.raises(RunFailed, match=message):
+                run_incremental_detection(zonedb, **kwargs)
+            assert _run_dir_bytes(run_dir) == before
+
     def test_a_run_journaled_without_a_digest_adopts_its_resumes(
         self, tmp_path, capsys
     ):
@@ -556,9 +579,9 @@ class TestDailyCadence:
         opened: list[object] = []
         replay = RunJournal.open.__func__
 
-        def spy(cls, path):
+        def spy(cls, path, **kwargs):
             opened.append(path)
-            return replay(cls, path)
+            return replay(cls, path, **kwargs)
 
         monkeypatch.setattr(RunJournal, "open", classmethod(spy))
         assert self._advance(inputs, run_dir, days[len(days) // 2 + 1]) == 0

@@ -135,6 +135,24 @@ class TestAtomicProtocol:
         )
         assert findings(dropped) == [("DET016", 7)]
 
+    def test_path_only_calls_leave_the_temp_unwritten(self) -> None:
+        """Sizing, probing or unlinking the temp writes nothing, between
+        the fsync and the replace or after it."""
+        assert findings("""
+            import os
+
+            def save(data, target):
+                temp = target.with_suffix(".tmp")
+                with open(temp, "wb") as handle:
+                    handle.write(data)
+                    os.fsync(handle.fileno())
+                size = os.path.getsize(temp)
+                os.replace(temp, target)
+                if os.path.exists(temp):
+                    os.unlink(temp)
+                return size
+        """) == []
+
     def test_temp_left_dirty_on_exit(self) -> None:
         found = findings("""
             def save(data, target):
