@@ -69,6 +69,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.study import StudyAnalysis, StudyConfig
 from repro.detection.pipeline import DetectionPipeline
+from repro.dnscore.errors import NameError_
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.archive import read_archive, write_archive
 
@@ -207,6 +208,21 @@ def _detect_zonedb(args: argparse.Namespace):
         return None
 
 
+def _load_whois(path: str | None) -> WhoisArchive | None:
+    """The archive ``--whois`` names (an empty one without it), or None
+    after reporting why the file could not be read."""
+    if not path:
+        return WhoisArchive()
+    try:
+        return WhoisArchive.load(path)
+    except OSError as error:
+        print(f"error: {path}: {error.strerror}", file=sys.stderr)
+    except (KeyError, ValueError, NameError_) as error:
+        # ``load`` gives each the message "line N: reason".
+        print(f"error: {path}: {error.args[0]}", file=sys.stderr)
+    return None
+
+
 def _detect_run(args: argparse.Namespace, zonedb, whois):
     """Run detection journaled in ``--run-dir``.
 
@@ -265,13 +281,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    whois = _load_whois(args.whois)
+    if whois is None:
+        return 1
     zonedb = _detect_zonedb(args)
     if zonedb is None:
         return 1
     if zonedb.nameserver_count() == 0:
         print("error: data set contains no delegations", file=sys.stderr)
         return 1
-    whois = WhoisArchive.load(args.whois) if args.whois else WhoisArchive()
     if args.run_dir:
         result = _detect_run(args, zonedb, whois)
         if result is None:
@@ -327,12 +345,14 @@ def cmd_advance(args: argparse.Namespace) -> int:
     from repro.runner.journal import journal_run_id
     from repro.store.dataset import open_dataset
 
+    whois = _load_whois(args.whois)
+    if whois is None:
+        return 1
     try:
         zonedb = open_dataset(args.dataset)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    whois = WhoisArchive.load(args.whois) if args.whois else WhoisArchive()
     run_dir = Path(args.run_dir)
     journal_path = run_dir / JOURNAL_NAME
     try:

@@ -14,14 +14,31 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator, cast
 
-from repro.dnscore.names import Name, canonical_text
+from repro.dnscore.errors import NameError_
+from repro.dnscore.names import _LAX_NAME, MAX_NAME_LENGTH, canonical_text
 
 #: The registrant string WHOIS shows when privacy/GDPR redaction applies.
 REDACTED = "REDACTED FOR PRIVACY"
+
+# One line as :meth:`WhoisArchive.dump` writes it: sorted keys with the
+# default separators; a canonical domain (``canonical_text``'s pattern,
+# at most ``MAX_NAME_LENGTH`` characters); strings holding no quote, no
+# backslash and no character below U+0020; integers of at most 18
+# digits, far inside the length Python refuses to parse. :func:`_decode`
+# cannot fail on such a line, and decodes it to the domain captured.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_STR = r'"[^"\\\x00-\x1f]*"'
+_DUMP_LINE = re.compile(
+    rf'\{{"created": {_INT}, "deleted": (?:{_INT}|null), '
+    rf'"domain": "(?=[a-z0-9_.-]{{1,{MAX_NAME_LENGTH}}}")({_LAX_NAME.pattern})", '
+    rf'"expires": {_INT}, "registrant": {_STR}, "registrar": {_STR}, '
+    rf'"transfers": \[(?:\[{_INT}, {_STR}\](?:, \[{_INT}, {_STR}\])*)?\]\}}'
+)
 
 
 @dataclass
@@ -59,16 +76,22 @@ class WhoisRecord:
         return current
 
 
-@dataclass
+@dataclass(eq=False)
 class WhoisArchive:
-    """Append-only registration history per registered domain."""
+    """Append-only registration history per registered domain.
+
+    A domain's epochs are kept in the order they were recorded or read.
+    An archive :meth:`load` read keeps each line in the form :meth:`dump`
+    writes as text until a query first touches its domain.
+    """
 
     redact_registrants: bool = False
-    _records: dict[str, list[WhoisRecord]] = field(default_factory=dict)
+    #: Each domain's epochs; a ``str`` is a dump-form line not yet decoded.
+    _records: dict[str, list[WhoisRecord | str]] = field(default_factory=dict)
+    #: Domains whose epochs still hold an undecoded line.
+    _undecoded: set[str] = field(default_factory=set, init=False, repr=False)
     #: SHA-256 of the file :meth:`load` read the archive from.
-    _loaded_sha256: str | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _loaded_sha256: str | None = field(default=None, init=False, repr=False)
 
     def record_registration(
         self,
@@ -89,6 +112,8 @@ class WhoisArchive:
             expires=day + 365 * period_years,
             registrant=registrant,
         )
+        # Decode the domain's read epochs first; the new one follows them.
+        self._epochs(record.domain)
         self._records.setdefault(record.domain, []).append(record)
         return record
 
@@ -113,13 +138,25 @@ class WhoisArchive:
 
     # -- queries ---------------------------------------------------------
 
+    def _epochs(self, domain: str) -> list[WhoisRecord]:
+        """The epochs of canonical ``domain``, decoding its undecoded
+        lines on first touch (a fresh empty list for an unknown domain)."""
+        epochs = self._records.get(domain, [])
+        if domain in self._undecoded:
+            self._undecoded.remove(domain)
+            epochs[:] = [
+                _decode(epoch) if isinstance(epoch, str) else epoch
+                for epoch in epochs
+            ]
+        return cast("list[WhoisRecord]", epochs)
+
     def history(self, domain: str) -> list[WhoisRecord]:
         """All registration epochs for ``domain``, oldest first."""
-        return list(self._records.get(Name(domain).text, ()))
+        return list(self._epochs(canonical_text(domain)))
 
     def current(self, domain: str, day: int) -> WhoisRecord | None:
         """The epoch covering ``day``, or None."""
-        for record in reversed(self.history(domain)):
+        for record in reversed(self._epochs(canonical_text(domain))):
             if record.active_on(day):
                 return record
         return None
@@ -138,14 +175,14 @@ class WhoisArchive:
         nameserver's domain.
         """
         best: WhoisRecord | None = None
-        for record in self.history(domain):
+        for record in self._epochs(canonical_text(domain)):
             if record.created < day:
                 best = record
         return best.registrar_on(day - 1) if best else None
 
     def ever_registered(self, domain: str) -> bool:
         """True if the archive has any epoch for ``domain``."""
-        return Name(domain).text in self._records
+        return canonical_text(domain) in self._records
 
     def first_registration_after(self, domain: str, day: int) -> WhoisRecord | None:
         """The first epoch created on or after ``day``.
@@ -154,24 +191,35 @@ class WhoisArchive:
         nameserver domain was registered after its creation — i.e. whether
         its delegated domains were hijacked.
         """
-        for record in self.history(domain):
+        for record in self._epochs(canonical_text(domain)):
             if record.created >= day:
                 return record
         return None
 
     def domains(self) -> Iterator[str]:
-        """Every domain with at least one epoch."""
+        """Every domain with at least one epoch, in the order of its first."""
         return iter(self._records)
 
     def __len__(self) -> int:
         return sum(len(records) for records in self._records.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WhoisArchive):
+            return NotImplemented
+        return (self.redact_registrants, self._all_epochs()) == (
+            other.redact_registrants,
+            other._all_epochs(),
+        )
+
+    def _all_epochs(self) -> dict[str, list[WhoisRecord]]:
+        return {domain: self._epochs(domain) for domain in self._records}
 
     # -- serialization ------------------------------------------------------
 
     def to_json_lines(self) -> Iterator[str]:
         """Serialize as JSON lines (one registration epoch per line)."""
         for domain in sorted(self._records):
-            for record in self._records[domain]:
+            for record in self._epochs(domain):
                 yield json.dumps(
                     {
                         "domain": record.domain,
@@ -204,23 +252,100 @@ class WhoisArchive:
 
     @classmethod
     def load(cls, path) -> "WhoisArchive":
-        """Read an archive previously written by :meth:`dump`."""
+        """Read a JSON-lines archive, checking every line.
+
+        A line in the form :meth:`dump` writes (``_DUMP_LINE``) is kept
+        as text until a query first touches its domain. Any other
+        non-blank line is decoded here, and a line that does not decode
+        raises, naming its line number: ``ValueError`` for one that is
+        not UTF-8, not one JSON object or has a wrongly typed field,
+        ``KeyError`` for a missing required field and
+        :class:`~repro.dnscore.errors.NameError_` for an invalid domain.
+        """
         data = Path(path).read_bytes()
         archive = cls()
         archive._loaded_sha256 = hashlib.sha256(data).hexdigest()
-        records = archive._records
-        for line in data.decode("utf-8").splitlines():
-            if not line.strip():
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as error:
+            number = data.count(b"\n", 0, error.start) + 1
+            raise ValueError(f"line {number}: not UTF-8 text") from None
+        records, undecoded = archive._records, archive._undecoded
+        for number, line in enumerate(text.splitlines(), 1):
+            match = _DUMP_LINE.fullmatch(line)
+            epoch: WhoisRecord | str
+            if match is not None:
+                epoch, domain = line, match[1]
+                undecoded.add(domain)
+            elif line.strip():
+                epoch = _decode_line(line, number)
+                domain = epoch.domain
+            else:
                 continue
-            data = json.loads(line)
-            record = WhoisRecord(
-                data["domain"],
-                data["registrar"],
-                data["created"],
-                data["expires"],
-                data["deleted"],
-                data.get("registrant", ""),
-                [tuple(t) for t in data.get("transfers", ())],
-            )
-            records.setdefault(record.domain, []).append(record)
+            records.setdefault(domain, []).append(epoch)
         return archive
+
+
+def _decode_line(line: str, number: int) -> WhoisRecord:
+    """:func:`_decode` of the file's line ``number``; an error names it."""
+    try:
+        return _decode(line)
+    except KeyError as error:
+        raise KeyError(f"line {number}: missing field {error}") from None
+    except NameError_ as error:
+        raise NameError_(f"line {number}: {error}") from None
+    except ValueError as error:
+        raise ValueError(f"line {number}: {error}") from None
+
+
+def _decode(line: str) -> WhoisRecord:
+    """The epoch one archive line holds, with every field checked.
+
+    ``created`` and ``expires`` are integers, ``deleted`` an integer or
+    null, ``registrar`` and the optional ``registrant`` strings, and the
+    optional ``transfers`` a list of ``[day, registrar]`` pairs.
+    """
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"not JSON: {error.msg}: column {error.colno}") from None
+    if type(data) is not dict:
+        raise ValueError("not a JSON object")
+    return WhoisRecord(
+        _typed("domain", data["domain"], str),
+        _typed("registrar", data["registrar"], str),
+        _typed("created", data["created"], int),
+        _typed("expires", data["expires"], int),
+        _typed("deleted", data["deleted"], int, type(None)),
+        _typed("registrant", data.get("registrant", ""), str),
+        _transfers(data.get("transfers", [])),
+    )
+
+
+def _transfers(value: Any) -> list[tuple[int, str]]:
+    """The ``transfers`` field as ``(day, gaining registrar)`` tuples."""
+    for pair in _typed("transfers", value, list):
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is str
+        ):
+            raise ValueError(
+                f"field 'transfers' holds {json.dumps(pair)}, not a "
+                "[day, registrar] pair"
+            )
+    return [(day, registrar) for day, registrar in value]
+
+
+#: What :func:`_typed` calls each type a field may have.
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", type(None): "null"}
+
+
+def _typed(key: str, value: Any, *types: type) -> Any:
+    """``value`` of field ``key``, if its type is one of ``types`` exactly
+    (so ``true`` is not an integer)."""
+    if type(value) in types:
+        return value
+    expected = " or ".join(_JSON_TYPES[kind] for kind in types)
+    raise ValueError(f"field {key!r} is {json.dumps(value)}, not {expected}")

@@ -166,6 +166,33 @@ class TestDetectRunDir:
         assert "run inputs changed" in capsys.readouterr().err
 
 
+class TestBadWhoisFile:
+    """``detect`` and ``advance`` refuse a malformed WHOIS file with one
+    line naming the file and the line, before they read the dataset."""
+
+    @pytest.fixture()
+    def whois(self, tiny_bundle, tmp_path):
+        path = tmp_path / "whois.jsonl"
+        tiny_bundle.world.whois.dump(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:-7]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["detect", "advance"])
+    def test_truncated_line_is_reported(self, whois, tmp_path, capsys, command):
+        run_dir = tmp_path / "run"
+        code = main([
+            command, "--dataset", str(tmp_path / "missing.sqlite"),
+            "--whois", str(whois), "--run-dir", str(run_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {whois}: line 2: not JSON: "
+        )
+        assert not run_dir.exists()
+
+
 class TestExperimentCommand:
     def test_experiment_runs(self, capsys):
         code = main(["experiment", "--scale", "0.1", "--seed", "31"])

@@ -1,11 +1,16 @@
 """Tests for the WHOIS history archive."""
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dnscore.errors import NameError_
-from repro.whois.archive import REDACTED, WhoisArchive
+from repro.whois.archive import REDACTED, WhoisArchive, WhoisRecord
 
 
 @pytest.fixture()
@@ -179,5 +184,231 @@ class TestLoad:
         WhoisArchive.load(first).dump(second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(LINE[:-12], id="truncated"),
+            pytest.param(
+                LINE.replace('"created": 5', '"created": 05'), id="leading-zero"
+            ),
+            pytest.param(
+                LINE.replace("foo.com", 'fo\\"o.com'), id="escaped-quote-in-domain"
+            ),
+            pytest.param(
+                LINE.replace("foo.com", ".".join(["a" * 63] * 3 + ["b" * 62])),
+                id="254-character-domain",
+            ),
+        ],
+    )
+    def test_one_bad_line_amid_dump_lines(self, tmp_path, bad):
+        """Load refuses the file, naming the line, however dump-like the
+        lines around it are."""
+        whois = WhoisArchive()
+        for index in range(4):
+            whois.record_registration(f"d{index}.com", "enom", day=index)
+        good = list(whois.to_json_lines())
+        with pytest.raises((ValueError, NameError_), match="^line 3: "):
+            self._load(tmp_path, *good[:2], bad, *good[2:])
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        line = self.LINE.encode()
+        path = tmp_path / "whois.jsonl"
+        path.write_bytes(line + b"\n" + line.replace(b"Alice", b"Al\xefce") + b"\n")
+        with pytest.raises(ValueError, match="^line 2: not UTF-8"):
+            WhoisArchive.load(path)
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("created", "5"),
+            ("created", True),
+            ("created", 5.5),
+            ("expires", None),
+            ("deleted", "7"),
+            ("deleted", False),
+            ("registrar", 5),
+            ("registrant", None),
+            ("transfers", "ab"),
+            ("transfers", [[9]]),
+            ("transfers", [[9, "godaddy", 1]]),
+            ("transfers", [["9", "godaddy"]]),
+            ("transfers", [[9, None]]),
+            ("domain", 5),
+        ],
+    )
+    def test_wrongly_typed_field(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"^line 2: field '{key}' "):
+            self._load(tmp_path, self.LINE, self._line(**{key: value}))
+
+    def test_missing_field_names_the_line(self, tmp_path):
+        with pytest.raises(KeyError, match="line 2: missing field 'expires'"):
+            self._load(tmp_path, self.LINE, self._line(expires=_ABSENT))
+
+    def test_registration_after_load_follows_the_file_epochs(self, tmp_path):
+        archive = self._load(tmp_path, self._line(deleted=100))
+        archive.record_registration("foo.com", "bulkreg", day=200)
+        epochs = [(r.created, r.registrar) for r in archive.history("foo.com")]
+        assert epochs == [(5, "enom"), (200, "bulkreg")]
+
 
 _ABSENT = object()
+
+
+# -- deferred decode against an eager reference ------------------------------
+
+_REGISTRARS = ["enom", "godaddy", "name.com", "Nämé Reg", 'bulk "reg"']
+_REGISTRANTS = [
+    "", "Alice", "Zoë Müller", "株式会社", REDACTED, "tab\there", "a\\b"
+]
+
+
+@st.composite
+def _archives(draw):
+    """An archive built through the recording API: a few domains, each
+    with consecutive epochs, transfers and deletions."""
+    archive = WhoisArchive(redact_registrants=draw(st.booleans()))
+    names = draw(
+        st.lists(
+            st.from_regex(r"[a-z0-9]{1,6}\.(com|net|org)", fullmatch=True),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    for name in names:
+        day = draw(st.integers(0, 50))
+        for _ in range(draw(st.integers(1, 3))):
+            archive.record_registration(
+                name,
+                draw(st.sampled_from(_REGISTRARS)),
+                day=day,
+                period_years=draw(st.integers(1, 3)),
+                registrant=draw(st.sampled_from(_REGISTRANTS)),
+            )
+            for _ in range(draw(st.integers(0, 2))):
+                day += draw(st.integers(1, 60))
+                gaining = draw(st.sampled_from(_REGISTRARS))
+                archive.record_transfer(name, gaining, day=day)
+            if not draw(st.integers(0, 3)):
+                break  # the epoch stays live
+            day += draw(st.integers(1, 400))
+            archive.record_deletion(name, day=day)
+            day += draw(st.integers(0, 30))
+    return archive
+
+
+def _reencode(line: str, form: str) -> str:
+    """``line`` written in a form :meth:`WhoisArchive.dump` never writes
+    (or, for ``"dump"``, as it is)."""
+    data = json.loads(line)
+    if form == "compact":
+        return json.dumps(data, separators=(",", ":"), sort_keys=True)
+    if form == "unsorted":
+        return json.dumps(dict(reversed(list(data.items()))))
+    if form == "upper":
+        data["domain"] = data["domain"].upper() + "."
+        return json.dumps(data, sort_keys=True)
+    if form == "sparse":
+        for key, default in (("registrant", ""), ("transfers", [])):
+            if data[key] == default:
+                del data[key]
+        return json.dumps(data, sort_keys=True)
+    return line
+
+
+def _eager(text: str) -> WhoisArchive:
+    """The archive ``text`` holds, every line decoded at once."""
+    reference = WhoisArchive()
+    for line in text.splitlines():
+        if line.strip():
+            data = json.loads(line)
+            record = WhoisRecord(
+                data["domain"],
+                data["registrar"],
+                data["created"],
+                data["expires"],
+                data["deleted"],
+                data.get("registrant", ""),
+                [tuple(pair) for pair in data.get("transfers", ())],
+            )
+            reference._records.setdefault(record.domain, []).append(record)
+    return reference
+
+
+class TestDeferredDecode:
+    """:meth:`WhoisArchive.load` keeps dump-form lines undecoded until a
+    query touches their domain; every answer must still be the one an
+    eager decode of the same file gives."""
+
+    FORMS = ["dump", "compact", "unsorted", "upper", "sparse", "blank"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(archive=_archives(), data=st.data())
+    def test_queries_answer_as_an_eager_decode(self, archive, data):
+        lines = list(archive.to_json_lines())
+        dumped = "\n".join(lines) + "\n"
+        # Interleave the domains' lines, keeping each domain's in order.
+        by_domain: dict[str, list[str]] = {}
+        for line in lines:
+            by_domain.setdefault(json.loads(line)["domain"], []).append(line)
+        mixed = []
+        for slot in data.draw(st.permutations(lines)):
+            line = by_domain[json.loads(slot)["domain"]].pop(0)
+            form = data.draw(st.sampled_from(self.FORMS))
+            if form == "blank":
+                mixed.append(data.draw(st.sampled_from(["", "   "])))
+            mixed.append(_reencode(line, form))
+        with tempfile.TemporaryDirectory() as workdir:
+            for text in (dumped, "\n".join(mixed) + "\n"):
+                path = Path(workdir) / "whois.jsonl"
+                path.write_text(text, encoding="utf-8")
+                loaded = WhoisArchive.load(path)
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                assert loaded.sha256() == digest
+                first_lines = dict.fromkeys(
+                    json.loads(line)["domain"].rstrip(".").lower()
+                    for line in text.splitlines()
+                    if line.strip()
+                )
+                self._check(loaded, _eager(text), list(first_lines), data)
+                loaded.dump(path)
+                assert path.read_text(encoding="utf-8") == dumped
+
+    def _check(self, loaded, reference, names, data):
+        """``names``: the file's domains in the order of their first line."""
+        assert len(loaded) == len(reference)
+        assert list(loaded.domains()) == names
+        touched = data.draw(st.lists(st.sampled_from(names), unique=True))
+        for name in touched:
+            self._same_answers(loaded, reference, name)
+        assert list(loaded.domains()) == names
+        assert list(loaded.to_json_lines()) == list(reference.to_json_lines())
+        for name in names:
+            self._same_answers(loaded, reference, name)
+        assert not loaded.ever_registered("ghost.example")
+        assert len(loaded) == len(reference)
+        assert loaded == reference
+
+    def _same_answers(self, loaded, reference, name):
+        days = {
+            day + offset
+            for record in reference.history(name)
+            for day in (
+                record.created,
+                record.expires,
+                record.deleted or 0,
+                *(transfer_day for transfer_day, _ in record.transfers),
+            )
+            for offset in (-1, 0, 1)
+        }
+        for day in sorted(days):
+            assert loaded.registrar_at(name, day) == reference.registrar_at(name, day)
+            assert loaded.current(name.upper(), day) == reference.current(name, day)
+            assert loaded.last_registrar_before(
+                name, day
+            ) == reference.last_registrar_before(name, day)
+            assert loaded.first_registration_after(
+                name, day
+            ) == reference.first_registration_after(name, day)
+        assert loaded.history(name + ".") == reference.history(name)
+        assert loaded.ever_registered(name)
