@@ -335,10 +335,10 @@ def cmd_advance(args: argparse.Namespace) -> int:
     re-running ``riskybiz detect`` from scratch, without re-reading
     history (a dataset whose delta stream rewrites earlier days is read
     through a replica of it). The run ID is read from the journal's first
-    record, so no ``--resume`` bookkeeping is needed and the runner
-    replays the journal once. Each invocation writes one engine
-    checkpoint for everything it folded; the dataset is opened
-    read-only.
+    record, so no ``--resume`` bookkeeping is needed, and the runner
+    checks the journal with one SHA-256 of the bytes before its newest
+    record. Each invocation writes one engine checkpoint for everything
+    it folded; the dataset is opened read-only.
     """
     from repro.runner import JournalCorruption, RunFailed, run_incremental_detection
     from repro.runner.execution import JOURNAL_NAME

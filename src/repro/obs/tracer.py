@@ -99,7 +99,9 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
     unverifiable record with valid records after it means the file was
     damaged after the fact and raises :class:`TraceCorruption`.
     """
-    return read_checked_lines(Path(path), TraceRecord, TraceCorruption, "trace")[0]
+    return list(
+        read_checked_lines(Path(path), TraceRecord, TraceCorruption, "trace")[0]
+    )
 
 
 class Span:

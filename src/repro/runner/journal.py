@@ -6,6 +6,7 @@ checkpoint's digest), ``engine-reset``, ``run-complete`` — each on its
 own line:
 
     {"checksum": "<sha256 of the rest>", "payload": {...},
+     "prev": "<sha256 of every byte before this line>",
      "run_id": "run-…", "seq": 3, "type": "day-advanced"}
 
 Appends are durable (write → flush → fsync) and every record carries a
@@ -23,6 +24,17 @@ exactly which events survived a crash:
   :class:`JournalCorruption` — resuming from a lying journal would
   silently skip work.
 
+Every record also carries ``prev``, inside its checksummed body: the
+SHA-256 of every byte of the file before its line. So an edit that
+keeps each record's checksum valid (a space after a comma, a record
+swapped for another of the same ``seq``) still raises
+:class:`JournalCorruption`, naming the changed record — never a torn
+tail, even on the final line. And an open hashes the bytes before the
+newest record once, compares the digest with its ``prev`` and, on a
+match, decodes only the records a query returns; a journal whose
+newest record has no ``prev`` (one an older version wrote) is verified
+record by record, and chained by its next append.
+
 Timestamps are deliberately absent: the journal orders events by
 sequence number only, so its bytes are a pure function of what the run
 did (wall-clock reads are banned repo-wide by lint rule ``DET002``).
@@ -36,7 +48,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.store.atomic import (
-    encode_checked_line,
+    CheckedLines,
     fsync_directory,
     parse_checked_line,
     read_checked_lines,
@@ -45,6 +57,11 @@ from repro.store.atomic import (
 
 #: Format tag recorded by the run-start event.
 JOURNAL_FORMAT = "riskybiz-journal/1"
+
+#: The events a run journals.
+EVENT_TYPES = (
+    "run-start", "run-config", "day-advanced", "engine-reset", "run-complete"
+)
 
 
 class JournalCorruption(Exception):
@@ -61,7 +78,7 @@ class JournalRecord:
     payload: dict[str, Any]
 
     def body(self) -> dict[str, Any]:
-        """The checksummed portion of the record."""
+        """The record's checksummed fields; its line adds ``prev``."""
         return {
             "seq": self.seq,
             "run_id": self.run_id,
@@ -70,21 +87,22 @@ class JournalRecord:
         }
 
 
-def _read_verified(target: Path) -> tuple[list[JournalRecord], int, int]:
+def _read_verified(target: Path) -> tuple[CheckedLines[JournalRecord], int, int]:
     """A journal's verified records, their length in bytes, and the
     file's length. Reads only: the file is left as it is.
 
     Raises :class:`JournalCorruption` on a bad record with valid records
-    after it, or when no ``run-start`` record verifies.
+    after it, a ``prev`` that does not hash the bytes before its record,
+    or when no ``run-start`` record verifies.
     """
-    records, verified, size = read_checked_lines(
+    log, verified, size = read_checked_lines(
         target, JournalRecord, JournalCorruption, "journal"
     )
-    if not records:
+    if not log:
         raise JournalCorruption(f"{target}: no verifiable records")
-    if records[0].type != "run-start":
+    if log[0].type != "run-start":
         raise JournalCorruption(f"{target}: first record is not run-start")
-    return records, verified, size
+    return log, verified, size
 
 
 class JournalReplay:
@@ -92,26 +110,30 @@ class JournalReplay:
 
     :func:`read_journal` returns this, not a :class:`RunJournal`: it
     has no ``append``, so a reader that left a torn tail in place
-    cannot write a record after it.
+    cannot write a record after it. The queries scan from the newest
+    record and decode only the ones they return.
     """
 
-    def __init__(self, records: list[JournalRecord] | None = None) -> None:
-        self.records: list[JournalRecord] = list(records or ())
+    def __init__(self, log: CheckedLines[JournalRecord]) -> None:
+        self._log = log
+
+    @property
+    def records(self) -> list[JournalRecord]:
+        """Every verified event, in order."""
+        return list(self._log)
 
     # -- replay queries ------------------------------------------------------
 
     def events(self, event_type: str | None = None) -> Iterator[JournalRecord]:
         """Verified events, optionally filtered by type."""
-        for record in self.records:
+        for record in self._log:
             if event_type is None or record.type == event_type:
                 yield record
 
     def last(self, event_type: str) -> JournalRecord | None:
         """The most recent event of ``event_type``, if any."""
-        for record in reversed(self.records):
-            if record.type == event_type:
-                return record
-        return None
+        index = self._log.newest((event_type,), EVENT_TYPES)
+        return None if index < 0 else self._log[index]
 
     @property
     def run_complete(self) -> JournalRecord | None:
@@ -125,12 +147,10 @@ class JournalReplay:
         The run's engine checkpoint must be the one this event hashed;
         None when no drain is durable since a reset.
         """
-        for record in reversed(self.records):
-            if record.type == "engine-reset":
-                return None
-            if record.type == "day-advanced":
-                return record
-        return None
+        index = self._log.newest(("day-advanced", "engine-reset"), EVENT_TYPES)
+        if index < 0 or self._log[index].type == "engine-reset":
+            return None
+        return self._log[index]
 
 
 class RunJournal(JournalReplay):
@@ -151,12 +171,16 @@ class RunJournal(JournalReplay):
         self,
         path: str | Path,
         run_id: str,
-        records: list[JournalRecord] | None = None,
+        log: CheckedLines[JournalRecord] | None = None,
         *,
         torn_writer: "Callable[[bytes], int | None] | None" = None,
     ) -> None:
-        super().__init__(records)
         self.path = Path(path)
+        super().__init__(
+            CheckedLines(self.path, JournalRecord, JournalCorruption, "journal")
+            if log is None
+            else log
+        )
         self.run_id = run_id
         self.torn_writer = torn_writer
 
@@ -186,8 +210,8 @@ class RunJournal(JournalReplay):
         it raises leaves the file as it is.
         """
         target = Path(path)
-        records, verified, size = _read_verified(target)
-        journal = cls(target, records[0].run_id, records)
+        log, verified, size = _read_verified(target)
+        journal = cls(target, log[0].run_id, log)
         if admit is not None:
             admit(journal)
         if verified < size:
@@ -199,12 +223,12 @@ class RunJournal(JournalReplay):
     def append(self, event_type: str, **payload: Any) -> JournalRecord:
         """Durably append one event; returns the written record."""
         record = JournalRecord(
-            seq=len(self.records),
+            seq=len(self._log),
             run_id=self.run_id,
             type=event_type,
             payload=payload,
         )
-        data = encode_checked_line(record.body())
+        data = self._log.encode(record.body())
         cut = self.torn_writer(data) if self.torn_writer is not None else None
         with open(self.path, "ab") as handle:
             handle.write(data if cut is None else data[:cut])
@@ -216,7 +240,7 @@ class RunJournal(JournalReplay):
             from repro.faults.process import ChaosKill
 
             raise ChaosKill("torn", f"journal-append:{event_type}")
-        self.records.append(record)
+        self._log.append(data, record)
         return record
 
 
@@ -226,8 +250,8 @@ def read_journal(path: str | Path) -> JournalReplay:
     The records :meth:`RunJournal.open` would recover, for a reader
     such as ``verify-data``: a torn tail is skipped, not cut off.
     """
-    records, _verified, _size = _read_verified(Path(path))
-    return JournalReplay(records)
+    log, _verified, _size = _read_verified(Path(path))
+    return JournalReplay(log)
 
 
 def journal_run_id(path: str | Path) -> str:
@@ -241,11 +265,12 @@ def journal_run_id(path: str | Path) -> str:
     """
     with open(path, "rb") as handle:
         first = handle.readline()
-    record = (
+    parsed = (
         parse_checked_line(first[:-1], JournalRecord)
         if first.endswith(b"\n")
         else None
     )
+    record = None if parsed is None else parsed[0]
     if record is None or record.seq != 0 or record.type != "run-start":
         return RunJournal.open(path).run_id
     return record.run_id

@@ -25,7 +25,10 @@ They are checksummed JSONL, one record per line: each line is encoded
 by :func:`encode_checked_line` and read back by
 :func:`read_checked_lines`, which tells a torn tail from damage, and
 :func:`truncate_file` is their recovery step, cutting a torn tail off
-in place.
+in place. A line appended through :meth:`CheckedLines.encode` (the
+journal's) also carries ``prev``, the SHA-256 of every byte before it,
+so a read checks the bytes before the newest line with one hash and
+decodes only the lines it is asked for.
 
 Lint rule ``DET008`` statically enforces that storage-layer code routes
 its writes through here.
@@ -37,7 +40,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Generic, Iterator, TypeVar
 
 #: Suffix appended to the target name for in-flight temp files.
 TMP_SUFFIX = ".tmp"
@@ -47,6 +50,14 @@ QUARANTINE_SUFFIX = ".corrupt"
 
 #: Manifest key holding the document's own integrity checksum.
 CHECKSUM_KEY = "checksum"
+
+#: Log record key chaining a line to the bytes before it: their
+#: SHA-256 hex digest, inside the line's checksummed body.
+PREV_KEY = "prev"
+
+#: What precedes the value of ``type``, the last key of every line
+#: :func:`encode_checked_line` writes (its keys are sorted).
+_TYPE_KEY = b', "type": "'
 
 
 #: A log's record type, built from one verified line's fields.
@@ -116,7 +127,7 @@ def encode_checked_line(
 ) -> bytes:
     """One checksummed JSONL line: ``body`` with the SHA-256 of its
     canonical encoding, plus a ``telemetry`` field outside the checksum
-    when one is given."""
+    when one is given. Keys are sorted, so ``type`` is the last one."""
     document = dict(body)
     document[CHECKSUM_KEY] = content_digest(body)
     if telemetry:
@@ -126,8 +137,9 @@ def encode_checked_line(
 
 def parse_checked_line(
     line: bytes, record: Callable[..., Record]
-) -> Record | None:
-    """The verified record on one line (without its newline), or None.
+) -> tuple[Record, Any] | None:
+    """The verified record on one line (without its newline) and the
+    ``prev`` it carries (None if it carries none), or None.
 
     ``record`` is called with the line's ``seq``, ``run_id``, ``type``
     and ``payload``, and with its ``telemetry`` only when the line has
@@ -147,7 +159,7 @@ def parse_checked_line(
     if not isinstance(recorded, str) or content_digest(document) != recorded:
         return None
     try:
-        return record(
+        found = record(
             seq=int(document["seq"]),
             run_id=str(document["run_id"]),
             type=str(document["type"]),
@@ -156,6 +168,163 @@ def parse_checked_line(
         )
     except (KeyError, TypeError, ValueError):
         return None
+    return found, document.get(PREV_KEY)
+
+
+class CheckedLines(Generic[Record]):
+    """The verified lines of one checksummed JSONL log, each decoded
+    when first read, and the SHA-256 of every verified byte, which
+    :meth:`encode` writes into the next line as its ``prev``.
+    :func:`read_checked_lines` reads one.
+    """
+
+    def __init__(
+        self,
+        path: Path,
+        record: Callable[..., Record],
+        damaged: Callable[[str], Exception],
+        noun: str,
+    ) -> None:
+        self._path = path
+        self._lines: list[bytes] = []  # each without its newline
+        self._chain = hashlib.sha256()
+        self._record = record
+        self._damaged = damaged
+        self._noun = noun
+        self._decoded: list[Record | None] = []
+        self._newest: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index: int) -> Record:
+        index = range(len(self))[index]
+        found = self._decoded[index]
+        if found is None:
+            parsed = self._parse(self._lines[index], index)
+            if parsed is None:  # forged: the chain vouches for other bytes
+                raise self._damage(index, _FAILED)
+            found = self._decoded[index] = parsed[0]
+        return found
+
+    def __iter__(self) -> Iterator[Record]:
+        return (self[index] for index in range(len(self)))
+
+    def newest(self, types: tuple[str, ...], known: tuple[str, ...]) -> int:
+        """The index of the newest record whose ``type`` is one of
+        ``types``, or -1.
+
+        A line that ends as :func:`encode_checked_line` ends a record of
+        one of ``types`` or ``known`` has that type, so only the other
+        lines are decoded to find theirs.
+        """
+        found = self._newest.get((types, known))
+        if found is None:
+            found = self._newest[types, known] = self._scan(types, known)
+        return found
+
+    def _scan(self, types: tuple[str, ...], known: tuple[str, ...]) -> int:
+        wanted, skipped = _type_ends(types), _type_ends(known)
+        lines = self._lines
+        for index in range(len(lines) - 1, -1, -1):
+            line = lines[index]
+            if line.endswith(wanted):
+                return index
+            if line.endswith(skipped):
+                continue
+            found: Any = self[index]
+            if found.type in types:
+                return index
+        return -1
+
+    def encode(self, body: dict[str, Any]) -> bytes:
+        """``body`` as the next line, carrying ``prev``."""
+        return encode_checked_line({**body, PREV_KEY: self._chain.hexdigest()})
+
+    def append(self, line: bytes, found: Record) -> None:
+        """Take ``line`` (with its newline), durably written after the
+        verified bytes, as the record ``found``."""
+        self._lines.append(line[:-1])
+        self._decoded.append(found)
+        self._chain.update(line)
+        self._newest.clear()
+
+    def _damage(self, index: int, reason: str) -> Exception:
+        """The error naming record ``index`` of a damaged log."""
+        return self._damaged(
+            f"{self._path}: record {index} {reason} — {self._noun} damaged, "
+            "not torn"
+        )
+
+    def _parse(self, line: bytes, index: int) -> tuple[Record, Any] | None:
+        """:func:`parse_checked_line` of ``line``, if it verifies as
+        record ``index``."""
+        parsed: Any = parse_checked_line(line, self._record)
+        return parsed if parsed is not None and parsed[0].seq == index else None
+
+    def _adopt(self, lines: list[bytes], data: bytes, end: int) -> int | None:
+        """Keep ``lines`` unwalked if the newest one kept by the
+        torn-tail rules (the final line, or the one before when the
+        final line fails and ends the file) verifies and its ``prev``
+        hashes every byte before it; returns their length, or None.
+        Only that line is decoded. ``end`` is where the lines end."""
+        newest = len(lines) - 1
+        parsed = self._parse(lines[newest], newest) if lines else None
+        if parsed is None and newest > 0 and end == len(data):
+            end -= len(lines[newest]) + 1
+            newest -= 1  # the final record is the torn tail, if any
+            parsed = self._parse(lines[newest], newest)
+        if parsed is None or parsed[1] is None:
+            return None
+        start = end - len(lines[newest]) - 1
+        view = memoryview(data)
+        chain = hashlib.sha256(view[:start])
+        if chain.hexdigest() != parsed[1]:
+            return None
+        chain.update(view[start:end])
+        self._lines, self._chain = lines[: newest + 1], chain
+        self._decoded = [None] * newest + [parsed[0]]
+        return end
+
+    def _walk(self, lines: list[bytes], torn: bool) -> int:
+        """Verify ``lines`` in order, the final one a torn tail when it
+        fails and ``torn`` allows it; returns the kept lines' length."""
+        verified = 0
+        for index, line in enumerate(lines):
+            parsed = self._parse(line, index)
+            if parsed is None:
+                if index == len(lines) - 1 and torn:
+                    break  # the final record is the torn tail
+                raise self._damage(index, _FAILED)
+            found, prev = parsed
+            if prev is not None and prev != self._chain.hexdigest():
+                raise self._damage(
+                    max(index - 1, 0),
+                    f"was changed: record {index}'s prev is not the SHA-256 "
+                    "of the bytes before it",
+                )
+            self._lines.append(line)
+            self._decoded.append(found)
+            self._chain.update(line)
+            self._chain.update(b"\n")
+            verified += len(line) + 1
+        return verified
+
+
+def _type_ends(types: tuple[str, ...]) -> tuple[bytes, ...]:
+    """How a line :func:`encode_checked_line` writes ends, for a record
+    of each of ``types`` that JSON writes without escapes."""
+    return tuple(
+        _TYPE_KEY + kind.encode("ascii") + b'"}'
+        for kind in types
+        if kind.isascii() and kind.isprintable() and '"' not in kind
+        and "\\" not in kind
+    )
+
+
+#: Why a line that fails its checksum or its ``seq`` before the tail
+#: is damage.
+_FAILED = "failed verification with valid records after it"
 
 
 def read_checked_lines(
@@ -163,34 +332,33 @@ def read_checked_lines(
     record: Callable[..., Record],
     damaged: Callable[[str], Exception],
     noun: str,
-) -> tuple[list[Record], int, int]:
-    """A checksummed JSONL log's verified records, their length in
-    bytes, and the file's length. Reads only: the file is left as it is.
+) -> tuple[CheckedLines[Record], int, int]:
+    """A checksummed JSONL log's verified lines, their length in bytes,
+    and the file's length. Reads only: the file is left as it is.
 
     A final line that fails verification, or one without its newline,
     is a torn tail: an append that never finished, left out. A line
-    that fails with lines after it (or a record out of sequence) means
+    that fails with lines after it, or a record out of sequence, means
     the log was damaged after the fact, and raises ``damaged`` with a
-    message naming the record and ``noun``.
+    message naming the record and ``noun``. So does a line carrying a
+    ``prev`` other than the SHA-256 of every byte before it, the final
+    line too: the message names the record just before it, which
+    changed after the line was appended.
+
+    When the newest kept line's ``prev`` hashes every byte before it,
+    those bytes are what an earlier read verified or an appender
+    wrote, so only that line is decoded here and the others when first
+    read. Any other log is verified line by line.
     """
+    log = CheckedLines(target, record, damaged, noun)
     data = target.read_bytes()
     # Whatever follows the last newline is an append that never
     # finished: empty on an intact log.
     *lines, fragment = data.split(b"\n")
-    records: list[Any] = []
-    verified = 0  # bytes taken by the verified records
-    for index, line in enumerate(lines):
-        parsed: Any = parse_checked_line(line, record)
-        if parsed is None or parsed.seq != len(records):
-            if index == len(lines) - 1 and not fragment:
-                break  # the final record is the torn tail
-            raise damaged(
-                f"{target}: record {index} failed verification with "
-                f"valid records after it — {noun} damaged, not torn"
-            )
-        records.append(parsed)
-        verified += len(line) + 1
-    return records, verified, len(data)
+    verified = log._adopt(lines, data, len(data) - len(fragment))
+    if verified is None:
+        verified = log._walk(lines, torn=not fragment)
+    return log, verified, len(data)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> Path:

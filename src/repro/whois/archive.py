@@ -254,6 +254,8 @@ class WhoisArchive:
     def load(cls, path) -> "WhoisArchive":
         """Read a JSON-lines archive, checking every line.
 
+        Lines end at ``\\n`` only (one ``\\r`` before it is dropped), so a
+        string may hold any other line separator JSON allows unescaped.
         A line in the form :meth:`dump` writes (``_DUMP_LINE``) is kept
         as text until a query first touches its domain. Any other
         non-blank line is decoded here, and a line that does not decode
@@ -271,7 +273,8 @@ class WhoisArchive:
             number = data.count(b"\n", 0, error.start) + 1
             raise ValueError(f"line {number}: not UTF-8 text") from None
         records, undecoded = archive._records, archive._undecoded
-        for number, line in enumerate(text.splitlines(), 1):
+        for number, line in enumerate(text.split("\n"), 1):
+            line = line.removesuffix("\r")
             match = _DUMP_LINE.fullmatch(line)
             epoch: WhoisRecord | str
             if match is not None:

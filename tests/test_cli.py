@@ -193,6 +193,82 @@ class TestBadWhoisFile:
         assert not run_dir.exists()
 
 
+def _space_after_comma(line: bytes) -> bytes:
+    return line.replace(b", ", b",  ", 1)
+
+
+def _same_seq_record(line: bytes) -> bytes:
+    """Another valid record with the ``seq`` and ``prev`` of ``line``."""
+    from repro.store.atomic import encode_checked_line
+
+    document = json.loads(line)
+    del document["checksum"]
+    document["payload"]["day"] += 1
+    return encode_checked_line(document)[:-1]
+
+
+_EDITS = pytest.mark.parametrize(
+    "edit", [_space_after_comma, _same_seq_record], ids=lambda edit: edit.__name__
+)
+
+
+class TestEditedJournal:
+    """An edit to a run journal that keeps every record's checksum valid
+    is refused by ``advance`` and reported by ``verify-data``, naming the
+    changed record, and no byte of the journal changes."""
+
+    @pytest.fixture(scope="class")
+    def standing(self, tiny_bundle, tmp_path_factory):
+        from repro.store.dataset import write_dataset
+
+        root = tmp_path_factory.mktemp("standing")
+        dataset, whois = root / "dataset.sqlite", root / "whois.jsonl"
+        write_dataset(tiny_bundle.world.zonedb, dataset, scenario_digest="cc" * 32)
+        tiny_bundle.world.whois.dump(whois)
+        argv = ["advance", "--dataset", str(dataset), "--whois", str(whois)]
+        run_dir = root / "run"
+        assert main(argv + ["--run-dir", str(run_dir), "--until", "1500"]) == 0
+        assert main(argv + ["--run-dir", str(run_dir)]) == 0
+        return argv, run_dir
+
+    def _edited(self, standing, tmp_path, edit):
+        """A copy of the standing run with its third record edited."""
+        import shutil
+
+        from repro.runner.execution import JOURNAL_NAME
+
+        run_dir = tmp_path / "edited"
+        shutil.copytree(standing[1], run_dir)
+        journal = run_dir / JOURNAL_NAME
+        lines = journal.read_bytes().split(b"\n")
+        assert json.loads(lines[2])["type"] == "day-advanced"
+        lines[2] = edit(lines[2])
+        journal.write_bytes(b"\n".join(lines))
+        return run_dir, journal
+
+    @_EDITS
+    def test_advance_refuses_it(self, standing, tmp_path, capsys, edit):
+        run_dir, journal = self._edited(standing, tmp_path, edit)
+        before = journal.read_bytes()
+        capsys.readouterr()
+        assert main(standing[0] + ["--run-dir", str(run_dir)]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith(f"error: {journal}: record 2 was changed")
+        assert journal.read_bytes() == before
+
+    @_EDITS
+    def test_verify_data_reports_it(self, standing, tmp_path, capsys, edit):
+        run_dir, journal = self._edited(standing, tmp_path, edit)
+        before = journal.read_bytes()
+        capsys.readouterr()
+        argv = ["verify-data", "--run-dir", str(run_dir), "--format", "json"]
+        assert main(argv) == 1
+        (finding,) = json.loads(capsys.readouterr().out)
+        assert (finding["kind"], finding["path"]) == ("corrupt", str(journal))
+        assert finding["detail"].startswith(f"{journal}: record 2 was changed")
+        assert journal.read_bytes() == before
+
+
 class TestExperimentCommand:
     def test_experiment_runs(self, capsys):
         code = main(["experiment", "--scale", "0.1", "--seed", "31"])

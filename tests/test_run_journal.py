@@ -3,22 +3,32 @@
 from __future__ import annotations
 
 import builtins
+import hashlib
 import itertools
 import json
 import os
+import re
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.process import ChaosKill
 from repro.runner.journal import (
+    EVENT_TYPES,
     JOURNAL_FORMAT,
     JournalCorruption,
+    JournalRecord,
     RunJournal,
     journal_run_id,
     read_journal,
 )
+from repro.store import atomic
+from repro.store.atomic import encode_checked_line
 
 
 class _KilledHandle:
@@ -321,3 +331,249 @@ class TestTornWriter:
         journal.append("shard-start", shard=0)
         reopened = RunJournal.open(tmp_path / "journal.jsonl")
         assert len(reopened.records) == 2
+
+
+# -- the prev chain ----------------------------------------------------------
+
+
+def _reencoded_without_prev(data: bytes) -> bytes:
+    """``data`` with every complete line re-encoded without ``prev``:
+    the bytes a journal written before the chain holds."""
+    *lines, fragment = data.split(b"\n")
+    out = []
+    for line in lines:
+        document = json.loads(line)
+        body = {key: document[key] for key in ("payload", "run_id", "seq", "type")}
+        out.append(encode_checked_line(body))
+    return b"".join(out) + fragment
+
+
+def _same_seq_record(line: bytes) -> bytes:
+    """Another valid record with the ``seq`` and ``prev`` of ``line``."""
+    document = json.loads(line)
+    del document["checksum"]
+    document["payload"] = {"day": 4}
+    return encode_checked_line(document)[:-1]
+
+
+class _Refused(Exception):
+    """The reference walk refuses a journal; ``pattern`` matches the
+    message :class:`JournalCorruption` gives for it."""
+
+    def __init__(self, pattern: str) -> None:
+        super().__init__(pattern)
+        self.pattern = pattern
+
+
+def _reference_open(data: bytes) -> tuple[list[JournalRecord], int]:
+    """The records and verified length of a journal's bytes, by the
+    rules a journal is read by, line by line: a torn tail (what follows
+    the last newline, or a final line failing its checksum or ``seq``)
+    is left out; an earlier failing line refuses the journal, naming
+    it; so does a ``prev`` other than the SHA-256 of every byte before
+    its line, naming the record before it."""
+    *lines, fragment = data.split(b"\n")
+    records: list[JournalRecord] = []
+    verified = 0
+    for index, line in enumerate(lines):
+        try:
+            document = json.loads(line.decode("utf-8"))
+            checksum = document.pop("checksum")
+            canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+            ok = (
+                hashlib.sha256(canonical.encode("utf-8")).hexdigest() == checksum
+                and "telemetry" not in document
+                and document["seq"] == index
+            )
+            record = JournalRecord(
+                document["seq"], document["run_id"], document["type"],
+                dict(document["payload"]),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError):
+            ok = False
+        if not ok:
+            if index == len(lines) - 1 and not fragment:
+                break  # the torn tail
+            raise _Refused(f": record {index} failed verification")
+        prev = document.get("prev")
+        if prev is not None and prev != hashlib.sha256(data[:verified]).hexdigest():
+            raise _Refused(f": record {max(index - 1, 0)} was changed")
+        records.append(record)
+        verified += len(line) + 1
+    if not records:
+        raise _Refused("no verifiable records")
+    if records[0].type != "run-start":
+        raise _Refused("not run-start")
+    return records, verified
+
+
+#: One append: a runner record type, a small payload with non-ASCII
+#: text, and where a torn append cuts its line (None: it does not).
+_STEP = st.tuples(
+    st.sampled_from(EVENT_TYPES),
+    st.dictionaries(
+        st.sampled_from(["day", "reason", "note"]),
+        st.one_of(
+            st.integers(-3, 10**6),
+            st.text(alphabet='aé✓\u2028 ",:\\', max_size=6),
+        ),
+        max_size=3,
+    ),
+    st.one_of(st.none(), st.floats(0, 1, exclude_max=True)),
+)
+
+
+def _mutate(data: bytes, mutation: str, draw: Any) -> bytes:
+    """``data`` with (at most) the one edit ``mutation`` names."""
+    *lines, fragment = data.split(b"\n")
+    commas = [match.end() for match in re.finditer(b", ", data)]
+    if mutation == "flip" and data:
+        at = draw(st.integers(0, len(data) - 1))
+        flipped = data[at] ^ draw(st.integers(1, 255))
+        return data[:at] + bytes([flipped]) + data[at + 1 :]
+    if mutation == "space" and commas:
+        at = draw(st.sampled_from(commas))
+        return data[:at] + b" " + data[at:]
+    if mutation == "delete" and lines:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif mutation == "swap" and len(lines) > 1:
+        first = draw(st.integers(0, len(lines) - 2))
+        second = draw(st.integers(first + 1, len(lines) - 1))
+        lines[first], lines[second] = lines[second], lines[first]
+    elif mutation == "truncate":
+        return data[: draw(st.integers(0, len(data)))]
+    elif mutation == "unchain":
+        return _reencoded_without_prev(data)
+    return b"".join(line + b"\n" for line in lines) + fragment
+
+
+def _runner_journal(directory: Path, monkeypatch: Any, length: int) -> Path:
+    """A journal of ``length`` records like a run of one-day advances
+    leaves: ``run-start``, ``run-config``, then ``day-advanced`` and
+    ``run-complete`` by turns (written without fsync, for speed)."""
+    path = directory / "runner.jsonl"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", lambda fd: None)
+        journal = RunJournal.create(path, "run-year")
+        journal.append("run-config", mode="incremental", whois_sha256="ab" * 32)
+        for seq, day in zip(range(2, length), itertools.count(1500)):
+            if seq % 2 == 0:
+                digest = hashlib.sha256(b"%d" % day).hexdigest()
+                journal.append("day-advanced", day=day, checkpoint_sha256=digest)
+            else:
+                journal.append("run-complete", watermark=day, result_digest="cd")
+    return path
+
+
+def _decoded_by_open(path: Path, monkeypatch: Any) -> int:
+    """Lines decoded by the runner's open of ``path`` and its queries."""
+    decoded = []
+    loads = json.loads
+
+    def counting(text: Any, *args: Any, **kwargs: Any) -> Any:
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(atomic.json, "loads", counting)
+        journal = RunJournal.open(
+            path, admit=lambda journal: journal.last("run-config")
+        )
+        assert journal.last("run-config") is not None
+        assert journal.last_drain is not None
+        assert journal.run_complete is not None
+    return len(decoded)
+
+
+class TestChain:
+    """Every record carries ``prev``, the SHA-256 of the bytes before it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(_STEP, max_size=8),
+        mutation=st.sampled_from(
+            ["none", "flip", "space", "delete", "swap", "truncate", "unchain"]
+        ),
+        data=st.data(),
+    )
+    def test_open_agrees_with_a_reference_walk(self, steps, mutation, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "journal.jsonl"
+            journal: RunJournal | None = RunJournal.create(path, "run-prop")
+            for event_type, payload, cut in steps:
+                if journal is None:
+                    journal = RunJournal.open(path)  # cuts the torn tail
+                if cut is None:
+                    journal.append(event_type, **payload)
+                    continue
+                journal.torn_writer = lambda line, cut=cut: int(cut * len(line))
+                with pytest.raises(ChaosKill):
+                    journal.append(event_type, **payload)
+                journal = None
+            edited = _mutate(path.read_bytes(), mutation, data.draw)
+            path.write_bytes(edited)
+            try:
+                records, verified = _reference_open(edited)
+            except _Refused as refusal:
+                for reader in (read_journal, RunJournal.open):
+                    with pytest.raises(JournalCorruption, match=refusal.pattern):
+                        reader(path)
+                assert path.read_bytes() == edited
+                return
+            assert read_journal(path).records == records
+            assert path.read_bytes() == edited
+            assert RunJournal.open(path).records == records
+            assert path.read_bytes() == edited[:verified]
+
+    def test_every_line_chains_the_bytes_before_it(self, journal, tmp_path):
+        journal.append("day-advanced", day=1)
+        journal.append("run-complete", result_digest="dd")
+        data = (tmp_path / "journal.jsonl").read_bytes()
+        offset = 0
+        for line in data.splitlines(keepends=True):
+            assert json.loads(line)["prev"] == hashlib.sha256(data[:offset]).hexdigest()
+            offset += len(line)
+
+    @pytest.mark.parametrize("length", [4, 732])
+    def test_an_open_decodes_a_bounded_number_of_lines(
+        self, tmp_path, monkeypatch, length
+    ):
+        path = _runner_journal(tmp_path, monkeypatch, length)
+        assert len(read_journal(path).records) == length
+        assert _decoded_by_open(path, monkeypatch) <= 5
+
+    def test_a_journal_in_the_parents_form_is_walked_then_chained(
+        self, tmp_path, monkeypatch
+    ):
+        path = _runner_journal(tmp_path, monkeypatch, 40)
+        chained = _decoded_by_open(path, monkeypatch)
+        path.write_bytes(_reencoded_without_prev(path.read_bytes()))
+        records = read_journal(path).records
+        assert _decoded_by_open(path, monkeypatch) >= 40
+        RunJournal.open(path).append("day-advanced", day=99)
+        assert RunJournal.open(path).records[:40] == records
+        assert _decoded_by_open(path, monkeypatch) <= chained
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda line: line.replace(b", ", b",  ", 1), _same_seq_record],
+        ids=["space-after-comma", "same-seq-record"],
+    )
+    def test_an_edit_before_the_final_record_is_never_cut_as_torn(
+        self, journal, tmp_path, edit
+    ):
+        """Every record still verifies on its own, so only the final
+        record's prev tells: the journal is refused, naming the changed
+        record, and the final one is not cut as a torn tail."""
+        journal.append("day-advanced", day=2)
+        journal.append("day-advanced", day=3)
+        journal.append("run-complete", result_digest="dd")
+        path = tmp_path / "journal.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = edit(lines[2])
+        edited = b"\n".join(lines)
+        path.write_bytes(edited)
+        for reader in (read_journal, RunJournal.open):
+            with pytest.raises(JournalCorruption, match=": record 2 was changed"):
+                reader(path)
+        assert path.read_bytes() == edited

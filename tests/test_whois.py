@@ -240,6 +240,24 @@ class TestLoad:
         with pytest.raises(ValueError, match=f"^line 2: field '{key}' "):
             self._load(tmp_path, self.LINE, self._line(**{key: value}))
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_line_separator_inside_a_string(self, tmp_path, separator):
+        """JSON allows these unescaped in a string: they do not end a
+        line, so the line after it keeps its number."""
+        data = json.loads(self.LINE)
+        data["registrant"] = f"Al{separator}ice"
+        line = json.dumps(data, ensure_ascii=False)
+        archive = self._load(tmp_path, line, self._line(domain="bar.com"))
+        (record,) = archive.history("foo.com")
+        assert record.registrant == f"Al{separator}ice"
+        with pytest.raises(KeyError, match="line 2: missing field 'expires'"):
+            self._load(tmp_path, line, self._line(expires=_ABSENT))
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "whois.jsonl"
+        path.write_bytes(f"{self.LINE}\r\n{self._line(domain='bar.com')}\r\n".encode())
+        assert sorted(WhoisArchive.load(path).domains()) == ["bar.com", "foo.com"]
+
     def test_missing_field_names_the_line(self, tmp_path):
         with pytest.raises(KeyError, match="line 2: missing field 'expires'"):
             self._load(tmp_path, self.LINE, self._line(expires=_ABSENT))
