@@ -7,12 +7,18 @@ Two contracts are enforced (not just measured):
 * resolving with a RetryPolicy attached costs <5% over resolving with
   no policy when every server answers on the first try.
 
-Timing uses a best-of-N loop rather than a mean, so background noise
-inflates neither side of the ratio.
+Each round times one raw and one layered run back to back, in turned
+order, and the ratio checked is the median of the rounds' ratios: a
+slow spell of the host reaches both runs of a round rather than one
+side, and a round it splits does not move the median. Each run starts
+after a full garbage collection, so the garbage one run leaves is not
+collected on the next run's time.
 """
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 
 from repro.dnscore.records import RRType
@@ -23,16 +29,23 @@ from repro.zonedb.database import IngestPolicy, ZoneDatabase
 from repro.zonedb.snapshot import ZoneSnapshot
 
 OVERHEAD_LIMIT = 1.05
-ROUNDS = 7
+ROUNDS = 21
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _median_ratio(raw, layered, rounds: int = ROUNDS) -> tuple[float, float, float]:
+    """The best wall time of ``raw`` and of ``layered``, and the median
+    over ``rounds`` of ``layered``'s time over ``raw``'s in one round."""
+    pairs = []
+    for round_ in range(rounds):
+        took = {}
+        for fn in (raw, layered) if round_ % 2 == 0 else (layered, raw):
+            gc.collect()
+            start = time.perf_counter()
+            fn()
+            took[fn] = time.perf_counter() - start
+        pairs.append((took[raw], took[layered]))
+    ratio = statistics.median(slow / fast for fast, slow in pairs)
+    return min(fast for fast, _ in pairs), min(slow for _, slow in pairs), ratio
 
 
 def _snapshot_stream(days: int = 52, domains: int = 400) -> list[ZoneSnapshot]:
@@ -68,9 +81,7 @@ def test_bench_disabled_fault_layer_ingest_overhead(benchmark):
         db.finalize_pending()
         return db
 
-    raw = _best_of(ingest_raw)
-    layered = _best_of(ingest_through_disabled_layer)
-    ratio = layered / raw
+    raw, layered, ratio = _median_ratio(ingest_raw, ingest_through_disabled_layer)
     print(f"\ningest: raw={raw * 1e3:.1f}ms layered={layered * 1e3:.1f}ms "
           f"ratio={ratio:.3f}")
     assert ratio < OVERHEAD_LIMIT
@@ -100,9 +111,7 @@ def test_bench_retry_policy_resolution_overhead(benchmark):
                 assert resolver.resolve(name, day=5).ok
         return run
 
-    raw = _best_of(resolve_all(plain))
-    layered = _best_of(resolve_all(retrying))
-    ratio = layered / raw
+    raw, layered, ratio = _median_ratio(resolve_all(plain), resolve_all(retrying))
     print(f"\nresolve: raw={raw * 1e3:.1f}ms layered={layered * 1e3:.1f}ms "
           f"ratio={ratio:.3f}")
     assert ratio < OVERHEAD_LIMIT

@@ -234,6 +234,9 @@ def _open_run(
                 f"WHOIS input changed: run {run_id} is journaled with WHOIS "
                 f"sha256 {journaled}, this invocation's is {whois_sha256}"
             )
+        # Decode the other records the resume reads, so one that fails
+        # its checksum refuses it here, before a byte changes.
+        journal.last_drain, journal.run_complete
 
     resumed = journal_path.exists()
     if resumed:

@@ -58,11 +58,6 @@ from repro.store.atomic import (
 #: Format tag recorded by the run-start event.
 JOURNAL_FORMAT = "riskybiz-journal/1"
 
-#: The events a run journals.
-EVENT_TYPES = (
-    "run-start", "run-config", "day-advanced", "engine-reset", "run-complete"
-)
-
 
 class JournalCorruption(Exception):
     """A journal record before the tail failed verification."""
@@ -132,7 +127,7 @@ class JournalReplay:
 
     def last(self, event_type: str) -> JournalRecord | None:
         """The most recent event of ``event_type``, if any."""
-        index = self._log.newest((event_type,), EVENT_TYPES)
+        index = self._log.newest((event_type,))
         return None if index < 0 else self._log[index]
 
     @property
@@ -147,7 +142,7 @@ class JournalReplay:
         The run's engine checkpoint must be the one this event hashed;
         None when no drain is durable since a reset.
         """
-        index = self._log.newest(("day-advanced", "engine-reset"), EVENT_TYPES)
+        index = self._log.newest(("day-advanced", "engine-reset"))
         if index < 0 or self._log[index].type == "engine-reset":
             return None
         return self._log[index]

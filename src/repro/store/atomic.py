@@ -192,7 +192,6 @@ class CheckedLines(Generic[Record]):
         self._damaged = damaged
         self._noun = noun
         self._decoded: list[Record | None] = []
-        self._newest: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -210,31 +209,26 @@ class CheckedLines(Generic[Record]):
     def __iter__(self) -> Iterator[Record]:
         return (self[index] for index in range(len(self)))
 
-    def newest(self, types: tuple[str, ...], known: tuple[str, ...]) -> int:
+    def newest(self, types: tuple[str, ...]) -> int:
         """The index of the newest record whose ``type`` is one of
-        ``types``, or -1.
-
-        A line that ends as :func:`encode_checked_line` ends a record of
-        one of ``types`` or ``known`` has that type, so only the other
-        lines are decoded to find theirs.
-        """
-        found = self._newest.get((types, known))
-        if found is None:
-            found = self._newest[types, known] = self._scan(types, known)
-        return found
-
-    def _scan(self, types: tuple[str, ...], known: tuple[str, ...]) -> int:
-        wanted, skipped = _type_ends(types), _type_ends(known)
-        lines = self._lines
-        for index in range(len(lines) - 1, -1, -1):
-            line = lines[index]
-            if line.endswith(wanted):
-                return index
-            if line.endswith(skipped):
+        ``types``, or -1. A line whose type :func:`_type_at_end` reads is
+        not decoded to find it, and once a type is read, a line with the
+        same ending is passed over by that ending alone."""
+        wanted = {kind.encode("utf-8") for kind in types}
+        passed: tuple[bytes, ...] = ()  # the endings of other types
+        for index in range(len(self._lines) - 1, -1, -1):
+            line = self._lines[index]
+            if line.endswith(passed):
                 continue
-            found: Any = self[index]
-            if found.type in types:
+            kind = _type_at_end(line)
+            if kind is None:
+                found: Any = self[index]
+                if found.type in types:
+                    return index
+            elif kind in wanted:
                 return index
+            else:
+                passed += (_TYPE_KEY + kind + b'"}',)
         return -1
 
     def encode(self, body: dict[str, Any]) -> bytes:
@@ -247,7 +241,6 @@ class CheckedLines(Generic[Record]):
         self._lines.append(line[:-1])
         self._decoded.append(found)
         self._chain.update(line)
-        self._newest.clear()
 
     def _damage(self, index: int, reason: str) -> Exception:
         """The error naming record ``index`` of a damaged log."""
@@ -263,17 +256,11 @@ class CheckedLines(Generic[Record]):
         return parsed if parsed is not None and parsed[0].seq == index else None
 
     def _adopt(self, lines: list[bytes], data: bytes, end: int) -> int | None:
-        """Keep ``lines`` unwalked if the newest one kept by the
-        torn-tail rules (the final line, or the one before when the
-        final line fails and ends the file) verifies and its ``prev``
-        hashes every byte before it; returns their length, or None.
-        Only that line is decoded. ``end`` is where the lines end."""
+        """Keep ``lines`` unwalked if the last one verifies and its
+        ``prev`` hashes every byte before it; returns their length, or
+        None. Only that line is decoded. ``end`` is where the lines end."""
         newest = len(lines) - 1
         parsed = self._parse(lines[newest], newest) if lines else None
-        if parsed is None and newest > 0 and end == len(data):
-            end -= len(lines[newest]) + 1
-            newest -= 1  # the final record is the torn tail, if any
-            parsed = self._parse(lines[newest], newest)
         if parsed is None or parsed[1] is None:
             return None
         start = end - len(lines[newest]) - 1
@@ -282,44 +269,58 @@ class CheckedLines(Generic[Record]):
         if chain.hexdigest() != parsed[1]:
             return None
         chain.update(view[start:end])
-        self._lines, self._chain = lines[: newest + 1], chain
+        self._lines, self._chain = lines, chain
         self._decoded = [None] * newest + [parsed[0]]
         return end
 
     def _walk(self, lines: list[bytes], torn: bool) -> int:
-        """Verify ``lines`` in order, the final one a torn tail when it
-        fails and ``torn`` allows it; returns the kept lines' length."""
-        verified = 0
+        """Verify ``lines`` in order; returns the kept lines' length.
+        The final line is a torn tail when it fails its checksum or its
+        ``seq`` and ``torn`` allows it. A line failing with lines after
+        it is named first, as before lines carried ``prev``; failing
+        that, the first line after line 0 whose ``prev`` does not hash
+        the bytes before it, the final line too, names the record before
+        it."""
+        verified, changed = 0, None
         for index, line in enumerate(lines):
-            parsed = self._parse(line, index)
-            if parsed is None:
-                if index == len(lines) - 1 and torn:
-                    break  # the final record is the torn tail
+            parsed: Any = parse_checked_line(line, self._record)
+            found, prev = parsed or (None, None)
+            in_seq = found is not None and found.seq == index
+            if not (in_seq or torn and index == len(lines) - 1):
                 raise self._damage(index, _FAILED)
-            found, prev = parsed
-            if prev is not None and prev != self._chain.hexdigest():
-                raise self._damage(
-                    max(index - 1, 0),
-                    f"was changed: record {index}'s prev is not the SHA-256 "
-                    "of the bytes before it",
-                )
+            chained = prev in (None, self._chain.hexdigest())
+            if index and changed is None and not chained:
+                changed = index
+            if not in_seq:
+                break  # the final record is the torn tail
             self._lines.append(line)
             self._decoded.append(found)
             self._chain.update(line)
             self._chain.update(b"\n")
             verified += len(line) + 1
+        if changed is not None:
+            raise self._damage(
+                changed - 1,
+                f"was changed: record {changed}'s prev is not the SHA-256 of "
+                "the bytes before it",
+            )
         return verified
 
 
-def _type_ends(types: tuple[str, ...]) -> tuple[bytes, ...]:
-    """How a line :func:`encode_checked_line` writes ends, for a record
-    of each of ``types`` that JSON writes without escapes."""
-    return tuple(
-        _TYPE_KEY + kind.encode("ascii") + b'"}'
-        for kind in types
-        if kind.isascii() and kind.isprintable() and '"' not in kind
-        and "\\" not in kind
-    )
+def _type_at_end(line: bytes) -> bytes | None:
+    """The ``type`` of the JSON object on ``line`` when the line ends
+    ``, "type": "<text>"}`` and the text holds no quote or backslash, as
+    every line :func:`encode_checked_line` writes does for a type that
+    JSON writes without escapes (``type`` is its last key); None
+    otherwise. Exact on any JSON object: its last member is a top-level
+    ``type`` and the last of a key's values is the one a decoder keeps."""
+    if not line.endswith(b'"}'):
+        return None
+    start = line.rfind(_TYPE_KEY)
+    kind = line[start + len(_TYPE_KEY) : -2]
+    if start < 0 or b'"' in kind or b"\\" in kind:
+        return None
+    return kind
 
 
 #: Why a line that fails its checksum or its ``seq`` before the tail
@@ -336,19 +337,21 @@ def read_checked_lines(
     """A checksummed JSONL log's verified lines, their length in bytes,
     and the file's length. Reads only: the file is left as it is.
 
-    A final line that fails verification, or one without its newline,
-    is a torn tail: an append that never finished, left out. A line
-    that fails with lines after it, or a record out of sequence, means
-    the log was damaged after the fact, and raises ``damaged`` with a
-    message naming the record and ``noun``. So does a line carrying a
-    ``prev`` other than the SHA-256 of every byte before it, the final
-    line too: the message names the record just before it, which
-    changed after the line was appended.
+    A final line that fails verification (its checksum or its
+    ``seq``), or one without its newline, is a torn tail: an append
+    that never finished, left out. A line that fails with lines after
+    it means the log was damaged after the fact, and raises ``damaged``
+    with a message naming the record and ``noun``. Failing that, so
+    does a line whose checksum verifies but whose ``prev`` is not the
+    SHA-256 of every byte before it, the final line too, in sequence or
+    not: a torn append never leaves such a line, so the message names
+    the record just before it, which changed after the line was
+    appended.
 
-    When the newest kept line's ``prev`` hashes every byte before it,
-    those bytes are what an earlier read verified or an appender
-    wrote, so only that line is decoded here and the others when first
-    read. Any other log is verified line by line.
+    When the final complete line verifies and its ``prev`` hashes every
+    byte before it, those bytes are what an earlier read verified or an
+    appender wrote, so only that line is decoded here and the others
+    when first read. Any other log is verified line by line.
     """
     log = CheckedLines(target, record, damaged, noun)
     data = target.read_bytes()

@@ -228,6 +228,9 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
         return [Issue(MISSING, str(journal_path), "run journal does not exist")]
     try:
         journal = read_journal(journal_path)
+        # Decodes every record: one the chain vouches for that fails its
+        # checksum is reported here, not raised by a query below.
+        records = journal.records
     except JournalCorruption as error:
         return [Issue(CORRUPT, str(journal_path), str(error))]
 
@@ -243,7 +246,7 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
         current = not any(
             record.seq > complete.seq
             and record.type in ("day-advanced", "engine-reset")
-            for record in journal.records
+            for record in records
         )
         issues.extend(
             _verify_result(

@@ -269,6 +269,56 @@ class TestEditedJournal:
         assert journal.read_bytes() == before
 
 
+    def _forged(self, standing, tmp_path):
+        """A copy of the standing run whose newest ``day-advanced``
+        record fails its checksum, the record after it re-chained over
+        the edit, a torn append after that and a pickle an older version
+        left: only decoding that record tells."""
+        import hashlib
+        import shutil
+
+        from repro.runner.execution import JOURNAL_NAME
+        from repro.store.atomic import encode_checked_line
+
+        run_dir = tmp_path / "forged"
+        shutil.copytree(standing[1], run_dir)
+        journal = run_dir / JOURNAL_NAME
+        lines = journal.read_bytes().split(b"\n")
+        assert [json.loads(line)["type"] for line in lines[4:6]] == [
+            "day-advanced", "run-complete"
+        ]
+        lines[4] = lines[4].replace(b'"day": ', b'"day": 1', 1)
+        final = json.loads(lines[5])
+        del final["checksum"]
+        final["prev"] = hashlib.sha256(b"\n".join(lines[:5]) + b"\n").hexdigest()
+        lines[5] = encode_checked_line(final)[:-1]
+        journal.write_bytes(b"\n".join(lines) + b'{"torn')
+        (run_dir / "result.pkl").write_bytes(b"stale")
+        return run_dir, journal
+
+    def test_advance_refuses_a_forged_chain_before_a_byte_changes(
+        self, standing, tmp_path, capsys
+    ):
+        run_dir, journal = self._forged(standing, tmp_path)
+        before = journal.read_bytes()
+        capsys.readouterr()
+        assert main(standing[0] + ["--run-dir", str(run_dir)]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith(f"error: {journal}: record 4 failed verification")
+        assert journal.read_bytes() == before
+        assert (run_dir / "result.pkl").read_bytes() == b"stale"
+
+    def test_verify_data_reports_a_forged_chain(self, standing, tmp_path, capsys):
+        run_dir, journal = self._forged(standing, tmp_path)
+        capsys.readouterr()
+        argv = ["verify-data", "--run-dir", str(run_dir), "--format", "json"]
+        assert main(argv) == 1
+        findings = json.loads(capsys.readouterr().out)
+        assert (findings[0]["kind"], findings[0]["path"]) == ("corrupt", str(journal))
+        assert findings[0]["detail"].startswith(
+            f"{journal}: record 4 failed verification"
+        )
+
 class TestExperimentCommand:
     def test_experiment_runs(self, capsys):
         code = main(["experiment", "--scale", "0.1", "--seed", "31"])

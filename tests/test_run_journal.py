@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.faults.process import ChaosKill
 from repro.runner.journal import (
-    EVENT_TYPES,
     JOURNAL_FORMAT,
     JournalCorruption,
     JournalRecord,
@@ -367,39 +366,44 @@ class _Refused(Exception):
 
 def _reference_open(data: bytes) -> tuple[list[JournalRecord], int]:
     """The records and verified length of a journal's bytes, by the
-    rules a journal is read by, line by line: a torn tail (what follows
-    the last newline, or a final line failing its checksum or ``seq``)
-    is left out; an earlier failing line refuses the journal, naming
-    it; so does a ``prev`` other than the SHA-256 of every byte before
-    its line, naming the record before it."""
+    rules a journal is read by, line by line: a line failing its
+    checksum or ``seq`` refuses the journal, naming it, unless it is the
+    final one before no fragment; failing that, the first line after
+    line 0 whose checksum verifies and whose ``prev`` is not the SHA-256
+    of every byte before it refuses it, naming the record before it, the
+    final line too; a torn tail (what follows the last newline, or a final
+    line failing its checksum or ``seq``) is left out."""
     *lines, fragment = data.split(b"\n")
     records: list[JournalRecord] = []
-    verified = 0
+    verified, changed = 0, None
     for index, line in enumerate(lines):
         try:
             document = json.loads(line.decode("utf-8"))
             checksum = document.pop("checksum")
             canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-            ok = (
+            verifies = (
                 hashlib.sha256(canonical.encode("utf-8")).hexdigest() == checksum
                 and "telemetry" not in document
-                and document["seq"] == index
             )
             record = JournalRecord(
                 document["seq"], document["run_id"], document["type"],
                 dict(document["payload"]),
             )
         except (ValueError, KeyError, TypeError, AttributeError):
-            ok = False
-        if not ok:
-            if index == len(lines) - 1 and not fragment:
-                break  # the torn tail
+            verifies = False
+        in_seq = verifies and record.seq == index
+        if not in_seq and (index < len(lines) - 1 or fragment):
             raise _Refused(f": record {index} failed verification")
-        prev = document.get("prev")
-        if prev is not None and prev != hashlib.sha256(data[:verified]).hexdigest():
-            raise _Refused(f": record {max(index - 1, 0)} was changed")
+        prev = document.get("prev") if verifies else None
+        before = hashlib.sha256(data[:verified]).hexdigest()
+        if index and changed is None and prev not in (None, before):
+            changed = index
+        if not in_seq:
+            break  # the torn tail
         records.append(record)
         verified += len(line) + 1
+    if changed is not None:
+        raise _Refused(f": record {changed - 1} was changed")
     if not records:
         raise _Refused("no verifiable records")
     if records[0].type != "run-start":
@@ -410,7 +414,9 @@ def _reference_open(data: bytes) -> tuple[list[JournalRecord], int]:
 #: One append: a runner record type, a small payload with non-ASCII
 #: text, and where a torn append cuts its line (None: it does not).
 _STEP = st.tuples(
-    st.sampled_from(EVENT_TYPES),
+    st.sampled_from(
+        ["run-start", "run-config", "day-advanced", "engine-reset", "run-complete"]
+    ),
     st.dictionaries(
         st.sampled_from(["day", "reason", "note"]),
         st.one_of(
@@ -554,6 +560,17 @@ class TestChain:
         assert RunJournal.open(path).records[:40] == records
         assert _decoded_by_open(path, monkeypatch) <= chained
 
+    def test_last_is_exact_where_a_line_end_cannot_tell_the_type(self, journal):
+        journal.append("run-config", mode="incremental")
+        journal.append("day-advanced", note=', "type": "run-config"}')
+        journal.append("day-advanced", a=1, type="run-config")
+        journal.append("réinit")
+        reopened = RunJournal.open(journal.path)
+        assert reopened.last("run-config").seq == 1
+        assert reopened.last("day-advanced").seq == 3
+        assert reopened.last("réinit").seq == 4
+        assert reopened.last("engine-reset") is None
+
     @pytest.mark.parametrize(
         "edit",
         [lambda line: line.replace(b", ", b",  ", 1), _same_seq_record],
@@ -577,3 +594,42 @@ class TestChain:
             with pytest.raises(JournalCorruption, match=": record 2 was changed"):
                 reader(path)
         assert path.read_bytes() == edited
+
+    def test_damage_is_named_as_before_the_chain(self, journal, tmp_path):
+        """A record that fails its checksum is named, as a journal
+        without prev names it, even after an edit that keeps every
+        checksum valid but breaks the next record's prev."""
+        for day in range(2, 6):
+            journal.append("day-advanced", day=day)
+        path = tmp_path / "journal.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b", ", b",  ", 1)
+        lines[3] = lines[3].replace(b'"day": ', b'"day": 1', 1)
+        path.write_bytes(b"\n".join(lines))
+        for reader in (read_journal, RunJournal.open):
+            with pytest.raises(JournalCorruption, match=": record 3 failed"):
+                reader(path)
+
+    def test_a_deleted_record_before_the_final_one_is_never_cut_as_torn(
+        self, journal, tmp_path
+    ):
+        """The final record is then out of sequence, which alone makes a
+        torn tail, but its checksum verifies and its prev tells that the
+        bytes before it changed. A journal in the parent's form has no
+        prev to tell, so its final record is cut as before."""
+        journal.append("day-advanced", day=2)
+        journal.append("day-advanced", day=3)
+        journal.append("run-complete", result_digest="dd")
+        path = tmp_path / "journal.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        del lines[2]
+        edited = b"\n".join(lines)
+        path.write_bytes(edited)
+        for reader in (read_journal, RunJournal.open):
+            with pytest.raises(JournalCorruption, match=": record 1 was changed"):
+                reader(path)
+        assert path.read_bytes() == edited
+        unchained = _reencoded_without_prev(edited)
+        path.write_bytes(unchained)
+        assert len(RunJournal.open(path).records) == 2
+        assert path.read_bytes() == unchained[: unchained.rindex(b"\n", 0, -1) + 1]
