@@ -10,16 +10,16 @@ actually run:
 
 ``riskybiz detect --archive DIR --whois FILE``
     Run the §3 detection methodology against an on-disk archive (yours
-    or a simulated one) and print the funnel and idiom tables. With
+    or a simulated one) and print the funnel and the study tables. With
     ``--dataset FILE`` it instead opens the SQLite dataset a previous
     ``simulate`` run wrote — no in-process world object is shared
-    between the two commands. ``--run-dir DIR`` journals the run and
-    checkpoints its engine so a killed run resumes with
-    ``--resume RUN_ID``.
+    between the two commands. Nothing is written.
 
 ``riskybiz advance --dataset FILE --run-dir DIR``
-    Fold the days a dataset recorded past a standing run's watermark
-    into its engine checkpoint (the daily update).
+    The journaled run: fold the days a dataset recorded past a standing
+    run's watermark into its engine checkpoint (the daily update; a
+    fresh run directory folds the whole dataset). ``--trace`` and
+    ``--profile`` write the run's telemetry beside its journal.
 
 ``riskybiz report``
     Regenerate every table and figure of the paper in one run.
@@ -36,8 +36,8 @@ actually run:
 
 ``riskybiz verify-data``
     Recompute every recorded SHA-256 over a dataset and/or run
-    directory, check the engine checkpoint against its schema, and exit
-    non-zero on any mismatch.
+    directory, check the engine checkpoint and any trace or metrics
+    snapshot against their schemas, and exit non-zero on any mismatch.
 
 ``riskybiz chaos-smoke``
     Run one seeded kill-and-resume chaos trial (see
@@ -47,11 +47,9 @@ actually run:
     must converge too.
 
 ``riskybiz trace``
-    Inspect the telemetry a journaled ``detect --trace`` run wrote:
-    the span timeline, a per-stage summary table, and the metrics
-    snapshot, as text or JSON. ``--validate`` schema-checks the
-    ``trace.jsonl``/``metrics.json`` pair instead (CI's telemetry
-    smoke gate).
+    Render the telemetry an ``advance --trace`` run wrote: the span
+    timeline, a per-stage summary table, and the metrics snapshot, as
+    text or JSON.
 """
 
 from __future__ import annotations
@@ -61,6 +59,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.report import (
+    render_coverage,
     render_full_report,
     render_funnel,
     render_table1,
@@ -138,6 +137,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the world and write its observable data sets to disk."""
     from repro.ecosystem.world import World
+    from repro.faults.apply import snapshot_stream
     from repro.store.artifacts import scenario_digest
     from repro.store.dataset import write_dataset
 
@@ -147,13 +147,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sample_days = list(range(0, config.end_day, args.every)) + [config.end_day - 1]
-    snapshots = []
-    for day in sample_days:
-        for tld in sorted(result.zonedb.covered_tlds):
-            snapshot = result.zonedb.snapshot_at(day, tld)
-            if snapshot.delegations:
-                snapshots.append(snapshot)
+    snapshots = snapshot_stream(
+        result.zonedb, every=args.every, end_day=config.end_day
+    )
     paths = write_archive(out / "zones", snapshots)
     epochs = result.whois.dump(out / "whois.jsonl")
     digest = scenario_digest(config)
@@ -161,7 +157,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result.zonedb, out / "dataset.sqlite", scenario_digest=digest
     )
     print(
-        f"Wrote {len(paths)} zone files ({len(sample_days)} sampled days, "
+        f"Wrote {len(paths)} zone files "
+        f"({len({snapshot.day for snapshot in snapshots})} days, "
         f"{len(result.zonedb.covered_tlds)} TLDs) and {epochs} WHOIS epochs "
         f"to {out}",
         file=sys.stderr,
@@ -182,17 +179,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _detect_zonedb(args: argparse.Namespace):
     """The zone database ``riskybiz detect`` should analyze, or None.
 
-    Either opens the on-disk SQLite dataset (``--dataset``) or ingests a
-    zone-file archive (``--archive``) into the in-memory store.
+    Either opens the on-disk SQLite dataset (``--dataset``), which is
+    only read, or ingests a zone-file archive (``--archive``) into the
+    in-memory store under the ingest policy the flags give.
     """
     from repro.zonedb.database import IngestError, IngestPolicy
 
-    policy = IngestPolicy(gap_bridge_days=args.gap_bridge, strict=args.strict)
     if args.dataset:
         from repro.store.dataset import open_dataset
 
         try:
-            zonedb = open_dataset(args.dataset, ingest_policy=policy)
+            zonedb = open_dataset(args.dataset)
         except FileNotFoundError as error:
             print(f"error: {error}", file=sys.stderr)
             return None
@@ -201,6 +198,7 @@ def _detect_zonedb(args: argparse.Namespace):
         print(f"Opened dataset {args.dataset}{suffix}", file=sys.stderr)
         return zonedb
     print(f"Ingesting zone archive {args.archive}...", file=sys.stderr)
+    policy = IngestPolicy(gap_bridge_days=args.gap_bridge, strict=args.strict)
     try:
         return read_archive(args.archive, ingest_policy=policy)
     except IngestError as error:
@@ -223,61 +221,16 @@ def _load_whois(path: str | None) -> WhoisArchive | None:
     return None
 
 
-def _detect_run(args: argparse.Namespace, zonedb, whois):
-    """Run detection journaled in ``--run-dir``.
-
-    A fresh run folds the whole data set once and checkpoints the
-    engine; ``--resume <run-id>`` restarts exactly the work that did
-    not durably complete. Returns the pipeline result, or None on a
-    runner error (already reported).
-    """
-    from repro.runner import RunFailed, run_incremental_detection
-
-    try:
-        outcome = run_incremental_detection(
-            zonedb,
-            whois,
-            run_dir=args.run_dir,
-            mine_patterns=args.mine_patterns,
-            options={"gap_bridge": args.gap_bridge, "strict": args.strict},
-            resume=args.resume,
-            trace=args.trace,
-            profile=args.profile,
-        )
-    except RunFailed as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None
-    verb = "Resumed" if outcome.resumed else "Completed"
-    print(
-        f"{verb} run {outcome.run_id} at watermark {outcome.watermark}; "
-        f"journal at {outcome.journal_path}",
-        file=sys.stderr,
-    )
-    if args.trace:
-        from repro.runner.execution import METRICS_NAME, TRACE_NAME
-
-        run_dir = Path(args.run_dir)
-        print(
-            f"Trace at {run_dir / TRACE_NAME}, metrics at "
-            f"{run_dir / METRICS_NAME} (inspect with `riskybiz trace "
-            f"--run-dir {run_dir}`)",
-            file=sys.stderr,
-        )
-    return outcome.result
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     """Run the detection methodology against an on-disk dataset/archive."""
-    if not args.dataset and not args.archive:
-        print("error: one of --dataset or --archive is required", file=sys.stderr)
+    if bool(args.dataset) == bool(args.archive):
+        print("error: pass exactly one of --dataset or --archive", file=sys.stderr)
         return 2
-    if args.resume and not args.run_dir:
-        print("error: --resume requires --run-dir", file=sys.stderr)
-        return 2
-    if (args.trace or args.profile) and not args.run_dir:
+    if args.dataset and (args.gap_bridge or args.strict):
+        flag = "--gap-bridge" if args.gap_bridge else "--strict"
         print(
-            "error: --trace/--profile require --run-dir (telemetry lives "
-            "next to the run journal)",
+            f"error: {flag} applies only to --archive ingestion; "
+            "a --dataset is read as written",
             file=sys.stderr,
         )
         return 2
@@ -290,25 +243,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if zonedb.nameserver_count() == 0:
         print("error: data set contains no delegations", file=sys.stderr)
         return 1
-    if args.run_dir:
-        result = _detect_run(args, zonedb, whois)
-        if result is None:
-            return 1
-        return _render_detect(args, result, zonedb, whois)
     result = DetectionPipeline(
         zonedb, whois, mine_patterns=args.mine_patterns
     ).run()
-    return _render_detect(args, result, zonedb, whois)
-
-
-def _render_detect(args: argparse.Namespace, result, zonedb, whois) -> int:
-    """Print the detect command's funnel, patterns, and study tables."""
-    print(render_funnel(result))
-    if result.coverage.degraded:
-        from repro.analysis.report import render_coverage
-
-        print()
-        print(render_coverage(result))
+    _print_funnel(result)
     if args.mine_patterns and result.mined_patterns:
         print("\nTop mined substrings:")
         for pattern in result.mined_patterns[:15]:
@@ -325,6 +263,14 @@ def _render_detect(args: argparse.Namespace, result, zonedb, whois) -> int:
     return 0
 
 
+def _print_funnel(result) -> None:
+    """Print the funnel, and the coverage section on degraded input."""
+    print(render_funnel(result))
+    if result.coverage.degraded:
+        print()
+        print(render_coverage(result))
+
+
 def cmd_advance(args: argparse.Namespace) -> int:
     """Fold new dataset days into a standing incremental detection run.
 
@@ -338,10 +284,12 @@ def cmd_advance(args: argparse.Namespace) -> int:
     record, so no ``--resume`` bookkeeping is needed, and the runner
     checks the journal with one SHA-256 of the bytes before its newest
     record. Each invocation writes one engine checkpoint for everything
-    it folded; the dataset is opened read-only.
+    it folded; the dataset is opened read-only. ``--trace`` appends the
+    invocation's spans to the run's ``trace.jsonl``; it and
+    ``--profile`` write its metrics snapshot to ``metrics.json``.
     """
     from repro.runner import JournalCorruption, RunFailed, run_incremental_detection
-    from repro.runner.execution import JOURNAL_NAME
+    from repro.runner.execution import JOURNAL_NAME, METRICS_NAME, TRACE_NAME
     from repro.runner.journal import journal_run_id
     from repro.store.dataset import open_dataset
 
@@ -366,6 +314,8 @@ def cmd_advance(args: argparse.Namespace) -> int:
             until=args.until,
             mine_patterns=args.mine_patterns,
             resume=resume,
+            trace=args.trace,
+            profile=args.profile,
         )
     except (RunFailed, JournalCorruption) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -383,7 +333,15 @@ def cmd_advance(args: argparse.Namespace) -> int:
             f"{outcome.watermark}; nothing to fold",
             file=sys.stderr,
         )
-    print(render_funnel(outcome.result))
+    if args.trace:
+        print(
+            f"Trace at {run_dir / TRACE_NAME} (render it with `riskybiz "
+            f"trace --run-dir {run_dir}`)",
+            file=sys.stderr,
+        )
+    if args.trace or args.profile:
+        print(f"Metrics at {run_dir / METRICS_NAME}", file=sys.stderr)
+    _print_funnel(outcome.result)
     print(f"\nResult digest: {outcome.result_digest}")
     return 0
 
@@ -451,29 +409,20 @@ def cmd_chaos_smoke(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Inspect or validate the telemetry of a journaled run directory."""
+    """Render the telemetry of a traced run directory."""
     import json
 
     from repro.obs.reporters import render_trace_json, render_trace_text
-    from repro.obs.schema import validate_metrics_file, validate_trace_file
     from repro.obs.tracer import TraceCorruption, read_trace
     from repro.runner.execution import METRICS_NAME, TRACE_NAME
 
     run_dir = Path(args.run_dir)
     trace_path = run_dir / TRACE_NAME
     metrics_path = run_dir / METRICS_NAME
-    if args.validate:
-        issues = list(validate_trace_file(trace_path))
-        if metrics_path.exists():
-            issues.extend(validate_metrics_file(metrics_path))
-        for issue in issues:
-            print(issue)
-        print(f"{len(issues)} issue(s)")
-        return 1 if issues else 0
     if not trace_path.exists():
         print(
             f"error: no trace at {trace_path} "
-            "(run `riskybiz detect --run-dir ... --trace` first)",
+            "(run `riskybiz advance --run-dir ... --trace` first)",
             file=sys.stderr,
         )
         return 1
@@ -700,33 +649,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--gap-bridge", type=int, default=0, metavar="DAYS",
-        help="keep delegations open across snapshot gaps of up to DAYS "
-             "(default: 0, strict day-level diffing)",
+        help="with --archive, keep delegations open across snapshot gaps "
+             "of up to DAYS (default: 0, strict day-level diffing)",
     )
     detect.add_argument(
         "--strict", action="store_true",
-        help="fail on degraded input instead of skipping and counting it",
-    )
-    detect.add_argument(
-        "--run-dir", metavar="DIR",
-        help="execute as a journaled run: the journal, one engine "
-             "checkpoint and the result digest are written under DIR",
-    )
-    detect.add_argument(
-        "--resume", metavar="RUN_ID",
-        help="resume the journaled run RUN_ID in --run-dir, re-executing "
-             "only work that did not durably complete",
-    )
-    detect.add_argument(
-        "--trace", action="store_true",
-        help="write a span trace (trace.jsonl) and metrics snapshot "
-             "(metrics.json) into --run-dir; content stays bit-identical "
-             "across resumes, timings live in telemetry-only fields",
-    )
-    detect.add_argument(
-        "--profile", action="store_true",
-        help="also record per-stage wall time and tracemalloc peaks "
-             "into the metrics snapshot (needs --run-dir; adds overhead)",
+        help="with --archive, fail on degraded input instead of skipping "
+             "and counting it",
     )
     detect.set_defaults(func=cmd_detect)
 
@@ -754,6 +683,18 @@ def build_parser() -> argparse.ArgumentParser:
     advance.add_argument(
         "--mine-patterns", action="store_true",
         help="also maintain the substring pattern miner's standing name multiset",
+    )
+    advance.add_argument(
+        "--trace", action="store_true",
+        help="append this invocation's span trace to trace.jsonl and write "
+             "its metrics snapshot (metrics.json) into --run-dir; content "
+             "stays bit-identical across resumes, timings live in "
+             "telemetry-only fields",
+    )
+    advance.add_argument(
+        "--profile", action="store_true",
+        help="record per-stage wall time and tracemalloc peaks into the "
+             "metrics snapshot (adds overhead)",
     )
     advance.set_defaults(func=cmd_advance)
 
@@ -858,8 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--run-dir", metavar="DIR",
-        help="run directory to verify (journal, checkpoint, "
-             "result)",
+        help="run directory to verify (journal, checkpoint, result, "
+             "and trace and metrics if present)",
     )
     verify.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -901,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace",
-        help="inspect the trace/metrics a journaled --trace run wrote",
+        help="render the trace/metrics an `advance --trace` run wrote",
     )
     trace.add_argument(
         "--run-dir", required=True, metavar="DIR",
@@ -910,11 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    trace.add_argument(
-        "--validate", action="store_true",
-        help="schema-validate trace.jsonl and metrics.json instead of "
-             "rendering them; non-zero exit on any issue",
     )
     trace.set_defaults(func=cmd_trace)
 

@@ -103,14 +103,3 @@ def no_remediation_scenario(seed: int = 2021, scale: float = 1.0) -> ScenarioCon
         for spec in config.registrars
     )
     return replace(config, registrars=registrars)
-
-
-def paper_vs_counterfactual_labels() -> dict[str, str]:
-    """Human-readable labels for the ablation report."""
-    return {
-        "baseline": "observed practice (paper's world)",
-        "invalid": "§7.3 fix: rename under reserved .invalid",
-        "sinks": "§7.3 short-term fix: ubiquitous sink domains",
-        "greedy": "ablation: non-selective hijackers",
-        "no-remediation": "ablation: notification never happens",
-    }

@@ -81,16 +81,6 @@ class CFG:
     #: every exception is swallowed (e.g. ``return`` inside ``finally``).
     raise_exit: int
 
-    def preds(self) -> dict[int, list[tuple[int, str]]]:
-        """In-edges per node: ``index -> [(predecessor, edge kind)]``."""
-        incoming: dict[int, list[tuple[int, str]]] = {
-            node.index: [] for node in self.nodes
-        }
-        for node in self.nodes:
-            for target, edge_kind in node.succs:
-                incoming[target].append((node.index, edge_kind))
-        return incoming
-
 
 @dataclass(frozen=True)
 class _Env:

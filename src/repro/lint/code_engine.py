@@ -28,7 +28,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -691,8 +690,3 @@ def lint_code_file(
     except (OSError, UnicodeDecodeError) as error:
         return [make("DET000", rel_path, 0, 0, f"could not read: {error}")]
     return lint_code_source(source, rel_path, config)
-
-
-def iter_python_sources(root: Path) -> Iterator[Path]:
-    """Every ``.py`` file under ``root`` (sorted for stable output)."""
-    yield from sorted(root.rglob("*.py"))

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
@@ -544,8 +544,3 @@ def lint_scenario_file(
             )
         ]
     return lint_scenario_data(data, rel_path, config)
-
-
-def lintable_documents(paths: Iterable[Path]) -> list[Path]:
-    """JSON files among ``paths`` (callers pre-filter by suffix)."""
-    return [p for p in paths if p.suffix == ".json"]

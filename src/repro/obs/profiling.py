@@ -1,8 +1,9 @@
 """Opt-in profiling hooks: per-stage durations and allocation peaks.
 
 Off by default because ``tracemalloc`` roughly doubles allocation cost;
-``riskybiz detect --profile`` (or :func:`enable` in code) turns it on
-for one run. Measurements land in the global metrics registry:
+``riskybiz advance --profile`` (or :func:`enable` in code) turns it on
+for one invocation. Measurements land in the global metrics registry,
+which the run writes to ``metrics.json``:
 
 * ``profile.stage.duration_s`` — histogram of per-stage wall durations
   (fixed buckets, see :data:`~repro.obs.metrics.DURATION_BUCKETS_S`);
@@ -43,10 +44,6 @@ def disable() -> None:
     if _STARTED_TRACEMALLOC and tracemalloc.is_tracing():
         tracemalloc.stop()
     _STARTED_TRACEMALLOC = False
-
-
-def is_enabled() -> bool:
-    return _ENABLED
 
 
 @contextlib.contextmanager

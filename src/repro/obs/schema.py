@@ -2,8 +2,9 @@
 
 No external JSON-Schema dependency — like the lint scenario engine,
 these are hand-rolled structural checks returning a list of issue
-strings (empty = valid). CI's telemetry smoke job runs them over the
-artifacts a journaled ``detect --trace --profile`` run emits.
+strings (empty = valid). ``riskybiz verify-data --run-dir`` runs them
+over whichever of the two files a ``riskybiz advance --trace`` or
+``--profile`` run left in its run directory.
 """
 
 from __future__ import annotations

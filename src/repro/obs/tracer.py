@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs import clock
 from repro.store.atomic import (
@@ -290,13 +290,6 @@ def canonical_spans(records: list[TraceRecord]) -> list[dict[str, Any]]:
         if record.type == "span-end":
             ends[str(record.payload["span_id"])] = dict(record.payload)
     return sorted(ends.values(), key=lambda p: str(p.get("path", "")))
-
-
-def canonical_events(records: list[TraceRecord]) -> Iterator[dict[str, Any]]:
-    """Point events in emission order (operational; not content-stable)."""
-    for record in records:
-        if record.type == "event":
-            yield dict(record.payload)
 
 
 def trace_content_digest(records: list[TraceRecord]) -> str:

@@ -8,9 +8,9 @@ one process and makes every boundary it crosses durable:
   an append-only, per-record-checksummed JSONL log of every boundary a
   run durably completed, tolerant of torn tail writes;
 * :mod:`repro.runner.execution` — the journaled detection run behind
-  ``riskybiz detect --run-dir`` and ``riskybiz advance``: a detection
-  engine folds the dataset (all at once, then day batch by day batch)
-  and one checkpoint per invocation makes its standing state durable;
+  ``riskybiz advance``: a detection engine folds the dataset (all at
+  once, then day batch by day batch) and one checkpoint per invocation
+  makes its standing state durable;
 * :mod:`repro.runner.chaos_harness` — the seeded kill-and-resume
   harness proving a run killed at randomized boundaries and resumed is
   bit-identical to an uninterrupted one.

@@ -6,11 +6,10 @@ One *run* lives in a run directory::
     <run_dir>/checkpoints/engine-state.json     the engine checkpoint
     <run_dir>/result.json                       the result digest
 
-Every invocation folds the source dataset into an
-:class:`~repro.detection.incremental.IncrementalDetectionEngine` once:
-the first folds the whole dataset (``riskybiz detect --run-dir``, or
-``riskybiz advance`` on a fresh run directory), or the dataset as of
-the last batch day by ``--until``; later ones restore the checkpoint
+Every invocation (``riskybiz advance``) folds the source dataset into
+an :class:`~repro.detection.incremental.IncrementalDetectionEngine`
+once: the first folds the whole dataset, or the dataset as of the last
+batch day by ``--until``; later ones restore the checkpoint
 and fold exactly the day batches recorded past its watermark, reading
 the dataset as of the newest of them. None of them re-reads history,
 except where one scan finds that the dataset's delta stream rewrites
@@ -37,7 +36,7 @@ does not match what the journal recorded is quarantined, an
 never lies about what durably exists. The result is never stored: every
 invocation recomputes it from the engine, and an invocation with
 nothing to fold checks it against the journaled digest. Run IDs are
-deterministic digests of the run's inputs, so ``--resume`` can also
+deterministic digests of the run's inputs, so a resume can also
 detect an input switcheroo; the WHOIS archive's SHA-256 is journaled
 beside them, and a resume with another archive is refused. The source
 dataset is only ever read.
@@ -180,7 +179,6 @@ class _OpenRun:
     journal_path: Path
     checkpoint_dir: Path
     resumed: bool
-    tracer: Tracer | None
 
 
 @contextmanager
@@ -289,7 +287,6 @@ def _open_run(
                 journal_path=journal_path,
                 checkpoint_dir=checkpoint_dir,
                 resumed=resumed,
-                tracer=tracer,
             )
     finally:
         if profile:
@@ -401,7 +398,6 @@ def run_incremental_detection(
     run_dir: str | Path,
     until: int | None = None,
     mine_patterns: bool = True,
-    options: dict[str, Any] | None = None,
     chaos: "ChaosMonkey | None" = None,
     resume: str | None = None,
     consumer: str | None = None,
@@ -434,23 +430,24 @@ def run_incremental_detection(
 
     ``chaos`` arms the execution-plane fault injectors at every stage,
     day and journal-append boundary (see :mod:`repro.faults.process`).
-    ``trace`` emits a span/event trace to ``<run_dir>/trace.jsonl`` and a
-    metrics snapshot to ``<run_dir>/metrics.json`` (deterministic span
-    IDs; wall durations confined to telemetry-only fields — see
-    :mod:`repro.obs.tracer`). ``profile`` additionally records per-stage
-    durations and ``tracemalloc`` peaks into the metrics snapshot.
+    ``trace`` emits a span/event trace to ``<run_dir>/trace.jsonl``
+    (deterministic span IDs; wall durations confined to telemetry-only
+    fields — see :mod:`repro.obs.tracer`). ``profile`` records per-stage
+    durations and ``tracemalloc`` peaks. Either writes this invocation's
+    metrics snapshot to ``<run_dir>/metrics.json``.
 
     The result is bit-identical (same result digest) to
     :class:`~repro.detection.pipeline.DetectionPipeline` over the same
     history — the invariant the ``incremental-equivalence`` CI job
     asserts.
     """
-    # "backend" stays in the fingerprint so standing run IDs survive.
+    # "backend" and the empty "options" stay in the fingerprint so
+    # standing run IDs survive.
     inputs = {
         "mode": "incremental",
         "backend": "memory",
         "mine_patterns": mine_patterns,
-        "options": dict(options or {}),
+        "options": {},
     }
     with _open_run(
         run_dir,
@@ -534,7 +531,7 @@ def run_incremental_detection(
                 result_digest=digest,
             )
         run_span.set(result_digest=digest, watermark=engine.watermark)
-        if run.tracer is not None:
+        if trace or profile:
             _write_metrics_snapshot(run.run_dir)
         return IncrementalRunResult(
             run_id=run.run_id,

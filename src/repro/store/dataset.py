@@ -30,7 +30,7 @@ from repro.store.changelog import DeltaEvent, group_batches
 from repro.store.sqlite import SqliteDelegationStore, write_tables
 
 if TYPE_CHECKING:
-    from repro.zonedb.database import IngestPolicy, ZoneDatabase
+    from repro.zonedb.database import ZoneDatabase
 
 #: Format tag carried by dataset manifest sidecars.
 DATASET_FORMAT = "riskybiz-dataset/1"
@@ -213,9 +213,7 @@ def load_manifest(dataset_path: str | Path) -> dict[str, Any]:
     return rebuild_manifest(dataset_path)
 
 
-def open_dataset(
-    path: str | Path, *, ingest_policy: "IngestPolicy | None" = None
-) -> "ZoneDatabase":
+def open_dataset(path: str | Path) -> "ZoneDatabase":
     """Open an on-disk dataset, read-only, as a zone database.
 
     The manifest sidecar is verified against its embedded checksum
@@ -233,4 +231,4 @@ def open_dataset(
     if manifest_path(dataset_path).exists():
         load_manifest(dataset_path)  # verify; quarantine-and-recompute
     store = SqliteDelegationStore(dataset_path, read_only=True)
-    return ZoneDatabase(store=store, ingest_policy=ingest_policy)
+    return ZoneDatabase(store=store)

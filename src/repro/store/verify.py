@@ -2,11 +2,13 @@
 
 Walks the two kinds of durable state the tool chain writes — datasets
 (SQLite file + checksummed manifest) and run directories (journal +
-engine checkpoint + result digest) — recomputing every recorded
-SHA-256, checking the engine checkpoint against its schema, and
-reporting what does not verify. Verification is read-only: nothing is
-quarantined or rewritten here (the loaders do that lazily); this module
-only *reports*, so it is safe to run against live data.
+engine checkpoint + result digest, and the trace and metrics snapshot a
+traced or profiled run adds) — recomputing every recorded SHA-256,
+checking the engine checkpoint against its schema and the telemetry
+against :mod:`repro.obs.schema`, and reporting what does not verify.
+Verification is read-only: nothing is quarantined or rewritten here
+(the loaders do that lazily); this module only *reports*, so it is safe
+to run against live data.
 
 Each finding is an :class:`Issue` with a machine-usable kind and a
 human-readable detail; an empty list means everything verified.
@@ -50,6 +52,12 @@ class Issue:
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.path}: {self.detail}"
+
+
+def _detail(path: Path, message: str) -> str:
+    """An error message about ``path`` without the ``<path>: `` prefix
+    it starts with: the issue names the path already."""
+    return message.removeprefix(f"{path}: ")
 
 
 def _quarantine_issues(directory: Path) -> list[Issue]:
@@ -201,8 +209,25 @@ def _verify_result(
     return []
 
 
+def _verify_telemetry(trace_path: Path, metrics_path: Path) -> list[Issue]:
+    """Run :mod:`repro.obs.schema`'s checks over whichever of the trace
+    and the metrics snapshot exist."""
+    from repro.obs.schema import validate_metrics_file, validate_trace_file
+
+    return [
+        Issue(CORRUPT, str(path), _detail(path, problem))
+        for path, validate in (
+            (trace_path, validate_trace_file),
+            (metrics_path, validate_metrics_file),
+        )
+        if path.exists()
+        for problem in validate(path)
+    ]
+
+
 def verify_run_dir(run_dir: str | Path) -> list[Issue]:
-    """Verify a run directory: journal, engine checkpoint, result.
+    """Verify a run directory: journal, engine checkpoint, result,
+    telemetry.
 
     Replays the journal (reporting corruption rather than raising),
     recomputes the SHA-256 the journal recorded for the engine
@@ -210,14 +235,17 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     checks it against the engine-state schema; when the run durably
     completed, verifies ``result.json`` against the journaled digest
     (only its checksum once a later drain or reset is journaled). A
-    pickle an older version left is reported ``stale``.
+    ``trace.jsonl`` or ``metrics.json`` present is checked against its
+    schema. A pickle an older version left is reported ``stale``.
     """
     from repro.runner.execution import (
         CHECKPOINT_DIR_NAME,
         ENGINE_CHECKPOINT_NAME,
         JOURNAL_NAME,
+        METRICS_NAME,
         RESULT_MANIFEST_NAME,
         STALE_NAMES,
+        TRACE_NAME,
     )
     from repro.runner.journal import JournalCorruption, read_journal
 
@@ -232,7 +260,8 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
         # checksum is reported here, not raised by a query below.
         records = journal.records
     except JournalCorruption as error:
-        return [Issue(CORRUPT, str(journal_path), str(error))]
+        detail = _detail(journal_path, str(error))
+        return [Issue(CORRUPT, str(journal_path), detail)]
 
     checkpoint_dir = directory / CHECKPOINT_DIR_NAME
     issues.extend(
@@ -253,6 +282,9 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
                 directory / RESULT_MANIFEST_NAME, complete, current=current
             )
         )
+    issues.extend(
+        _verify_telemetry(directory / TRACE_NAME, directory / METRICS_NAME)
+    )
     issues.extend(
         Issue(STALE, str(directory / name), "left by an older version; never read")
         for name in STALE_NAMES

@@ -674,10 +674,6 @@ class ZoneDatabase:
         """True if ``domain`` ever appeared in the data set."""
         return bool(self.store.domain_records(Name(domain).text))
 
-    def tld_partitions(self) -> list[str]:
-        """Sorted TLDs of ever-seen domains (dataset partition keys)."""
-        return self.store.partitions()
-
     def domains_in_tld(self, tld: str) -> list[str]:
         """Ever-seen domains in one TLD partition."""
         return self.store.domains_in_tld(Name(tld).text)

@@ -273,7 +273,7 @@ def dataset(tiny_bundle, tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("command", ["advance", "detect"])
+@pytest.mark.parametrize("command", ["advance"])
 def test_planted_pickle_never_runs(dataset, tmp_path, command, capsys):
     from repro.cli import main
 
@@ -287,7 +287,6 @@ def test_planted_pickle_never_runs(dataset, tmp_path, command, capsys):
     ]
     assert main(argv) == 0
     digest = verify_checked_json(run_dir / RESULT_MANIFEST_NAME)["result_digest"]
-    run_id = RunJournal.open(run_dir / JOURNAL_NAME).run_id
     for name in ("engine-state.pkl", ENGINE_CHECKPOINT_NAME):
         (run_dir / CHECKPOINT_DIR_NAME / name).write_bytes(
             pickle.dumps(_Marker(marker))
@@ -295,8 +294,7 @@ def test_planted_pickle_never_runs(dataset, tmp_path, command, capsys):
 
     assert main(["verify-data", "--run-dir", str(run_dir)]) == 1
     assert not marker.exists()
-    resume = ["--resume", run_id] if command == "detect" else []
-    assert main(argv + resume) == 0
+    assert main(argv) == 0
     assert not marker.exists()
     capsys.readouterr()
 

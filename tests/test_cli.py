@@ -57,6 +57,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--dataset", "x", "--run-dir", "run"],
+            ["detect", "--dataset", "x", "--trace"],
+            ["trace", "--run-dir", "run", "--validate"],
+        ],
+        ids=["detect-run-dir", "detect-trace", "trace-validate"],
+    )
+    def test_removed_options_are_unknown(self, argv, capsys):
+        """``advance`` is the one journaled run and ``verify-data`` the
+        one checker of a run directory."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_defaults(self):
         args = build_parser().parse_args(["report"])
         assert args.seed == 2021
@@ -109,6 +126,29 @@ class TestSimulateDetectRoundTrip:
         assert main(["detect"]) == 2
         assert "--dataset or --archive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--gap-bridge", "30"], "--gap-bridge"),
+            (["--strict"], "--strict"),
+            (["--archive", "zones"], "--archive"),
+        ],
+        ids=["gap-bridge", "strict", "archive"],
+    )
+    def test_detect_dataset_refuses_ingest_flags(
+        self, simulated, capsys, extra, flag
+    ):
+        """A dataset is read as written, never ingested: a flag that
+        only shapes archive ingestion is refused, naming the flag."""
+        code = main(
+            ["detect", "--dataset", str(simulated / "dataset.sqlite")] + extra
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert flag in captured.err
+        assert captured.out == ""
+
     def test_dataset_written_with_manifest(self, simulated):
         from repro.lint.scenario_engine import lint_scenario_data
 
@@ -140,30 +180,82 @@ class TestSimulateDetectRoundTrip:
         assert capsys.readouterr().out == captured.out
 
 
-class TestDetectRunDir:
-    def test_resume_over_another_dataset_is_refused(
-        self, tiny_bundle, tmp_path, capsys
-    ):
-        """A run directory fingerprints its inputs: resuming it over a
-        different dataset fails loudly instead of reusing its result."""
-        from repro.runner.execution import JOURNAL_NAME
-        from repro.runner.journal import RunJournal
+class TestSimulateSampling:
+    def test_reports_the_files_and_days_it_wrote(self, tmp_path, capsys):
+        """The final day is sampled once even when the interval lands on
+        it (3819 = 3 x 1273), and the summary counts what is on disk."""
+        out = tmp_path / "sim"
+        argv = ["simulate", "--out", str(out), "--scale", "0.02"]
+        assert main(argv + ["--every", "1273"]) == 0
+        zones = sorted((out / "zones").rglob("*.zone"))
+        days = {int(path.stem) for path in zones}
+        assert max(days) == 3819
+        summary = capsys.readouterr().err
+        assert f"Wrote {len(zones)} zone files ({len(days)} days, " in summary
+
+
+class TestAdvanceRunDir:
+    @pytest.fixture()
+    def datasets(self, tiny_bundle, tmp_path):
         from repro.store.dataset import write_dataset
 
         first, second = tmp_path / "first.sqlite", tmp_path / "second.sqlite"
         write_dataset(tiny_bundle.world.zonedb, first, scenario_digest="aa" * 32)
         write_dataset(tiny_bundle.world.zonedb, second, scenario_digest="bb" * 32)
+        return first, second
+
+    def test_resume_over_another_dataset_is_refused(
+        self, datasets, tmp_path, capsys
+    ):
+        """A run directory fingerprints its inputs: advancing it over a
+        different dataset fails loudly instead of reusing its result."""
+        from repro.runner.execution import JOURNAL_NAME
+
+        first, second = datasets
         run_dir = tmp_path / "run"
-        assert main([
-            "detect", "--dataset", str(first), "--run-dir", str(run_dir),
-        ]) == 0
-        run_id = RunJournal.open(run_dir / JOURNAL_NAME).run_id
+        argv = ["advance", "--run-dir", str(run_dir), "--dataset"]
+        assert main(argv + [str(first)]) == 0
+        before = (run_dir / JOURNAL_NAME).read_bytes()
         capsys.readouterr()
-        assert main([
-            "detect", "--dataset", str(second), "--run-dir", str(run_dir),
-            "--resume", run_id,
-        ]) == 1
+        assert main(argv + [str(second)]) == 1
         assert "run inputs changed" in capsys.readouterr().err
+        assert (run_dir / JOURNAL_NAME).read_bytes() == before
+
+    def test_a_run_journaled_with_detect_options_is_refused(
+        self, datasets, tmp_path, capsys
+    ):
+        """Runs once journaled with ``detect``'s ingest options
+        fingerprint them: ``advance`` refuses such a directory, naming
+        both run IDs, and changes no byte of it."""
+        from repro.runner.execution import JOURNAL_NAME, compute_run_id
+        from repro.runner.journal import RunJournal
+
+        first, _second = datasets
+        inputs = {
+            "mode": "incremental",
+            "backend": "memory",
+            "mine_patterns": False,
+        }
+        detect_id = compute_run_id({
+            "scenario_digest": "aa" * 32,
+            **inputs,
+            "options": {"gap_bridge": 0, "strict": False},
+        })
+        advance_id = compute_run_id(
+            {"scenario_digest": "aa" * 32, **inputs, "options": {}}
+        )
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        RunJournal.create(run_dir / JOURNAL_NAME, detect_id)
+        before = (run_dir / JOURNAL_NAME).read_bytes()
+        assert main([
+            "advance", "--dataset", str(first), "--run-dir", str(run_dir),
+        ]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: run inputs changed")
+        assert detect_id in error and advance_id in error
+        assert (run_dir / JOURNAL_NAME).read_bytes() == before
+        assert [path.name for path in run_dir.iterdir()] == [JOURNAL_NAME]
 
 
 class TestBadWhoisFile:
@@ -182,10 +274,13 @@ class TestBadWhoisFile:
     @pytest.mark.parametrize("command", ["detect", "advance"])
     def test_truncated_line_is_reported(self, whois, tmp_path, capsys, command):
         run_dir = tmp_path / "run"
-        code = main([
+        argv = [
             command, "--dataset", str(tmp_path / "missing.sqlite"),
-            "--whois", str(whois), "--run-dir", str(run_dir),
-        ])
+            "--whois", str(whois),
+        ]
+        if command == "advance":
+            argv += ["--run-dir", str(run_dir)]
+        code = main(argv)
         assert code == 1
         assert capsys.readouterr().err.startswith(
             f"error: {whois}: line 2: not JSON: "
@@ -265,7 +360,7 @@ class TestEditedJournal:
         assert main(argv) == 1
         (finding,) = json.loads(capsys.readouterr().out)
         assert (finding["kind"], finding["path"]) == ("corrupt", str(journal))
-        assert finding["detail"].startswith(f"{journal}: record 2 was changed")
+        assert finding["detail"].startswith("record 2 was changed")
         assert journal.read_bytes() == before
 
 
@@ -315,9 +410,69 @@ class TestEditedJournal:
         assert main(argv) == 1
         findings = json.loads(capsys.readouterr().out)
         assert (findings[0]["kind"], findings[0]["path"]) == ("corrupt", str(journal))
-        assert findings[0]["detail"].startswith(
-            f"{journal}: record 4 failed verification"
-        )
+        assert findings[0]["detail"].startswith("record 4 failed verification")
+
+class TestAdvanceTelemetry:
+    """``advance --trace --profile`` keeps one trace across invocations;
+    ``trace`` renders it and ``verify-data`` checks it."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tiny_bundle, tmp_path_factory):
+        from repro.store.dataset import write_dataset
+
+        root = tmp_path_factory.mktemp("traced")
+        dataset, whois = root / "dataset.sqlite", root / "whois.jsonl"
+        write_dataset(tiny_bundle.world.zonedb, dataset, scenario_digest="dd" * 32)
+        tiny_bundle.world.whois.dump(whois)
+        run_dir = root / "run"
+        argv = [
+            "advance", "--dataset", str(dataset), "--whois", str(whois),
+            "--run-dir", str(run_dir), "--trace", "--profile",
+        ]
+        assert main(argv + ["--until", "1500"]) == 0
+        assert main(argv) == 0
+        return run_dir
+
+    def test_one_trace_spans_both_invocations(self, traced):
+        from repro.obs.tracer import read_trace
+        from repro.runner.execution import METRICS_NAME, TRACE_NAME
+
+        records = read_trace(traced / TRACE_NAME)
+        assert [r.type for r in records].count("trace-start") == 1
+        runs = [
+            r for r in records if r.type == "span-end" and r.payload["path"] == "run"
+        ]
+        assert len(runs) == 2
+        assert (traced / METRICS_NAME).exists()
+
+    def test_trace_renders_it(self, traced, capsys):
+        capsys.readouterr()
+        assert main(["trace", "--run-dir", str(traced)]) == 0
+        assert "engine.advance" in capsys.readouterr().out
+
+    def test_verify_data_passes_it(self, traced, capsys):
+        capsys.readouterr()
+        assert main(["verify-data", "--run-dir", str(traced)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    def test_verify_data_reports_mid_file_damage(self, traced, tmp_path, capsys):
+        import shutil
+
+        from repro.runner.execution import TRACE_NAME
+
+        run_dir = tmp_path / "damaged"
+        shutil.copytree(traced, run_dir)
+        trace = run_dir / TRACE_NAME
+        lines = trace.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"span-', b'"spam-', 1)
+        trace.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        argv = ["verify-data", "--run-dir", str(run_dir), "--format", "json"]
+        assert main(argv) == 1
+        (finding,) = json.loads(capsys.readouterr().out)
+        assert (finding["kind"], finding["path"]) == ("corrupt", str(trace))
+        assert finding["detail"].startswith("record 3 failed verification")
+
 
 class TestExperimentCommand:
     def test_experiment_runs(self, capsys):

@@ -90,6 +90,18 @@ class TestTracingIsContentNeutral:
             name.startswith("profile.stage.") for name in document["gauges"]
         )
 
+    def test_profile_alone_writes_the_metrics_snapshot(self, world, tmp_path):
+        run_incremental_detection(
+            world.zonedb, world.whois, run_dir=tmp_path / "run", profile=True
+        )
+        assert not (tmp_path / "run" / TRACE_NAME).exists()
+        metrics_path = tmp_path / "run" / METRICS_NAME
+        assert validate_metrics_file(metrics_path) == []
+        document = json.loads(metrics_path.read_text(encoding="utf-8"))
+        assert any(
+            name.startswith("profile.stage.") for name in document["gauges"]
+        )
+
     def test_every_invocation_has_one_result_span(self, world, tmp_path):
         first = run_incremental_detection(
             world.zonedb, world.whois, run_dir=tmp_path / "run", trace=True

@@ -3,8 +3,8 @@
 The digests and funnels below were computed by the batch pipeline this
 code replaced, which ran each stage's own batch body over the whole
 store. Every way of running detection must still reproduce them
-exactly: :meth:`DetectionPipeline.run`, a fresh and an already-complete
-``riskybiz detect --run-dir``, and a drain of the recorded delta stream
+exactly: :meth:`DetectionPipeline.run`, a fresh and an already-current
+``riskybiz advance``, and a drain of the recorded delta stream
 that folds one batch day per call. A direct fold and a drain must also
 leave byte-identical engine checkpoints, in memory and over the written
 SQLite dataset.
@@ -22,7 +22,6 @@ from repro.cli import main
 from repro.detection.incremental import IncrementalDetectionEngine, dump_engine_state
 from repro.detection.pipeline import DetectionPipeline, PipelineFunnel
 from repro.runner.execution import JOURNAL_NAME, RESULT_MANIFEST_NAME, result_digest
-from repro.runner.journal import RunJournal
 from repro.store.dataset import DeltaView, open_dataset, write_dataset
 
 SEED = 2021
@@ -94,7 +93,7 @@ class TestPinnedResults:
         assert asdict(result.funnel) == funnel
         assert result.coverage.degraded is degraded
 
-    def test_detect_run_dir(self, worlds, key, tmp_path, capsys):
+    def test_advance_cli(self, worlds, key, tmp_path, capsys):
         digest, funnel, degraded = PINS[key]
         zonedb, whois = worlds[key[0]]
         dataset = write_dataset(zonedb, tmp_path / "dataset.sqlite")
@@ -102,7 +101,7 @@ class TestPinnedResults:
         whois.dump(whois_path)
         run_dir = tmp_path / "run"
         argv = [
-            "detect", "--dataset", str(dataset), "--whois", str(whois_path),
+            "advance", "--dataset", str(dataset), "--whois", str(whois_path),
             "--run-dir", str(run_dir),
         ]
         argv += ["--mine-patterns"] if key[1] else []
@@ -114,14 +113,16 @@ class TestPinnedResults:
         for label, count in PipelineFunnel(**funnel).rows():
             assert re.search(rf"{re.escape(label)}\s+{count}\b", fresh), label
         assert ("Data coverage and confidence" in fresh) is degraded
+        assert f"Result digest: {digest}" in fresh
 
-        # Already complete: recomputed from the checkpoint, nothing new
+        # Already current: recomputed from the checkpoint, nothing new
         # journaled, the same report.
         journal = run_dir / JOURNAL_NAME
         before = journal.read_bytes()
-        run_id = RunJournal.open(journal).run_id
-        assert main(argv + ["--resume", run_id]) == 0
-        assert capsys.readouterr().out == fresh
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "already current" in captured.err
+        assert captured.out == fresh
         assert journal.read_bytes() == before
         manifest = json.loads((run_dir / RESULT_MANIFEST_NAME).read_text())
         assert manifest["result_digest"] == digest

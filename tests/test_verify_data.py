@@ -140,6 +140,16 @@ class TestVerifyRunDir:
         journal.write_text("\n".join(lines) + "\n")
         assert kinds(verify_run_dir(run_copy)) == [CORRUPT]
 
+    def test_corrupt_journal_is_named_once(self, run_copy):
+        journal = run_copy / JOURNAL_NAME
+        lines = journal.read_text().splitlines()
+        lines[1] = lines[1].replace('"', "'", 2)
+        journal.write_text("\n".join(lines) + "\n")
+        (issue,) = verify_run_dir(run_copy)
+        assert issue.path == str(journal)
+        assert issue.detail.startswith("record 1 failed verification")
+        assert str(issue).count(str(journal)) == 1
+
     def test_only_journal_checkpoint_and_result(self, run_copy):
         files = sorted(
             str(path.relative_to(run_copy))
@@ -176,6 +186,64 @@ class TestVerifyRunDir:
         body["result_digest"] = "0" * 64
         write_checked_json(manifest_file, body)
         assert INCONSISTENT in kinds(verify_run_dir(run_copy))
+
+
+@pytest.fixture(scope="module")
+def traced_run_dir(tmp_path_factory, tiny_bundle):
+    from repro.runner.execution import run_incremental_detection
+
+    directory = tmp_path_factory.mktemp("verify-traced") / "run"
+    run_incremental_detection(
+        tiny_bundle.world.zonedb,
+        tiny_bundle.world.whois,
+        run_dir=directory,
+        trace=True,
+        profile=True,
+    )
+    return directory
+
+
+class TestVerifyTelemetry:
+    """A run directory's trace and metrics snapshot are checked against
+    their schemas when present."""
+
+    @pytest.fixture
+    def traced_copy(self, traced_run_dir, tmp_path):
+        copy = tmp_path / "run"
+        shutil.copytree(traced_run_dir, copy)
+        return copy
+
+    def test_clean_telemetry_verifies(self, traced_copy):
+        assert verify_run_dir(traced_copy) == []
+
+    def test_trace_damaged_mid_file(self, traced_copy):
+        from repro.runner.execution import TRACE_NAME
+
+        trace = traced_copy / TRACE_NAME
+        lines = trace.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"run_id"', b'"run_ID"', 1)
+        trace.write_bytes(b"\n".join(lines))
+        (issue,) = verify_run_dir(traced_copy)
+        assert (issue.kind, issue.path) == (CORRUPT, str(trace))
+        assert issue.detail.startswith("record 2 failed verification")
+
+    def test_torn_trace_tail_verifies(self, traced_copy):
+        from repro.runner.execution import TRACE_NAME
+
+        trace = traced_copy / TRACE_NAME
+        trace.write_bytes(trace.read_bytes() + b'{"checksum": "torn')
+        assert verify_run_dir(traced_copy) == []
+
+    def test_malformed_metrics_snapshot(self, traced_copy):
+        from repro.runner.execution import METRICS_NAME
+
+        metrics = traced_copy / METRICS_NAME
+        document = json.loads(metrics.read_text())
+        document["gauges"] = []
+        metrics.write_text(json.dumps(document))
+        (issue,) = verify_run_dir(traced_copy)
+        assert (issue.kind, issue.path) == (CORRUPT, str(metrics))
+        assert issue.detail == "missing or non-object section 'gauges'"
 
 
 class _KillAt:
@@ -422,7 +490,7 @@ class TestSourceDatasetIsReadOnly:
         for argv in (
             ["advance", "--run-dir", str(tmp_path / "standing")] + midpoint,
             ["advance", "--run-dir", str(tmp_path / "standing")],
-            ["detect", "--run-dir", str(tmp_path / "batch")],
+            ["detect"],
         ):
             assert main(argv + ["--dataset", str(dataset_copy)]) == 0
             assert file_sha256(dataset_copy) == before, argv
