@@ -29,9 +29,9 @@ actually run:
     observations.
 
 ``riskybiz lint``
-    Run the three static-analysis engines: per-file determinism rules
-    over the Python tree, RFC 5731/5732 referential-integrity rules over
-    scenario/world JSON, and the typestate protocol checks. Exits
+    Run the two static-analysis engines: per-file determinism and
+    durability rules over the Python tree, and RFC 5731/5732
+    referential-integrity rules over scenario/world JSON. Exits
     non-zero on any non-baselined error.
 
 ``riskybiz verify-data``
@@ -500,7 +500,7 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the static-analysis gate (code, scenario, typestate engines)."""
+    """Run the static-analysis gate (code and scenario engines)."""
     from repro.lint.baseline import Baseline
     from repro.lint.reporters import render_json, render_text
     from repro.lint.runner import run_lint

@@ -471,7 +471,7 @@ def _run_stage_observed(
     ), profiling.profile_stage(stage.name):
         stage.advance(context, state, notes)
         counts = {field_name: len(state[key]) for field_name, key in stage.funnel}
-        if stage.name == "candidates":
+        if stage.name == "candidates" and notes.everything:
             counts["total_nameservers"] = len(notes.dirty)
         span.set(**counts)
     obs.counter(f"pipeline.stage_runs.{stage.name}").inc()
@@ -657,11 +657,20 @@ class IncrementalDetectionEngine:
             dirty=tuple(sorted(zonedb.all_nameservers())),
             everything=True,
         )
+        self._run_stages(context, notes, boundary)
+        commit_watermark(self.state, ENGINE_WATERMARK, day)
+
+    def _run_stages(
+        self,
+        context: StageContext,
+        notes: AdvanceNotes,
+        boundary: Callable[[str], None] | None,
+    ) -> None:
+        """Run each stage once, observed, calling ``boundary`` after each."""
         for stage in self.stages:
             _run_stage_observed(stage, context, self.state, notes)
             if boundary is not None:
                 boundary(f"stage:{stage.name}")
-        commit_watermark(self.state, ENGINE_WATERMARK, day)
 
     def advance_from(
         self,
@@ -729,8 +738,7 @@ class IncrementalDetectionEngine:
             context = self._evaluate(zonedb)
             dirty = _dirty_in_view(context, events)
             notes = AdvanceNotes(batch_day=day, dirty=tuple(sorted(dirty)))
-            for stage in self.stages:
-                stage.advance(context, self.state, notes)
+            self._run_stages(context, notes, None)
             commit_watermark(self.state, ENGINE_WATERMARK, day)
             span.set(days=days, deltas=len(events), dirty=len(dirty))
         obs.counter("detect.incremental.days").inc(days)

@@ -1,16 +1,12 @@
-"""``repro.lint``: three-engine static analysis for the reproduction.
+"""``repro.lint``: two-engine static analysis for the reproduction.
 
-Engine 1 (:mod:`repro.lint.code_engine`) enforces determinism
-discipline on the Python tree — seeded named RNG streams, simtime-only
-clocks, order-stable iteration. Engine 2
-(:mod:`repro.lint.scenario_engine`) verifies EPP referential integrity
-(RFC 5731/5732) in scenario and world JSON before anything runs.
-Engine 3 (:mod:`repro.lint.typestate`) is path-sensitive: it builds
-per-function control-flow graphs with exception and ``finally`` edges
-(:mod:`repro.lint.cfg`) and runs a worklist fixpoint over the
-declarative protocol automata in :mod:`repro.lint.protocols` —
-span/tracer lifecycles and the temp→fsync→rename atomic-write order.
-All engines share one diagnostic model, rule registry, pyproject
+Engine 1 (:mod:`repro.lint.code_engine`) enforces determinism and
+durability discipline on the Python tree — seeded named RNG streams,
+simtime-only clocks, order-stable iteration, writes and renames routed
+through :mod:`repro.store.atomic`, spans entered only by ``with``.
+Engine 2 (:mod:`repro.lint.scenario_engine`) verifies EPP referential
+integrity (RFC 5731/5732) in scenario and world JSON before anything
+runs. Both engines share one diagnostic model, rule registry, pyproject
 config, and baseline-suppression file (whose stale entries
 :mod:`repro.lint.baseline` reports as DET012), and run in one process;
 ``riskybiz lint`` is the CLI front end and :mod:`repro.lint.fixes`
@@ -22,7 +18,6 @@ from repro.lint.baseline import (
     BaselineEntry,
     stale_baseline_diagnostics,
 )
-from repro.lint.cfg import CFG, CFGNode, build_cfg, function_cfgs
 from repro.lint.code_engine import CodeContext, FixCandidate, lint_code_source
 from repro.lint.config import LintConfig, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
@@ -34,15 +29,7 @@ from repro.lint.registry import (
     code_checker,
     rule,
     scenario_checker,
-    typestate_checker,
 )
-from repro.lint.typestate import (
-    ProtocolAutomaton,
-    TrackedObject,
-    TypestateContext,
-    lint_typestate_source,
-)
-from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014, DET016)
 from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import LintResult, run_lint
 from repro.lint.scenario_engine import (
@@ -55,32 +42,24 @@ from repro.lint.scenario_engine import (
 __all__ = [
     "Baseline",
     "BaselineEntry",
-    "CFG",
-    "CFGNode",
     "CodeContext",
     "Diagnostic",
     "FileFix",
     "FixCandidate",
     "LintConfig",
     "LintResult",
-    "ProtocolAutomaton",
     "RULES",
     "Rule",
     "ScenarioContext",
     "Severity",
-    "TrackedObject",
-    "TypestateContext",
     "WORLD_FORMAT",
     "apply_fixes",
-    "build_cfg",
     "catalogue",
     "classify_document",
     "code_checker",
     "fix_source",
-    "function_cfgs",
     "lint_code_source",
     "lint_scenario_data",
-    "lint_typestate_source",
     "load_config",
     "plan_fixes",
     "render_json",
@@ -89,5 +68,4 @@ __all__ = [
     "run_lint",
     "scenario_checker",
     "stale_baseline_diagnostics",
-    "typestate_checker",
 ]

@@ -181,8 +181,8 @@ def stale_baseline_diagnostics(
     the rest of the baseline. Likewise, "no longer fires" is only
     meaningful for rules whose engine actually ran: with
     ``evaluated_rules`` given, entries for unevaluated rules are never
-    condemned on that ground (``--select DET004`` skips the typestate
-    engine, which must not mark every live DET016 entry prunable).
+    condemned on that ground (``--select DET004`` skips the scenario
+    engine, which must not mark every live SCN entry prunable).
     Path- and symbol-existence staleness is engine-independent and is
     still checked.
     """

@@ -1,9 +1,10 @@
-"""Engine 1: determinism discipline, enforced statically on the AST.
+"""Engine 1: determinism and durability discipline, enforced on the AST.
 
 The reproduction's headline numbers depend on bit-identical reruns, so
 every stochastic or time-dependent code path must draw from seeded,
-named RNG streams and ``repro.simtime``. These rules catch the ways
-that discipline silently erodes:
+named RNG streams and ``repro.simtime``, and every file a later run
+reads must be published crash-safely. These rules catch the ways that
+discipline silently erodes:
 
 ========  =======================  ==========================================
 DET000    parse-error              file could not be parsed
@@ -16,6 +17,9 @@ DET006    mutable-default          mutable default argument values
 DET007    process-hash             builtin ``hash()`` outside ``__hash__``
 DET008    non-atomic-write         raw file write in the durability layer
 DET009    telemetry-read           raw duration-clock read outside ``repro.obs``
+DET014    span-lifecycle           explicit ``__enter__``/``__exit__`` call
+DET016    atomic-protocol          ``os.replace``/``os.rename`` outside the
+                                   atomic-write modules
 ========  =======================  ==========================================
 
 Checks are deliberately syntactic (no type inference beyond local
@@ -70,6 +74,15 @@ rule(
     "DET009", "telemetry-read", "code",
     "raw duration-clock / tracemalloc read; route through repro.obs",
 )
+rule(
+    "DET014", "span-lifecycle", "code",
+    "explicit __enter__/__exit__ call; use `with` or contextlib.ExitStack",
+)
+rule(
+    "DET016", "atomic-protocol", "code",
+    "os.replace/os.rename outside the atomic-write modules; "
+    "use repro.store.atomic.publish",
+)
 
 #: ``open()`` mode characters that make the call a write.
 _WRITE_MODE_CHARS = frozenset("wax+")
@@ -93,6 +106,9 @@ _DURATION_FNS = frozenset({
     "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns",
     "process_time", "process_time_ns", "thread_time", "thread_time_ns",
 })
+
+#: ``os`` functions that rename a file into place (DET016).
+_RENAME_FNS = frozenset({"replace", "rename"})
 
 #: ``datetime.datetime`` / ``datetime.date`` constructors of "now".
 _DATETIME_NOW = frozenset({"now", "today", "utcnow"})
@@ -144,6 +160,11 @@ class CodeContext:
         """True under the module tree allowed to read clocks directly."""
         return self.config.path_in(self.path, self.config.telemetry_modules)
 
+    @property
+    def in_atomic_protocol_scope(self) -> bool:
+        """True under a path where a rename must go through the helper."""
+        return self.config.path_in(self.path, self.config.atomic_protocol_paths)
+
 
 @dataclass(frozen=True)
 class FixCandidate:
@@ -179,6 +200,8 @@ class _Aliases:
     datetime_modules: set[str] = field(default_factory=set)
     #: local name -> "datetime" | "date"
     datetime_classes: dict[str, str] = field(default_factory=dict)
+    os_modules: set[str] = field(default_factory=set)
+    rename_functions: set[str] = field(default_factory=set)
 
 
 def _collect_aliases(tree: ast.Module) -> _Aliases:
@@ -195,6 +218,8 @@ def _collect_aliases(tree: ast.Module) -> _Aliases:
                     aliases.tracemalloc_modules.add(local)
                 elif name.name == "datetime":
                     aliases.datetime_modules.add(local)
+                elif name.name == "os":
+                    aliases.os_modules.add(local)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             if node.module == "random":
                 for name in node.names:
@@ -216,11 +241,15 @@ def _collect_aliases(tree: ast.Module) -> _Aliases:
                 for name in node.names:
                     if name.name in ("datetime", "date"):
                         aliases.datetime_classes[name.asname or name.name] = name.name
+            elif node.module == "os":
+                for name in node.names:
+                    if name.name in _RENAME_FNS:
+                        aliases.rename_functions.add(name.asname or name.name)
     return aliases
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
-    """One traversal applying every determinism rule."""
+    """One traversal applying every rule of the built-in pack."""
 
     def __init__(self, ctx: CodeContext, aliases: _Aliases) -> None:
         self.ctx = ctx
@@ -324,6 +353,8 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self._check_hash(node)
         self._check_order_sensitive_call(node)
         self._check_raw_write(node)
+        self._check_manual_context(node)
+        self._check_hand_publish(node)
         self.generic_visit(node)
 
     def _check_random_call(self, node: ast.Call) -> None:
@@ -532,6 +563,54 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 "use repro.store.atomic.atomic_write_*",
             )
 
+    # -- DET014 / DET016: lifecycles that must not be written by hand ------
+
+    def _check_manual_context(self, node: ast.Call) -> None:
+        """DET014: a context entered or exited by an explicit call.
+
+        A raise between a hand-written ``__enter__`` and its
+        ``__exit__`` leaves the span open and the trace without its end;
+        ``with`` (or ``contextlib.ExitStack``) exits on every path.
+        """
+        if not self.ctx.in_telemetry_scope:
+            return
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in (
+            "__enter__", "__exit__",
+        ):
+            self._emit(
+                "DET014", node,
+                f"explicit .{func.attr}() call; a raise before the matching "
+                "exit leaks the context — use `with` or contextlib.ExitStack",
+            )
+
+    def _check_hand_publish(self, node: ast.Call) -> None:
+        """DET016: a rename into place outside the atomic-write modules.
+
+        A hand-written publish is where the temp -> fsync -> rename ->
+        fsync-directory order gets lost; :func:`repro.store.atomic.publish`
+        is its one implementation, and a test checks its order.
+        """
+        if not self.ctx.in_atomic_protocol_scope or self.ctx.is_atomic_module:
+            return
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in self.aliases.rename_functions:
+            name = func.id
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in self.aliases.os_modules
+            and func.attr in _RENAME_FNS
+        ):
+            name = f"os.{func.attr}"
+        else:
+            return
+        self._emit(
+            "DET016", node,
+            f"{name}() publishes a file by hand; write it through "
+            "repro.store.atomic.publish (fsync, rename, fsync the directory)",
+        )
+
     def _check_order_sensitive_call(self, node: ast.Call) -> None:
         func = node.func
         sink: str | None = None
@@ -631,7 +710,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
 @code_checker
 def check_determinism(tree: ast.Module, ctx: CodeContext) -> list[Diagnostic]:
-    """The built-in determinism rule pack (DET001–DET009)."""
+    """The built-in rule pack (DET001–DET009, DET014, DET016)."""
     visitor = _DeterminismVisitor(ctx, _collect_aliases(tree))
     visitor.visit(tree)
     return visitor.diagnostics

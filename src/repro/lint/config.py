@@ -50,41 +50,25 @@ class LintConfig:
         "src/repro/runner",
         "src/repro/detection",
     )
-    #: The modules allowed to perform raw file writes: the atomic helper
-    #: itself, and the append-only journal (appends cannot temp-rename).
+    #: The modules allowed to perform raw file writes (DET008) and
+    #: renames (DET016): the atomic helper itself, and the append-only
+    #: journal (appends cannot temp-rename).
     atomic_write_modules: tuple[str, ...] = (
         "src/repro/store/atomic.py",
         "src/repro/runner/journal.py",
     )
     #: Paths where raw duration-clock / tracemalloc reads are forbidden
-    #: outside the telemetry modules (DET009), and where DET014 polices
-    #: span and tracer lifecycles.
+    #: outside the telemetry modules (DET009), and where DET014 forbids
+    #: explicit ``__enter__``/``__exit__`` calls.
     telemetry_paths: tuple[str, ...] = ("src/repro",)
     #: The modules (prefix match) allowed to read duration clocks and
     #: tracemalloc directly: the obs layer itself.
     telemetry_modules: tuple[str, ...] = ("src/repro/obs",)
-    #: Span-context factory names (bare or attribute calls) whose
-    #: results DET014 tracks through enter/exit.
-    span_factories: tuple[str, ...] = ("span",)
-    #: Tracer class names: construction (or a classmethod constructor)
-    #: starts a DET014 open/closed lifecycle.
-    tracer_classes: tuple[str, ...] = ("Tracer",)
-    #: Method names that close a tracked tracer (DET014).
-    protocol_close_methods: tuple[str, ...] = ("close",)
-    #: Paths where DET016 polices manual temp-file dances. Wider than
-    #: ``atomic_paths``: a hand-rolled temp write anywhere in the
-    #: package must follow the full protocol or route through
-    #: :mod:`repro.store.atomic`.
+    #: Paths where DET016 forbids ``os.replace``/``os.rename`` outside
+    #: ``atomic_write_modules``. Wider than ``atomic_paths``: a
+    #: hand-written publish anywhere in the package must route through
+    #: :func:`repro.store.atomic.publish`.
     atomic_protocol_paths: tuple[str, ...] = ("src/repro",)
-    #: Names/suffixes that mark an expression as a temp-file path:
-    #: entries starting with ``.`` match string-literal suffixes, the
-    #: rest match variable names.
-    atomic_temp_markers: tuple[str, ...] = ("TMP_SUFFIX", ".tmp")
-    #: Calls DET016 accepts as the durability barrier (dotted specs
-    #: require the full attribute chain).
-    protocol_fsync_functions: tuple[str, ...] = ("os.fsync",)
-    #: Calls DET016/the atomic protocol accept as the publishing rename.
-    protocol_rename_functions: tuple[str, ...] = ("os.replace",)
 
     def baseline_path(self) -> Path:
         """Absolute path of the configured baseline file."""
@@ -151,13 +135,7 @@ def load_config(root: Path | str | None = None) -> LintConfig:
         ("atomic-write-modules", "atomic_write_modules"),
         ("telemetry-paths", "telemetry_paths"),
         ("telemetry-modules", "telemetry_modules"),
-        ("span-factories", "span_factories"),
-        ("tracer-classes", "tracer_classes"),
-        ("protocol-close-methods", "protocol_close_methods"),
         ("atomic-protocol-paths", "atomic_protocol_paths"),
-        ("atomic-temp-markers", "atomic_temp_markers"),
-        ("protocol-fsync-functions", "protocol_fsync_functions"),
-        ("protocol-rename-functions", "protocol_rename_functions"),
     ):
         if option in table:
             updates[attr] = _as_str_tuple(table[option], option)

@@ -1,7 +1,7 @@
 """The rule registry: one catalogue for every engine.
 
-Every rule — code, scenario, typestate, or the runner's own baseline
-check — registers itself here with an id, a slug, the engine that runs
+Every rule — code, scenario, or the runner's own baseline check —
+registers itself here with an id, a slug, the engine that runs
 it, and a one-line summary. The runner uses the catalogue to validate
 ``--select``/``--ignore`` arguments (and to skip engines whose every
 rule is deselected), the docs generator renders the rule table from
@@ -10,8 +10,6 @@ rule is the whole extension contract:
 
     @code_checker
     def check_my_rule(tree, ctx): ...          # yields Diagnostics
-
-    typestate_checker(MyProtocol())            # a ProtocolAutomaton
 
     RULES register via :func:`rule` at import time.
 """
@@ -27,7 +25,6 @@ from repro.lint.diagnostics import Diagnostic, Severity
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.lint.code_engine import CodeContext
     from repro.lint.scenario_engine import ScenarioContext
-    from repro.lint.typestate import ProtocolAutomaton
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +33,7 @@ class Rule:
 
     rule_id: str
     slug: str
-    engine: str  # "code" | "scenario" | "typestate" | "baseline"
+    engine: str  # "code" | "scenario" | "baseline"
     summary: str
     severity: Severity = Severity.ERROR
 
@@ -64,9 +61,6 @@ class ScenarioChecker(Protocol):
 #: Checker plugins, run in registration order by their engine.
 CODE_CHECKERS: list[CodeChecker] = []
 SCENARIO_CHECKERS: list[ScenarioChecker] = []
-#: Protocol automata for the typestate engine; several may share one
-#: rule id (DET014 tracks spans and tracers with separate automata).
-TYPESTATE_CHECKERS: list["ProtocolAutomaton"] = []
 
 
 def rule(
@@ -77,7 +71,7 @@ def rule(
     severity: Severity = Severity.ERROR,
 ) -> Rule:
     """Register one rule in the catalogue (idempotent per id)."""
-    if engine not in ("code", "scenario", "typestate", "baseline"):
+    if engine not in ("code", "scenario", "baseline"):
         raise ValueError(f"unknown lint engine {engine!r}")
     entry = Rule(rule_id, slug, engine, summary, severity)
     existing = RULES.get(rule_id)
@@ -97,12 +91,6 @@ def scenario_checker(func: ScenarioChecker) -> ScenarioChecker:
     """Register a scenario-engine checker plugin."""
     SCENARIO_CHECKERS.append(func)
     return func
-
-
-def typestate_checker(protocol: "ProtocolAutomaton") -> "ProtocolAutomaton":
-    """Register a typestate protocol automaton instance."""
-    TYPESTATE_CHECKERS.append(protocol)
-    return protocol
 
 
 def severity_of(rule_id: str) -> Severity:

@@ -2,14 +2,14 @@
 
 ``run_lint`` is the single entry point behind both the ``riskybiz
 lint`` subcommand and the test suite. It runs in one process: Python
-files go through the code engine and the typestate protocol engine,
-JSON files through the scenario engine. Engines whose every rule is
-deselected are skipped entirely. Baseline entries that no longer
-anchor to anything become DET012 findings. Findings are filtered by
-``select``/``ignore``, split into new vs. baselined, and sorted before
-reporting; the exit code is 1 exactly when a non-baselined ERROR
-remains. Wall time per file and per run lands in the ``lint.file`` /
-``lint.run`` histograms of the process-global metrics registry.
+files go through the code engine, JSON files through the scenario
+engine. Engines whose every rule is deselected are skipped entirely.
+Baseline entries that no longer anchor to anything become DET012
+findings. Findings are filtered by ``select``/``ignore``, split into
+new vs. baselined, and sorted before reporting; the exit code is 1
+exactly when a non-baselined ERROR remains. Wall time per file and per
+run lands in the ``lint.file`` / ``lint.run`` histograms of the
+process-global metrics registry.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.lint import protocols as _protocols  # noqa: F401  (registers DET014, DET016)
 from repro.lint.baseline import (
     Baseline,
     BaselineEntry,
@@ -29,11 +28,10 @@ from repro.lint.config import LintConfig, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import RULES, validate_rule_ids
 from repro.lint.scenario_engine import lint_scenario_file
-from repro.lint.typestate import lint_typestate_file
 from repro.obs import runtime
 
 #: The engines dispatched per file.
-_PER_FILE_ENGINES = ("code", "scenario", "typestate")
+_PER_FILE_ENGINES = ("code", "scenario")
 
 
 @dataclass
@@ -106,8 +104,6 @@ def _lint_one(
         if file_path.suffix == ".py":
             if "code" in engines:
                 diagnostics.extend(lint_code_file(file_path, rel, cfg))
-            if "typestate" in engines:
-                diagnostics.extend(lint_typestate_file(file_path, rel, cfg))
         elif "scenario" in engines:
             diagnostics.extend(lint_scenario_file(file_path, rel, cfg))
     return diagnostics
@@ -158,8 +154,8 @@ def run_lint(
         runtime.counter("lint.files").inc(len(files))
 
         # Engines with at least one enabled rule run; the others are
-        # skipped wholesale, so e.g. ``--select DET004`` pays for
-        # neither the typestate fixpoint nor the scenario pass.
+        # skipped wholesale, so e.g. ``--select DET004`` pays for no
+        # scenario pass.
         engines = frozenset(
             engine
             for engine in _PER_FILE_ENGINES

@@ -205,8 +205,9 @@ def _open_run(
     before a byte of the run directory changes (a torn journal tail
     included). A run journaled before WHOIS digests were recorded
     journals the one it resumes with. Files an older version left
-    (:data:`STALE_NAMES`) are then deleted unread. Tracing and profiling
-    stay installed for the body of the ``with`` block.
+    (:data:`STALE_NAMES`) are then deleted unread, and so is an older
+    invocation's ``metrics.json``. Tracing and profiling stay installed
+    for the body of the ``with`` block.
     """
     run_dir = Path(run_dir)
     journal_path = run_dir / JOURNAL_NAME
@@ -250,7 +251,9 @@ def _open_run(
         run_dir.mkdir(parents=True, exist_ok=True)
         journal = RunJournal.create(journal_path, run_id)
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    for name in STALE_NAMES:
+    # metrics.json, when present, describes the newest invocation: a
+    # traced or profiled one writes its own as it completes.
+    for name in (*STALE_NAMES, METRICS_NAME):
         stale = run_dir / name
         try:
             stale.unlink()
@@ -434,7 +437,8 @@ def run_incremental_detection(
     (deterministic span IDs; wall durations confined to telemetry-only
     fields — see :mod:`repro.obs.tracer`). ``profile`` records per-stage
     durations and ``tracemalloc`` peaks. Either writes this invocation's
-    metrics snapshot to ``<run_dir>/metrics.json``.
+    metrics snapshot to ``<run_dir>/metrics.json``; every invocation
+    first deletes the snapshot an older one wrote.
 
     The result is bit-identical (same result digest) to
     :class:`~repro.detection.pipeline.DetectionPipeline` over the same

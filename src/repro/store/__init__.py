@@ -25,9 +25,10 @@ Layering (see ``docs/ARCHITECTURE.md``)::
 * :mod:`repro.store.artifacts` — the content-addressed in-memory
   artifact memo (digest-keyed, bounded LRU);
 * :mod:`repro.store.atomic` — crash-safe writes (temp → fsync →
-  rename), the canonical-JSON content digest, and checksummed JSON
-  manifests; every manifest, checkpoint, and journal write routes
-  through it (lint rule ``DET008``);
+  rename, in the one ``publish``), the canonical-JSON content digest,
+  and checksummed JSON manifests; every manifest, checkpoint, dataset
+  and journal write routes through it (lint rules ``DET008`` and
+  ``DET016``);
 * :mod:`repro.store.verify` — the read-only integrity walker behind
   ``riskybiz verify-data``.
 """

@@ -8,11 +8,13 @@ invariant is the classic one:
     write to a temp file in the same directory → fsync the file →
     atomically rename over the target → fsync the directory.
 
-After :func:`atomic_write_bytes` returns, the target durably holds the
-complete new contents; if the process dies at any earlier point, the
-target still holds the complete previous contents (or is still absent).
-Stray ``*.tmp`` files from killed writers are harmless and are never
-read by any loader.
+:func:`publish` is the one implementation of that order: the caller
+fills the temp it yields, and the block's clean exit does the rest.
+After it (or :func:`atomic_write_bytes`, which writes through it)
+returns, the target durably holds the complete new contents; if the
+process dies at any earlier point, the target still holds the complete
+previous contents (or is still absent). Stray ``*.tmp`` files from
+killed writers are harmless and are never read by any loader.
 
 JSON manifests additionally carry a ``checksum`` field — the SHA-256 of
 the canonical encoding of the rest of the document — so silent disk
@@ -30,8 +32,9 @@ journal's) also carries ``prev``, the SHA-256 of every byte before it,
 so a read checks the bytes before the newest line with one hash and
 decodes only the lines it is asked for.
 
-Lint rule ``DET008`` statically enforces that storage-layer code routes
-its writes through here.
+Lint rules ``DET008`` and ``DET016`` statically enforce that
+storage-layer code routes its writes, and the package its renames,
+through here.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Generic, Iterator, TypeVar
 
@@ -364,22 +368,37 @@ def read_checked_lines(
     return log, verified, len(data)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
-    """Durably replace ``path``'s contents with ``data``.
+@contextmanager
+def publish(path: str | Path) -> Iterator[Path]:
+    """Durably replace ``path`` with the file the block writes.
 
-    The temp file lives in the target's directory so the final rename
-    is atomic (same filesystem). Returns the target path.
+    Yields the temp beside ``path`` (same directory, so the rename is
+    atomic) for the block to fill and close. On a clean exit the temp
+    is fsynced, renamed over ``path`` with ``os.replace``, and the
+    directory fsynced, in that order. If the block raises, ``path``
+    keeps its previous contents and the temp is left for the next write
+    to overwrite.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     temp = target.with_name(target.name + TMP_SUFFIX)
-    with open(temp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
+    yield temp
+    fd = os.open(temp, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     os.replace(temp, target)
     fsync_directory(target.parent)
-    return target
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Durably replace ``path``'s contents with ``data``; returns the
+    target path."""
+    with publish(path) as temp:
+        with open(temp, "wb") as handle:
+            handle.write(data)
+    return Path(path)
 
 
 def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> Path:

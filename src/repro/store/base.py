@@ -279,9 +279,6 @@ class DelegationStore(Protocol):
     def domains_in_tld(self, tld: str) -> list[str]:
         """Ever-seen domains whose TLD is ``tld`` (one partition)."""
 
-    def partitions(self) -> list[str]:
-        """Sorted TLDs of ever-seen domains (partition enumeration)."""
-
     # -- presence histories ------------------------------------------------
 
     def open_presence(self, kind: str, key: str, day: int) -> None:

@@ -18,7 +18,7 @@ under its batch day (the SQLite dataset's ``deltas`` table), and
 
 from __future__ import annotations
 
-from typing import Any, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 # -- delta vocabulary --------------------------------------------------------
 
@@ -63,10 +63,9 @@ class DeltaEvent(NamedTuple):
     be replayed from logs that batched it differently.
 
     A plain row: building one checks nothing. :func:`check_delta`
-    validates events where they are made (``ZoneDatabase._emit``) and
-    where they arrive from outside (:meth:`from_payload`); replay
-    (:func:`~repro.store.base.dispatch_delta`) refuses an unknown kind
-    or a pair kind without a nameserver.
+    validates events where they are made (``ZoneDatabase._emit``);
+    replay (:func:`~repro.store.base.dispatch_delta`) refuses an unknown
+    kind or a pair kind without a nameserver.
     """
 
     kind: str
@@ -75,29 +74,6 @@ class DeltaEvent(NamedTuple):
     name: str
     #: The nameserver, for delegation-add / delegation-remove.
     ns: str | None = None
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-serializable value view."""
-        payload: dict[str, Any] = {
-            "kind": self.kind,
-            "day": self.day,
-            "name": self.name,
-        }
-        if self.ns is not None:
-            payload["ns"] = self.ns
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "DeltaEvent":
-        """Inverse of :meth:`to_payload`; ``ValueError`` on a bad event."""
-        return check_delta(
-            cls(
-                kind=str(payload["kind"]),
-                day=int(payload["day"]),
-                name=str(payload["name"]),
-                ns=str(payload["ns"]) if payload.get("ns") is not None else None,
-            )
-        )
 
     def as_tuple(self) -> tuple[str, int, str, str | None]:
         """Value tuple, for backend-independent comparisons."""

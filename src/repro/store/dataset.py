@@ -13,16 +13,14 @@ into per-day batches.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.store.atomic import (
-    TMP_SUFFIX,
     file_sha256,
-    fsync_directory,
     load_checked_json,
+    publish,
     write_checked_json,
 )
 from repro.store.base import DOMAIN, GLUE
@@ -99,16 +97,11 @@ def write_dataset(
     producing scenario's digest, and writes the manifest sidecar.
     Returns ``path``.
 
-    The file is built beside ``path`` under a temporary name and
-    published with the atomic-write protocol (fsync, ``os.replace``,
-    fsync the directory), so a writer killed mid-load leaves the
-    previous dataset whole; the next write removes its leftover.
+    The file is built in the temp of :func:`~repro.store.atomic.publish`,
+    so a writer killed mid-load leaves the previous dataset whole; the
+    next write removes its leftover.
     """
     target_path = Path(path)
-    target_path.parent.mkdir(parents=True, exist_ok=True)
-    temp = target_path.with_name(target_path.name + TMP_SUFFIX)
-    for leftover in (temp, *_wal_sidecars(temp)):
-        leftover.unlink(missing_ok=True)
     source = zonedb.store
     # The façade's flush() serializes its state into its own store's
     # metadata; the dataset carries that serialization across.
@@ -119,36 +112,35 @@ def write_dataset(
         meta.append((zonedb._META_KEY, facade_meta))
     if scenario_digest is not None:
         meta.append((SCENARIO_DIGEST_KEY, scenario_digest))
-    rows = write_tables(
-        temp,
-        pairs=(
-            record.as_tuple()
-            for _, records in source.iter_domain_records()
-            for record in records
-        ),
-        presence=(
-            (kind, key, interval.start, interval.end)
-            for kind in (GLUE, DOMAIN)
-            for key in source.presence_keys(kind)
-            for interval in source.presence_intervals(kind, key)
-        ),
-        # The delta stream lets incremental consumers replay the
-        # dataset's history (record-only: the intervals are above).
-        deltas=(
-            (batch_day, event.kind, event.day, event.name, event.ns)
-            for batch_day, event in source.deltas_since(None)
-        ),
-        meta=meta,
-    )
-    with open(temp, "rb") as handle:
-        os.fsync(handle.fileno())
-    # Nothing of the previous dataset may outlive the replace: its
-    # manifest would vouch for the wrong bytes, and a stale WAL would be
-    # replayed into the new file on its first open.
-    for stale in (manifest_path(target_path), *_wal_sidecars(target_path)):
-        stale.unlink(missing_ok=True)
-    os.replace(temp, target_path)
-    fsync_directory(target_path.parent)
+    with publish(target_path) as temp:
+        for leftover in (temp, *_wal_sidecars(temp)):
+            leftover.unlink(missing_ok=True)
+        rows = write_tables(
+            temp,
+            pairs=(
+                record.as_tuple()
+                for _, records in source.iter_domain_records()
+                for record in records
+            ),
+            presence=(
+                (kind, key, interval.start, interval.end)
+                for kind in (GLUE, DOMAIN)
+                for key in source.presence_keys(kind)
+                for interval in source.presence_intervals(kind, key)
+            ),
+            # The delta stream lets incremental consumers replay the
+            # dataset's history (record-only: the intervals are above).
+            deltas=(
+                (batch_day, event.kind, event.day, event.name, event.ns)
+                for batch_day, event in source.deltas_since(None)
+            ),
+            meta=meta,
+        )
+        # Nothing of the previous dataset may outlive the replace: its
+        # manifest would vouch for the wrong bytes, and a stale WAL
+        # would be replayed into the new file on its first open.
+        for stale in (manifest_path(target_path), *_wal_sidecars(target_path)):
+            stale.unlink(missing_ok=True)
     manifest = {
         "format": DATASET_FORMAT,
         "backend": SqliteDelegationStore.backend_name,

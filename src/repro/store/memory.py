@@ -128,9 +128,6 @@ class MemoryDelegationStore:
         suffix = "." + tld
         return [domain for domain in self._domain_recs if domain.endswith(suffix)]
 
-    def partitions(self) -> list[str]:
-        return sorted({domain.rsplit(".", 1)[-1] for domain in self._domain_recs})
-
     # -- presence histories ------------------------------------------------
 
     def open_presence(self, kind: str, key: str, day: int) -> None:

@@ -335,11 +335,6 @@ class SqliteDelegationStore:
             if domain.endswith(suffix)
         ]
 
-    def partitions(self) -> list[str]:
-        return sorted(
-            {domain.rsplit(".", 1)[-1] for domain in self.all_domains()}
-        )
-
     # -- presence histories ------------------------------------------------
 
     def open_presence(self, kind: str, key: str, day: int) -> None:

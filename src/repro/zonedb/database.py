@@ -625,11 +625,6 @@ class ZoneDatabase:
             record.domain for record in records if record.active_on(day)
         )
 
-    def ns_tlds(self, ns: str) -> frozenset[str]:
-        """TLDs of the domains that ever delegated to ``ns``."""
-        records = self.store.ns_records(Name(ns).text)
-        return frozenset(Name(record.domain).tld for record in records)
-
     # -- queries: domains ----------------------------------------------------
 
     def all_domains(self) -> Iterator[str]:
@@ -669,10 +664,6 @@ class ZoneDatabase:
     def domain_presence_intervals(self, domain: str) -> list[Interval]:
         """When ``domain`` was present in its zone, as intervals."""
         return self.store.presence_intervals(DOMAIN, Name(domain).text)
-
-    def domain_ever_seen(self, domain: str) -> bool:
-        """True if ``domain`` ever appeared in the data set."""
-        return bool(self.store.domain_records(Name(domain).text))
 
     def domains_in_tld(self, tld: str) -> list[str]:
         """Ever-seen domains in one TLD partition."""

@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import json
 import os
+import stat
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Iterator
 
 import pytest
 
 from repro.store.atomic import (
     IntegrityError,
     QUARANTINE_SUFFIX,
+    TMP_SUFFIX,
     atomic_write_bytes,
     atomic_write_json,
     canonical_json,
     content_digest,
     file_sha256,
     load_checked_json,
+    publish,
     quarantine,
     verify_checked_json,
     write_checked_json,
@@ -49,6 +55,84 @@ class TestAtomicWrite:
         text = target.read_text()
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
+
+
+@contextmanager
+def recorded_syncs(monkeypatch: Any) -> Iterator[list[tuple[Any, ...]]]:
+    """Record every ``os.fsync`` and ``os.replace``, in call order.
+
+    An fsync is ``("fsync", inode, data)``: the inode synced and, for a
+    regular file, its bytes at that moment, read back through the
+    descriptor (``publish`` syncs through a read-only one), else None.
+    A replace is ``("replace", source, target)``.
+    """
+    calls: list[tuple[Any, ...]] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd: int) -> None:
+        info = os.fstat(fd)
+        data = None
+        if stat.S_ISREG(info.st_mode):
+            data = os.pread(fd, info.st_size + 1, 0)
+        calls.append(("fsync", info.st_ino, data))
+        real_fsync(fd)
+
+    def replace(source: Any, target: Any) -> None:
+        calls.append(("replace", Path(source), Path(target)))
+        real_replace(source, target)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", fsync)
+        patch.setattr(os, "replace", replace)
+        yield calls
+
+
+def assert_published(calls: list[tuple[Any, ...]], target: Path) -> None:
+    """``target`` was published in order: its temp's last write, an
+    fsync of the temp, ``os.replace(temp, target)``, then an fsync of
+    the target's directory."""
+    temp = target.with_name(target.name + TMP_SUFFIX)
+    index = calls.index(("replace", temp, target))
+    # A rename keeps the inode, so the temp synced is the target now.
+    assert calls[index - 1 : index] == [
+        ("fsync", target.stat().st_ino, target.read_bytes())
+    ]
+    assert calls[index + 1 : index + 2] == [
+        ("fsync", target.parent.stat().st_ino, None)
+    ]
+
+
+class TestPublishOrder:
+    """The one publish function syncs, renames and syncs in order."""
+
+    def test_atomic_write_bytes(self, tmp_path, monkeypatch):
+        target = tmp_path / "state.json"
+        target.write_bytes(b"old")
+        with recorded_syncs(monkeypatch) as calls:
+            atomic_write_bytes(target, b"new contents")
+        assert len(calls) == 3
+        assert_published(calls, target)
+
+    def test_write_dataset(self, tmp_path, monkeypatch, tiny_bundle):
+        from repro.store.dataset import manifest_path, write_dataset
+
+        target = tmp_path / "dataset.sqlite"
+        with recorded_syncs(monkeypatch) as calls:
+            write_dataset(tiny_bundle.world.zonedb, target)
+        assert [call[0] for call in calls].count("replace") == 2
+        assert_published(calls, target)
+        assert_published(calls, manifest_path(target))
+
+    def test_a_raise_in_the_block_publishes_nothing(self, tmp_path):
+        target = tmp_path / "state.json"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with publish(target) as temp:
+                temp.write_bytes(b"half")
+                raise RuntimeError("killed mid-write")
+        assert target.read_bytes() == b"old"
+        atomic_write_bytes(target, b"new")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
 
 
 class TestChecksummedJson:

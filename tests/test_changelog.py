@@ -8,8 +8,6 @@ from repro.detection.incremental import IncrementalDetectionEngine
 from repro.store.changelog import (
     DELEGATION_ADD,
     DELEGATION_REMOVE,
-    DOMAIN_APPEAR,
-    GLUE_ADD,
     DeltaEvent,
     group_batches,
 )
@@ -38,16 +36,14 @@ def _replay_stored_row(tmp_path, kind: str, ns: str | None) -> None:
 
 
 class TestDeltaEvent:
-    """A delta is a plain row, checked where it is made (``_emit``), where
-    it arrives from outside (``from_payload``) and when it is replayed."""
+    """A delta is a plain row, checked where it is made (``_emit``) and
+    when it is replayed."""
 
     def test_unknown_kind_rejected(self, tmp_path):
         zonedb = ZoneDatabase()
         with pytest.raises(ValueError, match="unknown delta kind"):
             zonedb._emit(DeltaEvent(kind="no-such-kind", day=0, name="a.biz"))
         assert zonedb.deltas_since(None) == []
-        with pytest.raises(ValueError, match="unknown delta kind"):
-            DeltaEvent.from_payload({"kind": "no-such-kind", "day": 0, "name": "a.biz"})
         with pytest.raises(ValueError, match="unknown delta kind 'no-such-kind'"):
             _replay_stored_row(tmp_path, "no-such-kind", None)
 
@@ -56,10 +52,6 @@ class TestDeltaEvent:
         with pytest.raises(ValueError, match="requires a nameserver"):
             zonedb._emit(DeltaEvent(kind=DELEGATION_REMOVE, day=0, name="a.biz"))
         assert zonedb.deltas_since(None) == []
-        with pytest.raises(ValueError, match="requires a nameserver"):
-            DeltaEvent.from_payload(
-                {"kind": DELEGATION_REMOVE, "day": 0, "name": "a.biz"}
-            )
         # A row with a NULL ns is read back unchecked; replay refuses it
         # with a ValueError, which ``python -O`` does not strip.
         with pytest.raises(
@@ -79,14 +71,6 @@ class TestDeltaEvent:
             ValueError, match="delegation-remove delta for 'b.biz' has no nameserver"
         ):
             engine.advance_from(source)
-
-    def test_payload_round_trip(self):
-        for event in (
-            _add(3, "a.biz", "ns1.x.com"),
-            DeltaEvent(kind=GLUE_ADD, day=5, name="ns1.x.biz"),
-            DeltaEvent(kind=DOMAIN_APPEAR, day=7, name="b.biz"),
-        ):
-            assert DeltaEvent.from_payload(event.to_payload()) == event
 
 
 class TestGroupBatches:

@@ -339,6 +339,154 @@ class TestTelemetryRead:
         assert rule_ids("import time\ntime.sleep(0.1)\n") == []
 
 
+class TestManualContextCall:
+    def test_manual_enter_exit_pair_flagged(self):
+        """The hand-written pair a raise in between leaves open."""
+        source = """
+            def f(tracer, risky):
+                ctx = tracer.span("stage")
+                ctx.__enter__()
+                risky()
+                ctx.__exit__(None, None, None)
+        """
+        diags = lint_code_source(
+            textwrap.dedent(source), "src/repro/obs/example.py", LintConfig()
+        )
+        assert [(d.rule_id, d.line) for d in diags] == [
+            ("DET014", 4), ("DET014", 6),
+        ]
+
+    def test_enter_without_exit_flagged(self):
+        assert rule_ids("""
+            def f(tracer, work):
+                tracer.span("stage").__enter__()
+                work()
+        """) == ["DET014"]
+
+    def test_with_statement_clean(self):
+        assert rule_ids("""
+            import contextlib
+
+            def f(tracer, work, names):
+                with tracer.span("stage"):
+                    work()
+                with contextlib.ExitStack() as stack:
+                    for name in names:
+                        stack.enter_context(tracer.span(name))
+        """) == []
+
+    def test_outside_telemetry_paths_clean(self):
+        assert rule_ids(
+            "ctx.__enter__()\n", path="scripts/oneoff.py"
+        ) == []
+
+
+class TestHandWrittenPublish:
+    SAVE = """
+        import os, pickle
+
+        def save(point, point_path):
+            temp = point_path.with_suffix(".tmp")
+            with open(temp, "wb") as handle:
+                pickle.dump(point, handle)
+            os.replace(temp, point_path)
+    """
+
+    def test_os_replace_outside_atomic_modules_flagged(self):
+        assert rule_ids(self.SAVE, path="src/repro/experiment/save.py") == [
+            "DET016"
+        ]
+
+    def test_rename_spellings_flagged(self):
+        assert rule_ids("""
+            import os as _os
+            from os import rename, replace as swap
+
+            def move(source, target):
+                _os.rename(source, target)
+                rename(source, target)
+                swap(source, target)
+        """) == ["DET016", "DET016", "DET016"]
+
+    def test_atomic_module_exempt(self):
+        assert rule_ids(self.SAVE, path="src/repro/store/atomic.py") == []
+
+    def test_files_outside_protocol_paths_are_ignored(self):
+        assert rule_ids(self.SAVE, path="scripts/oneoff.py") == []
+
+    def test_other_replace_calls_clean(self):
+        assert rule_ids("""
+            import dataclasses
+
+            def f(text, record):
+                return text.replace("a", "b"), dataclasses.replace(record)
+        """) == []
+
+
+class TestRunnerIntegration:
+    @staticmethod
+    def _violating_tree(root: Path) -> None:
+        (root / "src" / "repro" / "store").mkdir(parents=True)
+        (root / "src" / "repro" / "store" / "save.py").write_text(
+            textwrap.dedent(TestHandWrittenPublish.SAVE), encoding="utf-8"
+        )
+        (root / "src" / "repro" / "obs").mkdir(parents=True)
+        (root / "src" / "repro" / "obs" / "trace.py").write_text(
+            textwrap.dedent("""
+                def f(tracer):
+                    ctx = tracer.span("stage")
+                    ctx.__enter__()
+            """),
+            encoding="utf-8",
+        )
+
+    def test_run_lint_surfaces_det014_and_det016(self, tmp_path):
+        self._violating_tree(tmp_path)
+        result = run_lint([tmp_path / "src"], config=LintConfig(root=tmp_path))
+        assert [d.rule_id for d in result.by_rule("DET016")] == ["DET016"]
+        assert [d.rule_id for d in result.by_rule("DET014")] == ["DET014"]
+
+    def test_select_skips_det014_and_det016(self, tmp_path):
+        self._violating_tree(tmp_path)
+        result = run_lint(
+            [tmp_path / "src"],
+            config=LintConfig(root=tmp_path),
+            select=["DET001"],
+        )
+        assert result.by_rule("DET016") == []
+        assert result.by_rule("DET014") == []
+
+    def test_narrow_select_keeps_a_live_det016_entry(self, tmp_path):
+        self._violating_tree(tmp_path)
+        baseline = Baseline(entries=[
+            BaselineEntry(
+                rule="DET016",
+                path="src/repro/store/save.py",
+                symbol="save",
+                reason="known: fixture trades durability for speed",
+            ),
+        ])
+        # Neither run reports DET016, and the SCN100 one skips the code
+        # engine altogether; the live entry must not be reported stale.
+        for select in ("DET001", "SCN100"):
+            result = run_lint(
+                [tmp_path / "src"],
+                config=LintConfig(root=tmp_path),
+                baseline=baseline,
+                select=[select],
+            )
+            assert result.stale_baseline_entries == [], select
+
+
+class TestFixedPoint:
+    def test_repository_is_lint_clean(self):
+        result = run_lint(
+            [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
+            root=REPO_ROOT,
+        )
+        assert result.exit_code == 0, [d.to_dict() for d in result.errors]
+
+
 class TestParseError:
     def test_syntax_error_reported_as_det000(self):
         assert rule_ids("def broken(:\n") == ["DET000"]
@@ -352,7 +500,8 @@ class TestCatalogue:
 
     def test_every_det_rule_documented(self):
         for rule_id in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                        "DET006", "DET007", "DET008", "DET009"):
+                        "DET006", "DET007", "DET008", "DET009", "DET014",
+                        "DET016"):
             assert rule_id in RULES
             assert RULES[rule_id].engine == "code"
 

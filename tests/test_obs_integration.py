@@ -102,6 +102,39 @@ class TestTracingIsContentNeutral:
             name.startswith("profile.stage.") for name in document["gauges"]
         )
 
+    def test_a_resumed_fold_profiles_each_stage(self, world, tmp_path):
+        days = [day for day, _events in DeltaView(world.zonedb).batches()]
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir,
+            until=days[len(days) // 2], profile=True,
+        )
+        again = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir,
+            resume=first.run_id, profile=True,
+        )
+        assert again.days_advanced > 0
+        document = json.loads((run_dir / METRICS_NAME).read_text(encoding="utf-8"))
+        for stage in DetectionPipeline.STAGES:
+            assert f"profile.stage.{stage}.duration_s" in document["gauges"]
+            assert document["counters"][f"pipeline.stage_runs.{stage}"] == 1
+
+    def test_metrics_describe_the_newest_invocation(self, world, tmp_path):
+        """An invocation that neither traces nor profiles deletes the
+        snapshot an older one wrote."""
+        days = [day for day, _events in DeltaView(world.zonedb).batches()]
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir,
+            until=days[len(days) // 2], trace=True, profile=True,
+        )
+        assert (run_dir / METRICS_NAME).exists()
+        run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id,
+        )
+        assert not (run_dir / METRICS_NAME).exists()
+        assert (run_dir / TRACE_NAME).exists()
+
     def test_every_invocation_has_one_result_span(self, world, tmp_path):
         first = run_incremental_detection(
             world.zonedb, world.whois, run_dir=tmp_path / "run", trace=True
@@ -196,6 +229,19 @@ class TestFoldSpans:
         assert fold["deltas"] == again.deltas_applied
         assert fold["dirty"] > 0
         assert not _span_ends(run_dir, "delta.apply")
+        # The fold runs each stage under its own span; only a fold over
+        # every nameserver counts them all.
+        stages = [
+            span for span in _span_ends(run_dir, "candidates")
+            if span["path"] == "run/engine.advance/candidates"
+        ]
+        assert len(stages) == 1
+        assert "total_nameservers" not in stages[0]
+        (full,) = [
+            span for span in _span_ends(run_dir, "candidates")
+            if span["path"] == "run/candidates"
+        ]
+        assert full["total_nameservers"] > 0
 
     def test_a_rewriting_stream_folds_once_per_call(self, tmp_path):
         """A stream that rewrites an earlier day is folded on the same

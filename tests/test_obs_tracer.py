@@ -73,6 +73,23 @@ class TestEmission:
         assert event.payload["name"] == "supervisor.retry"
         assert event.payload["parent_id"] == span_id_for(RUN, "run")
 
+    def test_records_after_close_are_written(self, tmp_path):
+        """``close`` releases the handle only: the next record reopens
+        the file, so nothing emitted after it is lost."""
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer.open_or_create(path, RUN)
+        tracer.event("before")
+        tracer.close()
+        tracer.event("after")
+        with tracer.span("late"):
+            pass
+        tracer.close()
+        records = read_trace(path)
+        assert [r.type for r in records] == [
+            "trace-start", "event", "event", "span-start", "span-end",
+        ]
+        assert [r.payload["name"] for r in records[1:3]] == ["before", "after"]
+
     def test_exception_leaves_span_unended(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer.open_or_create(path, RUN)

@@ -196,11 +196,6 @@ class TestPartitions:
         assert list(store.domains_in_tld("com")) == ["b.com"]
         assert list(store.domains_in_tld("org")) == []
 
-    def test_partitions_enumerate_tlds(self, store):
-        store.open_pair("a.biz", "ns1.x.com", 0)
-        store.open_pair("b.com", "ns1.x.com", 0)
-        assert sorted(store.partitions()) == ["biz", "com"]
-
 
 class TestPresence:
     def test_open_close_reopen(self, store):

@@ -74,7 +74,7 @@ class TestDelegationHistory:
         db.set_delegation(7, "flash.com", ["ns1.flash.net"])
         db.remove_delegation(7, "flash.com")
         assert db.first_seen("ns1.flash.net") is None
-        assert not db.domain_ever_seen("flash.com")
+        assert db.domain_records("flash.com") == []
 
     def test_empty_ns_set_removes(self, db):
         db.set_delegation(5, "foo.com", [])
@@ -89,10 +89,6 @@ class TestDelegationHistory:
         db.advance(100)
         with pytest.raises(ValueError):
             db.advance(50)
-
-    def test_ns_tlds(self, db):
-        db.set_delegation(3, "bar.biz", ["ns1.x.net"])
-        assert db.ns_tlds("ns1.x.net") == {"com", "biz"}
 
 
 class TestPresence:
