@@ -2,11 +2,12 @@
 
 Identifies sacrificial nameservers from longitudinal zone data alone:
 
-1. **Resolvability analysis** — derive, per nameserver, the date ranges
-   with a valid static resolution path (glue or a delegated registered
-   domain) — :mod:`repro.detection.resolvability`.
+1. **Resolvability analysis** — whether a nameserver had a valid static
+   resolution path (glue or a delegated registered domain) on a day —
+   :mod:`repro.detection.resolvability`.
 2. **Candidate set** — nameservers unresolvable when first referenced by
-   any domain — :mod:`repro.detection.candidates`.
+   any domain, judged from each name's delegation records read once —
+   :mod:`repro.detection.candidates`.
 3. **Pattern mining** — frequent-substring discovery of renaming idioms —
    :mod:`repro.detection.substrings`.
 4. **Test-nameserver removal** — the EMT- registry-testing pattern —

@@ -10,10 +10,10 @@ test-nameserver noise that later stages must eliminate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.detection.resolvability import ResolvabilityAnalyzer
-from repro.zonedb.database import ZoneDatabase
+from repro.zonedb.database import DelegationRecord, ZoneDatabase
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,6 +30,34 @@ class CandidateNameserver:
         return len(self.referencing_domains)
 
 
+def scan_ns_records(
+    zonedb: ZoneDatabase, nameservers: Iterable[str] | None = None
+) -> Iterator[tuple[str, list[DelegationRecord]]]:
+    """Each nameserver with its delegation records: every name from one
+    ordered pass over the store, or each of ``nameservers`` from one
+    query."""
+    if nameservers is None:
+        return zonedb.iter_ns_records()
+    return ((ns, zonedb.ns_records(ns)) for ns in nameservers)
+
+
+def first_reference(
+    ns: str, records: list[DelegationRecord], analyzer: ResolvabilityAnalyzer
+) -> tuple[int, CandidateNameserver | None]:
+    """The §3.2.1 criterion over one name's (non-empty) records.
+
+    Returns the day a domain first delegated to ``ns`` and, when ``ns``
+    was unresolvable that day, its candidate with the domains delegating
+    to it then. A name resolvable then, or outside the data set's TLDs,
+    is no candidate.
+    """
+    first_seen = min(record.start for record in records)
+    if analyzer.is_resolvable(ns, first_seen) is not False:
+        return first_seen, None
+    referencing = tuple(sorted({r.domain for r in records if r.active_on(first_seen)}))
+    return first_seen, CandidateNameserver(ns, first_seen, referencing)
+
+
 def build_candidate_set(
     zonedb: ZoneDatabase,
     analyzer: ResolvabilityAnalyzer | None = None,
@@ -40,30 +68,15 @@ def build_candidate_set(
 
     Candidates are returned in (first_seen, name) order so downstream
     stages are deterministic. Pass ``nameservers`` to restrict the scan
-    to a subset (the incremental engine re-checks one dirty nameserver
-    at a time). Each name's records are read once — in one pass over
-    the store for a full scan — and give both its first reference and
-    the domains delegating to it then.
+    to a subset. Each name's records are read once
+    (:func:`scan_ns_records`) and checked by :func:`first_reference`.
     """
     analyzer = analyzer or ResolvabilityAnalyzer(zonedb)
-    if nameservers is None:
-        scanned = zonedb.iter_ns_records()
-    else:
-        scanned = ((ns, zonedb.ns_records(ns)) for ns in nameservers)
     candidates: list[CandidateNameserver] = []
-    for ns, records in scanned:
-        if not records:
-            continue  # never referenced
-        first_seen = min(record.start for record in records)
-        if analyzer.is_resolvable(ns, first_seen) is not False:
-            continue  # resolvable then, or unassessable
-        referencing = tuple(
-            sorted({r.domain for r in records if r.active_on(first_seen)})
-        )
-        candidates.append(
-            CandidateNameserver(
-                name=ns, first_seen=first_seen, referencing_domains=referencing
-            )
-        )
+    for ns, records in scan_ns_records(zonedb, nameservers):
+        if records:  # else never referenced
+            _first_seen, candidate = first_reference(ns, records, analyzer)
+            if candidate is not None:
+                candidates.append(candidate)
     candidates.sort(key=lambda c: (c.first_seen, c.name))
     return candidates

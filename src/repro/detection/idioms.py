@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from repro.detection.matching import MatchResult
 
@@ -48,9 +49,15 @@ class IdiomClassifier:
 
     def matches_name(self, name: str) -> bool:
         """Pattern-kind check against a bare nameserver name."""
+        compiled = self._compiled
+        return compiled is not None and compiled.search(name) is not None
+
+    @cached_property
+    def _compiled(self) -> re.Pattern[str] | None:
+        """``pattern``, compiled on first use."""
         if self.pattern is None:
-            return False
-        return re.search(self.pattern, name, re.IGNORECASE) is not None
+            return None
+        return re.compile(self.pattern, re.IGNORECASE)
 
 
 def known_classifiers() -> list[IdiomClassifier]:
@@ -117,6 +124,9 @@ def known_classifiers() -> list[IdiomClassifier]:
 IDIOM_123 = "123.BIZ"
 IDIOM_RANDOM_SUFFIX = "XXXXX.{BIZ, COM}"
 
+#: The characters a random-suffix idiom appends.
+_RANDOM_SUFFIX = re.compile(r"[a-z0-9]+")
+
 
 def classify_match(match: MatchResult) -> str | None:
     """Classify a history-matched rename into a match-kind idiom.
@@ -129,6 +139,6 @@ def classify_match(match: MatchResult) -> str | None:
     suffix = match.sld_suffix
     if suffix == "123":
         return IDIOM_123
-    if len(suffix) >= 3 and re.fullmatch(r"[a-z0-9]+", suffix):
+    if len(suffix) >= 3 and _RANDOM_SUFFIX.fullmatch(suffix):
         return IDIOM_RANDOM_SUFFIX
     return None

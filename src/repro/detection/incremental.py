@@ -52,6 +52,15 @@ fold's day (:func:`_dirty_in_view`):
 * tld-cover on ``tld`` — dirties every nameserver under ``tld``
   (coverage flips resolvability verdicts from unknown to assessable).
 
+The candidates stage is the only reader of nameserver records in a
+fold: one ordered pass over the store when every nameserver is dirty,
+otherwise one query per dirty name. What the later stages need from
+those records it leaves in the fold's :class:`AdvanceNotes`: the
+candidate verdicts that appeared and disappeared (miner, test filter),
+each dirty nameserver's first-reference day (pattern sweep) and each
+candidate's delegating domains (single-repository filter). The notes
+are per-fold scratch, never checkpointed or traced.
+
 Shared evaluator logic (collision checks, pattern/match classification)
 lives in :class:`StageContext`.
 """
@@ -63,7 +72,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.dnscore.psl import PublicSuffixList, default_psl
-from repro.detection.candidates import CandidateNameserver, build_candidate_set
+from repro.detection.candidates import (
+    CandidateNameserver,
+    first_reference,
+    scan_ns_records,
+)
 from repro.detection.idioms import (
     IdiomClass,
     IdiomClassifier,
@@ -213,13 +226,17 @@ class StageContext:
 
 @dataclass
 class AdvanceNotes:
-    """Per-batch scratchpad threaded through the stage operators.
+    """Per-fold scratchpad threaded through the stage operators; never
+    checkpointed or traced.
 
     ``dirty`` is the conservative re-evaluation set for the batch;
     ``everything`` says it is every nameserver in the database (a
-    direct fold). The candidates operator records which verdicts
-    appeared/disappeared so downstream operators (miner, test filter)
-    adjust incrementally instead of re-deriving the change themselves.
+    direct fold). The candidates operator is the fold's only reader of
+    nameserver records, and leaves here what later operators need from
+    them: which verdicts appeared/disappeared (for the miner and the
+    test filter), each dirty nameserver's first-reference day (for the
+    pattern sweep; absent once it has no records) and each candidate's
+    delegating domains (for the single-repository filter).
     """
 
     batch_day: int
@@ -227,6 +244,8 @@ class AdvanceNotes:
     everything: bool = False
     candidates_added: list[str] = field(default_factory=list)
     candidates_removed: list[str] = field(default_factory=list)
+    first_seen: dict[str, int] = field(default_factory=dict)
+    delegating: dict[str, frozenset[str]] = field(default_factory=dict)
 
 
 class IncrementalStage:
@@ -278,12 +297,16 @@ class CandidatesStage(IncrementalStage):
     ) -> None:
         # One ordered pass over the store when everything is dirty;
         # otherwise each dirty name's records are fetched once.
-        fresh = build_candidate_set(
-            context.zonedb,
-            context.analyzer,
-            nameservers=None if notes.everything else notes.dirty,
-        )
-        found = {candidate.name: candidate for candidate in fresh}
+        found: dict[str, CandidateNameserver] = {}
+        scanned = None if notes.everything else notes.dirty
+        for ns, records in scan_ns_records(context.zonedb, scanned):
+            if not records:
+                continue  # never referenced
+            first_seen, candidate = first_reference(ns, records, context.analyzer)
+            notes.first_seen[ns] = first_seen
+            if candidate is not None:
+                found[ns] = candidate
+                notes.delegating[ns] = frozenset(record.domain for record in records)
         verdicts: dict[str, CandidateNameserver] = state["candidates"]
         for ns in notes.dirty:
             new = found.get(ns)
@@ -351,17 +374,14 @@ class PatternSweepStage(IncrementalStage):
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
     ) -> None:
         entries: dict[str, SacrificialNameserver] = state["pattern"]
+        is_test = context.test_filter.is_test_nameserver
         for ns in notes.dirty:
             entry: SacrificialNameserver | None = None
-            if not context.test_filter.is_test_nameserver(ns):
+            first_seen = notes.first_seen.get(ns)  # None: no records left
+            if first_seen is not None and not is_test(ns):
                 for classifier in context.classifiers:
                     if classifier.matches_name(ns):
-                        # None once every record of ``ns`` is gone.
-                        first_seen = context.zonedb.first_seen(ns)
-                        if first_seen is not None:
-                            entry = context.classify_pattern(
-                                ns, classifier, first_seen
-                            )
+                        entry = context.classify_pattern(ns, classifier, first_seen)
                         break
             if entry is None:
                 entries.pop(ns, None)
@@ -389,9 +409,11 @@ class SingleRepoStage(IncrementalStage):
         self, context: StageContext, state: dict[str, Any], notes: AdvanceNotes
     ) -> None:
         violations: set[str] = state["single_repo"]
+        violated_by = context.repo_filter.violated_by
         for ns in notes.dirty:
-            candidate = _survivor(state, ns)
-            if candidate is not None and context.repo_filter.violates(candidate):
+            # A survivor is a candidate of this fold: its domains are noted.
+            survives = _survivor(state, ns) is not None
+            if survives and violated_by(ns, notes.delegating[ns]):
                 violations.add(ns)
             else:
                 violations.discard(ns)

@@ -48,7 +48,7 @@ class MatchResult:
 
 
 class OriginalNameserverMatcher:
-    """Runs the history join for a batch of candidates."""
+    """Runs the history join, one candidate at a time."""
 
     def __init__(
         self,
@@ -107,17 +107,3 @@ class OriginalNameserverMatcher:
                     registrar=registrar,
                 )
         return None
-
-    def match_all(
-        self, candidates: list[CandidateNameserver]
-    ) -> tuple[list[MatchResult], list[CandidateNameserver]]:
-        """Match a batch; returns (matches, unmatched candidates)."""
-        matches: list[MatchResult] = []
-        unmatched: list[CandidateNameserver] = []
-        for candidate in candidates:
-            result = self.match(candidate)
-            if result is None:
-                unmatched.append(candidate)
-            else:
-                matches.append(result)
-        return matches, unmatched

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.dnscore.names import Name
+from repro.dnscore.names import canonical_text
 from repro.detection.candidates import CandidateNameserver
 from repro.zonedb.database import ZoneDatabase
 
@@ -44,7 +44,7 @@ class RepositoryMap:
 
     def operator_of(self, name: str) -> str | None:
         """The repository operator for a name's TLD, if known."""
-        return self.tld_to_operator.get(Name(name).tld)
+        return self.tld_to_operator.get(_tld(name))
 
     def repositories_of(self, names: Iterable[str]) -> set[str]:
         """Distinct known repository operators across names' TLDs."""
@@ -64,7 +64,15 @@ class SingleRepositoryFilter:
     repo_map: RepositoryMap = field(default_factory=RepositoryMap)
 
     def violates(self, candidate: CandidateNameserver) -> bool:
-        """True if the candidate cannot be a sacrificial nameserver.
+        """True if the candidate cannot be a sacrificial nameserver, judged
+        by :meth:`violated_by` over every domain that ever delegated to it."""
+        return self.violated_by(
+            candidate.name, self.zonedb.domains_of_ns(candidate.name)
+        )
+
+    def violated_by(self, name: str, domains: Iterable[str]) -> bool:
+        """True if a nameserver ``name`` that ``domains`` delegated to
+        cannot be a sacrificial nameserver.
 
         Two violations (per the paper): the delegated domains span more
         than one known repository, or the candidate's own TLD equals the
@@ -72,29 +80,18 @@ class SingleRepositoryFilter:
         namespace the repository treats as external, and within one
         repository the observed idioms always change the TLD).
         """
-        domains = self.zonedb.domains_of_ns(candidate.name)
-        if not domains:
+        domain_tlds = {_tld(domain) for domain in domains}
+        if not domain_tlds:
             return False
-        if len(self.repo_map.repositories_of(domains)) > 1:
+        # Operators are per TLD, so the distinct TLDs name them all.
+        if len(self.repo_map.repositories_of(domain_tlds)) > 1:
             return True
-        candidate_tld = Name(candidate.name).tld
-        domain_tlds = {Name(domain).tld for domain in domains}
-        if domain_tlds == {candidate_tld}:
-            # Same-TLD "renames" are indistinguishable from ordinary
-            # misconfiguration *unless* the name sits under a registered
-            # sink domain, which the idiom classifiers handle separately.
-            return True
-        return False
+        # Same-TLD "renames" are indistinguishable from ordinary
+        # misconfiguration *unless* the name sits under a registered
+        # sink domain, which the idiom classifiers handle separately.
+        return domain_tlds == {_tld(name)}
 
-    def partition(
-        self, candidates: Iterable[CandidateNameserver]
-    ) -> tuple[list[CandidateNameserver], list[CandidateNameserver]]:
-        """Split candidates into (kept, eliminated)."""
-        kept: list[CandidateNameserver] = []
-        eliminated: list[CandidateNameserver] = []
-        for candidate in candidates:
-            if self.violates(candidate):
-                eliminated.append(candidate)
-            else:
-                kept.append(candidate)
-        return kept, eliminated
+
+def _tld(name: str) -> str:
+    """The rightmost label of ``name``, canonicalized."""
+    return canonical_text(name).rpartition(".")[2]

@@ -14,14 +14,13 @@ as *unknown* — the paper is conservative in the same way.
 
 from __future__ import annotations
 
-from repro.dnscore.names import Name
+from repro.dnscore.names import canonical_text
 from repro.dnscore.psl import PublicSuffixList, default_psl
-from repro.simtime import Interval, merge_intervals
 from repro.zonedb.database import ZoneDatabase
 
 
 class ResolvabilityAnalyzer:
-    """Derives per-nameserver resolvable date ranges from zone history."""
+    """Answers whether a nameserver name resolved on a day, from zone history."""
 
     def __init__(
         self, zonedb: ZoneDatabase, *, psl: PublicSuffixList | None = None
@@ -41,40 +40,10 @@ class ResolvabilityAnalyzer:
         """
         if not self.is_covered(ns):
             return None
-        ns_text = Name(ns).text
+        ns_text = canonical_text(ns)
         if self.zonedb.glue_present(ns_text, day):
             return True
         registered = self.psl.registered_domain(ns_text)
         if registered is None:
             return False
         return self.zonedb.domain_present(registered, day)
-
-    def resolvable_intervals(self, ns: str) -> list[Interval]:
-        """All date ranges with a valid static resolution path."""
-        ns_text = Name(ns).text
-        intervals = list(self.zonedb.glue_intervals(ns_text))
-        registered = self.psl.registered_domain(ns_text)
-        if registered is not None:
-            intervals.extend(self.zonedb.domain_presence_intervals(registered))
-        return merge_intervals(intervals)
-
-    def first_resolvable(self, ns: str) -> int | None:
-        """The first day ``ns`` had a static resolution path, if ever."""
-        intervals = self.resolvable_intervals(ns)
-        if not intervals:
-            return None
-        return min(interval.start for interval in intervals)
-
-    def unresolvable_at_first_reference(self, ns: str) -> bool | None:
-        """Was ``ns`` unresolvable when a domain first delegated to it?
-
-        This is the §3.2.1 candidate criterion. Returns ``None`` when the
-        name was never referenced or cannot be assessed.
-        """
-        first_reference = self.zonedb.first_seen(ns)
-        if first_reference is None:
-            return None
-        resolvable = self.is_resolvable(ns, first_reference)
-        if resolvable is None:
-            return None
-        return not resolvable

@@ -5,16 +5,13 @@ registry testing — nameservers like
 ``EMT-NS1.EMT-T-407979799-1575645880157-2-U.COM``. The paper confirmed
 their nature with the registry and removed 28,614 of them from the
 candidate set. The confirmed test patterns are encoded here; the filter
-simply partitions candidates.
+only recognizes them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from repro.detection.candidates import CandidateNameserver
 
 #: Patterns confirmed (per the paper, via registry outreach) to be
 #: registry testing infrastructure rather than renaming idioms.
@@ -40,16 +37,3 @@ class TestNameserverFilter:
     def is_test_nameserver(self, name: str) -> bool:
         """True if ``name`` matches a confirmed test pattern."""
         return any(pattern.search(name) for pattern in self._compiled)
-
-    def partition(
-        self, candidates: Iterable[CandidateNameserver]
-    ) -> tuple[list[CandidateNameserver], list[CandidateNameserver]]:
-        """Split candidates into (kept, removed-as-test)."""
-        kept: list[CandidateNameserver] = []
-        removed: list[CandidateNameserver] = []
-        for candidate in candidates:
-            if self.is_test_nameserver(candidate.name):
-                removed.append(candidate)
-            else:
-                kept.append(candidate)
-        return kept, removed

@@ -166,7 +166,7 @@ class Name:
         return len(self._labels)
 
 
-def canonical_text(name: str) -> str:
+def canonical_text(name: str | Name) -> str:
     """``Name(name).text``, without building a :class:`Name` when ``name``
     already passes its canonical whole-name check.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.dnscore.errors import NameError_
-from repro.dnscore.names import Name
+from repro.dnscore.names import Name, canonical_text
 
 #: Single-label suffixes known to the default list. Covers every TLD the
 #: simulated registries operate plus common real-world TLDs that appear in
@@ -85,10 +85,14 @@ class PublicSuffixList:
 
     def suffix_length(self, name: str | Name) -> int:
         """Number of trailing labels of ``name`` forming its public suffix."""
-        labels = tuple(reversed(Name(name).labels))
+        return self._suffix_length(canonical_text(name).split("."))
+
+    def _suffix_length(self, labels: list[str]) -> int:
+        """:meth:`suffix_length` over a canonical name's labels."""
+        tld_first = tuple(reversed(labels))
         best = 1  # implicit "*" default rule
-        for i in range(1, len(labels) + 1):
-            prefix = labels[:i]
+        for i in range(1, len(tld_first) + 1):
+            prefix = tld_first[:i]
             if prefix in self._exception:
                 # Exception rule: the suffix is the rule minus its leftmost
                 # label, i.e. one label shorter than the exception.
@@ -116,11 +120,11 @@ class PublicSuffixList:
         Returns ``None`` when ``name`` *is* a public suffix and therefore
         has no registrable part (e.g. ``com`` itself).
         """
-        n = Name(name)
-        k = self.suffix_length(n)
-        if len(n.labels) <= k:
+        labels = canonical_text(name).split(".")
+        k = self._suffix_length(labels)
+        if len(labels) <= k:
             return None
-        return ".".join(n.labels[-(k + 1):])
+        return ".".join(labels[-(k + 1):])
 
     def sld(self, name: str | Name) -> str | None:
         """The single label directly below the public suffix.

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, cast
 
 from repro.dnscore.errors import NameError_
-from repro.dnscore.names import Name
+from repro.dnscore.names import Name, canonical_text
 from repro.simtime import Interval
 from repro.store.base import (
     DOMAIN,
@@ -280,7 +280,7 @@ class ZoneDatabase:
 
     def covers(self, name: str) -> bool:
         """True if the TLD of ``name`` is inside the data set."""
-        return Name(name).tld in self.covered_tlds
+        return canonical_text(name).rpartition(".")[2] in self.covered_tlds
 
     def advance(self, day: int) -> None:
         """Move the observation horizon forward (no going back)."""
@@ -603,7 +603,7 @@ class ZoneDatabase:
 
     def ns_records(self, ns: str) -> list[DelegationRecord]:
         """All (domain, ns) interval records for ``ns``."""
-        return self.store.ns_records(Name(ns).text)
+        return self.store.ns_records(canonical_text(ns))
 
     def iter_ns_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
         """Each nameserver with all its records, from one pass over the store."""
@@ -611,14 +611,14 @@ class ZoneDatabase:
 
     def first_seen(self, ns: str) -> int | None:
         """The day ``ns`` was first referenced by any domain."""
-        records = self.store.ns_records(Name(ns).text)
+        records = self.store.ns_records(canonical_text(ns))
         if not records:
             return None
         return min(record.start for record in records)
 
     def domains_of_ns(self, ns: str, day: int | None = None) -> frozenset[str]:
         """Domains delegating to ``ns`` (ever, or on a specific day)."""
-        records = self.store.ns_records(Name(ns).text)
+        records = self.store.ns_records(canonical_text(ns))
         if day is None:
             return frozenset(record.domain for record in records)
         return frozenset(
@@ -637,7 +637,7 @@ class ZoneDatabase:
 
     def domain_records(self, domain: str) -> list[DelegationRecord]:
         """All (domain, ns) interval records for ``domain``."""
-        return self.store.domain_records(Name(domain).text)
+        return self.store.domain_records(canonical_text(domain))
 
     def iter_domain_records(self) -> Iterator[tuple[str, list[DelegationRecord]]]:
         """Each domain with all its records, from one pass over the store."""
@@ -645,7 +645,7 @@ class ZoneDatabase:
 
     def nameservers_of(self, domain: str, day: int) -> frozenset[str]:
         """The NS set of ``domain`` on ``day``."""
-        records = self.store.domain_records(Name(domain).text)
+        records = self.store.domain_records(canonical_text(domain))
         return frozenset(record.ns for record in records if record.active_on(day))
 
     def nameservers_removed_on(self, domain: str, day: int) -> frozenset[str]:
@@ -654,36 +654,36 @@ class ZoneDatabase:
         These are the nameservers "last seen the day before" ``day`` — the
         join used by the original-nameserver matching step.
         """
-        records = self.store.domain_records(Name(domain).text)
+        records = self.store.domain_records(canonical_text(domain))
         return frozenset(record.ns for record in records if record.end == day)
 
     def domain_present(self, domain: str, day: int) -> bool:
         """True if ``domain`` was delegated in its zone on ``day``."""
-        return self.store.presence_contains(DOMAIN, Name(domain).text, day)
+        return self.store.presence_contains(DOMAIN, canonical_text(domain), day)
 
     def domain_presence_intervals(self, domain: str) -> list[Interval]:
         """When ``domain`` was present in its zone, as intervals."""
-        return self.store.presence_intervals(DOMAIN, Name(domain).text)
+        return self.store.presence_intervals(DOMAIN, canonical_text(domain))
 
     def domains_in_tld(self, tld: str) -> list[str]:
         """Ever-seen domains in one TLD partition."""
-        return self.store.domains_in_tld(Name(tld).text)
+        return self.store.domains_in_tld(canonical_text(tld))
 
     # -- queries: glue --------------------------------------------------------
 
     def glue_present(self, host: str, day: int) -> bool:
         """True if ``host`` had glue on ``day``."""
-        return self.store.presence_contains(GLUE, Name(host).text, day)
+        return self.store.presence_contains(GLUE, canonical_text(host), day)
 
     def glue_intervals(self, host: str) -> list[Interval]:
         """Glue presence intervals for ``host``."""
-        return self.store.presence_intervals(GLUE, Name(host).text)
+        return self.store.presence_intervals(GLUE, canonical_text(host))
 
     # -- snapshot reconstruction ----------------------------------------------
 
     def snapshot_at(self, day: int, tld: str) -> ZoneSnapshot:
         """Reconstruct one TLD's snapshot for ``day`` from the intervals."""
-        tld_text = Name(tld).text
+        tld_text = canonical_text(tld)
         delegations: dict[str, frozenset[str]] = {}
         for domain in self.store.domains_in_tld(tld_text):
             active = frozenset(

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.detection.candidates import CandidateNameserver, build_candidate_set
+from repro.detection.candidates import (
+    CandidateNameserver,
+    build_candidate_set,
+    first_reference,
+)
 from repro.detection.matching import OriginalNameserverMatcher
+from repro.detection.pipeline import DetectionPipeline
 from repro.detection.repository_check import RepositoryMap, SingleRepositoryFilter
 from repro.detection.resolvability import ResolvabilityAnalyzer
 from repro.detection.substrings import mine_substrings, patterns_matching
@@ -49,30 +54,36 @@ class TestResolvability:
         assert analyzer.is_resolvable("ns1.foreign.nl", 5) is None
 
     def test_resolvable_intervals_merge_glue_and_presence(self, db):
+        """A day resolves through glue or the registered domain's
+        presence; the hoster's both end on day 100."""
         analyzer = ResolvabilityAnalyzer(db)
-        intervals = analyzer.resolvable_intervals("ns1.hoster.com")
-        assert len(intervals) == 1
-        assert intervals[0].start == 0 and intervals[0].end == 100
-
-    def test_first_resolvable(self, db):
-        analyzer = ResolvabilityAnalyzer(db)
-        assert analyzer.first_resolvable("ns1.provider.net") == 0
-        assert analyzer.first_resolvable("ns1.hosterx7k2q.biz") is None
+        days = [analyzer.is_resolvable("ns1.hoster.com", day) for day in (0, 99, 100)]
+        assert days == [True, True, False]
+        db.set_glue(100, "ns1.hoster.com")
+        assert analyzer.is_resolvable("ns1.hoster.com", 100) is True
 
     def test_unresolvable_at_first_reference(self, db):
         analyzer = ResolvabilityAnalyzer(db)
-        assert analyzer.unresolvable_at_first_reference("ns1.hosterx7k2q.biz")
-        assert analyzer.unresolvable_at_first_reference("ns1.provider.net") is False
+        first_seen, candidate = first_reference(
+            "ns1.hosterx7k2q.biz", db.ns_records("ns1.hosterx7k2q.biz"), analyzer
+        )
+        assert first_seen == 100
+        assert candidate == CandidateNameserver(
+            "ns1.hosterx7k2q.biz", 100, ("victim.com",)
+        )
+        assert first_reference(
+            "ns1.provider.net", db.ns_records("ns1.provider.net"), analyzer
+        ) == (0, None)
 
     def test_never_referenced_is_none(self, db):
-        analyzer = ResolvabilityAnalyzer(db)
-        assert analyzer.unresolvable_at_first_reference("ghost.ns.com") is None
+        assert db.ns_records("ghost.ns.com") == []
+        assert build_candidate_set(db, nameservers=["ghost.ns.com"]) == []
 
     def test_hijacked_later_still_candidate(self, db):
         """Becoming resolvable later must not hide the candidate."""
         db.set_delegation(150, "hosterx7k2q.biz", ["ns1.parking.nl"])
-        analyzer = ResolvabilityAnalyzer(db)
-        assert analyzer.unresolvable_at_first_reference("ns1.hosterx7k2q.biz")
+        names = {c.name for c in build_candidate_set(db)}
+        assert "ns1.hosterx7k2q.biz" in names
 
 
 class TestCandidateSet:
@@ -156,14 +167,15 @@ class TestTestNsFilter:
         assert not filt.is_test_nameserver("dropthishost-abc.biz")
 
     def test_partition(self):
-        filt = TestNameserverFilter()
-        candidates = [
-            CandidateNameserver("emt-ns1.emt-t-1-2-3-u.com", 0, ()),
-            CandidateNameserver("ns1.normal.biz", 0, ()),
-        ]
-        kept, removed = filt.partition(candidates)
-        assert [c.name for c in kept] == ["ns1.normal.biz"]
-        assert [c.name for c in removed] == ["emt-ns1.emt-t-1-2-3-u.com"]
+        """A fold sets the test nameservers apart from the candidates it
+        keeps."""
+        database = ZoneDatabase(["com", "biz"])
+        database.set_delegation(0, "a.com", ["emt-ns1.emt-t-1-2-3-u.com"])
+        database.set_delegation(0, "b.com", ["ns1.normal.biz"])
+        result = DetectionPipeline(database, WhoisArchive()).run()
+        assert [c.name for c in result.candidates] == ["ns1.normal.biz"]
+        assert result.funnel.candidates == 2
+        assert result.funnel.test_removed == 1
 
     def test_case_insensitive(self):
         filt = TestNameserverFilter()
@@ -248,11 +260,3 @@ class TestOriginalMatcher:
         matcher = OriginalNameserverMatcher(db, whois)
         candidate = CandidateNameserver("ns1.abxxxx.biz", 201, ("tiny.com",))
         assert matcher.match(candidate) is None
-
-    def test_match_all_partitions(self, db, whois):
-        matcher = OriginalNameserverMatcher(db, whois)
-        good = CandidateNameserver("ns1.hosterx7k2q.biz", 100, ("victim.com",))
-        bad = CandidateNameserver("unrelated.biz", 100, ("victim.com",))
-        matches, unmatched = matcher.match_all([good, bad])
-        assert [m.candidate for m in matches] == ["ns1.hosterx7k2q.biz"]
-        assert [c.name for c in unmatched] == ["unrelated.biz"]

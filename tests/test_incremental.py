@@ -30,6 +30,8 @@ from repro.detection.incremental import (
 from repro.cli import main
 from repro.detection.pipeline import DetectionPipeline
 from repro.faults.process import ChaosKill, ChaosMonkey, ProcessChaosConfig
+from repro.obs import runtime as obs
+from repro.obs.tracer import Tracer, read_trace
 from repro.runner.execution import (
     CHECKPOINT_DIR_NAME,
     ENGINE_CHECKPOINT_NAME,
@@ -140,6 +142,57 @@ class TestEngineEquivalence:
             assert result_digest(engine.result()) == result_digest(batch), (
                 f"prefix through day {batch_day} diverged"
             )
+
+
+def _record_reads() -> tuple[int, int]:
+    """The SQLite stores' record passes and ``ns_records`` queries so far."""
+    return (
+        obs.counter("sqlite.record_passes").value,
+        obs.counter("sqlite.ns_records_queries").value,
+    )
+
+
+class TestRecordReads:
+    """The candidates stage is the only reader of nameserver records in a
+    fold; the stages after it read what it noted."""
+
+    def test_batch_fold_reads_records_in_one_pass(self, world, dataset, batch_digest):
+        zonedb = open_dataset(dataset)
+        try:
+            passes, queries = _record_reads()
+            result = DetectionPipeline(zonedb, world.whois).run()
+            assert _record_reads() == (passes + 1, queries)
+            assert result_digest(result) == batch_digest
+        finally:
+            zonedb.close()
+
+    def test_dirty_fold_queries_each_dirty_name_once(self, world, dataset, tmp_path):
+        zonedb = open_dataset(dataset)
+        try:
+            days = [day for day, _events in DeltaView(zonedb).batches()]
+            # A rename's day: its new name reaches the pattern sweep or
+            # the single-repository filter.
+            renamed = {rename.day for rename in world.log.renames}
+            index = next(
+                i for i in range(len(days) // 2, len(days)) if days[i] in renamed
+            )
+            engine = IncrementalDetectionEngine(world.whois)
+            engine.advance_from(zonedb, until=days[index - 1])
+            passes, queries = _record_reads()
+            tracer = Tracer(tmp_path / "trace.jsonl", "run-reads")
+            with obs.observing(tracer):
+                assert engine.advance_from(zonedb, until=days[index]) == 1
+            tracer.close()
+            (fold,) = [
+                record.payload
+                for record in read_trace(tmp_path / "trace.jsonl")
+                if record.type == "span-end"
+                and record.payload["name"] == "engine.advance"
+            ]
+            assert fold["dirty"] > 0
+            assert _record_reads() == (passes, queries + fold["dirty"])
+        finally:
+            zonedb.close()
 
 
 class TestWatermarkGuards:

@@ -9,8 +9,17 @@ import collections
 
 import pytest
 
-from repro.detection.idioms import classify_match, known_classifiers
+from repro.detection.idioms import (
+    IdiomClass,
+    IdiomClassifier,
+    classify_match,
+    known_classifiers,
+)
+from repro.detection.incremental import IncrementalDetectionEngine
 from repro.detection.pipeline import DetectionPipeline
+from repro.runner.execution import result_digest
+from repro.whois.archive import WhoisArchive
+from repro.zonedb.database import ZoneDatabase
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +176,30 @@ class TestClassifiers:
         assert not by_id["DROPTHISHOST"].matches_name("dropthishost.example.com")
         assert not by_id["DUMMYNS.COM"].matches_name("dummyns.com.evil.net")
         assert not by_id["PLEASEDROPTHISHOST"].matches_name("ns1.ordinary.biz")
+
+    def test_first_listed_classifier_wins(self):
+        """List order decides, not where in the name a pattern matches:
+        ``^ns`` matches ``ns1.sink.com`` before ``\\.sink\\.com$`` does, in
+        a batch fold and in a fold past a watermark."""
+        classifiers = [
+            IdiomClassifier(
+                "SINK.COM", IdiomClass.SINK, None,
+                pattern=r"\.sink\.com$", sink_domain="sink.com",
+            ),
+            IdiomClassifier("NS", IdiomClass.RANDOM, None, pattern=r"^ns"),
+        ]
+        zonedb = ZoneDatabase()
+        zonedb.cover("com")
+        zonedb.set_delegation(1, "a.com", ["ns1.a.com"])
+        zonedb.set_delegation(3, "b.com", ["ns1.sink.com"])
+        whois = WhoisArchive()
+        batch = DetectionPipeline(zonedb, whois, classifiers=classifiers).run()
+        engine = IncrementalDetectionEngine(whois, classifiers=classifiers)
+        engine.advance_from(zonedb, until=1)
+        assert engine.advance_from(zonedb) == 1
+        assert result_digest(engine.result()) == result_digest(batch)
+        assert batch.by_name()["ns1.sink.com"].idiom_id == "SINK.COM"
+        assert batch.by_name()["ns1.a.com"].idiom_id == "NS"
 
 
 class TestMatchClassification:

@@ -47,6 +47,12 @@ class TestRegisteredDomain:
     def test_arpa_names(self, psl):
         assert psl.registered_domain("x.empty.as112.arpa") == "as112.arpa"
 
+    def test_canonicalizes_its_input(self, psl):
+        assert psl.registered_domain("NS1.Example.CO.UK.") == "example.co.uk"
+        assert psl.suffix_length("A.B.CO.UK") == 2
+        with pytest.raises(NameError_, match="empty label in name: 'bad..name'"):
+            psl.registered_domain("bad..name")
+
 
 class TestSuffixQueries:
     def test_public_suffix_simple(self, psl):

@@ -8,6 +8,7 @@ intervals live.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dnscore.errors import NameError_
 from repro.simtime import Interval
 from repro.store.sqlite import SqliteDelegationStore
 from repro.zonedb.database import ZoneDatabase
@@ -117,6 +118,17 @@ class TestPresence:
     def test_coverage(self, db):
         assert db.covers("anything.com")
         assert not db.covers("anything.org")
+
+    def test_queries_canonicalize_their_names(self, db):
+        assert db.glue_present("NS1.Foo.COM.", 0)
+        assert db.covers("Anything.COM")
+        assert db.domains_of_ns("NS1.X.Net") == {"foo.com"}
+        for query in (
+            lambda: db.glue_present("bad..name", 0),
+            lambda: db.covers("bad..name"),
+        ):
+            with pytest.raises(NameError_, match="empty label in name: 'bad..name'"):
+                query()
 
 
 class TestSnapshots:
